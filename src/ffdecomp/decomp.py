@@ -12,12 +12,13 @@ symbolic composition before anyone sees it.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
 from . import limits
-from .bipoly import build_F, count_affine
+from .bipoly import build_F
 from .errors import SpecMismatchError, ValidationError
 from .gf_core import FieldElement, FieldSpec, _same_spec
 from .upoly import (
@@ -99,20 +100,18 @@ def _require_pair(f: RatFun, g: RatFun) -> FieldSpec:
 
 
 def count_pairs(f: RatFun, g: RatFun) -> int:
-    """|{(x, y) in F_q x F_q : f(x) = g(y)}| with values compared in F_q^+,
-    so a shared infinity counts as a match."""
-    return count_affine(build_F(f, g))
+    """|{(x, y) in F_q x F_q : f(x) = g(y)}| = sum over x in F_q of N_g(f(x)),
+    N_g(v) = |{y in F_q : g(y) = v}|, with values compared in F_q^+, so a shared
+    infinity counts as a match.  The oracle is count_affine(build_F(f, g))."""
+    _require_pair(f, g)
+    sizes = _fiber_sizes(g)
+    return sum(sizes.get(f.eval(x), 0) for x in f.spec.elements())
 
 
-def _fiber_sizes(g: RatFun) -> dict:
-    """Map from attained value (over x in F_q) to fiber size."""
-    spec = g.spec
-    limits.check_enumerable(spec.order, "fiber scan")
-    buckets: dict = {}
-    for x in spec.elements():
-        v = g.eval(x)
-        buckets[v] = buckets.get(v, 0) + 1
-    return buckets
+def _fiber_sizes(g: RatFun) -> Counter:
+    """Map from attained value (over x in F_q; infinity too) to fiber size."""
+    limits.check_enumerable(g.spec.order, "fiber scan")
+    return Counter(map(g.eval, g.spec.elements()))
 
 
 def check_t1(f: RatFun, g: RatFun) -> DecompReport:

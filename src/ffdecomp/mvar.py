@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import limits
 from .bipoly import DEGREE_CAP, _submultisets_by_degree
-from .decomp import DecompReport, ThresholdCheck, _check_epsilon
+from .decomp import DecompReport, ThresholdCheck, _check_epsilon, _fiber_sizes
 from .errors import SizeLimitError, SpecMismatchError, ValidationError
 from .gf_core import FieldElement, FieldSpec, _same_spec
 from .upoly import (
@@ -508,17 +508,9 @@ def count_pairs_mv(f: MRatFun, g: RatFun) -> int:
         raise SpecMismatchError("f and g must live over the same field")
     spec = f.spec
     limits.check_enumerable(spec.order ** (f.n + 1), "pair grid")
-    buckets: dict = {}
-    for y in spec.elements():
-        v = g.eval(y)
-        buckets[v] = buckets.get(v, 0) + 1
-    total = 0
-    for xs in _grid(spec, f.n):
-        v = f.eval(xs)
-        if v is UNDEFINED:
-            continue
-        total += buckets.get(v, 0)
-    return total
+    sizes = _fiber_sizes(g)
+    # UNDEFINED equals no value of g, so undefined points add nothing
+    return sum(sizes.get(f.eval(xs), 0) for xs in _grid(spec, f.n))
 
 
 def count_undefined(f: MRatFun) -> int:

@@ -81,6 +81,10 @@ def _element_from_coords(spec: FieldSpec, coords: list[int]) -> FieldElement:
 # --------------------------------------------------------------------------
 # univariate expressions
 
+# Deepest nesting of parentheses and unary minus signs accepted; a level costs
+# up to four stack frames, so the cap stays well inside the recursion limit.
+MAX_NESTING = 100
+
 
 class _Tokens:
     def __init__(self, text: str):
@@ -116,39 +120,41 @@ class _Tokens:
         return int(self.text[start : self.pos])
 
 
-def _parse_expr(tok: _Tokens, spec: FieldSpec) -> Poly:
-    acc = _parse_term(tok, spec)
+def _parse_expr(tok: _Tokens, spec: FieldSpec, depth: int = 0) -> Poly:
+    acc = _parse_term(tok, spec, depth)
     while tok.peek() in ("+", "-"):
         op = tok.take()
-        rhs = _parse_term(tok, spec)
+        rhs = _parse_term(tok, spec, depth)
         acc = acc + rhs if op == "+" else acc - rhs
     return acc
 
 
-def _parse_term(tok: _Tokens, spec: FieldSpec) -> Poly:
-    acc = _parse_factor(tok, spec)
+def _parse_term(tok: _Tokens, spec: FieldSpec, depth: int) -> Poly:
+    acc = _parse_factor(tok, spec, depth)
     while tok.peek() == "*":
         tok.take()
-        acc = acc * _parse_factor(tok, spec)
+        acc = acc * _parse_factor(tok, spec, depth)
     return acc
 
 
-def _parse_factor(tok: _Tokens, spec: FieldSpec) -> Poly:
+def _parse_factor(tok: _Tokens, spec: FieldSpec, depth: int) -> Poly:
+    if depth > MAX_NESTING:
+        raise ValidationError(f"nested deeper than {MAX_NESTING} levels at position {tok.pos}")
     if tok.peek() == "-":
         tok.take()
-        return -_parse_factor(tok, spec)
-    atom = _parse_atom(tok, spec)
+        return -_parse_factor(tok, spec, depth + 1)
+    atom = _parse_atom(tok, spec, depth)
     if tok.peek() == "^":
         tok.take()
         return atom ** tok.integer()
     return atom
 
 
-def _parse_atom(tok: _Tokens, spec: FieldSpec) -> Poly:
+def _parse_atom(tok: _Tokens, spec: FieldSpec, depth: int) -> Poly:
     ch = tok.peek()
     if ch == "(":
         tok.take()
-        inner = _parse_expr(tok, spec)
+        inner = _parse_expr(tok, spec, depth + 1)
         tok.expect(")")
         return inner
     if ch == "[":

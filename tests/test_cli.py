@@ -263,6 +263,20 @@ def test_malformed_input_exits_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 3000 + "X" + ")" * 3000, "-" * 3000 + "X"],
+    ids=["parentheses", "unary-minus"],
+)
+def test_deeply_nested_expression_exits_two(capsys, text):
+    # --f=... so that argparse does not read a leading '-' as an option
+    assert run(["eval", "--field", "7", f"--f={text}", "--x", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
 def test_csv_rejected_outside_verify_bounds(capsys):
     assert run(["count-pairs", "--field", "7", "--f", "X^2", "--g", "X^2",
                 "--format", "csv"]) == 2

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ffdecomp.bipoly import build_F, count_affine
 from ffdecomp.decomp import (
     artin_schreier_map,
     check_t1,
@@ -79,6 +80,51 @@ def test_count_pairs_matches_fiber_sums():
             g = random_ratfun(rng, spec, rng.randrange(1, 4))
             total = sum(len(fiber(g, f.eval(x))) for x in spec.elements())
             assert count_pairs(f, g) == total
+
+
+def _random_poly(rng, spec, degree):
+    coeffs = [spec.from_index(rng.randrange(spec.order)) for _ in range(degree)]
+    return Poly.from_coeffs(spec, coeffs + [spec.from_index(rng.randrange(1, spec.order))])
+
+
+def _with_pole(rng, spec, degree, pole):
+    """A random f of the given degree whose only finite pole is at pole."""
+    den = Poly.from_coeffs(spec, [-pole, spec.one()]) ** degree
+    while True:
+        num = _random_poly(rng, spec, degree)
+        if not num(pole).is_zero():
+            return RatFun.make(num, den)
+
+
+def _benchmark_field_pairs(spec, rng):
+    """(f, g) pairs covering finite poles, a shared pole, a g whose only
+    pole is at infinity, an Artin-Schreier g and a power-map g."""
+    a, b = (spec.from_index(i) for i in rng.sample(range(spec.order), 2))
+    pairs = [
+        (_with_pole(rng, spec, 3, a), _with_pole(rng, spec, 2, b)),
+        (_with_pole(rng, spec, 2, a), _with_pole(rng, spec, 1, a)),
+        (_with_pole(rng, spec, 2, a), RatFun.from_poly(_random_poly(rng, spec, 2))),
+        (random_ratfun(rng, spec, 3), random_ratfun(rng, spec, 2)),
+    ]
+    inner = []
+    if spec.p in (2, 3):
+        inner.append(artin_schreier_map(spec, spec.p))
+    for d in (2, 4, 5):
+        if (spec.order - 1) % d == 0:
+            inner.append(power_map(spec, d))
+    for g in inner:
+        h = _with_pole(rng, spec, 1, b)
+        pairs.append((rat_compose(g, h), g))
+        pairs.append((random_ratfun(rng, spec, 2), g))
+    return pairs
+
+
+@pytest.mark.parametrize("p,k", [(2, 5), (3, 4), (101, 1), (2, 7)])
+def test_count_pairs_matches_curve_at_benchmark_fields(p, k):
+    spec = build_field(p, k)
+    rng = random.Random(7013 + spec.order)
+    for f, g in _benchmark_field_pairs(spec, rng):
+        assert count_pairs(f, g) == count_affine(build_F(f, g)), (f, g)
 
 
 def test_count_pairs_rejects_mixed_fields():

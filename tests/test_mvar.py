@@ -227,6 +227,33 @@ def test_count_pairs_mv_matches_triple_loop():
         assert count_pairs_mv(f, g) == expected
 
 
+@pytest.mark.parametrize("spec", [F5, F7], ids=["F5", "F7"])
+def test_count_pairs_mv_matches_double_loop_with_poles_and_undefined(spec):
+    rng = random.Random(4106 + spec.order)
+    grid = list(itertools.product(spec.elements(), repeat=2))
+    seen_undefined = seen_pole = 0
+    for _ in range(6):
+        # no constant terms, so numerator and denominator both vanish at 0
+        num, den = (
+            mp(spec, 2, {k: c for k, c in rand_mpoly(rng, spec, 2, 2).terms.items() if any(k)})
+            for _ in range(2)
+        )
+        if num.is_zero() or den.is_zero():
+            continue
+        f = MRatFun.make(num, den)
+        a = spec.from_index(rng.randrange(spec.order))
+        g = RatFun.make(
+            Poly.from_coeffs(spec, [a * a + 1, spec.zero(), spec.one()]),
+            Poly.from_coeffs(spec, [-a, spec.one()]),
+        )
+        values = [f.eval(xs) for xs in grid]
+        seen_undefined += values.count(UNDEFINED)
+        seen_pole += values.count(INFINITY)
+        expected = sum(1 for xs in grid for y in spec.elements() if f.eval(xs) == g.eval(y))
+        assert count_pairs_mv(f, g) == expected
+    assert seen_undefined and seen_pole
+
+
 def test_count_pairs_mv_single_variable_matches_univariate():
     rng = random.Random(4105)
     for spec in (F3, F5):

@@ -7,6 +7,7 @@ import pytest
 from ffdecomp.errors import ValidationError
 from ffdecomp.gf_core import build_field
 from ffdecomp.parsing import (
+    MAX_NESTING,
     parse_bipoly,
     parse_element,
     parse_field,
@@ -83,6 +84,30 @@ def test_poly_rejects_trailing_input():
     for text in ("X^2+", "X 3", "(X+1", "X^2+1)", "X^^2", "Y"):
         with pytest.raises(ValidationError):
             parse_poly(F7, text)
+
+
+def test_poly_nesting_at_the_cap_parses():
+    assert parse_poly(F7, "(" * MAX_NESTING + "X+1" + ")" * MAX_NESTING) == parse_poly(F7, "X+1")
+    assert parse_poly(F7, "-" * MAX_NESTING + "X") == parse_poly(F7, "X")
+    assert parse_poly(F7, "-(" * (MAX_NESTING // 2) + "X" + ")" * (MAX_NESTING // 2)) == parse_poly(F7, "X")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * (MAX_NESTING + 1) + "X" + ")" * (MAX_NESTING + 1),
+        "-" * (MAX_NESTING + 1) + "X",
+        "(" * 3000 + "X" + ")" * 3000,
+        "-" * 3000 + "X",
+        "-(" * 1500 + "X" + ")" * 1500,
+    ],
+    ids=["parentheses-cap", "minus-cap", "parentheses-3000", "minus-3000", "mixed-3000"],
+)
+def test_poly_rejects_deep_nesting(text):
+    with pytest.raises(ValidationError, match="nested deeper"):
+        parse_poly(F7, text)
+    with pytest.raises(ValidationError, match="nested deeper"):
+        parse_ratfun(F7, text + " / X")
 
 
 def test_ratfun_split_and_reduce():
