@@ -15,7 +15,6 @@ from .errors import (
     ValidationError,
 )
 from .bipoly import (
-    BiPoly,
     build_F,
     count_affine,
     count_projective,
@@ -45,7 +44,6 @@ from .mvar import (
 from .upoly import INFINITY, Poly, RatFun, factor, fiber, rat_compose, roots
 
 __all__ = [
-    "BiPoly",
     "build_F",
     "count_affine",
     "count_projective",

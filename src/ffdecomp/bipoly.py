@@ -1,42 +1,28 @@
-"""Bivariate polynomials over a finite field: curves, counting, factoring.
+"""Plane curves over a finite field: building, counting, factoring.
 
-A polynomial is a sparse map from exponent pairs (i, j) to nonzero
-coefficients, where i is the X-exponent and j the Y-exponent.  The module
-covers what the decomposition machinery needs: building the curve
-A(X)Q(Y) - B(X)P(Y) from two rational functions, counting its affine and
-projective points exactly, and factoring via substitution Y -> X^D so that
-the univariate machinery does the heavy lifting.
+A curve is an mvar.MPoly with n = 2, X = X1 and Y = X2.  The module builds
+the curve A(X)Q(Y) - B(X)P(Y) from two rational functions, counts its affine
+and projective points exactly, factors it with mvar.mv_factor, and decides
+absolute irreducibility.  The n = 2 views these need are module functions:
+setting X = x or Y = y to get a univariate Poly, swapping the variables, the
+homogeneous parts, partial derivatives, and mapping the coefficients through
+a field embedding.  Curves print with X and Y, through mvar.terms_str.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from . import limits
-from .errors import SizeLimitError, SpecMismatchError, ValidationError
-from .gf_core import (
-    FieldElement,
-    FieldEmbedding,
-    FieldSpec,
-    _same_spec,
-    extend_field,
-    prime_factors,
-)
+from .errors import SpecMismatchError, ValidationError
+from .gf_core import FieldElement, FieldEmbedding, _same_spec, extend_field, prime_factors
+from .mvar import MPoly, _from_upoly, mv_factor, terms_str
 from .upoly import (
     Poly,
     RatFun,
-    _coeff_str,
-    factor,
     num_distinct_roots,
     poly_gcd,
     poly_powmod,
     require_nonconstant,
 )
-
-# Factoring enumerates sub-multisets of a univariate factorization, so both
-# the curve degree and the number of candidate subsets need hard stops.
-DEGREE_CAP = 24
-_MAX_SUBSETS = 1 << 20
 
 # The smooth-point search in is_absolutely_irreducible tries at most this
 # many affine lines X = x.  A curve that is not absolutely irreducible has no
@@ -47,260 +33,67 @@ _MAX_SUBSETS = 1 << 20
 _SMOOTH_SCAN_LINES = 64
 
 
-class BiPoly:
-    __slots__ = ("spec", "terms")
+def _require_plane(F: MPoly) -> None:
+    if F.n != 2:
+        raise ValidationError(f"a plane curve has 2 variables, not {F.n}")
 
-    def __init__(self, spec: FieldSpec, terms: dict[tuple[int, int], FieldElement]):
-        # private: callers go through from_terms and friends
-        self.spec = spec
-        self.terms = terms
 
-    @classmethod
-    def from_terms(cls, spec: FieldSpec, terms) -> "BiPoly":
-        out: dict[tuple[int, int], FieldElement] = {}
-        for (i, j), c in dict(terms).items():
-            if i < 0 or j < 0:
-                raise ValidationError("exponents must be nonnegative")
-            c = spec.element(c)
-            if c.is_zero():
-                continue
-            key = (int(i), int(j))
-            if key in out:
-                c = out[key] + c
-                if c.is_zero():
-                    del out[key]
-                    continue
-            out[key] = c
-        return cls(spec, out)
+def curve_str(F: MPoly) -> str:
+    return terms_str(F, "XY")
 
-    @classmethod
-    def zero(cls, spec: FieldSpec) -> "BiPoly":
-        return cls(spec, {})
 
-    @classmethod
-    def constant(cls, value: FieldElement) -> "BiPoly":
-        return cls.from_terms(value.spec, {(0, 0): value})
+# --------------------------------------------------------------------------
+# the n = 2 views
 
-    @classmethod
-    def x(cls, spec: FieldSpec) -> "BiPoly":
-        return cls(spec, {(1, 0): spec.one()})
 
-    @classmethod
-    def y(cls, spec: FieldSpec) -> "BiPoly":
-        return cls(spec, {(0, 1): spec.one()})
+def specialize(F: MPoly, var: int, v: FieldElement) -> Poly:
+    """F with X (var 0) or Y (var 1) set to v, a polynomial in the other."""
+    spec = F.spec
+    v = spec.element(v)
+    if not F.terms:
+        return Poly.zero(spec)
+    other = 1 - var
+    pows = [spec.one()]
+    for _ in range(F.deg_in(var)):
+        pows.append(pows[-1] * v)
+    out = [spec.zero()] * (F.deg_in(other) + 1)
+    for k, c in F.terms.items():
+        out[k[other]] = out[k[other]] + c * pows[k[var]]
+    return Poly.from_coeffs(spec, out)
 
-    @classmethod
-    def from_x_poly(cls, f: Poly) -> "BiPoly":
-        return cls(f.spec, {(e, 0): c for e, c in enumerate(f.coeffs) if not c.is_zero()})
 
-    @classmethod
-    def from_y_poly(cls, f: Poly) -> "BiPoly":
-        return cls(f.spec, {(0, e): c for e, c in enumerate(f.coeffs) if not c.is_zero()})
+def swap(F: MPoly) -> MPoly:
+    return MPoly(F.spec, 2, {(j, i): c for (i, j), c in F.terms.items()})
 
-    @classmethod
-    def from_y_coeffs(cls, coeffs: list[Poly]) -> "BiPoly":
-        """Assemble sum_j coeffs[j](X) * Y^j."""
-        if not coeffs:
-            raise ValidationError("need at least one coefficient")
-        spec = coeffs[0].spec
-        terms: dict[tuple[int, int], FieldElement] = {}
-        for j, cj in enumerate(coeffs):
-            if not _same_spec(spec, cj.spec):
-                raise SpecMismatchError("coefficients over different fields")
-            for i, c in enumerate(cj.coeffs):
-                if not c.is_zero():
-                    terms[(i, j)] = c
-        return cls(spec, terms)
 
-    # -- structure -----------------------------------------------------------
+def form(F: MPoly, m: int) -> MPoly:
+    """The terms of total degree m; the top form when m is the total degree."""
+    return MPoly(F.spec, 2, {k: c for k, c in F.terms.items() if k[0] + k[1] == m})
 
-    def is_zero(self) -> bool:
-        return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(k == (0, 0) for k in self.terms)
+def _partial(F: MPoly, var: int) -> MPoly:
+    """The formal partial derivative in X (var 0) or in Y (var 1)."""
+    terms = {}
+    for k, c in F.terms.items():
+        if k[var]:
+            e = list(k)
+            e[var] -= 1
+            terms[tuple(e)] = c * k[var]
+    return MPoly.from_terms(F.spec, 2, terms)
 
-    def deg_x(self) -> int:
-        return max((i for i, _ in self.terms), default=-1)
 
-    def deg_y(self) -> int:
-        return max((j for _, j in self.terms), default=-1)
-
-    def total_degree(self) -> int:
-        return max((i + j for i, j in self.terms), default=-1)
-
-    def coeff(self, i: int, j: int) -> FieldElement:
-        return self.terms.get((i, j), self.spec.zero())
-
-    def leading_key(self) -> tuple[int, int]:
-        """Largest exponent pair in lexicographic (X-major) order."""
-        if not self.terms:
-            raise ValidationError("zero polynomial has no leading term")
-        return max(self.terms)
-
-    def index_key(self) -> tuple:
-        """Deterministic sort key over the sparse terms."""
-        return tuple(sorted((i, j, c.index) for (i, j), c in self.terms.items()))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return _same_spec(self.spec, other.spec) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.spec.p, self.spec.modulus, frozenset(self.terms.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _coerce(self, other) -> "BiPoly":
-        if isinstance(other, BiPoly):
-            if not _same_spec(self.spec, other.spec):
-                raise SpecMismatchError("mixing polynomials over different fields")
-            return other
-        if isinstance(other, (FieldElement, int)):
-            return BiPoly.constant(self.spec.element(other))
-        raise TypeError(f"cannot combine BiPoly with {type(other).__name__}")
-
-    def __add__(self, other) -> "BiPoly":
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k, self.spec.zero()) + c
-            if s.is_zero():
-                terms.pop(k, None)
-            else:
-                terms[k] = s
-        return BiPoly(self.spec, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly(self.spec, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other) -> "BiPoly":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "BiPoly":
-        return (-self) + self._coerce(other)
-
-    def __mul__(self, other) -> "BiPoly":
-        if isinstance(other, (FieldElement, int)):
-            c = self.spec.element(other)
-            if c.is_zero():
-                return BiPoly.zero(self.spec)
-            return BiPoly(self.spec, {k: v * c for k, v in self.terms.items()})
-        other = self._coerce(other)
-        terms: dict[tuple[int, int], FieldElement] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                prod = c1 * c2
-                if k in terms:
-                    s = terms[k] + prod
-                    if s.is_zero():
-                        del terms[k]
-                    else:
-                        terms[k] = s
-                elif not prod.is_zero():
-                    terms[k] = prod
-        return BiPoly(self.spec, terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "BiPoly":
-        if n < 0:
-            raise ValidationError("negative power of a polynomial")
-        result = BiPoly.constant(self.spec.one())
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    # -- evaluation and views --------------------------------------------------
-
-    def __call__(self, x: FieldElement, y: FieldElement):
-        x = self.spec.element(x)
-        y = self.spec.element(y)
-        acc = self.spec.zero()
-        for (i, j), c in self.terms.items():
-            acc = acc + c * x**i * y**j
-        return acc
-
-    def specialize_x(self, x: FieldElement) -> Poly:
-        """The univariate polynomial F(x, Y)."""
-        x = self.spec.element(x)
-        if not self.terms:
-            return Poly.zero(self.spec)
-        xpows = [self.spec.one()]
-        for _ in range(self.deg_x()):
-            xpows.append(xpows[-1] * x)
-        out = [self.spec.zero()] * (self.deg_y() + 1)
-        for (i, j), c in self.terms.items():
-            out[j] = out[j] + c * xpows[i]
-        return Poly.from_coeffs(self.spec, out)
-
-    def specialize_y(self, y: FieldElement) -> Poly:
-        return self.swap_vars().specialize_x(y)
-
-    def as_y_coeffs(self) -> list[Poly]:
-        """Coefficients c_j(X) with F = sum_j c_j(X) Y^j; empty for zero."""
-        if not self.terms:
-            return []
-        rows: list[list[FieldElement]] = [
-            [self.spec.zero()] * (self.deg_x() + 1) for _ in range(self.deg_y() + 1)
-        ]
-        for (i, j), c in self.terms.items():
-            rows[j][i] = c
-        return [Poly.from_coeffs(self.spec, row) for row in rows]
-
-    def swap_vars(self) -> "BiPoly":
-        return BiPoly(self.spec, {(j, i): c for (i, j), c in self.terms.items()})
-
-    def top_form(self) -> "BiPoly":
-        """Terms of maximal total degree (the highest homogeneous part)."""
-        d = self.total_degree()
-        return BiPoly(self.spec, {k: c for k, c in self.terms.items() if k[0] + k[1] == d})
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.terms, reverse=True):
-            c = self.terms[(i, j)]
-            mono = "*".join(
-                s
-                for s in (
-                    "X" if i == 1 else f"X^{i}" if i else "",
-                    "Y" if j == 1 else f"Y^{j}" if j else "",
-                )
-                if s
-            )
-            if not mono:
-                parts.append(_coeff_str(c))
-            elif c == 1:
-                parts.append(mono)
-            else:
-                parts.append(f"{_coeff_str(c)}*{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += "+" + p
-        return out
-
-    def __repr__(self) -> str:
-        return f"BiPoly({self.spec.descriptor}, {self})"
+def map_coeffs(F: MPoly, emb: FieldEmbedding) -> MPoly:
+    """Apply a field embedding to every coefficient."""
+    if not _same_spec(F.spec, emb.source):
+        raise SpecMismatchError("embedding source does not match the polynomial")
+    return MPoly(emb.target, F.n, {k: emb(c) for k, c in F.terms.items()})
 
 
 # --------------------------------------------------------------------------
 # the curve attached to a pair of rational functions
 
 
-def build_F(f: RatFun, g: RatFun) -> BiPoly:
+def build_F(f: RatFun, g: RatFun) -> MPoly:
     """The curve A(X)Q(Y) - B(X)P(Y) for f = A/B and g = P/Q.
 
     Its affine points are exactly the pairs (x, y) with f(x) = g(y) as
@@ -311,10 +104,8 @@ def build_F(f: RatFun, g: RatFun) -> BiPoly:
         raise SpecMismatchError("f and g must live over the same field")
     require_nonconstant(f, "f")
     require_nonconstant(g, "g")
-    a = BiPoly.from_x_poly(f.num)
-    b = BiPoly.from_x_poly(f.den)
-    p = BiPoly.from_y_poly(g.num)
-    q = BiPoly.from_y_poly(g.den)
+    a, b = _from_upoly(f.num, 2), _from_upoly(f.den, 2)
+    p, q = swap(_from_upoly(g.num, 2)), swap(_from_upoly(g.den, 2))
     return a * q - b * p
 
 
@@ -322,15 +113,16 @@ def build_F(f: RatFun, g: RatFun) -> BiPoly:
 # exact point counts
 
 
-def count_affine(F: BiPoly) -> int:
+def count_affine(F: MPoly) -> int:
     """Number of (x, y) in F_q x F_q with F(x, y) = 0."""
+    _require_plane(F)
     if F.is_zero():
         raise ValidationError("the zero polynomial does not define a curve")
     spec = F.spec
     limits.check_enumerable(spec.order, "affine point count")
     total = 0
     for x in spec.elements():
-        u = F.specialize_x(x)
+        u = specialize(F, 0, x)
         if u.is_zero():
             total += spec.order
         else:
@@ -338,187 +130,35 @@ def count_affine(F: BiPoly) -> int:
     return total
 
 
-def count_projective(F: BiPoly) -> int:
+def count_projective(F: MPoly) -> int:
     """Points of the projectivized curve in P^2(F_q).
 
     Affine points (x : y : 1) are counted first; the points at infinity are
     the zeros (x : 1 : 0) of the top form with Y = 1, plus (1 : 0 : 0) when
-    the coefficient of X^d vanishes (d the total degree).
+    the coefficient of X^d vanishes (d the total degree).  The top form is
+    homogeneous and nonzero, so setting Y = 1 keeps every coefficient.
     """
+    _require_plane(F)
     if F.is_zero():
         raise ValidationError("the zero polynomial does not define a curve")
     if F.is_constant():
         return 0
-    total = count_affine(F)
     d = F.total_degree()
-    top = F.top_form()
-    t_at_y1 = top.swap_vars().specialize_x(F.spec.one())  # T(X, 1) as poly in X
-    if t_at_y1.is_zero():
-        # top form divisible by ... impossible: top form is homogeneous and
-        # nonzero, so T(X, 1) keeps every coefficient
-        raise AssertionError("homogeneous top form cannot vanish at Y=1")
-    total += num_distinct_roots(t_at_y1)
-    if top.coeff(d, 0).is_zero():
+    top = form(F, d)
+    total = count_affine(F) + num_distinct_roots(specialize(top, 1, F.spec.one()))
+    if top.coeff((d, 0)).is_zero():
         total += 1
     return total
 
 
 # --------------------------------------------------------------------------
-# factorization through the substitution Y -> X^D
+# factoring and absolute irreducibility
 
 
-def kronecker_image(F: BiPoly, D: int) -> Poly:
-    """F(X, X^D) as a univariate polynomial."""
-    if F.is_zero():
-        return Poly.zero(F.spec)
-    out = [F.spec.zero()] * (F.deg_x() + D * F.deg_y() + 1)
-    for (i, j), c in F.terms.items():
-        e = i + D * j
-        out[e] = out[e] + c
-    return Poly.from_coeffs(F.spec, out)
-
-
-def kronecker_lift(u: Poly, D: int) -> BiPoly:
-    """Split exponents e = i + D*j with i < D back into pairs (i, j)."""
-    terms = {}
-    for e, c in enumerate(u.coeffs):
-        if not c.is_zero():
-            terms[divmod(e, D)[::-1]] = c
-    return BiPoly(u.spec, terms)
-
-
-def exact_div(F: BiPoly, G: BiPoly):
-    """Quotient F / G when G divides F exactly, else None.
-
-    Repeated leading-term elimination in lexicographic order: if G divides
-    F the leading term of every intermediate remainder is divisible by the
-    leading term of G, so hitting a non-divisible leading term proves
-    non-divisibility.
-    """
-    if G.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if F.is_zero():
-        return BiPoly.zero(F.spec)
-    (gi, gj) = G.leading_key()
-    glc = G.terms[(gi, gj)]
-    quot: dict[tuple[int, int], FieldElement] = {}
-    rem = F
-    while not rem.is_zero():
-        (ri, rj) = rem.leading_key()
-        if ri < gi or rj < gj:
-            return None
-        k = (ri - gi, rj - gj)
-        c = rem.terms[(ri, rj)] / glc
-        quot[k] = c
-        rem = rem - G * BiPoly(F.spec, {k: c})
-    return BiPoly(F.spec, quot)
-
-
-def _normalized(G: BiPoly) -> tuple[FieldElement, BiPoly]:
-    """Scale so the lexicographically first nonzero coefficient is one."""
-    c = G.terms[min(G.terms)]
-    return c, G * c.inverse()
-
-
-def _submultisets_by_degree(facs: list[tuple[Poly, int]]):
-    """All nonempty choices of multiplicities, ordered by product degree."""
-    ranges = [range(m + 1) for _, m in facs]
-    count = 1
-    for r in ranges:
-        count *= len(r)
-    if count > _MAX_SUBSETS:
-        raise SizeLimitError(
-            f"factor recombination would test {count} subsets "
-            f"(limit {_MAX_SUBSETS})"
-        )
-    degs = [p.degree for p, _ in facs]
-    vectors = [
-        v
-        for v in itertools.product(*ranges)
-        if any(v)
-    ]
-    vectors.sort(key=lambda v: (sum(m * d for m, d in zip(v, degs)), v))
-    return vectors
-
-
-def kronecker_factor(F: BiPoly) -> tuple[FieldElement, list[tuple[BiPoly, int]]]:
-    """Factor into irreducibles over the coefficient field.
-
-    Returns (unit, [(factor, multiplicity), ...]) with each factor scaled so
-    its lexicographically first coefficient is one, sorted deterministically.  The
-    substitution Y -> X^D with D = deg_X F + 1 is injective on the monomials
-    of every divisor of F, so each bivariate factor corresponds to a
-    sub-multiset of the univariate factorization of F(X, X^D); testing the
-    sub-multisets in order of increasing product degree means the first one
-    whose lift divides F is irreducible (a proper divisor of the lift would
-    have shown up earlier).
-    """
-    if F.is_zero():
-        raise ValidationError("cannot factor the zero polynomial")
-    if F.is_constant():
-        return F.coeff(0, 0), []
-    if F.total_degree() > DEGREE_CAP:
-        raise SizeLimitError(
-            f"factoring degree {F.total_degree()} exceeds the cap {DEGREE_CAP}"
-        )
-    spec = F.spec
-    D = F.deg_x() + 1
-    _, ufacs = factor(kronecker_image(F, D))
-    remaining = [[p, m] for p, m in ufacs]
-    current = F
-    found: list[tuple[BiPoly, int]] = []
-    while not current.is_constant():
-        facs = [(p, m) for p, m in remaining if m > 0]
-        hit = None
-        for v in _submultisets_by_degree(facs):
-            prod = Poly.one(spec)
-            for (p, _), mult in zip(facs, v):
-                if mult:
-                    prod = prod * p**mult
-            cand = kronecker_lift(prod, D)
-            if exact_div(current, cand) is not None:
-                hit = (v, facs, cand)
-                break
-        if hit is None:
-            raise AssertionError("the full sub-multiset always divides")
-        v, facs, cand = hit
-        _, g = _normalized(cand)
-        mult = 0
-        while True:
-            quot = exact_div(current, g)
-            if quot is None:
-                break
-            current = quot
-            mult += 1
-            for (p, _), used in zip(facs, v):
-                if used:
-                    for slot in remaining:
-                        if slot[0] == p:
-                            slot[1] -= used
-                            assert slot[1] >= 0
-                            break
-        found.append((g, mult))
-    unit = current.coeff(0, 0)
-    found.sort(key=lambda fm: (fm[0].total_degree(), fm[0].index_key()))
-    return unit, found
-
-
-def map_coeffs(F: BiPoly, emb: FieldEmbedding) -> BiPoly:
-    """Apply a field embedding to every coefficient."""
-    if not _same_spec(F.spec, emb.source):
-        raise SpecMismatchError("embedding source does not match the polynomial")
-    return BiPoly(emb.target, {k: emb(c) for k, c in F.terms.items()})
-
-
-def _partial(F: BiPoly, var: int) -> BiPoly:
-    """The formal partial derivative in X (var 0) or in Y (var 1)."""
-    terms = {}
-    for k, c in F.terms.items():
-        if k[var]:
-            e = list(k)
-            e[var] -= 1
-            terms[tuple(e)] = c * k[var]
-    return BiPoly.from_terms(F.spec, terms)
+def kronecker_factor(F: MPoly) -> tuple[FieldElement, list[tuple[MPoly, int]]]:
+    """Factor a curve over its field; at n = 2 mv_factor's collapse is the
+    Kronecker substitution Y -> X^(deg_X F + 1)."""
+    return mv_factor(F)
 
 
 def _has_smooth_root(u: Poly, partials: list[Poly]) -> bool:
@@ -540,7 +180,7 @@ def _has_smooth_root(u: Poly, partials: list[Poly]) -> bool:
     return rational.degree > common.degree
 
 
-def _has_smooth_rational_point(F: BiPoly) -> bool:
+def _has_smooth_rational_point(F: MPoly) -> bool:
     """Whether a nonsingular F_q-point of the projective closure of F was found.
 
     With F(X, Y, Z) = sum_k F_k(X, Y) Z^(d-k) the homogenization, a point
@@ -553,25 +193,26 @@ def _has_smooth_rational_point(F: BiPoly) -> bool:
     """
     spec, one = F.spec, F.spec.one()
     d = F.total_degree()
-    top = F.top_form()
-    below = BiPoly(spec, {k: c for k, c in F.terms.items() if k[0] + k[1] == d - 1})
+    top = form(F, d)
     # at (1 : 0 : 0) the partials T_Y and F_{d-1} are the coefficients of
     # X^(d-1) Y and X^(d-1); T_X = d * coeff(X^d) vanishes with T there
-    if top.coeff(d, 0).is_zero() and not (
-        F.coeff(d - 1, 1).is_zero() and F.coeff(d - 1, 0).is_zero()
+    if top.coeff((d, 0)).is_zero() and not (
+        F.coeff((d - 1, 1)).is_zero() and F.coeff((d - 1, 0)).is_zero()
     ):
         return True
-    at_infinity = [G.specialize_y(one) for G in (_partial(top, 0), _partial(top, 1), below)]
-    if _has_smooth_root(top.specialize_y(one), at_infinity):
+    at_infinity = [
+        specialize(G, 1, one) for G in (_partial(top, 0), _partial(top, 1), form(F, d - 1))
+    ]
+    if _has_smooth_root(specialize(top, 1, one), at_infinity):
         return True
     fx, fy = _partial(F, 0), _partial(F, 1)
     return any(
-        _has_smooth_root(F.specialize_x(x), [fx.specialize_x(x), fy.specialize_x(x)])
+        _has_smooth_root(specialize(F, 0, x), [specialize(fx, 0, x), specialize(fy, 0, x)])
         for x in map(spec.from_index, range(min(spec.order, _SMOOTH_SCAN_LINES)))
     )
 
 
-def _irreducible_over(F: BiPoly, r: int) -> bool:
+def _irreducible_over(F: MPoly, r: int) -> bool:
     """Whether F is irreducible over F_{q^r}, the degree-r extension of its field."""
     if r > 1:
         _, emb = extend_field(F.spec, r)
@@ -580,7 +221,7 @@ def _irreducible_over(F: BiPoly, r: int) -> bool:
     return len(facs) == 1 and facs[0][1] == 1
 
 
-def _is_absolutely_irreducible_by_extension(F: BiPoly) -> bool:
+def _is_absolutely_irreducible_by_extension(F: MPoly) -> bool:
     """The definitional test, kept as the oracle for is_absolutely_irreducible.
 
     An F_q-irreducible polynomial splits over the algebraic closure into a
@@ -591,7 +232,20 @@ def _is_absolutely_irreducible_by_extension(F: BiPoly) -> bool:
     return all(_irreducible_over(F, r) for r in [1, *prime_factors(F.total_degree())])
 
 
-def is_absolutely_irreducible(F: BiPoly) -> bool:
+def _irreducible_is_absolute(F: MPoly) -> bool:
+    """Whether F, known to be irreducible over F_q, is absolutely irreducible.
+
+    True as soon as a nonsingular F_q-point turns up; otherwise F is
+    re-factored over F_{q^r} for each prime r dividing its total degree.
+    is_absolutely_irreducible explains why, and is this check after
+    factoring F over F_q.
+    """
+    if _has_smooth_rational_point(F):
+        return True
+    return all(_irreducible_over(F, r) for r in prime_factors(F.total_degree()))
+
+
+def is_absolutely_irreducible(F: MPoly) -> bool:
     """Irreducible over the coefficient field and every extension of it.
 
     Suppose F is irreducible over F_q but not absolutely irreducible.  Over
@@ -609,12 +263,10 @@ def is_absolutely_irreducible(F: BiPoly) -> bool:
     nonsingular F_q-point (every non-absolutely-irreducible F, and a few
     absolutely irreducible ones, mostly over tiny fields) does the fallback
     run: F is re-factored over F_{q^r} for each prime r dividing its total
-    degree.
+    degree.  A caller that already holds the factors of a curve over F_q
+    skips the F_q factoring with _irreducible_is_absolute.
     """
+    _require_plane(F)
     if F.is_zero() or F.is_constant():
         raise ValidationError("constants are not curves")
-    if not _irreducible_over(F, 1):
-        return False
-    if _has_smooth_rational_point(F):
-        return True
-    return all(_irreducible_over(F, r) for r in prime_factors(F.total_degree()))
+    return _irreducible_over(F, 1) and _irreducible_is_absolute(F)

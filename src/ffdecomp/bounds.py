@@ -15,14 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bipoly import (
-    BiPoly,
+    _irreducible_is_absolute,
     count_affine,
     count_projective,
-    is_absolutely_irreducible,
     kronecker_factor,
 )
 from .errors import ValidationError
 from .gf_core import FieldSpec, build_field
+from .mvar import MPoly
 from .upoly import Poly, is_irreducible
 
 
@@ -293,25 +293,25 @@ class BoundReport:
 CSV_HEADER = "instance,q,degree,classification,observed,bound,pass"
 
 
-def _random_bipoly(rng: random.Random, spec: FieldSpec, max_degree: int) -> BiPoly:
+def _random_bipoly(rng: random.Random, spec: FieldSpec, max_degree: int) -> MPoly:
     while True:
         terms = {}
         for i in range(max_degree + 1):
             for j in range(max_degree + 1 - i):
                 terms[(i, j)] = spec.from_index(rng.randrange(spec.order))
-        F = BiPoly.from_terms(spec, terms)
+        F = MPoly.from_terms(spec, 2, terms)
         if not F.is_zero() and not F.is_constant():
             return F
 
 
-def _random_conic(rng: random.Random, spec: FieldSpec, max_degree: int) -> BiPoly:
+def _random_conic(rng: random.Random, spec: FieldSpec, max_degree: int) -> MPoly:
     while True:
         terms = {
             (i, j): spec.from_index(rng.randrange(spec.order))
             for i in range(3)
             for j in range(3 - i)
         }
-        F = BiPoly.from_terms(spec, terms)
+        F = MPoly.from_terms(spec, 2, terms)
         if F.total_degree() == 2:
             return F
 
@@ -323,7 +323,7 @@ def _random_linear_form(rng: random.Random, spec: FieldSpec):
             return c
 
 
-def _norm_form(rng: random.Random, spec: FieldSpec, max_degree: int) -> BiPoly:
+def _norm_form(rng: random.Random, spec: FieldSpec, max_degree: int) -> MPoly:
     """N^2 + t*N*M + n*M^2 for a quadratic T^2 + t*T + n with no root in F_q.
 
     Over the closure this splits as (N - alpha*M)(N - conj(alpha)*M); when
@@ -346,8 +346,8 @@ def _norm_form(rng: random.Random, spec: FieldSpec, max_degree: int) -> BiPoly:
         )
         if not prop:
             break
-    N = BiPoly.from_terms(spec, {(0, 0): cn[0], (1, 0): cn[1], (0, 1): cn[2]})
-    M = BiPoly.from_terms(spec, {(0, 0): cm[0], (1, 0): cm[1], (0, 1): cm[2]})
+    N = MPoly.from_terms(spec, 2, {(0, 0): cn[0], (1, 0): cn[1], (0, 1): cn[2]})
+    M = MPoly.from_terms(spec, 2, {(0, 0): cm[0], (1, 0): cm[1], (0, 1): cm[2]})
     return N * N + t * N * M + n * M * M
 
 
@@ -364,6 +364,8 @@ def verify_bounds_on_sample(config: SampleConfig) -> list[BoundReport]:
     Absolutely irreducible factors are checked against the affine interval
     and the projective band; factors that stay irreducible over F_q only are
     checked against floor(D^2/4).  Reports are deterministic in the seed.
+    The factors are irreducible over F_q, so only the step beyond F_q of the
+    absolute-irreducibility test runs on them.
     """
     if config.kind not in _SAMPLERS:
         raise ValidationError(f"unknown sampler kind {config.kind!r}")
@@ -380,7 +382,7 @@ def verify_bounds_on_sample(config: SampleConfig) -> list[BoundReport]:
         for fidx, (h, _) in enumerate(facs):
             D = h.total_degree()
             aff = count_affine(h)
-            if is_absolutely_irreducible(h):
+            if _irreducible_is_absolute(h):
                 label = "absolutely-irreducible"
                 lo, hi = ap_interval(D, q)
                 reports.append(

@@ -11,12 +11,13 @@ input did not validate, 3 means a size limit refused the work.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
 
 from . import __version__, limits
-from .bipoly import count_affine, count_projective, kronecker_factor
+from .bipoly import count_affine, count_projective, curve_str, kronecker_factor
 from .bounds import CSV_HEADER, SampleConfig, verify_bounds_on_sample
 from .decomp import (
     DecompReport,
@@ -43,11 +44,11 @@ from .parsing import (
 from .upoly import INFINITY, factor, fiber, rat_compose
 
 
-def _factor_payload(unit, facs) -> dict:
+def _factor_payload(unit, facs, fmt=str) -> dict:
     return {
         "unit": str(unit),
         "factors": [
-            {"factor": str(p), "multiplicity": m} for p, m in facs
+            {"factor": fmt(p), "multiplicity": m} for p, m in facs
         ],
     }
 
@@ -90,17 +91,17 @@ def _cmd_factor_u(args, spec) -> dict:
 
 def _cmd_factor_b(args, spec) -> dict:
     unit, facs = kronecker_factor(parse_bipoly(spec, args.poly))
-    return _factor_payload(unit, facs)
+    return _factor_payload(unit, facs, curve_str)
 
 
 def _cmd_count_affine(args, spec) -> dict:
     F = parse_bipoly(spec, args.poly)
-    return {"curve": str(F), "count": count_affine(F)}
+    return {"curve": curve_str(F), "count": count_affine(F)}
 
 
 def _cmd_count_projective(args, spec) -> dict:
     F = parse_bipoly(spec, args.poly)
-    return {"curve": str(F), "count": count_projective(F)}
+    return {"curve": curve_str(F), "count": count_projective(F)}
 
 
 def _cmd_count_pairs(args, spec) -> dict:
@@ -250,7 +251,9 @@ _HANDLERS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="ffdecomp",
         description="Exact decomposition and point-count experiments over finite fields.",

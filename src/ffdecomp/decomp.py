@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Optional
 
 from . import limits
-from .bipoly import build_F
 from .errors import SpecMismatchError, ValidationError
 from .gf_core import FieldElement, FieldSpec, _same_spec
 from .upoly import (
@@ -250,6 +249,18 @@ def _lambda_candidates(
     return [t for t in roots(common) if not t.is_zero()]
 
 
+def _coeff_pairs(g: RatFun) -> list[tuple[FieldElement, FieldElement]]:
+    """The coefficient pairs (p_j, q_j), j = 0..deg g, of g = P/Q.
+
+    For f = A/B, A*q_j - B*p_j is the coefficient of Y^j in
+    A(X)Q(Y) - B(X)P(Y), whether X is one variable or several.
+    """
+    zeros = [g.spec.zero()] * (g.degree + 1)
+    pn = list(g.num.coeffs) + zeros[len(g.num.coeffs):]
+    qn = list(g.den.coeffs) + zeros[len(g.den.coeffs):]
+    return list(zip(pn, qn))
+
+
 def find_h(f: RatFun, g: RatFun) -> Optional[RatFun]:
     """Some h with f = g(h), in reduced canonical form, or None.
 
@@ -265,8 +276,7 @@ def find_h(f: RatFun, g: RatFun) -> Optional[RatFun]:
     if d % delta != 0:
         return None
     e = d // delta
-    coeffs = build_F(f, g).as_y_coeffs()
-    assert len(coeffs) == delta + 1
+    coeffs = [f.num * qj - f.den * pj for pj, qj in _coeff_pairs(g)]
     c0, c_top = coeffs[0], coeffs[-1]
     assert not c0.is_zero() and not c_top.is_zero()
 

@@ -1,12 +1,17 @@
-"""Multivariate rational functions f(X1..Xn) and decompositions f = g(h).
+"""Multivariate polynomials and rational functions over F_q, and f = g(h).
+
+MPoly is the one polynomial type in several variables: f(X1..Xn) here, and
+with n = 2 the plane curves of bipoly.  Polynomial arithmetic is sparse over
+exponent vectors; gcds run by primitive-part recursion on the last variable.
+mv_factor is the one factorizer: it collapses all variables onto one with a
+mixed-radix substitution (at n = 2 the Kronecker substitution
+Y -> X^(deg_X + 1)), factors the image with the univariate machinery, and
+recombines the univariate factors.
 
 Univariate reduced rational functions have a value (possibly infinity) at
 every point; with several variables the numerator and denominator can vanish
 together, so evaluation gains a third outcome, UNDEFINED, and pair counting
-skips exactly those points.  Polynomial arithmetic is sparse over exponent
-vectors; gcds run by primitive-part recursion on the last variable, and
-factoring collapses all variables onto one with a mixed-radix substitution
-so the univariate machinery applies.
+skips exactly those points.
 """
 
 from __future__ import annotations
@@ -16,8 +21,13 @@ from fractions import Fraction
 from typing import Optional
 
 from . import limits
-from .bipoly import DEGREE_CAP, _submultisets_by_degree
-from .decomp import DecompReport, ThresholdCheck, _check_epsilon, _fiber_sizes
+from .decomp import (
+    DecompReport,
+    ThresholdCheck,
+    _check_epsilon,
+    _coeff_pairs,
+    _fiber_sizes,
+)
 from .errors import SizeLimitError, SpecMismatchError, ValidationError
 from .gf_core import FieldElement, FieldSpec, _same_spec
 from .upoly import (
@@ -34,6 +44,11 @@ from .upoly import (
 # Best-effort envelope for the constructive search.
 FIND_H_MAX_VARS = 3
 FIND_H_MAX_DEGREE_SUM = 10
+
+# Factoring enumerates sub-multisets of a univariate factorization, so both
+# the total degree and the number of candidate subsets need hard stops.
+DEGREE_CAP = 24
+_MAX_SUBSETS = 1 << 20
 
 
 class _Undefined:
@@ -248,26 +263,28 @@ class MPoly:
         return MPoly(self.spec, self.n + 1, {k + (0,): c for k, c in self.terms.items()})
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms, reverse=True):
-            c = self.terms[key]
-            mono = "*".join(
-                f"X{i + 1}" if e == 1 else f"X{i + 1}^{e}"
-                for i, e in enumerate(key)
-                if e
-            )
-            if not mono:
-                parts.append(_coeff_str(c))
-            elif c == 1:
-                parts.append(mono)
-            else:
-                parts.append(f"{_coeff_str(c)}*{mono}")
-        return "+".join(parts)
+        return terms_str(self, [f"X{i + 1}" for i in range(self.n)])
 
     def __repr__(self) -> str:
         return f"MPoly({self.spec.descriptor}, {self})"
+
+
+def terms_str(F: MPoly, names) -> str:
+    """F as a sum of terms in decreasing exponent order, the variables
+    written with the given names."""
+    if not F.terms:
+        return "0"
+    parts = []
+    for key in sorted(F.terms, reverse=True):
+        c = F.terms[key]
+        mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, key) if e)
+        if not mono:
+            parts.append(_coeff_str(c))
+        elif c == 1:
+            parts.append(mono)
+        else:
+            parts.append(f"{_coeff_str(c)}*{mono}")
+    return "+".join(parts)
 
 
 # --------------------------------------------------------------------------
@@ -638,12 +655,34 @@ def _uncollapse(u: Poly, rads: list[int], bases: list[int], n: int) -> MPoly:
     return MPoly(u.spec, n, terms)
 
 
+def _submultisets_by_degree(facs: list[tuple[Poly, int]]):
+    """All nonempty choices of multiplicities, ordered by product degree."""
+    ranges = [range(m + 1) for _, m in facs]
+    count = 1
+    for r in ranges:
+        count *= len(r)
+    if count > _MAX_SUBSETS:
+        raise SizeLimitError(
+            f"factor recombination would test {count} subsets "
+            f"(limit {_MAX_SUBSETS})"
+        )
+    degs = [p.degree for p, _ in facs]
+    vectors = [v for v in itertools.product(*ranges) if any(v)]
+    vectors.sort(key=lambda v: (sum(m * d for m, d in zip(v, degs)), v))
+    return vectors
+
+
 def mv_factor(F: MPoly) -> tuple[FieldElement, list[tuple[MPoly, int]]]:
-    """Factor into irreducibles over F_q, mirroring the bivariate method.
+    """Factor into irreducibles over F_q.
 
     Returns (unit, [(factor, multiplicity), ...]); factors are scaled so
     their lexicographically first coefficient is one and sorted by total
-    degree then coefficient indices.
+    degree then coefficient indices.  The collapse onto one variable is
+    injective on the monomials of every divisor of F, so each factor
+    corresponds to a sub-multiset of the univariate factorization of the
+    image; testing the sub-multisets in order of increasing product degree
+    means the first one whose lift divides F is irreducible (a proper
+    divisor of the lift would have shown up earlier).
     """
     if F.is_zero():
         raise ValidationError("cannot factor the zero polynomial")
@@ -780,10 +819,7 @@ def find_h_mv(
     if d % delta != 0:
         return None
     e = d // delta
-    spec = f.spec
-    pn = list(g.num.coeffs) + [spec.zero()] * (delta + 1 - len(g.num.coeffs))
-    qn = list(g.den.coeffs) + [spec.zero()] * (delta + 1 - len(g.den.coeffs))
-    coeffs = [f.num * qj - f.den * pj for pj, qj in zip(pn, qn)]
+    coeffs = [f.num * qj - f.den * pj for pj, qj in _coeff_pairs(g)]
     c0, c_top = coeffs[0], coeffs[-1]
     assert not c0.is_zero() and not c_top.is_zero()
 

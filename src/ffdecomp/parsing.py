@@ -14,8 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .bipoly import BiPoly
-from .errors import ValidationError
+from .errors import SizeLimitError, ValidationError
 from .gf_core import FieldElement, FieldSpec, build_field
 from .mvar import MPoly, MRatFun
 from .upoly import INFINITY, Poly, PointOrInf, RatFun
@@ -85,6 +84,15 @@ def _element_from_coords(spec: FieldSpec, coords: list[int]) -> FieldElement:
 # up to four stack frames, so the cap stays well inside the recursion limit.
 MAX_NESTING = 100
 
+# Largest exponent accepted, and the largest degree a product or power may
+# reach while parsing; checked before the product or power is computed.
+MAX_DEGREE = 1024
+
+
+def _check_degree(d: int, what: str) -> None:
+    if d > MAX_DEGREE:
+        raise SizeLimitError(f"{what} {d} exceeds the parser cap {MAX_DEGREE}")
+
 
 class _Tokens:
     def __init__(self, text: str):
@@ -117,7 +125,10 @@ class _Tokens:
             raise ValidationError(
                 f"expected a number at position {start} of {self.text!r}"
             )
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than int() converts
+            raise SizeLimitError(f"number at position {start} has too many digits") from None
 
 
 def _parse_expr(tok: _Tokens, spec: FieldSpec, depth: int = 0) -> Poly:
@@ -133,7 +144,9 @@ def _parse_term(tok: _Tokens, spec: FieldSpec, depth: int) -> Poly:
     acc = _parse_factor(tok, spec, depth)
     while tok.peek() == "*":
         tok.take()
-        acc = acc * _parse_factor(tok, spec, depth)
+        rhs = _parse_factor(tok, spec, depth)
+        _check_degree(acc.degree + rhs.degree, "degree")
+        acc = acc * rhs
     return acc
 
 
@@ -146,7 +159,10 @@ def _parse_factor(tok: _Tokens, spec: FieldSpec, depth: int) -> Poly:
     atom = _parse_atom(tok, spec, depth)
     if tok.peek() == "^":
         tok.take()
-        return atom ** tok.integer()
+        e = tok.integer()
+        _check_degree(e, "exponent")
+        _check_degree(atom.degree * e, "degree")
+        return atom**e
     return atom
 
 
@@ -233,6 +249,8 @@ def _parse_term_list(spec: FieldSpec, text: str) -> dict[tuple, FieldElement]:
             key = tuple(int(e) for e in exp_text[1:-1].split(","))
         except ValueError:
             raise ValidationError(f"malformed exponents in {chunk!r}") from None
+        for e in key:
+            _check_degree(e, "exponent")
         if width is None:
             width = len(key)
         elif len(key) != width:
@@ -248,11 +266,12 @@ def _parse_term_list(spec: FieldSpec, text: str) -> dict[tuple, FieldElement]:
     return terms
 
 
-def parse_bipoly(spec: FieldSpec, text: str) -> BiPoly:
+def parse_bipoly(spec: FieldSpec, text: str) -> MPoly:
+    """A plane curve: an MPoly in X = X1 and Y = X2."""
     terms = _parse_term_list(spec, text)
     if any(len(k) != 2 for k in terms):
         raise ValidationError("bivariate terms need exponent pairs (i,j)")
-    return BiPoly.from_terms(spec, terms)
+    return MPoly.from_terms(spec, 2, terms)
 
 
 def parse_mpoly(spec: FieldSpec, text: str, n: Optional[int] = None) -> MPoly:

@@ -5,21 +5,22 @@ import pytest
 import sympy
 
 from ffdecomp.bipoly import (
-    BiPoly,
     _has_smooth_rational_point,
+    _irreducible_is_absolute,
     _is_absolutely_irreducible_by_extension,
     build_F,
     count_affine,
     count_projective,
-    exact_div,
+    curve_str,
     is_absolutely_irreducible,
     kronecker_factor,
-    kronecker_image,
-    kronecker_lift,
+    specialize,
+    swap,
 )
 from ffdecomp.bounds import _SAMPLERS
 from ffdecomp.errors import SizeLimitError, ValidationError
 from ffdecomp.gf_core import build_field
+from ffdecomp.mvar import MPoly, _collapse, _collapse_key, _uncollapse, mpoly_divexact
 from ffdecomp.upoly import Poly, RatFun
 
 F2 = build_field(2)
@@ -33,12 +34,17 @@ F9 = build_field(3, 2)
 SX, SY = sympy.symbols("X Y")
 
 
+def bp(spec, terms):
+    """A plane curve from {(i, j): c}, i the X- and j the Y-exponent."""
+    return MPoly.from_terms(spec, 2, terms)
+
+
 def rand_bipoly(rng, spec, max_total):
     terms = {}
     for i in range(max_total + 1):
         for j in range(max_total + 1 - i):
             terms[(i, j)] = spec.from_index(rng.randrange(spec.order))
-    return BiPoly.from_terms(spec, terms)
+    return bp(spec, terms)
 
 
 def rand_ratfun(rng, spec, max_deg):
@@ -76,7 +82,7 @@ def brute_irreducible(F):
     p = F.spec.p
     monos = [(i, j) for i in range(d) for j in range(d - i)]
     for coeffs in itertools.product(range(p), repeat=len(monos)):
-        G = BiPoly.from_terms(F.spec, dict(zip(monos, coeffs)))
+        G = bp(F.spec, dict(zip(monos, coeffs)))
         if G.is_zero() or G.is_constant():
             continue
         if sympy_divides(G, F):
@@ -90,7 +96,7 @@ def brute_irreducible(F):
 def test_build_f_example():
     f = RatFun.from_poly(Poly.from_ints(F7, [0, 0, 1]))
     F = build_F(f, f)
-    assert F == BiPoly.from_terms(F7, {(2, 0): 1, (0, 2): -1})
+    assert F == bp(F7, {(2, 0): 1, (0, 2): -1})
 
 
 def test_build_f_zero_set_matches_projective_equality():
@@ -102,7 +108,7 @@ def test_build_f_zero_set_matches_projective_equality():
             F = build_F(f, g)
             for x in spec.elements():
                 for y in spec.elements():
-                    assert F(x, y).is_zero() == (f.eval(x) == g.eval(y))
+                    assert F((x, y)).is_zero() == (f.eval(x) == g.eval(y))
 
 
 def test_build_f_y_degree_is_deg_g():
@@ -111,8 +117,8 @@ def test_build_f_y_degree_is_deg_g():
         f = rand_ratfun(rng, F5, 3)
         g = rand_ratfun(rng, F5, 3)
         F = build_F(f, g)
-        assert F.deg_y() == g.degree
-        assert F.deg_x() == f.degree
+        assert F.deg_in(1) == g.degree
+        assert F.deg_in(0) == f.degree
 
 
 def test_build_f_rejects_constants():
@@ -126,11 +132,13 @@ def test_build_f_rejects_constants():
 
 
 def test_bipoly_ring_ops():
-    x = BiPoly.x(F5)
-    y = BiPoly.y(F5)
+    x = MPoly.variable(F5, 2, 0)
+    y = MPoly.variable(F5, 2, 1)
     assert (x + y) * (x - y) == x**2 - y**2
     assert (x + y) ** 2 == x**2 + 2 * x * y + y**2
-    assert str(x**2 - y**2) == "X^2+4*Y^2"
+    assert curve_str(x**2 - y**2) == "X^2+4*Y^2"
+    # the same polynomial outside the curve helpers keeps the n-variate names
+    assert str(x**2 - y**2) == "X1^2+4*X2^2"
 
 
 def test_specialize_matches_eval():
@@ -138,20 +146,24 @@ def test_specialize_matches_eval():
     for _ in range(30):
         F = rand_bipoly(rng, F5, 3)
         for a in F5.elements():
-            u = F.specialize_x(a)
-            v = F.specialize_y(a)
+            u = specialize(F, 0, a)
+            v = specialize(F, 1, a)
             for b in F5.elements():
-                assert u(b) == F(a, b)
-                assert v(b) == F(b, a)
+                assert u(b) == F((a, b))
+                assert v(b) == F((b, a))
 
 
 def test_y_coeff_views_roundtrip():
     rng = random.Random(53)
+    y = MPoly.variable(F4, 2, 1)
     for _ in range(30):
         F = rand_bipoly(rng, F4, 4)
         if F.is_zero():
             continue
-        assert BiPoly.from_y_coeffs(F.as_y_coeffs()) == F
+        rebuilt = MPoly.zero(F4, 2)
+        for j, c in enumerate(F.last_var_coeffs()):
+            rebuilt = rebuilt + c.lift_last() * y**j
+        assert rebuilt == F
 
 
 # -- point counting ----------------------------------------------------------
@@ -162,7 +174,7 @@ def brute_affine(F):
         1
         for x in F.spec.elements()
         for y in F.spec.elements()
-        if F(x, y).is_zero()
+        if F((x, y)).is_zero()
     )
 
 
@@ -184,11 +196,11 @@ def brute_projective(F):
 
 def test_count_affine_examples():
     for spec in [F3, F5, F7, F9]:
-        parabola = BiPoly.from_terms(spec, {(0, 2): 1, (1, 0): -1})  # Y^2 - X
+        parabola = bp(spec, {(0, 2): 1, (1, 0): -1})  # Y^2 - X
         assert count_affine(parabola) == spec.order
-        hyperbola = BiPoly.from_terms(spec, {(1, 1): 1, (0, 0): -1})  # XY - 1
+        hyperbola = bp(spec, {(1, 1): 1, (0, 0): -1})  # XY - 1
         assert count_affine(hyperbola) == spec.order - 1
-    circle3 = BiPoly.from_terms(F3, {(2, 0): 1, (0, 2): 1})
+    circle3 = bp(F3, {(2, 0): 1, (0, 2): 1})
     assert count_affine(circle3) == 1
 
 
@@ -204,17 +216,17 @@ def test_count_affine_matches_scan():
 
 def test_count_affine_rejects_zero():
     with pytest.raises(ValidationError):
-        count_affine(BiPoly.zero(F3))
+        count_affine(MPoly.zero(F3, 2))
 
 
 def test_count_projective_examples():
     for spec in [F3, F5, F7, F9]:
         q = spec.order
-        parabola = BiPoly.from_terms(spec, {(0, 1): 1, (2, 0): -1})  # Y - X^2
+        parabola = bp(spec, {(0, 1): 1, (2, 0): -1})  # Y - X^2
         assert count_projective(parabola) == q + 1
-        line = BiPoly.from_terms(spec, {(1, 0): 1, (0, 1): 1})
+        line = bp(spec, {(1, 0): 1, (0, 1): 1})
         assert count_projective(line) == q + 1
-    circle3 = BiPoly.from_terms(F3, {(2, 0): 1, (0, 2): 1})
+    circle3 = bp(F3, {(2, 0): 1, (0, 2): 1})
     assert count_projective(circle3) == 1
 
 
@@ -234,19 +246,34 @@ def test_counts_invariant_under_swap():
         F = rand_bipoly(rng, F5, 3)
         if F.is_zero() or F.is_constant():
             continue
-        assert count_affine(F) == count_affine(F.swap_vars())
-        assert count_projective(F) == count_projective(F.swap_vars())
+        assert count_affine(F) == count_affine(swap(F))
+        assert count_projective(F) == count_projective(swap(F))
 
 
 # -- substitution-based factoring --------------------------------------------
+#
+# At n = 2 the mixed-radix collapse of mv_factor is the Kronecker substitution
+# Y -> X^D with D = deg_X F + 1, and its inverse splits e = i + D*j back into
+# (i, j); division is mpoly_divexact.
+
+
+def kronecker_image(F, D):
+    """F(X, X^D), computed term by term."""
+    out = Poly.zero(F.spec)
+    for (i, j), c in F.terms.items():
+        out = out + Poly.x(F.spec) ** (i + D * j) * c
+    return out
 
 
 def test_kronecker_image_lift_roundtrip():
     rng = random.Random(71)
     for _ in range(40):
         F = rand_bipoly(rng, F5, 4)
-        D = F.deg_x() + 1
-        assert kronecker_lift(kronecker_image(F, D), D) == F
+        D = F.deg_in(0) + 1
+        rads, bases = _collapse_key(F)
+        assert bases == [1, D]
+        assert _collapse(F, bases) == kronecker_image(F, D)
+        assert _uncollapse(_collapse(F, bases), rads, bases, 2) == F
 
 
 def test_kronecker_image_multiplicative():
@@ -254,8 +281,8 @@ def test_kronecker_image_multiplicative():
     for _ in range(40):
         F = rand_bipoly(rng, F3, 2)
         G = rand_bipoly(rng, F3, 2)
-        D = (F * G).deg_x() + 1
-        assert kronecker_image(F * G, D) == kronecker_image(F, D) * kronecker_image(G, D)
+        _, bases = _collapse_key(F * G)
+        assert _collapse(F * G, bases) == _collapse(F, bases) * _collapse(G, bases)
 
 
 def test_exact_div_roundtrip():
@@ -266,9 +293,9 @@ def test_exact_div_roundtrip():
             G = rand_bipoly(rng, spec, 2)
             if G.is_zero():
                 continue
-            assert exact_div(F * G, G) == F
+            assert mpoly_divexact(F * G, G) == F
             if not G.is_constant() and not F.is_zero():
-                assert exact_div(F * G + 1, G) is None
+                assert mpoly_divexact(F * G + 1, G) is None
 
 
 def test_exact_div_matches_sympy():
@@ -278,31 +305,31 @@ def test_exact_div_matches_sympy():
         G = rand_bipoly(rng, F5, 2)
         if F.is_zero() or G.is_zero():
             continue
-        assert (exact_div(F, G) is not None) == sympy_divides(G, F)
+        assert (mpoly_divexact(F, G) is not None) == sympy_divides(G, F)
 
 
 def test_factor_difference_of_squares():
-    F = BiPoly.from_terms(F7, {(2, 0): 1, (0, 2): -1})
+    F = bp(F7, {(2, 0): 1, (0, 2): -1})
     unit, facs = kronecker_factor(F)
     # each factor is scaled so its lexicographically first coefficient
     # (here the Y one) is 1, pushing the sign into the unit
     assert unit == F7.element(-1)
     assert facs == [
-        (BiPoly.from_terms(F7, {(1, 0): 1, (0, 1): 1}), 1),
-        (BiPoly.from_terms(F7, {(1, 0): -1, (0, 1): 1}), 1),
+        (bp(F7, {(1, 0): 1, (0, 1): 1}), 1),
+        (bp(F7, {(1, 0): -1, (0, 1): 1}), 1),
     ]
 
 
 def test_factor_irreducible_circle():
-    F = BiPoly.from_terms(F3, {(2, 0): 1, (0, 2): 1})
+    F = bp(F3, {(2, 0): 1, (0, 2): 1})
     unit, facs = kronecker_factor(F)
     assert unit == F3.one()
     assert facs == [(F, 1)]
 
 
 def test_factor_with_multiplicity():
-    g1 = BiPoly.from_terms(F5, {(1, 0): 1, (0, 1): 1})
-    g2 = BiPoly.from_terms(F5, {(1, 0): -1, (0, 1): 1})  # canonical form of X-Y
+    g1 = bp(F5, {(1, 0): 1, (0, 1): 1})
+    g2 = bp(F5, {(1, 0): -1, (0, 1): 1})  # canonical form of X-Y
     unit, facs = kronecker_factor(g1 * g1 * (-g2) * 3)
     assert unit == F5.element(-3)
     assert sorted(facs, key=lambda t: t[1]) == [(g2, 1), (g1, 2)]
@@ -316,7 +343,7 @@ def test_factor_reconstructs_product():
             if F.is_zero():
                 continue
             unit, facs = kronecker_factor(F)
-            prod = BiPoly.constant(unit)
+            prod = MPoly.constant(unit, 2)
             for g, m in facs:
                 assert g.terms[min(g.terms)] == 1
                 prod = prod * g**m
@@ -344,41 +371,41 @@ def test_factor_invariant_under_variable_swap():
         if F.is_zero() or F.is_constant():
             continue
         _, facs = kronecker_factor(F)
-        _, sfacs = kronecker_factor(F.swap_vars())
+        _, sfacs = kronecker_factor(swap(F))
 
         def renorm(G):
             c = G.terms[min(G.terms)]
             return G * c.inverse()
 
         swapped_back = sorted(
-            ((renorm(g.swap_vars()), m) for g, m in sfacs),
+            ((renorm(swap(g)), m) for g, m in sfacs),
             key=lambda fm: (fm[0].total_degree(), fm[0].index_key()),
         )
         assert swapped_back == facs
 
 
 def test_factor_deterministic():
-    F = BiPoly.from_terms(F5, {(3, 0): 2, (1, 2): 1, (0, 1): 4, (2, 1): 3})
+    F = bp(F5, {(3, 0): 2, (1, 2): 1, (0, 1): 4, (2, 1): 3})
     assert kronecker_factor(F) == kronecker_factor(F)
 
 
 def test_factor_pure_powers():
-    F = BiPoly.from_terms(F2, {(2, 0): 1}) * BiPoly.from_terms(F2, {(0, 3): 1})
+    F = bp(F2, {(2, 0): 1}) * bp(F2, {(0, 3): 1})
     _, facs = kronecker_factor(F)
     assert facs == [
-        (BiPoly.y(F2), 3),
-        (BiPoly.x(F2), 2),
+        (MPoly.variable(F2, 2, 1), 3),
+        (MPoly.variable(F2, 2, 0), 2),
     ]
 
 
 def test_factor_degree_cap():
     with pytest.raises(SizeLimitError):
-        kronecker_factor(BiPoly.from_terms(F2, {(25, 0): 1}))
+        kronecker_factor(bp(F2, {(25, 0): 1}))
 
 
 def test_factor_rejects_zero():
     with pytest.raises(ValidationError):
-        kronecker_factor(BiPoly.zero(F2))
+        kronecker_factor(MPoly.zero(F2, 2))
 
 
 def test_built_curve_factors_have_positive_y_degree():
@@ -390,32 +417,32 @@ def test_built_curve_factors_have_positive_y_degree():
         g = rand_ratfun(rng, F3, 2)
         F = build_F(f, g)
         _, facs = kronecker_factor(F)
-        assert all(h.deg_y() > 0 for h, _ in facs)
-        assert sum(m * h.deg_y() for h, m in facs) == g.degree
+        assert all(h.deg_in(1) > 0 for h, _ in facs)
+        assert sum(m * h.deg_in(1) for h, m in facs) == g.degree
 
 
 # -- absolute irreducibility -------------------------------------------------
 
 
 def test_absolute_irreducibility_known_cases():
-    circle3 = BiPoly.from_terms(F3, {(2, 0): 1, (0, 2): 1})
+    circle3 = bp(F3, {(2, 0): 1, (0, 2): 1})
     assert not is_absolutely_irreducible(circle3)  # splits over F_9
-    circle5 = BiPoly.from_terms(F5, {(2, 0): 1, (0, 2): 1})
+    circle5 = bp(F5, {(2, 0): 1, (0, 2): 1})
     assert not is_absolutely_irreducible(circle5)  # splits over F_5 already
-    assert not is_absolutely_irreducible(BiPoly.from_terms(F7, {(2, 0): 1, (0, 2): -1}))
-    cusp = BiPoly.from_terms(F5, {(0, 2): 1, (3, 0): -1})  # Y^2 - X^3
+    assert not is_absolutely_irreducible(bp(F7, {(2, 0): 1, (0, 2): -1}))
+    cusp = bp(F5, {(0, 2): 1, (3, 0): -1})  # Y^2 - X^3
     assert is_absolutely_irreducible(cusp)
-    parabola = BiPoly.from_terms(F7, {(0, 1): 1, (2, 0): -1})
+    parabola = bp(F7, {(0, 1): 1, (2, 0): -1})
     assert is_absolutely_irreducible(parabola)
-    hyperbola = BiPoly.from_terms(F5, {(1, 1): 1, (0, 0): -1})
+    hyperbola = bp(F5, {(1, 1): 1, (0, 0): -1})
     assert is_absolutely_irreducible(hyperbola)
 
 
 def test_norm_form_is_irreducible_but_not_absolutely():
     # with T^2 + T + 3 irreducible over F_7, the norm of N - alpha*M splits
     # only after extending the scalars
-    n = BiPoly.from_terms(F7, {(1, 0): 1, (0, 0): 1})  # X + 1
-    m = BiPoly.from_terms(F7, {(0, 1): 1, (0, 0): 2})  # Y + 2
+    n = bp(F7, {(1, 0): 1, (0, 0): 1})  # X + 1
+    m = bp(F7, {(0, 1): 1, (0, 0): 2})  # Y + 2
     F = n * n + n * m + 3 * m * m
     _, facs = kronecker_factor(F)
     assert len(facs) == 1 and facs[0][1] == 1
@@ -427,7 +454,7 @@ def test_norm_form_is_irreducible_but_not_absolutely():
 
 def test_absolute_irreducibility_rejects_constant():
     with pytest.raises(ValidationError):
-        is_absolutely_irreducible(BiPoly.constant(F3.one()))
+        is_absolutely_irreducible(MPoly.constant(F3.one(), 2))
 
 
 def brute_smooth_points(F):
@@ -484,10 +511,29 @@ def test_absolute_irreducibility_matches_extension_oracle(spec):
                 assert expected or not smooth, h
 
 
+@pytest.mark.parametrize("spec", [F2, F3, F4, F5, F7, F8, F9], ids=lambda s: f"q{s.order}")
+def test_known_irreducible_check_matches_full_test(spec):
+    # verify_bounds_on_sample passes the factors it already has to
+    # _irreducible_is_absolute, which skips the factoring over F_q
+    rng = random.Random(1000 + spec.order)
+    for kind in ("conic", "norm_form", "random"):
+        for _ in range(3):
+            _, facs = kronecker_factor(_SAMPLERS[kind](rng, spec, 4))
+            for h, _ in facs:
+                assert _irreducible_is_absolute(h) == is_absolutely_irreducible(h), h
+
+
+def test_curve_helpers_refuse_other_variable_counts():
+    F = MPoly.from_terms(F3, 3, {(1, 0, 0): 1, (0, 0, 1): 1})
+    for check in (count_affine, count_projective, is_absolutely_irreducible):
+        with pytest.raises(ValidationError):
+            check(F)
+
+
 def test_absolutely_irreducible_without_smooth_point_takes_fallback():
     # X^4 + XY + Y^4 over F_2 has exactly two rational points, (0 : 0 : 1)
     # and (1 : 1 : 0), both singular, yet it is absolutely irreducible
-    quartic = BiPoly.from_terms(F2, {(4, 0): 1, (1, 1): 1, (0, 4): 1})
+    quartic = bp(F2, {(4, 0): 1, (1, 1): 1, (0, 4): 1})
     assert count_projective(quartic) == 2
     assert not _has_smooth_rational_point(quartic)
     assert is_absolutely_irreducible(quartic)
@@ -508,7 +554,7 @@ def test_smooth_point_found_by_each_partial():
         ({(2, 0): 1, (1, 1): 1, (0, 3): 1}, zero),  # X^2 + X*Y + Y^3 at (1 : 0 : 0), F_{d-1}
     ]
     for terms, z in cases:
-        F = BiPoly.from_terms(F2, terms)
+        F = bp(F2, terms)
         assert {pt[2] for pt in brute_smooth_points(F)} == {z}
         assert _has_smooth_rational_point(F)
         assert is_absolutely_irreducible(F)

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from ffdecomp import limits
+from ffdecomp import __version__, cli, limits
 from ffdecomp.cli import main, run
 
 
@@ -74,6 +74,49 @@ def test_count_affine_and_projective(capsys):
     )
     assert affine["count"] == 7
     assert proj["count"] == 8
+
+
+def _doc(**fields) -> str:
+    doc = {"version": __version__, "seed": None, **fields}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (
+            ["factor-b", "--field", "3", "--poly", "1:(2,0); 2:(0,2)"],
+            _doc(field="3", unit="2", factors=[
+                {"factor": "X+Y", "multiplicity": 1},
+                {"factor": "2*X+Y", "multiplicity": 1},
+            ]),
+        ),
+        (
+            ["factor-b", "--field", "2^2", "--poly", "[0,1]:(2,0); 1:(0,2); 1:(1,1)"],
+            _doc(field="2^2", unit="[1,0]", factors=[
+                {"factor": "[0,1]*X^2+X*Y+Y^2", "multiplicity": 1},
+            ]),
+        ),
+        (
+            ["count-affine", "--field", "7", "--poly", "1:(2,0); 6:(0,1)"],
+            _doc(field="7", curve="X^2+6*Y", count=7),
+        ),
+        (
+            ["count-projective", "--field", "7", "--poly", "1:(2,0); 6:(0,1)"],
+            _doc(field="7", curve="X^2+6*Y", count=8),
+        ),
+        (
+            ["count-projective", "--field", "3^2", "--poly", "1:(2,0); 1:(0,2); [0,1]:(0,0)"],
+            _doc(field="3^2", curve="X^2+Y^2+[0,1]", count=10),
+        ),
+    ],
+    ids=["factor-b", "factor-b-extension", "count-affine", "count-projective",
+         "count-projective-extension"],
+)
+def test_curve_commands_exact_output(capsys, argv, expected):
+    # curves print with X and Y, while find-h-mv prints X1 and X2
+    assert run(argv) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_count_pairs_example(capsys):
@@ -289,6 +332,62 @@ def test_max_order_exits_three_and_restores_limit(capsys):
                 "--f", "X^2", "--g", "X^2"]) == 3
     assert limits.MAX_ORDER == before
     capsys.readouterr()
+
+
+def test_cached_parser_matches_fresh_parser(capsys):
+    before = limits.MAX_ORDER
+    argvs = [
+        ["factor-b", "--field", "3", "--poly", "1:(2,0); 2:(0,2)"],
+        ["--max-order", "5", "count-pairs", "--field", "7", "--f", "X^2", "--g", "X^2"],
+        ["count-pairs", "--field", "7", "--f", "X^2", "--g", "X^2"],
+        ["verify-bounds", "--field", "5", "--kind", "conic", "--count", "2", "--seed", "3"],
+        ["verify-bounds", "--field", "5", "--kind", "conic", "--count", "2"],
+        ["find-h-mv", "--field", "5", "--f", "1:(2,2); 2:(1,1); 1:(0,0)", "--g", "X^2"],
+    ]
+
+    def outcome(argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert [code for code, _, _ in fresh] == [0, 3, 0, 0, 0, 0]
+    assert json.loads(fresh[4][1])["seed"] == 0
+    for _ in range(2):
+        assert [outcome(argv) for argv in argvs] == fresh
+    assert cli._build_parser() is cli._build_parser()
+    assert limits.MAX_ORDER == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--field", "7", "--f", "X^1025", "--x", "1"],
+        ["eval", "--field", "7", "--f", "(X^2)^513", "--x", "1"],
+        ["eval", "--field", "7", "--f", "X^600*X^600", "--x", "1"],
+        ["eval", "--field", "7", "--f", "X^" + "9" * 5000, "--x", "1"],
+        ["count-affine", "--field", "7", "--poly", "1:(100000000,0)"],
+        ["find-h-mv", "--field", "5", "--f", "1:(0,1025); 1:(1,0)", "--g", "X^2"],
+    ],
+    ids=["exponent", "power-degree", "product-degree", "digits", "term-list", "mv-term-list"],
+)
+def test_degree_above_the_parser_cap_exits_three(capsys, argv):
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
+def test_degree_at_the_parser_cap_parses(capsys):
+    doc = run_json(capsys, ["eval", "--field", "7", "--f", "X^1024", "--x", "2"])
+    assert doc["value"] == "2"  # 2 has order 3 mod 7, and 1024 = 1 mod 3
+    doc = run_json(capsys, ["count-affine", "--field", "2", "--poly", "1:(1024,0); 1:(0,1)"])
+    assert doc["count"] == 2
 
 
 def test_unknown_command_raises_argparse_exit():

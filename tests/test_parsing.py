@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from ffdecomp.errors import ValidationError
+from ffdecomp.bipoly import curve_str
+from ffdecomp.errors import SizeLimitError, ValidationError
 from ffdecomp.gf_core import build_field
 from ffdecomp.parsing import (
+    MAX_DEGREE,
     MAX_NESTING,
     parse_bipoly,
     parse_element,
@@ -92,6 +94,42 @@ def test_poly_nesting_at_the_cap_parses():
     assert parse_poly(F7, "-(" * (MAX_NESTING // 2) + "X" + ")" * (MAX_NESTING // 2)) == parse_poly(F7, "X")
 
 
+def test_degree_at_the_cap_parses():
+    assert parse_poly(F7, f"X^{MAX_DEGREE}").degree == MAX_DEGREE
+    assert parse_poly(F7, f"(X^2)^{MAX_DEGREE // 2}").degree == MAX_DEGREE
+    assert parse_poly(F7, f"X^{MAX_DEGREE - 1}*X").degree == MAX_DEGREE
+    assert parse_ratfun(F7, f"1 / X^{MAX_DEGREE}").degree == MAX_DEGREE
+    assert parse_bipoly(F7, f"1:({MAX_DEGREE},0); 1:(0,{MAX_DEGREE})").total_degree() == MAX_DEGREE
+    assert parse_mpoly(F7, f"1:(0,0,{MAX_DEGREE})").total_degree() == MAX_DEGREE
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"X^{MAX_DEGREE + 1}",
+        f"3^{MAX_DEGREE + 1}",
+        f"(X^2)^{MAX_DEGREE // 2 + 1}",
+        f"X^{MAX_DEGREE}*X",
+        "((X+1)^1000)^1000",
+        "X^" + "9" * 5000,
+    ],
+    ids=["exponent", "constant-exponent", "power-degree", "product-degree", "nested-power", "digits"],
+)
+def test_degree_above_the_cap_refused(text):
+    with pytest.raises(SizeLimitError):
+        parse_poly(F7, text)
+    with pytest.raises(SizeLimitError):
+        parse_ratfun(F7, "X / " + text)
+
+
+def test_term_list_exponent_above_the_cap_refused():
+    for text in (f"1:({MAX_DEGREE + 1},0)", "1:(100000000,0); 1:(0,1)", f"1:(0,{MAX_DEGREE + 1})"):
+        with pytest.raises(SizeLimitError):
+            parse_bipoly(F7, text)
+    with pytest.raises(SizeLimitError):
+        parse_mratfun(F7, f"1:(1,0,0) / 1:(0,0,{MAX_DEGREE + 1})")
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -132,7 +170,8 @@ def test_ratfun_slash_inside_brackets_not_split():
 
 def test_bipoly_term_list():
     F = parse_bipoly(F7, "1:(2,0); 6:(0,1)")
-    assert str(F) == "X^2+6*Y"
+    assert F.n == 2
+    assert curve_str(F) == "X^2+6*Y"
     assert parse_bipoly(F7, "3:(1,1); 4:(1,1)") == parse_bipoly(F7, "0:(0,0)")
 
 
