@@ -1,14 +1,30 @@
-"""Finite fields F_{p^k} with exact coordinate arithmetic.
+"""Finite fields F_{p^k}, with each element coded as an integer.
 
 A field is realized as F_p[X]/(m(X)) for a deterministically chosen monic
 irreducible m (the lexicographically smallest one, reading the coefficient
-tuple from the constant term up).  Elements are length-k coordinate vectors
-over the power basis, so equal inputs always produce equal outputs and
-nothing here depends on process state.
+tuple from the constant term up).  An element is its index
+c_0 + c_1 p + ... + c_{k-1} p^{k-1}, the integer whose base-p digits are its
+coordinates over the power basis; `.coeffs` reads the coordinates back.
+Equal inputs always produce equal outputs, and nothing here depends on
+process state.
+
+FieldSpec's index primitives `_add`, `_neg`, `_mul` and `_inv` are the one
+place that chooses how to compute:
+
+- q <= 2^16 (TABLE_MAX_ORDER): log/antilog tables over the primitive
+  element of smallest index.  Products, inverses and negatives are table
+  lookups; sums are XOR when p = 2, (a + b) mod p when k = 1, and go
+  through Zech's logarithms otherwise.  These fields intern their q
+  elements, so arithmetic allocates nothing.
+- q > 2^16: coordinate arithmetic over the power basis (`_mul_coeffs`,
+  `_inv_coeffs`), with sums by XOR when p = 2 and the index itself as the
+  one coordinate of a prime field.  It is also the tests' oracle for the
+  tables.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import Iterable, Union
 
@@ -169,14 +185,13 @@ def _is_irreducible_mod_p(f: list[int], p: int) -> bool:
 def _lex_smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     # Coefficient tuples (c_0, ..., c_{k-1}, 1) in lexicographic order with
     # the constant term most significant.
-    for j in range(p**k):
+    # the first p^(k-1) candidates have constant term 0, so X divides them
+    for j in range(p ** (k - 1) if k > 1 else 0, p**k):
         digits = []
         t = j
         for pos in range(k - 1, -1, -1):
             digits.append(t // p**pos)
             t %= p**pos
-        if digits[0] == 0 and k > 1:
-            continue  # divisible by X
         f = digits + [1]
         if _is_irreducible_mod_p(f, p):
             return tuple(f)
@@ -185,11 +200,28 @@ def _lex_smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 # --------------------------------------------------------------------------
 
+# Fields up to this order get log/antilog tables and interned elements.
+TABLE_MAX_ORDER = 1 << 16
+
+
+def _xor_span(rows: list[int]) -> list[int]:
+    """t[s] = XOR of rows[j] over the set bits j of s."""
+    t = [0]
+    for r in rows:
+        t += [x ^ r for x in t]
+    return t
+
 
 class FieldSpec:
-    """Description of F_{p^k}: characteristic, degree, and modulus."""
+    """Description of F_{p^k}: characteristic, degree, and modulus.
 
-    __slots__ = ("p", "k", "order", "modulus", "_red", "_elems")
+    `_add`, `_neg`, `_mul` and `_inv` act on element indices; they are set
+    once, here, to the table or the coordinate versions.  `_elems[i]` is
+    the element of index i: the interned one when the field has tables.
+    """
+
+    __slots__ = ("p", "k", "order", "modulus", "_red", "_elems",
+                 "_add", "_neg", "_mul", "_inv")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
@@ -197,7 +229,12 @@ class FieldSpec:
         self.order = p**k
         self.modulus = modulus
         self._red = modulus[:k]  # X^k = -sum(red[i] X^i) mod m
-        self._elems: list[FieldElement] | None = None
+        if self.order <= TABLE_MAX_ORDER:
+            self._add, self._neg, self._mul, self._inv = self._table_ops()
+            self._elems = [FieldElement(self, i) for i in range(self.order)]
+        else:
+            self._add, self._neg, self._mul, self._inv = self._coord_ops()
+            self._elems = _Fresh(self)
 
     @property
     def descriptor(self) -> str:
@@ -218,13 +255,17 @@ class FieldSpec:
     def __hash__(self) -> int:
         return hash((self.p, self.modulus))
 
+    def __reduce__(self):
+        # the index primitives are closures, so a copy is rebuilt from its parameters
+        return build_field, (self.p, self.k, self.modulus)
+
     # -- element constructors ------------------------------------------------
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.k)
+        return self._elems[0]
 
     def one(self) -> "FieldElement":
-        return FieldElement(self, (1,) + (0,) * (self.k - 1))
+        return self._elems[1]
 
     def element(self, value: Union[int, Iterable[int], "FieldElement"]) -> "FieldElement":
         if isinstance(value, FieldElement):
@@ -232,33 +273,41 @@ class FieldSpec:
                 raise SpecMismatchError(f"element of {value.spec!r} used in {self!r}")
             return value
         if isinstance(value, int):
-            coeffs = (value % self.p,) + (0,) * (self.k - 1)
-            return FieldElement(self, coeffs)
-        coeffs = tuple(int(c) % self.p for c in value)
+            return self._elems[value % self.p]
+        coeffs = [int(c) % self.p for c in value]
         if len(coeffs) != self.k:
             raise ValidationError(
                 f"expected {self.k} coordinates for {self!r}, got {len(coeffs)}"
             )
-        return FieldElement(self, coeffs)
+        return self._elems[self._index(coeffs)]
 
     def from_index(self, i: int) -> "FieldElement":
         if not 0 <= i < self.order:
             raise ValidationError(f"index {i} out of range for {self!r}")
-        coeffs = []
-        for _ in range(self.k):
-            i, c = divmod(i, self.p)
-            coeffs.append(c)
-        return FieldElement(self, tuple(coeffs))
+        return self._elems[i]
 
     def elements(self) -> list["FieldElement"]:
         """All field elements in coordinate order (constant coordinate fastest)."""
         limits.check_enumerable(self.order, f"enumerating {self!r}")
-        if self._elems is not None:
-            return self._elems
-        elems = [self.from_index(i) for i in range(self.order)]
-        if self.order <= 1 << 16:
-            self._elems = elems
-        return elems
+        if self.order <= TABLE_MAX_ORDER:
+            return list(self._elems)  # a copy: arithmetic reads the interned list
+        return [FieldElement(self, i) for i in range(self.order)]
+
+    # -- indices and coordinates ---------------------------------------------
+
+    def _coords(self, i: int) -> tuple[int, ...]:
+        p = self.p
+        out = []
+        for _ in range(self.k):
+            i, c = divmod(i, p)
+            out.append(c)
+        return tuple(out)
+
+    def _index(self, coeffs) -> int:
+        i = 0
+        for c in reversed(coeffs):
+            i = i * self.p + c
+        return i
 
     # -- coordinate arithmetic -----------------------------------------------
 
@@ -279,7 +328,7 @@ class FieldSpec:
                 for j, rj in enumerate(red):
                     if rj:
                         conv[base + j] -= c * rj
-        return tuple(c % p for c in conv[:k])
+        return tuple([c % p for c in conv[:k]])
 
     def _inv_coeffs(self, a: tuple[int, ...]) -> tuple[int, ...]:
         p, k = self.p, self.k
@@ -292,120 +341,301 @@ class FieldSpec:
         u = u + [0] * (k - len(u))
         return tuple(u[:k])
 
+    def _coord_ops(self):
+        """Index primitives through coordinate arithmetic (q > TABLE_MAX_ORDER)."""
+        p, coords, index = self.p, self._coords, self._index
+        if self.k == 1:  # the one coordinate is the index
+            def add(a: int, b: int) -> int:
+                return (a + b) % p
+
+            def neg(a: int) -> int:
+                return -a % p
+
+            def mul(a: int, b: int) -> int:
+                return a * b % p
+
+            def inv(a: int) -> int:
+                if not a:
+                    raise ZeroDivisionError(f"inversion of zero in {self!r}")
+                return pow(a, p - 2, p)
+
+            return add, neg, mul, inv
+
+        def add(a: int, b: int) -> int:
+            return index([(x + y) % p for x, y in zip(coords(a), coords(b))])
+
+        def neg(a: int) -> int:
+            return index([(-x) % p for x in coords(a)])
+
+        def mul(a: int, b: int) -> int:
+            return index(self._mul_coeffs(coords(a), coords(b)))
+
+        def inv(a: int) -> int:
+            return index(self._inv_coeffs(coords(a)))
+
+        if p == 2:  # coordinate-wise addition mod 2 is XOR of the indices
+            return operator.xor, _identity, mul, inv
+        return add, neg, mul, inv
+
+    # -- log/antilog tables --------------------------------------------------
+
+    def _is_primitive(self, g: int) -> bool:
+        """g has order q - 1: no g^((q-1)/r) is 1 for a prime r | q - 1."""
+        one, m = self._coords(1), self.order - 1
+        for r in prime_factors(m):
+            e, acc, out = m // r, self._coords(g), one
+            while e:
+                if e & 1:
+                    out = self._mul_coeffs(out, acc)
+                e >>= 1
+                acc = self._mul_coeffs(acc, acc)
+            if out == one:
+                return False
+        return True
+
+    def _powers(self, g: int) -> list[int]:
+        """Indices of g^0, g^1, ... up to the power before the first 1 after g^0.
+
+        The powers are stepped with the F_p-linear map "multiply by g",
+        built from the images of X^j * g, so no step runs a field product.
+        """
+        p, k = self.p, self.k
+        powers = [1]
+        if k == 1:
+            a = g
+            while a != 1:
+                powers.append(a)
+                a = a * g % p
+            return powers
+        x, images = self._coords(p), [self._coords(g)]
+        for _ in range(k - 1):
+            images.append(self._mul_coeffs(x, images[-1]))
+        if p == 2:
+            lo = _xor_span([self._index(c) for c in images[:8]])
+            hi = _xor_span([self._index(c) for c in images[8:]])
+            a = g
+            while a != 1:
+                powers.append(a)
+                a = lo[a & 255] ^ hi[a >> 8]
+            return powers
+        # rows[j][c] = coordinates of c * X^j * g, before reduction mod p
+        rows = [[[c * v for v in image] for c in range(p)] for image in images]
+        place = [p**j for j in range(k)]
+        coords, a = images[0], g
+        while a != 1:
+            powers.append(a)
+            coords = [sum(col) % p for col in zip(*map(operator.getitem, rows, coords))]
+            a = sum(map(operator.mul, coords, place))
+        return powers
+
+    def _exp_cycle(self) -> list[int]:
+        """Indices of g^0, ..., g^(q-2) for the primitive element g of smallest index.
+
+        A candidate is rejected when its cycle closes early.  Where a step
+        costs k^2 (p odd, k > 1) the order is tested first by powering.
+        """
+        p, k, q = self.p, self.k, self.order
+        # for k > 1 the p constants lie in F_p, where orders divide p - 1
+        for g in range(p if k > 1 else 1, q):
+            if p != 2 and k > 1 and not self._is_primitive(g):
+                continue
+            powers = self._powers(g)
+            if len(powers) == q - 1:
+                return powers
+        raise AssertionError("no primitive element found")  # pragma: no cover
+
+    def _table_ops(self):
+        """Index primitives through log/antilog tables (q <= TABLE_MAX_ORDER)."""
+        p, m = self.p, self.order - 1
+        exp = self._exp_cycle()
+        log = [0] * (m + 1)
+        for n, a in enumerate(exp):
+            log[a] = n
+        exp = exp + exp  # exponents up to 2(q-2) need no reduction mod q-1
+
+        def mul(a: int, b: int) -> int:
+            return exp[log[a] + log[b]] if a and b else 0
+
+        def inv(a: int) -> int:
+            if not a:
+                raise ZeroDivisionError(f"inversion of zero in {self!r}")
+            return exp[m - log[a]]
+
+        if p == 2:
+            return operator.xor, _identity, mul, inv
+
+        half = m // 2  # g^half = -1
+
+        def neg(a: int) -> int:
+            return exp[log[a] + half] if a else 0
+
+        if self.k == 1:
+            def add(a: int, b: int) -> int:
+                return (a + b) % p
+
+            return add, neg, mul, inv
+
+        # zech[n] = log(1 + g^n), or -1 where 1 + g^n = 0; 1 + a bumps a's
+        # constant coordinate, the lowest base-p digit of its index
+        zech = [0] * m
+        for n in range(m):
+            a = exp[n]
+            c = a % p
+            s = a - c + (c + 1) % p
+            zech[n] = log[s] if s else -1
+
+        def add(a: int, b: int) -> int:
+            if not a:
+                return b
+            if not b:
+                return a
+            la = log[a]
+            z = zech[log[b] - la]  # a negative position wraps: mod q-1 for free
+            return exp[la + z] if z >= 0 else 0
+
+        return add, neg, mul, inv
+
+
+def _identity(a: int) -> int:
+    return a
+
+
+class _Fresh:
+    """The element "list" of a field without tables: a new element per index."""
+
+    __slots__ = ("spec",)
+
+    def __init__(self, spec: FieldSpec):
+        self.spec = spec
+
+    def __getitem__(self, i: int) -> "FieldElement":
+        return FieldElement(self.spec, i)
+
 
 def _same_spec(a: FieldSpec, b: FieldSpec) -> bool:
     return a is b or (a.p == b.p and a.modulus == b.modulus)
 
 
 class FieldElement:
-    __slots__ = ("spec", "coeffs")
+    """An element of F_{p^k}, held as its index in the field's coordinate order."""
 
-    def __init__(self, spec: FieldSpec, coeffs: tuple[int, ...]):
+    __slots__ = ("spec", "index", "_hash")
+
+    def __init__(self, spec: FieldSpec, index: int):
+        # private: elements come from FieldSpec (element, from_index, ...)
         self.spec = spec
-        self.coeffs = coeffs
+        self.index = index
 
     # -- structure -----------------------------------------------------------
 
     @property
-    def index(self) -> int:
-        i = 0
-        for c in reversed(self.coeffs):
-            i = i * self.spec.p + c
-        return i
+    def coeffs(self) -> tuple[int, ...]:
+        return self.spec._coords(self.index)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.index
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return self.index != 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):
-            return _same_spec(self.spec, other.spec) and self.coeffs == other.coeffs
+            return self.index == other.index and _same_spec(self.spec, other.spec)
         if isinstance(other, int):
-            return self.coeffs == self.spec.element(other).coeffs
+            return self.index == other % self.spec.p
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.spec.p, self.coeffs))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash((self.spec.p, self.coeffs))
+            return h
 
     def __repr__(self) -> str:
         if self.spec.k == 1:
-            return str(self.coeffs[0])
+            return str(self.index)
         return "[" + ",".join(str(c) for c in self.coeffs) + "]"
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _coerce(self, other) -> "FieldElement":
+    def _coerce(self, other):
+        """The index of other in this element's field."""
         if isinstance(other, FieldElement):
-            if not _same_spec(self.spec, other.spec):
+            if other.spec is not self.spec and not _same_spec(self.spec, other.spec):
                 raise SpecMismatchError(
                     f"mixing elements of {self.spec!r} and {other.spec!r}"
                 )
-            return other
+            return other.index
         if isinstance(other, int):
-            return self.spec.element(other)
+            return other % self.spec.p
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        spec = self.spec
+        if other.__class__ is FieldElement and other.spec is spec:  # the common case
+            return spec._elems[spec._add(self.index, other.index)]
+        b = self._coerce(other)
+        if b is NotImplemented:
             return NotImplemented
-        p = self.spec.p
-        return FieldElement(
-            self.spec, tuple((x + y) % p for x, y in zip(self.coeffs, other.coeffs))
-        )
+        return spec._elems[spec._add(self.index, b)]
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        spec = self.spec
+        if other.__class__ is FieldElement and other.spec is spec:  # the common case
+            return spec._elems[spec._add(self.index, spec._neg(other.index))]
+        b = self._coerce(other)
+        if b is NotImplemented:
             return NotImplemented
-        p = self.spec.p
-        return FieldElement(
-            self.spec, tuple((x - y) % p for x, y in zip(self.coeffs, other.coeffs))
-        )
+        return spec._elems[spec._add(self.index, spec._neg(b))]
 
     def __rsub__(self, other):
         return self.spec.element(other) - self
 
     def __neg__(self):
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((-x) % p for x in self.coeffs))
+        spec = self.spec
+        return spec._elems[spec._neg(self.index)]
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        spec = self.spec
+        if other.__class__ is FieldElement and other.spec is spec:  # the common case
+            return spec._elems[spec._mul(self.index, other.index)]
+        b = self._coerce(other)
+        if b is NotImplemented:
             return NotImplemented
-        return FieldElement(self.spec, self.spec._mul_coeffs(self.coeffs, other.coeffs))
+        return spec._elems[spec._mul(self.index, b)]
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        b = self._coerce(other)
+        if b is NotImplemented:
             return NotImplemented
-        return self * other.inverse()
+        spec = self.spec
+        return spec._elems[spec._mul(self.index, spec._inv(b))]
 
     def __rtruediv__(self, other):
         return self.spec.element(other) / self
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec._inv_coeffs(self.coeffs))
+        spec = self.spec
+        return spec._elems[spec._inv(self.index)]
 
     def __pow__(self, e: int) -> "FieldElement":
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.spec.one()
-        acc = self
+        spec = self.spec
+        mul = spec._mul
+        result, acc = 1, self.index
         while e:
             if e & 1:
-                result = result * acc
+                result = mul(result, acc)
             e >>= 1
             if e:
-                acc = acc * acc
-        return result
+                acc = mul(acc, acc)
+        return spec._elems[result]
 
     def frobenius(self) -> "FieldElement":
         return self ** self.spec.p
@@ -418,7 +648,9 @@ def build_field(p: int, k: int = 1, modulus: tuple[int, ...] | None = None) -> F
     """Construct F_{p^k}.
 
     Without an explicit modulus the lexicographically smallest monic
-    irreducible of degree k is used, so repeated calls agree.
+    irreducible of degree k is used, so repeated calls agree.  The size
+    guard runs on every call; the field itself, tables included, is built
+    once per (p, k, modulus) and then shared.
     """
     if not isinstance(p, int) or not is_prime(p):
         raise ValidationError(f"characteristic {p!r} is not prime")
@@ -433,7 +665,11 @@ def build_field(p: int, k: int = 1, modulus: tuple[int, ...] | None = None) -> F
             raise ValidationError("modulus must be monic of degree k")
         if not _is_irreducible_mod_p(list(modulus), p):
             raise ValidationError("modulus is reducible")
-    return FieldSpec(p, k, modulus)
+    return _field(p, k, modulus)
+
+
+# Bounded, because a field with tables holds up to a few MB of them (q = 2^16).
+_field = lru_cache(maxsize=64)(FieldSpec)
 
 
 class FieldEmbedding:

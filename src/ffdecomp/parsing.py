@@ -68,6 +68,23 @@ def _split_top_level(text: str, sep: str) -> list[str]:
     return parts
 
 
+def _clip(text: str, width: int = 40) -> str:
+    """repr(text) for an error message, cut short when text is long."""
+    if len(text) <= width:
+        return repr(text)
+    return f"{text[:width]!r}... ({len(text)} characters)"
+
+
+def _read_int(text: str, what: str, context: str) -> int:
+    """int(text); a numeral with more digits than int() converts is a size error."""
+    try:
+        return int(text)
+    except ValueError:
+        if text.strip().lstrip("+-").isdecimal():
+            raise SizeLimitError(f"{what} in {_clip(context)} has too many digits") from None
+        raise ValidationError(f"malformed {what} in {_clip(context)}") from None
+
+
 def _element_from_coords(spec: FieldSpec, coords: list[int]) -> FieldElement:
     """Coordinates constant-first, padded with zeros up to the field degree."""
     if len(coords) > spec.k:
@@ -223,15 +240,9 @@ def parse_ratfun(spec: FieldSpec, text: str) -> RatFun:
 def parse_element(spec: FieldSpec, text: str) -> FieldElement:
     text = text.strip()
     if text.startswith("[") and text.endswith("]"):
-        try:
-            coords = [int(c) for c in text[1:-1].split(",")]
-        except ValueError:
-            raise ValidationError(f"malformed coefficient {text!r}") from None
+        coords = [_read_int(c, "coefficient", text) for c in text[1:-1].split(",")]
         return _element_from_coords(spec, coords)
-    try:
-        return spec.element(int(text))
-    except ValueError:
-        raise ValidationError(f"malformed coefficient {text!r}") from None
+    return spec.element(_read_int(text, "coefficient", text))
 
 
 def _parse_term_list(spec: FieldSpec, text: str) -> dict[tuple, FieldElement]:
@@ -244,18 +255,15 @@ def _parse_term_list(spec: FieldSpec, text: str) -> dict[tuple, FieldElement]:
         coeff_text, sep, exp_text = chunk.partition(":")
         exp_text = exp_text.strip()
         if not sep or not exp_text.startswith("(") or not exp_text.endswith(")"):
-            raise ValidationError(f"malformed term {chunk!r}; expected 'c:(i,j)'")
-        try:
-            key = tuple(int(e) for e in exp_text[1:-1].split(","))
-        except ValueError:
-            raise ValidationError(f"malformed exponents in {chunk!r}") from None
+            raise ValidationError(f"malformed term {_clip(chunk)}; expected 'c:(i,j)'")
+        key = tuple([_read_int(e, "exponent", chunk) for e in exp_text[1:-1].split(",")])
         for e in key:
             _check_degree(e, "exponent")
         if width is None:
             width = len(key)
         elif len(key) != width:
             raise ValidationError(
-                f"term {chunk!r} has {len(key)} exponents, earlier terms had {width}"
+                f"term {_clip(chunk)} has {len(key)} exponents, earlier terms had {width}"
             )
         c = parse_element(spec, coeff_text)
         if key in terms:

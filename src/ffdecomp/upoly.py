@@ -1,10 +1,12 @@
 """Univariate polynomials and rational functions over a finite field.
 
 Polynomials are dense coefficient tuples (constant term first, no trailing
-zeros); rational functions are kept reduced with a monic denominator, which
-makes structural equality the same as mathematical equality.  Evaluation is
-over the projective line: a rational function takes values in F_q plus a
-single point at infinity.
+zeros).  Products, division with remainder and evaluation run on the
+coefficients' indices through the field's index primitives, and the results
+are read back as the field's elements.  Rational functions are kept reduced
+with a monic denominator, which makes structural equality the same as
+mathematical equality.  Evaluation is over the projective line: a rational
+function takes values in F_q plus a single point at infinity.
 """
 
 from __future__ import annotations
@@ -56,6 +58,16 @@ class Poly:
         return cls.from_coeffs(spec, [spec.element(int(c)) for c in ints])
 
     @classmethod
+    def _from_indices(cls, spec: FieldSpec, idx: list[int]) -> "Poly":
+        while idx and not idx[-1]:
+            idx.pop()
+        elems = spec._elems
+        return cls(spec, tuple([elems[i] for i in idx]))
+
+    def _indices(self) -> list[int]:
+        return [c.index for c in self.coeffs]
+
+    @classmethod
     def zero(cls, spec: FieldSpec) -> "Poly":
         return cls(spec, ())
 
@@ -99,7 +111,7 @@ class Poly:
         return _same_spec(self.spec, other.spec) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((self.spec.p, tuple(c.coeffs for c in self.coeffs)))
+        return hash((self.spec.p, tuple([c.coeffs for c in self.coeffs])))
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -148,29 +160,27 @@ class Poly:
         return (-self) + other
 
     def __neg__(self):
-        return Poly(self.spec, tuple(-c for c in self.coeffs))
+        return Poly(self.spec, tuple([-c for c in self.coeffs]))
 
     def __mul__(self, other):
+        spec = self.spec
+        mul = spec._mul
         if isinstance(other, (FieldElement, int)):
-            c = self.spec.element(other)
-            if c.is_zero():
-                return Poly.zero(self.spec)
-            return Poly(self.spec, tuple(a * c for a in self.coeffs))
+            c = spec.element(other).index
+            return Poly._from_indices(spec, [mul(a.index, c) for a in self.coeffs])
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self._indices(), other._indices()
         if not a or not b:
-            return Poly.zero(self.spec)
-        zero = self.spec.zero()
-        out = [zero] * (len(a) + len(b) - 1)
+            return Poly.zero(spec)
+        add = spec._add
+        out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if not ai.is_zero():
-                for j, bj in enumerate(b):
-                    out[i + j] = out[i + j] + ai * bj
-        while out and out[-1].is_zero():
-            out.pop()
-        return Poly(self.spec, tuple(out))
+            if ai:
+                for j, bj in enumerate(b, i):
+                    out[j] = add(out[j], mul(ai, bj))
+        return Poly._from_indices(spec, out)
 
     __rmul__ = __mul__
 
@@ -194,19 +204,21 @@ class Poly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         spec = self.spec
-        inv_lc = other.lc().inverse()
-        r = list(self.coeffs)
-        db = other.degree
-        q = [spec.zero()] * max(0, len(r) - db)
-        while len(r) - 1 >= db:
-            c = r[-1] * inv_lc
-            shift = len(r) - 1 - db
+        add, mul = spec._add, spec._mul
+        r, b = self._indices(), other._indices()
+        inv_lc = spec._inv(b.pop())
+        neg_b = [spec._neg(x) for x in b]
+        db = len(b)
+        q = [0] * max(0, len(r) - db)
+        while len(r) > db:
+            c = mul(r.pop(), inv_lc)  # the leading term cancels exactly
+            shift = len(r) - db
             q[shift] = c
-            for i, bi in enumerate(other.coeffs):
-                r[shift + i] = r[shift + i] - c * bi
-            while r and r[-1].is_zero():
+            for i, x in enumerate(neg_b, shift):
+                r[i] = add(r[i], mul(c, x))
+            while r and not r[-1]:
                 r.pop()
-        return Poly(spec, tuple(q)), Poly(spec, tuple(r))
+        return Poly._from_indices(spec, q), Poly._from_indices(spec, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -224,10 +236,13 @@ class Poly:
         return Poly.from_coeffs(self.spec, cs)
 
     def __call__(self, x: FieldElement) -> FieldElement:
-        acc = self.spec.zero()
+        spec = self.spec
+        add, mul = spec._add, spec._mul
+        xi = spec.element(x).index
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = add(mul(acc, xi), c.index)
+        return spec._elems[acc]
 
     def compose(self, other: "Poly") -> "Poly":
         acc = Poly.zero(self.spec)

@@ -62,3 +62,40 @@ def brute_pairs(f, g):
         for y in spec.elements()
         if f.eval(x) == g.eval(y)
     )
+
+
+def schoolbook_mul(a, b):
+    """Coefficients of a * b by the double loop over FieldElement products."""
+    spec = a.spec
+    if a.is_zero() or b.is_zero():
+        return []
+    out = [spec.zero()] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, ai in enumerate(a.coeffs):
+        for j, bj in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def schoolbook_divmod(a, b):
+    """(quotient, remainder) coefficient lists by long division on FieldElements."""
+    spec = a.spec
+    r = list(a.coeffs)
+    db = len(b.coeffs) - 1
+    q = [spec.zero()] * max(0, len(r) - db)
+    while len(r) - 1 >= db:
+        c = r[-1] / b.coeffs[-1]
+        shift = len(r) - 1 - db
+        q[shift] = c
+        for i, bi in enumerate(b.coeffs):
+            r[shift + i] = r[shift + i] - c * bi
+        while r and r[-1].is_zero():
+            r.pop()
+    return q, r
+
+
+def horner(f, x):
+    """f(x) by Horner's rule on FieldElements."""
+    acc = f.spec.zero()
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    return acc

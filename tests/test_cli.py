@@ -334,6 +334,17 @@ def test_max_order_exits_three_and_restores_limit(capsys):
     capsys.readouterr()
 
 
+def test_max_order_refuses_a_field_built_before(capsys):
+    before = limits.MAX_ORDER
+    argv = ["count-pairs", "--field", "2^5", "--f", "X^2", "--g", "X^2"]
+    doc = run_json(capsys, argv)  # builds F_32, which is then kept
+    assert run(["--max-order", "31"] + argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert limits.MAX_ORDER == before
+    assert run_json(capsys, argv) == doc
+
+
 def test_cached_parser_matches_fresh_parser(capsys):
     before = limits.MAX_ORDER
     argvs = [
@@ -381,6 +392,17 @@ def test_degree_above_the_parser_cap_exits_three(capsys, argv):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err
+
+
+def test_term_list_exponent_with_too_many_digits_exits_three(capsys):
+    term = "1:(" + "9" * 5000 + ",0)"
+    assert run(["count-affine", "--field", "7", "--poly", term]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert len(captured.err) < 200
 
 
 def test_degree_at_the_parser_cap_parses(capsys):

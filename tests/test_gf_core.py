@@ -1,10 +1,15 @@
 import itertools
+import pickle
+import random
 
 import pytest
 
 from ffdecomp.errors import SizeLimitError, SpecMismatchError, ValidationError
 from ffdecomp.gf_core import (
+    TABLE_MAX_ORDER,
     FieldSpec,
+    _is_irreducible_mod_p,
+    _lex_smallest_irreducible,
     build_field,
     extend_field,
     is_prime,
@@ -193,3 +198,170 @@ def test_explicit_modulus_override():
     for a in F.elements():
         if not a.is_zero():
             assert (a * a.inverse()) == F.one()
+
+
+# -- the index kernel against coordinate arithmetic ------------------------
+
+# (p, k) with every pair checked, and (p, k) checked on seeded samples
+EXHAUSTIVE_FIELDS = [(13, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (2, 5), (7, 2)]
+SAMPLED_FIELDS = [(101, 1), (3, 4), (2, 8), (2, 11), (3, 7), (2, 16)]
+
+
+def _coordinate_oracle(F, a, b):
+    """a + b, a - b, a * b, -a, 1/b and a/b from coordinates alone."""
+    p, ca, cb = F.p, a.coeffs, b.coeffs
+    out = {
+        "add": tuple((x + y) % p for x, y in zip(ca, cb)),
+        "sub": tuple((x - y) % p for x, y in zip(ca, cb)),
+        "mul": F._mul_coeffs(ca, cb),
+        "neg": tuple((-x) % p for x in ca),
+    }
+    if any(cb):
+        out["inv"] = F._inv_coeffs(cb)
+        out["div"] = F._mul_coeffs(ca, out["inv"])
+    return out
+
+
+def _kernel_results(a, b):
+    out = {"add": a + b, "sub": a - b, "mul": a * b, "neg": -a}
+    if b:
+        out["inv"] = b.inverse()
+        out["div"] = a / b
+    return {name: e.coeffs for name, e in out.items()}
+
+
+def _check_pair(F, a, b):
+    assert _kernel_results(a, b) == _coordinate_oracle(F, a, b), (F, a, b)
+
+
+@pytest.mark.parametrize("p,k", EXHAUSTIVE_FIELDS, ids=lambda v: str(v))
+def test_tables_match_coordinates_on_every_pair(p, k):
+    F = build_field(p, k)
+    assert F.order <= TABLE_MAX_ORDER
+    for a, b in itertools.product(F.elements(), repeat=2):
+        _check_pair(F, a, b)
+    with pytest.raises(ZeroDivisionError):
+        F.zero().inverse()
+    with pytest.raises(ZeroDivisionError):
+        F.one() / F.zero()
+
+
+@pytest.mark.parametrize("p,k", SAMPLED_FIELDS, ids=lambda v: str(v))
+def test_tables_match_coordinates_on_samples(p, k):
+    F = build_field(p, k)
+    rng = random.Random(f"tables/{p}^{k}")
+    elems = [F.from_index(rng.randrange(F.order)) for _ in range(400)]
+    elems += [F.zero(), F.one(), F.from_index(F.order - 1)]
+    for a, b in zip(elems, elems[1:] + elems[:1]):
+        _check_pair(F, a, b)
+        assert a ** 5 == a * a * a * a * a
+        assert a ** F.order == a
+
+
+def test_arithmetic_returns_interned_elements():
+    F = build_field(3, 4)
+    a, b = F.from_index(40), F.from_index(77)
+    for result in (a + b, a - b, a * b, -a, a / b, b.inverse(), a**3, F.element([1, 2, 0, 1])):
+        assert result is F.elements()[result.index]
+    product = a * b
+    F.elements().reverse()  # the caller's copy, not the list arithmetic reads
+    assert a * b is product and F.one().index == 1
+
+
+@pytest.mark.parametrize("p,k", [(2, 17), (3, 11), (65537, 1)], ids=lambda v: str(v))
+def test_coordinate_path_field_axioms(p, k):
+    # these fields are above the table cutoff, so every operation runs coordinate code
+    F = build_field(p, k)
+    assert F.order > TABLE_MAX_ORDER
+    rng = random.Random(f"axioms/{p}^{k}")
+    elems = [F.from_index(rng.randrange(F.order)) for _ in range(200)]
+    elems += [F.one(), F.from_index(2), F.from_index(3), F.from_index(F.order - 1)]
+    zero, one = F.zero(), F.one()
+    for a, b, c in zip(elems, elems[1:], elems[2:]):
+        assert a + zero == a and a * one == a and a - a == zero and a + (-a) == zero
+        assert a + b == b + a and a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        if a:
+            assert a * a.inverse() == one and (b / a) * a == b
+        _check_pair(F, a, b)
+    with pytest.raises(ZeroDivisionError):
+        zero.inverse()
+
+
+def test_hash_is_the_coordinate_hash():
+    for p, k in [(7, 1), (3, 2), (2, 5), (2, 17)]:
+        F = build_field(p, k)
+        for i in (0, 1, F.order // 3, F.order - 1):
+            a = F.from_index(i)
+            assert hash(a) == hash((p, a.coeffs))
+            assert a.coeffs == tuple(i // p**j % p for j in range(k))
+
+
+# -- fields are built once -----------------------------------------------
+
+
+def test_build_field_returns_the_same_object():
+    assert build_field(2, 5) is build_field(2, 5)
+    assert build_field(101) is build_field(101, 1)
+    assert build_field(3, 2, modulus=(2, 1, 1)) is build_field(3, 2, modulus=(2, 1, 1))
+
+
+def test_fields_and_elements_survive_pickling():
+    for p, k in [(3, 2), (2, 17)]:
+        F = build_field(p, k)
+        a = F.from_index(F.order - 2)
+        b = pickle.loads(pickle.dumps(a))
+        assert b == a and b.spec is F
+        assert b * b.inverse() == F.one()
+    assert pickle.loads(pickle.dumps(build_field(3, 2, modulus=(2, 1, 1)))) == build_field(3, 2, modulus=(2, 1, 1))
+
+
+def test_two_moduli_give_two_fields():
+    a = build_field(3, 2)  # X^2 + 1
+    b = build_field(3, 2, modulus=(2, 1, 1))
+    assert a is not b and a != b
+    with pytest.raises(SpecMismatchError):
+        a.one() + b.one()
+    with pytest.raises(SpecMismatchError):
+        a.from_index(4) * b.from_index(4)
+    with pytest.raises(SpecMismatchError):
+        a.element(b.one())
+
+
+def test_memoized_field_still_checks_the_size_limit(monkeypatch):
+    build_field(2, 5)
+    monkeypatch.setattr("ffdecomp.limits.MAX_ORDER", 16)
+    with pytest.raises(SizeLimitError):
+        build_field(2, 5)
+
+
+# -- the modulus search --------------------------------------------------
+
+
+def _modulus_by_full_scan(p, k):
+    """The search before it skipped the candidates with constant term 0."""
+    for j in range(p**k):
+        digits = []
+        t = j
+        for pos in range(k - 1, -1, -1):
+            digits.append(t // p**pos)
+            t %= p**pos
+        if digits[0] == 0 and k > 1:
+            continue
+        f = digits + [1]
+        if _is_irreducible_mod_p(f, p):
+            return tuple(f)
+    raise AssertionError("no irreducible polynomial found")
+
+
+def test_modulus_search_matches_the_full_scan():
+    checked = 0
+    for p in (q for q in range(2, 1 << 14) if is_prime(q)):
+        k = 1
+        while p**k <= 1 << 14:
+            assert _lex_smallest_irreducible(p, k) == _modulus_by_full_scan(p, k), (p, k)
+            checked += 1
+            k += 1
+    assert checked > 1900

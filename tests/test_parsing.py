@@ -130,6 +130,17 @@ def test_term_list_exponent_above_the_cap_refused():
         parse_mratfun(F7, f"1:(1,0,0) / 1:(0,0,{MAX_DEGREE + 1})")
 
 
+def test_term_list_numerals_with_too_many_digits_refused():
+    digits = "9" * 5000
+    for text in (f"1:({digits},0)", f"1:(0,{digits})", f"{digits}:(1,0)", f"[1,{digits}]:(1,0)"):
+        with pytest.raises(SizeLimitError) as exc:
+            parse_bipoly(F9, text)
+        assert len(str(exc.value)) < 120
+    with pytest.raises(ValidationError, match="malformed exponent") as exc:
+        parse_bipoly(F7, "1:(x" + "9" * 5000 + ",0)")
+    assert len(str(exc.value)) < 120
+
+
 @pytest.mark.parametrize(
     "text",
     [

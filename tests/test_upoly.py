@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ffdecomp.errors import ValidationError
+from ffdecomp.errors import SpecMismatchError, ValidationError
 from ffdecomp.gf_core import build_field
 from ffdecomp.upoly import (
     INFINITY,
@@ -18,6 +18,8 @@ from ffdecomp.upoly import (
     rat_compose,
     roots,
 )
+
+from oracles import horner, schoolbook_divmod, schoolbook_mul
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -62,6 +64,34 @@ def test_mul_degree_additive():
             assert (a * b).is_zero()
         else:
             assert (a * b).degree == a.degree + b.degree
+
+
+@pytest.mark.parametrize(
+    "p,k", [(7, 1), (2, 2), (3, 2), (2, 5), (101, 1), (3, 4), (2, 17)], ids=lambda v: str(v)
+)
+def test_index_kernels_match_schoolbook(p, k):
+    # (2, 17) is above the table cutoff, so its kernels run coordinate code
+    F = build_field(p, k)
+    rng = random.Random(f"kernels/{p}^{k}")
+    for _ in range(60):
+        a = rand_poly(rng, F, rng.randrange(9))
+        b = rand_poly(rng, F, rng.randrange(5))
+        c = F.from_index(rng.randrange(F.order))
+        assert list((a * b).coeffs) == schoolbook_mul(a, b)
+        assert list((a * c).coeffs) == schoolbook_mul(a, Poly.constant(c))
+        x = F.from_index(rng.randrange(F.order))
+        assert a(x) == horner(a, x)
+        if b.is_zero():
+            continue
+        q, r = divmod(a, b)
+        assert (list(q.coeffs), list(r.coeffs)) == schoolbook_divmod(a, b)
+
+
+def test_evaluation_refuses_another_fields_point():
+    f = Poly.from_ints(F7, [1, 2, 3])
+    assert f(2) == f(F7.element(2)) == F7.element(17)
+    with pytest.raises(SpecMismatchError):
+        f(F5.one())
 
 
 def test_divmod_example():
