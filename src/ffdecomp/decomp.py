@@ -3,10 +3,10 @@
 The checkers evaluate decomposition hypotheses exactly: image containment and
 fiber-size exceptions by full scans, thresholds by integer or rational
 comparison.  The constructive search finds h as a rational root in Y of the
-curve A(X)Q(Y) - B(X)P(Y), using divisor enumeration over F_q[X] plus a
-scalar determined from one specialization (with a fully symbolic fallback
-for fields too small to specialize in).  Every returned h is verified by
-symbolic composition before anyone sees it.
+curve A(X)Q(Y) - B(X)P(Y): Newton iteration lifts each root at one point x0
+to a power series, rational reconstruction reads it back as a fraction (the
+curve is factored when no x0 will do), and symbolic composition verifies
+every h before anyone sees it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .upoly import (
     INFINITY,
     Poly,
     RatFun,
-    factor,
     poly_gcd,
     rat_compose,
     require_nonconstant,
@@ -189,66 +188,6 @@ def check_t31(f: RatFun, g: RatFun, eps) -> DecompReport:
 # constructive search for h
 
 
-def _monic_divisors(a: Poly, max_deg: int) -> list[Poly]:
-    """Monic divisors of a with degree <= max_deg, deterministically ordered."""
-    spec = a.spec
-    _, facs = factor(a)
-    divisors = [Poly.one(spec)]
-    for p, m in facs:
-        grown = []
-        for dv in divisors:
-            acc = dv
-            for e in range(m + 1):
-                if e:
-                    acc = acc * p
-                if acc.degree > max_deg:
-                    break
-                grown.append(acc)
-        divisors = grown
-    divisors.sort(key=lambda h: (h.degree, h.index_key()))
-    return divisors
-
-
-def _lambda_candidates(
-    coeffs: list[Poly], num0: Poly, den0: Poly
-) -> list[FieldElement]:
-    """Nonzero scalars t for which y = t*num0/den0 could be a root.
-
-    Proposes from one specialization x0 with c_delta(x0), num0(x0), den0(x0)
-    all nonzero; if the field is too small to contain such a point, falls
-    back to the polynomial conditions on t implied by every X-coefficient.
-    Proposals are never trusted: the caller verifies each candidate
-    symbolically.
-    """
-    spec = num0.spec
-    delta = len(coeffs) - 1
-    c_top = coeffs[-1]
-    for x0 in spec.elements():
-        if c_top(x0).is_zero() or num0(x0).is_zero() or den0(x0).is_zero():
-            continue
-        n0, d0 = num0(x0), den0(x0)
-        phi = Poly.from_coeffs(
-            spec,
-            [coeffs[j](x0) * n0**j * d0 ** (delta - j) for j in range(delta + 1)],
-        )
-        return [t for t in roots(phi) if not t.is_zero()]
-
-    # symbolic fallback: E(t) = sum_j c_j num0^j den0^{delta-j} t^j must be
-    # the zero polynomial in X; each X-coefficient is a polynomial in t
-    terms = [coeffs[j] * num0**j * den0 ** (delta - j) for j in range(delta + 1)]
-    max_len = max(len(t.coeffs) for t in terms)
-    common = Poly.zero(spec)
-    for i in range(max_len):
-        psi = Poly.from_coeffs(
-            spec,
-            [t.coeffs[i] if i < len(t.coeffs) else spec.zero() for t in terms],
-        )
-        common = poly_gcd(common, psi)
-        if common.is_one():
-            return []
-    return [t for t in roots(common) if not t.is_zero()]
-
-
 def _coeff_pairs(g: RatFun) -> list[tuple[FieldElement, FieldElement]]:
     """The coefficient pairs (p_j, q_j), j = 0..deg g, of g = P/Q.
 
@@ -261,41 +200,97 @@ def _coeff_pairs(g: RatFun) -> list[tuple[FieldElement, FieldElement]]:
     return list(zip(pn, qn))
 
 
+def _horner(cs: list[Poly], y: Poly, m: Poly) -> Poly:
+    """sum_j cs[j] y^j mod m."""
+    acc = Poly.zero(m.spec)
+    for c in reversed(cs):
+        acc = (acc * y + c) % m
+    return acc
+
+
+def _lift(cs: list[Poly], y0: FieldElement, s0: FieldElement, m: Poly) -> Poly:
+    """The root y of sum_j cs[j] Y^j with y(x0) = y0, modulo m = (X - x0)^n,
+    for a simple root y0 with s0 = 1/F_Y(x0, y0).  Each Newton step doubles
+    the precision of y and of s = 1/F_Y(y)."""
+    dcs = [c * j for j, c in enumerate(cs)][1:]
+    y, s = Poly.constant(y0), Poly.constant(s0)
+    for _ in range((m.degree - 1).bit_length()):
+        y = (y - _horner(cs, y, m) * s) % m
+        s = s * (2 - _horner(dcs, y, m) * s) % m
+    return y
+
+
+def _reconstruct(s: Poly, m: Poly, e: int) -> RatFun:
+    """N/D = s mod m with deg N <= e < deg m - e, by the extended Euclidean
+    algorithm; unique when deg m = 2e + 1, if it exists at all."""
+    r0, r1, t0, t1 = m, s, Poly.zero(m.spec), Poly.one(m.spec)
+    while r1.degree > e:
+        quo, rem = divmod(r0, r1)
+        r0, r1, t0, t1 = r1, rem, t1, t0 - quo * t1
+    return RatFun.make(r1, t1)
+
+
+def _lifted_roots(coeffs: list[Poly], e: int) -> Optional[list[RatFun]]:
+    """A candidate for each root of degree e of F(X, Y) = sum_j coeffs[j] Y^j,
+    or None when no point x0 has c_delta(x0) != 0 and F(x0, Y) squarefree.
+
+    A root N/D has D | c_delta, so its value at x0 is a simple root of
+    F(x0, Y) in F_q whose lift modulo (X - x0)^(2e+1) gives back N/D.  A
+    point fails only where c_delta or the discriminant in Y vanishes, so more
+    failures than their degrees allow mean the discriminant is zero.
+    """
+    spec = coeffs[0].spec
+    delta = len(coeffs) - 1
+    budget = coeffs[-1].degree + (2 * delta - 2) * max(c.degree for c in coeffs)
+    for i in range(min(spec.order, budget + 1)):
+        x0 = spec.from_index(i)
+        phi = Poly.from_coeffs(spec, [c(x0) for c in coeffs])
+        dphi = phi.derivative()
+        if phi.degree < delta or not poly_gcd(phi, dphi).is_one():
+            continue
+        m = Poly.from_coeffs(spec, [-x0, 1]) ** (2 * e + 1)
+        cs = [c % m for c in coeffs]
+        return [_reconstruct(_lift(cs, y0, dphi(y0).inverse(), m), m, e) for y0 in roots(phi)]
+    return None
+
+
+def _curve_linear_factors(f: RatFun, g: RatFun) -> list[RatFun]:
+    """-b/a for each factor a(X)Y + b(X) of the curve: the fallback for
+    inseparable g such as X^p and for fields too small to hold a usable x0.
+    mv_factor raises SizeLimitError above mvar.DEGREE_CAP."""
+    from .bipoly import build_F, specialize  # deferred: bipoly and mvar build on this module
+    from .mvar import mv_factor
+
+    out = []
+    for fac, _ in mv_factor(build_F(f, g))[1]:
+        if fac.deg_in(1) == 1:
+            b = specialize(fac, 1, 0)
+            out.append(RatFun.make(-b, specialize(fac, 1, 1) - b))
+    return out
+
+
 def find_h(f: RatFun, g: RatFun) -> Optional[RatFun]:
     """Some h with f = g(h), in reduced canonical form, or None.
 
-    Any root y = h(X) of F(X, Y) = sum_j c_j(X) Y^j written as a reduced
-    fraction t*N/D (N, D monic) has N dividing c_0 and D dividing c_delta,
-    so candidates are enumerated from those divisor lattices; the scalar t
-    is proposed by specialization and confirmed by composing.  Among valid
-    roots the one with lexicographically smallest coefficient indices wins,
-    which makes the result deterministic under symmetries like h vs -h.
+    f = g(h) exactly when Y = h(X), of degree d/delta, is a root of the
+    curve A(X)Q(Y) - B(X)P(Y) = sum_j c_j(X) Y^j.  All such roots (at most
+    delta) are candidates and each is confirmed by composing, so None is a
+    proof.  The valid root with lexicographically smallest coefficient
+    indices wins, which makes the result deterministic under symmetries
+    like h vs -h.
     """
-    spec = _require_pair(f, g)
+    _require_pair(f, g)
     d, delta = f.degree, g.degree
     if d % delta != 0:
         return None
     e = d // delta
     coeffs = [f.num * qj - f.den * pj for pj, qj in _coeff_pairs(g)]
-    c0, c_top = coeffs[0], coeffs[-1]
-    assert not c0.is_zero() and not c_top.is_zero()
-
-    found: list[RatFun] = []
-    nums = _monic_divisors(c0, e)
-    dens = _monic_divisors(c_top, e)
-    for num0 in nums:
-        for den0 in dens:
-            if max(num0.degree, den0.degree) != e:
-                continue
-            if not poly_gcd(num0, den0).is_one():
-                continue
-            for t in _lambda_candidates(coeffs, num0, den0):
-                cand = RatFun.make(num0 * t, den0)
-                if rat_compose(g, cand) == f:
-                    found.append(cand)
-    if not found:
-        return None
-    return min(found, key=lambda h: h.index_key())
+    assert not coeffs[0].is_zero() and not coeffs[-1].is_zero()
+    cands = _lifted_roots(coeffs, e)
+    if cands is None:
+        cands = _curve_linear_factors(f, g)
+    found = [h for h in cands if h.degree == e and rat_compose(g, h) == f]
+    return min(found, key=RatFun.index_key, default=None)
 
 
 # --------------------------------------------------------------------------

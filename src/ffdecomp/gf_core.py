@@ -677,7 +677,7 @@ class FieldEmbedding:
 
     __slots__ = ("source", "target", "powers")
 
-    def __init__(self, source: FieldSpec, target: FieldSpec, powers: list[FieldElement]):
+    def __init__(self, source: FieldSpec, target: FieldSpec, powers: tuple[FieldElement, ...]):
         self.source = source
         self.target = target
         self.powers = powers  # images of 1, x, ..., x^{k-1}
@@ -697,14 +697,19 @@ def extend_field(spec: FieldSpec, r: int) -> tuple[FieldSpec, FieldEmbedding]:
 
     The embedding sends the generator of F_q to the smallest root (in
     coordinate order) of the source modulus inside the extension, which makes
-    it reproducible.
+    it reproducible.  Like the field, it is found once and then shared.
     """
     if not isinstance(r, int) or r < 1:
         raise ValidationError(f"extension exponent {r!r} must be a positive integer")
     if r == 1:
-        powers = [spec.from_index(spec.p**i) for i in range(spec.k)]
+        powers = tuple(spec.from_index(spec.p**i) for i in range(spec.k))
         return spec, FieldEmbedding(spec, spec, powers)
-    target = build_field(spec.p, spec.k * r)
+    target = build_field(spec.p, spec.k * r)  # the size guard runs on every call
+    return target, _embedding(spec, target)
+
+
+@lru_cache(maxsize=64)
+def _embedding(spec: FieldSpec, target: FieldSpec) -> FieldEmbedding:
     from . import upoly  # deferred: upoly builds on this module
 
     f = upoly.Poly.from_ints(target, spec.modulus)
@@ -714,4 +719,4 @@ def extend_field(spec: FieldSpec, r: int) -> tuple[FieldSpec, FieldEmbedding]:
     powers = [target.one()]
     for _ in range(spec.k - 1):
         powers.append(powers[-1] * beta)
-    return target, FieldEmbedding(spec, target, powers)
+    return FieldEmbedding(spec, target, tuple(powers))

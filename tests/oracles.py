@@ -7,7 +7,8 @@ enumeration is expensive but deterministic.
 
 import itertools
 
-from ffdecomp.upoly import Poly, RatFun, rat_compose
+from ffdecomp.decomp import _coeff_pairs
+from ffdecomp.upoly import Poly, RatFun, factor, poly_gcd, rat_compose, roots
 
 _CANDIDATE_CACHE: dict = {}
 
@@ -18,13 +19,16 @@ def all_ratfuns(spec, degree):
     if key in _CANDIDATE_CACHE:
         return _CANDIDATE_CACHE[key]
     seen = {}
-    coeff_tuples = list(itertools.product(range(spec.order), repeat=degree + 1))
-    for nc in coeff_tuples:
+    q = spec.order
+    # every reduced form has a monic denominator, so only those are tried
+    dens = [
+        Poly.from_coeffs(spec, [spec.from_index(i) for i in dc] + [spec.one()])
+        for n in range(degree + 1)
+        for dc in itertools.product(range(q), repeat=n)
+    ]
+    for nc in itertools.product(range(q), repeat=degree + 1):
         num = Poly.from_coeffs(spec, [spec.from_index(i) for i in nc])
-        for dc in coeff_tuples:
-            den = Poly.from_coeffs(spec, [spec.from_index(i) for i in dc])
-            if den.is_zero():
-                continue
+        for den in dens:
             h = RatFun.make(num, den)
             if h.degree == degree:
                 seen.setdefault(h.index_key(), h)
@@ -51,6 +55,90 @@ def brute_find_all(f, g):
             if rat_compose(g, h) == f:
                 hits.append(h)
     return hits
+
+
+def _monic_divisors(a, max_deg):
+    """Monic divisors of a with degree <= max_deg, deterministically ordered."""
+    spec = a.spec
+    _, facs = factor(a)
+    divisors = [Poly.one(spec)]
+    for p, m in facs:
+        grown = []
+        for dv in divisors:
+            acc = dv
+            for e in range(m + 1):
+                if e:
+                    acc = acc * p
+                if acc.degree > max_deg:
+                    break
+                grown.append(acc)
+        divisors = grown
+    divisors.sort(key=lambda h: (h.degree, h.index_key()))
+    return divisors
+
+
+def _lambda_candidates(coeffs, num0, den0):
+    """Nonzero scalars t for which y = t*num0/den0 could be a root.
+
+    Proposed from one specialization x0 with c_delta(x0), num0(x0), den0(x0)
+    all nonzero; in a field too small to contain such a point, from the
+    polynomial conditions on t implied by every X-coefficient.
+    """
+    spec = num0.spec
+    delta = len(coeffs) - 1
+    c_top = coeffs[-1]
+    for x0 in spec.elements():
+        if c_top(x0).is_zero() or num0(x0).is_zero() or den0(x0).is_zero():
+            continue
+        n0, d0 = num0(x0), den0(x0)
+        phi = Poly.from_coeffs(
+            spec,
+            [coeffs[j](x0) * n0**j * d0 ** (delta - j) for j in range(delta + 1)],
+        )
+        return [t for t in roots(phi) if not t.is_zero()]
+
+    # E(t) = sum_j c_j num0^j den0^{delta-j} t^j must be the zero polynomial
+    # in X; each X-coefficient is a polynomial in t
+    terms = [coeffs[j] * num0**j * den0 ** (delta - j) for j in range(delta + 1)]
+    max_len = max(len(t.coeffs) for t in terms)
+    common = Poly.zero(spec)
+    for i in range(max_len):
+        psi = Poly.from_coeffs(
+            spec,
+            [t.coeffs[i] if i < len(t.coeffs) else spec.zero() for t in terms],
+        )
+        common = poly_gcd(common, psi)
+        if common.is_one():
+            return []
+    return [t for t in roots(common) if not t.is_zero()]
+
+
+def divisor_find_h(f, g):
+    """find_h by enumerating the divisor lattices of the curve's end coefficients.
+
+    A root y = t*N/D of F(X, Y) = sum_j c_j(X) Y^j with N, D monic and
+    coprime has N | c_0 and D | c_delta, so every pair of monic divisors of
+    degree <= d/delta is tried, with the scalar t proposed by one
+    specialization and every candidate confirmed by composing.  Exponential
+    in the number of factors of c_0 and c_delta.
+    """
+    d, delta = f.degree, g.degree
+    if d % delta != 0:
+        return None
+    e = d // delta
+    coeffs = [f.num * qj - f.den * pj for pj, qj in _coeff_pairs(g)]
+    found = []
+    for num0 in _monic_divisors(coeffs[0], e):
+        for den0 in _monic_divisors(coeffs[-1], e):
+            if max(num0.degree, den0.degree) != e:
+                continue
+            if not poly_gcd(num0, den0).is_one():
+                continue
+            for t in _lambda_candidates(coeffs, num0, den0):
+                cand = RatFun.make(num0 * t, den0)
+                if rat_compose(g, cand) == f:
+                    found.append(cand)
+    return min(found, key=lambda h: h.index_key(), default=None)
 
 
 def brute_pairs(f, g):

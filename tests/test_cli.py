@@ -7,6 +7,7 @@ validate, 3 for work the size limit refuses.
 """
 
 import json
+import time
 
 import pytest
 
@@ -192,6 +193,39 @@ def test_find_h_negative_verdict_exits_zero(capsys):
     doc = run_json(capsys, ["find-h", "--field", "7", "--f", "X^3", "--g", "X^2"])
     assert doc["h"] is None
     assert doc["verified"] is False
+
+
+def _timed_find_h(capsys, f, g):
+    t0 = time.monotonic()
+    doc = run_json(capsys, ["find-h", "--field", "101", "--f", f, "--g", g])
+    return doc, time.monotonic() - t0
+
+
+def test_find_h_forty_linear_factors_answers_quickly(capsys):
+    # c_0 has 2^40 monic divisors, which a divisor search would walk
+    f = "*".join(f"(X-{i})" for i in range(1, 41))
+    doc, elapsed = _timed_find_h(capsys, f, "X^2")
+    assert doc["h"] is None and doc["verified"] is False
+    assert elapsed < 1.0
+
+
+def test_find_h_planted_square_of_degree_twenty(capsys):
+    inner = "*".join(f"(X-{i})" for i in range(1, 21)) + "+3"
+    doc, elapsed = _timed_find_h(capsys, f"({inner})^2", "X^2")
+    assert doc["verified"] is True
+    assert doc["h"].startswith("100*X^20+")  # -(inner): constant term 15 beats 86
+    assert elapsed < 1.0
+
+
+def test_find_h_fallback_above_the_factoring_cap_exits_three(capsys):
+    # X^2 is inseparable over F_8, so the curve must be factored, and its
+    # degree 26 is above mvar.DEGREE_CAP
+    assert run(["find-h", "--field", "2^3", "--f", "X^26+X", "--g", "X^2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
 
 
 def test_find_h_mv_example(capsys):

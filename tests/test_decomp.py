@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ffdecomp import decomp
 from ffdecomp.bipoly import build_F, count_affine
 from ffdecomp.decomp import (
     artin_schreier_map,
@@ -23,7 +26,7 @@ from ffdecomp.errors import SpecMismatchError, ValidationError
 from ffdecomp.gf_core import build_field
 from ffdecomp.upoly import INFINITY, Poly, RatFun, fiber, rat_compose
 
-from oracles import brute_find_all, brute_pairs
+from oracles import brute_find_all, brute_pairs, divisor_find_h
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -323,6 +326,107 @@ def test_find_h_agrees_with_exhaustive_search():
                     assert got is None
                 else:
                     assert got == min(every, key=lambda h: h.index_key())
+
+
+def _search_cases(rng, spec):
+    """Seeded (f, g) pairs: planted and random f over Artin-Schreier, power,
+    random polynomial and random rational g."""
+    gs = []
+    if spec.k > 1 and spec.p in (2, 3):
+        gs.append(artin_schreier_map(spec, spec.p))
+    gs += [power_map(spec, d) for d in (2, 3) if (spec.order - 1) % d == 0]
+    gs.append(RatFun.from_poly(random_ratfun(rng, spec, 2).num))
+    gs.append(random_ratfun(rng, spec, 2))
+    cases = []
+    for g in gs:
+        for e in (1, 2, 3):
+            cases.append((rat_compose(g, random_ratfun(rng, spec, e)), g, True))
+            cases.append((random_ratfun(rng, spec, g.degree * e), g, False))
+    return cases
+
+
+def _by_factoring(monkeypatch, f, g):
+    """find_h forced onto the factoring fallback."""
+    with monkeypatch.context() as m:
+        m.setattr(decomp, "_lifted_roots", lambda coeffs, e: None)
+        return find_h(f, g)
+
+
+@pytest.mark.parametrize("p, k", [(2, 5), (3, 4), (101, 1), (2, 7), (2, 8)])
+def test_find_h_matches_divisor_search_and_fallback(monkeypatch, p, k):
+    spec = build_field(p, k)
+    rng = random.Random(f"find_h/{spec.order}")
+    for f, g, planted in _search_cases(rng, spec):
+        want = divisor_find_h(f, g)
+        assert (want is not None) >= planted
+        assert find_h(f, g) == want, f"{f} over {g}"
+        assert _by_factoring(monkeypatch, f, g) == want, f"fallback on {f} over {g}"
+
+
+@pytest.mark.parametrize("p, k, delta, e", [(2, 3, 2, 1), (2, 3, 2, 2), (3, 3, 3, 1)])
+def test_find_h_inseparable_g_takes_the_fallback(monkeypatch, p, k, delta, e):
+    # F_Y = 0 when g = X^p, so no point can start the lifting
+    spec = build_field(p, k)
+    g = poly_rf(spec, [0] * delta + [1])
+    calls = []
+    factored = decomp._curve_linear_factors
+    monkeypatch.setattr(
+        decomp, "_curve_linear_factors", lambda f, g: calls.append(f) or factored(f, g)
+    )
+    rng = random.Random(f"inseparable/{spec.order}/{e}")
+    for planted in (True, True, False, False):
+        h = random_ratfun(rng, spec, e)
+        f = rat_compose(g, h) if planted else random_ratfun(rng, spec, delta * e)
+        every = brute_find_all(f, g)
+        got = find_h(f, g)
+        assert got == min(every, key=RatFun.index_key, default=None)
+        assert (got is not None) >= planted
+    assert len(calls) == 4
+
+
+def test_find_h_steps_past_a_point_with_a_double_root(monkeypatch):
+    # h(0) = 0 makes F(0, Y) = -Y^2 a square; x0 = 1 must be used instead
+    monkeypatch.setattr(decomp, "_curve_linear_factors", None)
+    spec = build_field(101)
+    g = poly_rf(spec, [0, 0, 1])
+    h = poly_rf(spec, [0, 1, 1])
+    assert find_h(rat_compose(g, h), g) == h
+
+
+def test_find_h_verifies_through_the_decomp_name(monkeypatch):
+    # the benchmark counts compositions per find_h call by tracing this name
+    calls = []
+    monkeypatch.setattr(
+        decomp, "rat_compose", lambda g, h: calls.append(h) or rat_compose(g, h)
+    )
+    g = poly_rf(F13, [0, 0, 1])
+    f = rat_compose(g, rf(F13, [1, 2, 3], [4, 0, 1]))
+    assert find_h(f, g) is not None
+    assert calls
+
+
+_PROPERTY_FIELDS = [build_field(2, 5), build_field(2, 6), build_field(3, 4),
+                    build_field(101), build_field(2, 7)]
+
+
+@settings(max_examples=40, deadline=2000)
+@given(
+    spec=st.sampled_from(_PROPERTY_FIELDS),
+    delta=st.integers(2, 3),
+    e=st.integers(1, 3),
+    rational_g=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_find_h_recovers_a_planted_decomposition(spec, delta, e, rational_g, seed):
+    rng = random.Random(seed)
+    g = random_ratfun(rng, spec, delta)
+    if not rational_g:
+        g = RatFun.from_poly(g.num)
+    f = rat_compose(g, random_ratfun(rng, spec, e))
+    h = find_h(f, g)
+    assert h is not None
+    assert h.degree == e
+    assert rat_compose(g, h) == f
 
 
 def test_pair_count_lower_bound_for_composites():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ffdecomp import limits
 from ffdecomp.errors import SizeLimitError, SpecMismatchError, ValidationError
 from ffdecomp.gf_core import (
     TABLE_MAX_ORDER,
@@ -187,6 +188,18 @@ def test_extend_field_deterministic():
     _, e2 = extend_field(F4, 2)
     x = F4.from_index(2)
     assert e1(x) == e2(x)
+
+
+def test_extend_field_is_memoized_and_still_guarded(monkeypatch):
+    F4 = build_field(2, 2)
+    E1, e1 = extend_field(F4, 3)
+    E2, e2 = extend_field(F4, 3)
+    assert E2 is E1
+    assert e2 is e1 and e2.powers == e1.powers
+    assert isinstance(e1.powers, tuple)
+    monkeypatch.setattr(limits, "MAX_ORDER", 63)
+    with pytest.raises(SizeLimitError):
+        extend_field(F4, 3)
 
 
 def test_explicit_modulus_override():
