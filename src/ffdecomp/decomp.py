@@ -3,10 +3,8 @@
 The checkers evaluate decomposition hypotheses exactly: image containment and
 fiber-size exceptions by full scans, thresholds by integer or rational
 comparison.  The constructive search finds h as a rational root in Y of the
-curve A(X)Q(Y) - B(X)P(Y): Newton iteration lifts each root at one point x0
-to a power series, rational reconstruction reads it back as a fraction (the
-curve is factored when no x0 will do), and symbolic composition verifies
-every h before anyone sees it.
+curve A(X)Q(Y) - B(X)P(Y) with the search of mvar.find_h_mv in one variable,
+and symbolic composition verifies every h before anyone sees it.
 """
 
 from __future__ import annotations
@@ -19,15 +17,13 @@ from typing import Optional
 
 from . import limits
 from .errors import SpecMismatchError, ValidationError
-from .gf_core import FieldElement, FieldSpec, _same_spec
+from .gf_core import FieldSpec, _same_spec
 from .upoly import (
     INFINITY,
     Poly,
     RatFun,
-    poly_gcd,
     rat_compose,
     require_nonconstant,
-    roots,
 )
 
 
@@ -188,107 +184,25 @@ def check_t31(f: RatFun, g: RatFun, eps) -> DecompReport:
 # constructive search for h
 
 
-def _coeff_pairs(g: RatFun) -> list[tuple[FieldElement, FieldElement]]:
-    """The coefficient pairs (p_j, q_j), j = 0..deg g, of g = P/Q.
-
-    For f = A/B, A*q_j - B*p_j is the coefficient of Y^j in
-    A(X)Q(Y) - B(X)P(Y), whether X is one variable or several.
-    """
-    zeros = [g.spec.zero()] * (g.degree + 1)
-    pn = list(g.num.coeffs) + zeros[len(g.num.coeffs):]
-    qn = list(g.den.coeffs) + zeros[len(g.den.coeffs):]
-    return list(zip(pn, qn))
-
-
-def _horner(cs: list[Poly], y: Poly, m: Poly) -> Poly:
-    """sum_j cs[j] y^j mod m."""
-    acc = Poly.zero(m.spec)
-    for c in reversed(cs):
-        acc = (acc * y + c) % m
-    return acc
-
-
-def _lift(cs: list[Poly], y0: FieldElement, s0: FieldElement, m: Poly) -> Poly:
-    """The root y of sum_j cs[j] Y^j with y(x0) = y0, modulo m = (X - x0)^n,
-    for a simple root y0 with s0 = 1/F_Y(x0, y0).  Each Newton step doubles
-    the precision of y and of s = 1/F_Y(y)."""
-    dcs = [c * j for j, c in enumerate(cs)][1:]
-    y, s = Poly.constant(y0), Poly.constant(s0)
-    for _ in range((m.degree - 1).bit_length()):
-        y = (y - _horner(cs, y, m) * s) % m
-        s = s * (2 - _horner(dcs, y, m) * s) % m
-    return y
-
-
-def _reconstruct(s: Poly, m: Poly, e: int) -> RatFun:
-    """N/D = s mod m with deg N <= e < deg m - e, by the extended Euclidean
-    algorithm; unique when deg m = 2e + 1, if it exists at all."""
-    r0, r1, t0, t1 = m, s, Poly.zero(m.spec), Poly.one(m.spec)
-    while r1.degree > e:
-        quo, rem = divmod(r0, r1)
-        r0, r1, t0, t1 = r1, rem, t1, t0 - quo * t1
-    return RatFun.make(r1, t1)
-
-
-def _lifted_roots(coeffs: list[Poly], e: int) -> Optional[list[RatFun]]:
-    """A candidate for each root of degree e of F(X, Y) = sum_j coeffs[j] Y^j,
-    or None when no point x0 has c_delta(x0) != 0 and F(x0, Y) squarefree.
-
-    A root N/D has D | c_delta, so its value at x0 is a simple root of
-    F(x0, Y) in F_q whose lift modulo (X - x0)^(2e+1) gives back N/D.  A
-    point fails only where c_delta or the discriminant in Y vanishes, so more
-    failures than their degrees allow mean the discriminant is zero.
-    """
-    spec = coeffs[0].spec
-    delta = len(coeffs) - 1
-    budget = coeffs[-1].degree + (2 * delta - 2) * max(c.degree for c in coeffs)
-    for i in range(min(spec.order, budget + 1)):
-        x0 = spec.from_index(i)
-        phi = Poly.from_coeffs(spec, [c(x0) for c in coeffs])
-        dphi = phi.derivative()
-        if phi.degree < delta or not poly_gcd(phi, dphi).is_one():
-            continue
-        m = Poly.from_coeffs(spec, [-x0, 1]) ** (2 * e + 1)
-        cs = [c % m for c in coeffs]
-        return [_reconstruct(_lift(cs, y0, dphi(y0).inverse(), m), m, e) for y0 in roots(phi)]
-    return None
-
-
-def _curve_linear_factors(f: RatFun, g: RatFun) -> list[RatFun]:
-    """-b/a for each factor a(X)Y + b(X) of the curve: the fallback for
-    inseparable g such as X^p and for fields too small to hold a usable x0.
-    mv_factor raises SizeLimitError above mvar.DEGREE_CAP."""
-    from .bipoly import build_F, specialize  # deferred: bipoly and mvar build on this module
-    from .mvar import mv_factor
-
-    out = []
-    for fac, _ in mv_factor(build_F(f, g))[1]:
-        if fac.deg_in(1) == 1:
-            b = specialize(fac, 1, 0)
-            out.append(RatFun.make(-b, specialize(fac, 1, 1) - b))
-    return out
-
-
 def find_h(f: RatFun, g: RatFun) -> Optional[RatFun]:
     """Some h with f = g(h), in reduced canonical form, or None.
 
     f = g(h) exactly when Y = h(X), of degree d/delta, is a root of the
-    curve A(X)Q(Y) - B(X)P(Y) = sum_j c_j(X) Y^j.  All such roots (at most
-    delta) are candidates and each is confirmed by composing, so None is a
-    proof.  The valid root with lexicographically smallest coefficient
-    indices wins, which makes the result deterministic under symmetries
-    like h vs -h.
+    curve A(X)Q(Y) - B(X)P(Y) = sum_j c_j(X) Y^j.  The search is
+    mvar.find_h_mv's in one variable: every such root (at most delta) is a
+    candidate and each is confirmed by composing, so None is a proof.  The
+    valid root with lexicographically smallest coefficient indices wins,
+    which makes the result deterministic under symmetries like h vs -h.
     """
+    from .mvar import MRatFun, _curve_roots, _from_upoly, _to_upoly  # deferred: mvar builds on this module
+
     _require_pair(f, g)
     d, delta = f.degree, g.degree
     if d % delta != 0:
         return None
     e = d // delta
-    coeffs = [f.num * qj - f.den * pj for pj, qj in _coeff_pairs(g)]
-    assert not coeffs[0].is_zero() and not coeffs[-1].is_zero()
-    cands = _lifted_roots(coeffs, e)
-    if cands is None:
-        cands = _curve_linear_factors(f, g)
+    roots = _curve_roots(MRatFun(_from_upoly(f.num), _from_upoly(f.den)), g, e)
+    cands = [RatFun.make(_to_upoly(h.num), _to_upoly(h.den)) for h in roots]
     found = [h for h in cands if h.degree == e and rat_compose(g, h) == f]
     return min(found, key=RatFun.index_key, default=None)
 

@@ -12,11 +12,21 @@ Univariate reduced rational functions have a value (possibly infinity) at
 every point; with several variables the numerator and denominator can vanish
 together, so evaluation gains a third outcome, UNDEFINED, and pair counting
 skips exactly those points.
+
+find_h_mv, and decomp.find_h as its case n = 1, finds h as a root Y = h(X)
+of the curve A(X)Q(Y) - B(X)P(Y): Newton iteration lifts each root at the
+first usable grid point to a truncated power series, a linear system reads
+it back as N/D, and composing verifies it, so a None is a proof.  An
+inseparable g = g1(Y^p) is reduced to g1; the curve is factored only when
+no grid point is usable.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -25,7 +35,6 @@ from .decomp import (
     DecompReport,
     ThresholdCheck,
     _check_epsilon,
-    _coeff_pairs,
     _fiber_sizes,
 )
 from .errors import SizeLimitError, SpecMismatchError, ValidationError
@@ -41,7 +50,7 @@ from .upoly import (
     roots,
 )
 
-# Best-effort envelope for the constructive search.
+# Envelope for the constructive search.
 FIND_H_MAX_VARS = 3
 FIND_H_MAX_DEGREE_SUM = 10
 
@@ -404,6 +413,8 @@ def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
         return _canon_monic(b)
     if b.is_zero():
         return _canon_monic(a)
+    if a.is_constant() or b.is_constant():
+        return MPoly.one(a.spec, a.n)
     if a.n == 1:
         return _from_upoly(poly_gcd(_to_upoly(a), _to_upoly(b)))
     last = a.n - 1
@@ -582,7 +593,9 @@ def check_t41(f: MRatFun, g: RatFun, eps) -> DecompReport:
 
 def mrat_compose(g: RatFun, h: MRatFun) -> Optional[MRatFun]:
     """g(h(X1..Xn)) as a reduced multivariate rational function, or None
-    when h is the constant at a pole of g (the composition has no value)."""
+    when h is the constant at a pole of g (the composition has no value).
+    No gcd is needed: a prime dividing both forms would divide both parts of
+    the reduced h or make h a common root of P and Q modulo it."""
     if not _same_spec(g.spec, h.spec):
         raise SpecMismatchError("g and h must live over the same field")
     delta = g.degree
@@ -604,7 +617,8 @@ def mrat_compose(g: RatFun, h: MRatFun) -> Optional[MRatFun]:
     den_c = homog(g.den)
     if den_c.is_zero():
         return None
-    return MRatFun.make(num_c, den_c)
+    c = den_c.terms[den_c.leading_key()].inverse()
+    return MRatFun(num_c * c, den_c * c)
 
 
 def verify_h_mv(f: MRatFun, g: RatFun, h: MRatFun) -> bool:
@@ -734,60 +748,210 @@ def mv_factor(F: MPoly) -> tuple[FieldElement, list[tuple[MPoly, int]]]:
     return unit, found
 
 
-def _mv_divisors(c: MPoly, max_total: int) -> list[MPoly]:
-    """Divisors of c with total degree <= max_total, deterministically
-    ordered; scaling is canonical per irreducible factor."""
-    _, facs = mv_factor(c)
-    divisors = [MPoly.one(c.spec, c.n)]
-    for p, m in facs:
-        grown = []
-        for dv in divisors:
-            acc = dv
-            for e in range(m + 1):
-                if e:
-                    acc = acc * p
-                if acc.total_degree() > max_total:
-                    break
-                grown.append(acc)
-        divisors = grown
-    divisors.sort(key=lambda h: (h.total_degree(), h.index_key()))
-    return divisors
+# --------------------------------------------------------------------------
+# roots Y = h(X1..Xn) of the curve sum_j c_j(X) Y^j, for find_h_mv and find_h
 
 
-def _lambda_candidates_mv(
-    coeffs: list[MPoly], num0: MPoly, den0: MPoly
-) -> list[FieldElement]:
-    """Nonzero scalars t for which y = t*num0/den0 could be a root; proposed
-    from one grid specialization, with a symbolic fallback for fields too
-    small to contain a usable point.  Never trusted: callers verify."""
-    spec = num0.spec
-    n = num0.n
-    delta = len(coeffs) - 1
-    c_top = coeffs[-1]
-    limits.check_enumerable(spec.order**n, "specialization grid")
-    for xs in _grid(spec, n):
-        if c_top(xs).is_zero() or num0(xs).is_zero() or den0(xs).is_zero():
+@functools.lru_cache(maxsize=16)
+def _jet_ring(n: int, top: int):
+    """Power series in n variables cut above total degree top, stored as
+    dense lists of field indices over `mons`, the monomials of degree <= top
+    in order of degree.  `prods` lists the (i, j, k) with mons[i] + mons[j]
+    = mons[k] in order of the degree of k; `cut[t]` and `start[t]` count the
+    products and the monomials of degree below t."""
+    mons = sorted(
+        (k for k in itertools.product(range(top + 1), repeat=n) if sum(k) <= top),
+        key=lambda k: (sum(k), k),
+    )
+    pos = {k: i for i, k in enumerate(mons)}
+    prods = sorted(
+        (sum(a) + sum(b), i, j, pos[tuple(x + y for x, y in zip(a, b))])
+        for i, a in enumerate(mons)
+        for j, b in enumerate(mons)
+        if sum(a) + sum(b) <= top
+    )
+    cut = [bisect.bisect_left(prods, (t,)) for t in range(top + 2)]
+    start = [bisect.bisect_left([sum(k) for k in mons], t) for t in range(top + 2)]
+    return tuple(mons), tuple(pr[1:] for pr in prods), tuple(cut), tuple(start)
+
+
+def _jet_mul(spec: FieldSpec, ring, a: list[int], b: list[int], prec: int) -> list[int]:
+    """a * b below total degree prec; no term of higher degree is formed."""
+    add, mul = spec._add, spec._mul
+    mons, prods, cut, _ = ring
+    out = [0] * len(mons)
+    for i, j, k in prods[: cut[prec]]:
+        if a[i] and b[j]:
+            out[k] = add(out[k], mul(a[i], b[j]))
+    return out
+
+
+def _newton(spec: FieldSpec, ring, cs: list[list[int]], y0: int, s0: int) -> list[int]:
+    """The root y of sum_j cs[j] Y^j with y(0) = y0, to the ring's degree,
+    for a simple root y0 with s0 = 1/F_Y(0, y0).  Each step doubles the
+    precision of y and of s = 1/F_Y(y)."""
+    add, neg, mul = spec._add, spec._neg, spec._mul
+
+    def sub(a, b):
+        return [add(u, neg(v)) for u, v in zip(a, b)]
+
+    def horner(cs, y, prec):
+        acc = cs[-1]
+        for c in reversed(cs[:-1]):
+            acc = [add(u, v) for u, v in zip(_jet_mul(spec, ring, acc, y, prec), c)]
+        return acc
+
+    dcs = [[mul(spec.element(j).index, v) for v in c] for j, c in enumerate(cs)][1:]
+    zeros = [0] * (len(ring[0]) - 1)
+    y, s, two = [y0] + zeros, [s0] + zeros, [spec.element(2).index] + zeros
+    prec, end = 1, len(ring[3]) - 1
+    while prec < end:
+        prec = min(2 * prec, end)
+        y = sub(y, _jet_mul(spec, ring, horner(cs, y, prec), s, prec))
+        if prec < end:
+            ds = _jet_mul(spec, ring, horner(dcs, y, prec), s, prec)
+            s = _jet_mul(spec, ring, s, sub(two, ds), prec)
+    return y
+
+
+def _kernel_line(spec: FieldSpec, rows: list[list[int]], ncols: int) -> Optional[list[int]]:
+    """A vector spanning the kernel of the matrix when the kernel is a line,
+    else None: Gaussian elimination on field indices, then back substitution
+    with the one free column set to 1."""
+    add, neg, mul = spec._add, spec._neg, spec._mul
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        at = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if at is None:
             continue
-        n0, d0 = num0(xs), den0(xs)
-        phi = Poly.from_coeffs(
-            spec,
-            [coeffs[j](xs) * n0**j * d0 ** (delta - j) for j in range(delta + 1)],
-        )
-        return [t for t in roots(phi) if not t.is_zero()]
+        rows[r], rows[at] = rows[at], rows[r]
+        c = spec._inv(rows[r][col])
+        rows[r][col:] = top = [mul(c, v) for v in rows[r][col:]]  # zero before col
+        for row in rows[r + 1:]:
+            if row[col]:
+                c = neg(row[col])
+                row[col:] = [add(u, mul(c, v)) for u, v in zip(row[col:], top)]
+        pivots.append(col)
+    if ncols - len(pivots) != 1:
+        return None
+    out = [0] * ncols
+    out[min(set(range(ncols)) - set(pivots))] = 1
+    for r in reversed(range(len(pivots))):
+        acc = 0
+        for u, v in zip(rows[r], out):
+            if u and v:
+                acc = add(acc, mul(u, v))
+        out[pivots[r]] = neg(acc)
+    return out
 
-    # symbolic fallback: collect, per monomial, the coefficient polynomial
-    # in t of sum_j c_j num0^j den0^{delta-j} t^j, and intersect their roots
-    terms = [coeffs[j] * num0**j * den0 ** (delta - j) for j in range(delta + 1)]
-    keys = set()
-    for t in terms:
-        keys.update(t.terms)
-    common = Poly.zero(spec)
-    for key in sorted(keys):
-        psi = Poly.from_coeffs(spec, [t.coeff(key) for t in terms])
-        common = poly_gcd(common, psi)
-        if common.is_one():
-            return []
-    return [t for t in roots(common) if not t.is_zero()]
+
+def _shift(F: MPoly, s, top: int) -> MPoly:
+    """The terms of total degree <= top of F(X + s)."""
+    out: dict[tuple, FieldElement] = {}
+    for key, c0 in F.terms.items():
+        for t in itertools.product(*(range(k + 1) for k in key)):
+            if sum(t) <= top:
+                c = c0
+                for k, ti, si in zip(key, t, s):
+                    if k != ti:
+                        c = c * si ** (k - ti) * math.comb(k, ti)
+                out[t] = out[t] + c if t in out else c
+    return MPoly(F.spec, F.n, {t: c for t, c in out.items() if c})
+
+
+def _lifted_roots(coeffs: list[MPoly], e: int) -> Optional[list[MRatFun]]:
+    """A candidate for each root of degree e of F = sum_j coeffs[j](X) Y^j,
+    or None when no grid point s (in index order) has c_delta(s) != 0 and
+    F(s, Y) squarefree.
+
+    A root N/D has D | c_delta, so its value at s is a simple root of
+    F(s, Y) in F_q, which Newton iteration lifts uniquely to a power series
+    y in X - s.  To total degree 2e, D is the kernel of [D y]_nu = 0 for
+    e < |nu| <= 2e, a line exactly when the root has degree e, and N = D y
+    to degree e.  A point fails only where c_delta or the discriminant in Y
+    vanishes, and a nonzero polynomial of degree t has at most t q^(n-1)
+    zeros in F_q^n, so more failures than that mean the discriminant is zero.
+    """
+    spec, n = coeffs[0].spec, coeffs[0].n
+    q, delta = spec.order, len(coeffs) - 1
+    t = coeffs[-1].total_degree() + (2 * delta - 2) * max(c.total_degree() for c in coeffs)
+    tries = min(q**n, t * q ** (n - 1) + 1)
+    limits.check_enumerable(tries, "specialization grid")
+    for idx in itertools.islice(itertools.product(range(q), repeat=n), tries):
+        s = [spec.from_index(i) for i in idx]
+        phi = Poly.from_coeffs(spec, [c(s) for c in coeffs])
+        dphi = phi.derivative()
+        if phi.degree == delta and poly_gcd(phi, dphi).is_one():
+            break
+    else:
+        return None
+    ring = mons, prods, cut, start = _jet_ring(n, 2 * e)
+    ncols, back = start[e + 1], [-x for x in s]
+    cs = [_shift(c, s, 2 * e).terms for c in coeffs]
+    cs = [[c[k].index if k in c else 0 for k in mons] for c in cs]
+    out = []
+    for y0 in roots(phi):
+        y = _newton(spec, ring, cs, y0.index, dphi(y0).inverse().index)
+        rows: dict[int, list[int]] = {}
+        for i, j, k in prods[cut[e + 1]:]:
+            if i < ncols and y[j]:
+                row = rows.setdefault(k, [0] * ncols)
+                row[i] = spec._add(row[i], y[j])
+        den = _kernel_line(spec, list(rows.values()), ncols)
+        if den is not None:
+            num = _jet_mul(spec, ring, den + [0] * (len(mons) - ncols), y, e + 1)
+            num, den = (
+                _shift(MPoly(spec, n, {k: spec.from_index(c) for k, c in zip(mons, v) if c}), back, e)
+                for v in (num, den)
+            )
+            c = den.terms[den.leading_key()].inverse()
+            out.append(MRatFun(num * c, den * c))  # reduced if verified: degree e
+    return out
+
+
+def _curve_linear_factors(coeffs: list[MPoly]) -> list[MRatFun]:
+    """-b/a for each factor a(X)Y + b(X) of the curve sum_j coeffs[j] Y^j:
+    the fallback for fields too small to hold a usable point.  mv_factor
+    raises SizeLimitError above DEGREE_CAP."""
+    n = coeffs[0].n
+    terms = {k + (j,): c for j, cj in enumerate(coeffs) for k, c in cj.terms.items()}
+    facs = mv_factor(MPoly(coeffs[0].spec, n + 1, terms))[1]
+    lines = [fac.last_var_coeffs() for fac, _ in facs if fac.deg_in(n) == 1]
+    return [MRatFun.make(-b, a) for b, a in lines]
+
+
+def _pth_root(F: MPoly) -> Optional[MPoly]:
+    """G with G^p = F when F lies in F_q[X1^p..Xn^p], else None."""
+    p, q = F.spec.p, F.spec.order
+    if any(x % p for k in F.terms for x in k):
+        return None
+    return MPoly(F.spec, F.n, {tuple(x // p for x in k): c ** (q // p) for k, c in F.terms.items()})
+
+
+def _curve_roots(f: MRatFun, g: RatFun, e: int) -> list[MRatFun]:
+    """Candidates, not yet verified, for every root of degree e of the curve
+    A(X)Q(Y) - B(X)P(Y) of f = A/B and g = P/Q.
+
+    An inseparable g = g1(Y^p) (P' = Q' = 0) has the roots H^(1/p) for the
+    roots H of the curve of f and g1 that lie in F_q(X1^p..Xn^p).
+    """
+    spec = f.spec
+    if g.num.derivative().is_zero() and g.den.derivative().is_zero():
+        p = spec.p
+        g1 = RatFun.make(
+            Poly.from_coeffs(spec, g.num.coeffs[::p]), Poly.from_coeffs(spec, g.den.coeffs[::p])
+        )
+        roots_p = [(_pth_root(H.num), _pth_root(H.den)) for H in _curve_roots(f, g1, e * p)]
+        return [MRatFun(a, b) for a, b in roots_p if a is not None and b is not None]
+    zeros = [spec.zero()] * (g.degree + 1)
+    P, Q = (list(u.coeffs) + zeros[len(u.coeffs):] for u in (g.num, g.den))
+    coeffs = [f.num * qj - f.den * pj for pj, qj in zip(P, Q)]
+    assert not coeffs[0].is_zero() and not coeffs[-1].is_zero()
+    if len(coeffs) == 2:  # g of degree one: its one root is exact
+        return [MRatFun.make(-coeffs[0], coeffs[1])]
+    cands = _lifted_roots(coeffs, e)
+    return _curve_linear_factors(coeffs) if cands is None else cands
 
 
 def find_h_mv(
@@ -796,14 +960,13 @@ def find_h_mv(
     max_vars: int = FIND_H_MAX_VARS,
     max_degree_sum: int = FIND_H_MAX_DEGREE_SUM,
 ) -> Optional[MRatFun]:
-    """Some h(X1..Xn) with f = g(h), or None if the search finds no root.
+    """Some h(X1..Xn) with f = g(h), or None.
 
-    Same rational-root strategy as the univariate search: a root
-    y = t*N/D of sum_j c_j(X-vector) Y^j has N dividing c_0 and D dividing
-    c_delta (up to the scalar t), and composition degrees multiply, so both
-    divisors are enumerated up to total degree d/delta.  A None outside the
-    oracle-checked small regime is best-effort, not a proof of
-    non-existence.
+    f = g(h) exactly when Y = h(X), of total degree d/delta, is a root of
+    the curve A(X)Q(Y) - B(X)P(Y) = sum_j c_j(X) Y^j.  Every such root (at
+    most delta) is a candidate and each is confirmed by composing, so None
+    is a proof.  The valid root with lexicographically smallest coefficient
+    indices wins.
     """
     if not _same_spec(f.spec, g.spec):
         raise SpecMismatchError("f and g must live over the same field")
@@ -819,23 +982,5 @@ def find_h_mv(
     if d % delta != 0:
         return None
     e = d // delta
-    coeffs = [f.num * qj - f.den * pj for pj, qj in _coeff_pairs(g)]
-    c0, c_top = coeffs[0], coeffs[-1]
-    assert not c0.is_zero() and not c_top.is_zero()
-
-    found: list[MRatFun] = []
-    nums = _mv_divisors(c0, e)
-    dens = _mv_divisors(c_top, e)
-    for num0 in nums:
-        for den0 in dens:
-            if max(num0.total_degree(), den0.total_degree()) != e:
-                continue
-            if mpoly_gcd(num0, den0).total_degree() > 0:
-                continue
-            for t in _lambda_candidates_mv(coeffs, num0, den0):
-                cand = MRatFun.make(num0 * t, den0)
-                if mrat_compose(g, cand) == f:
-                    found.append(cand)
-    if not found:
-        return None
-    return min(found, key=lambda h: h.index_key())
+    found = [h for h in _curve_roots(f, g, e) if h.degree == e and mrat_compose(g, h) == f]
+    return min(found, key=MRatFun.index_key, default=None)

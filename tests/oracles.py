@@ -7,10 +7,17 @@ enumeration is expensive but deterministic.
 
 import itertools
 
-from ffdecomp.decomp import _coeff_pairs
+from ffdecomp.mvar import MPoly, MRatFun, mpoly_gcd, mrat_compose, mv_factor
 from ffdecomp.upoly import Poly, RatFun, factor, poly_gcd, rat_compose, roots
 
 _CANDIDATE_CACHE: dict = {}
+
+
+def _curve_coeffs(f, g):
+    """c_j = A q_j - B p_j, the coefficient of Y^j in A(X)Q(Y) - B(X)P(Y)."""
+    zero = g.spec.zero()
+    pad = [list(u.coeffs) + [zero] * (g.degree + 1 - len(u.coeffs)) for u in (g.num, g.den)]
+    return [f.num * qj - f.den * pj for pj, qj in zip(*pad)]
 
 
 def all_ratfuns(spec, degree):
@@ -126,7 +133,7 @@ def divisor_find_h(f, g):
     if d % delta != 0:
         return None
     e = d // delta
-    coeffs = [f.num * qj - f.den * pj for pj, qj in _coeff_pairs(g)]
+    coeffs = _curve_coeffs(f, g)
     found = []
     for num0 in _monic_divisors(coeffs[0], e):
         for den0 in _monic_divisors(coeffs[-1], e):
@@ -137,6 +144,84 @@ def divisor_find_h(f, g):
             for t in _lambda_candidates(coeffs, num0, den0):
                 cand = RatFun.make(num0 * t, den0)
                 if rat_compose(g, cand) == f:
+                    found.append(cand)
+    return min(found, key=lambda h: h.index_key(), default=None)
+
+
+def _mv_divisors(c, max_total):
+    """Divisors of c with total degree <= max_total, deterministically
+    ordered; scaling is canonical per irreducible factor."""
+    _, facs = mv_factor(c)
+    divisors = [MPoly.one(c.spec, c.n)]
+    for p, m in facs:
+        grown = []
+        for dv in divisors:
+            acc = dv
+            for e in range(m + 1):
+                if e:
+                    acc = acc * p
+                if acc.total_degree() > max_total:
+                    break
+                grown.append(acc)
+        divisors = grown
+    divisors.sort(key=lambda h: (h.total_degree(), h.index_key()))
+    return divisors
+
+
+def _lambda_candidates_mv(coeffs, num0, den0):
+    """Nonzero scalars t for which y = t*num0/den0 could be a root; proposed
+    from one grid specialization, with a symbolic fallback for fields too
+    small to contain a usable point."""
+    spec = num0.spec
+    delta = len(coeffs) - 1
+    c_top = coeffs[-1]
+    for xs in itertools.product(spec.elements(), repeat=num0.n):
+        if c_top(xs).is_zero() or num0(xs).is_zero() or den0(xs).is_zero():
+            continue
+        n0, d0 = num0(xs), den0(xs)
+        phi = Poly.from_coeffs(
+            spec,
+            [coeffs[j](xs) * n0**j * d0 ** (delta - j) for j in range(delta + 1)],
+        )
+        return [t for t in roots(phi) if not t.is_zero()]
+
+    # per monomial, the coefficient polynomial in t of
+    # sum_j c_j num0^j den0^{delta-j} t^j must vanish
+    terms = [coeffs[j] * num0**j * den0 ** (delta - j) for j in range(delta + 1)]
+    keys = set()
+    for t in terms:
+        keys.update(t.terms)
+    common = Poly.zero(spec)
+    for key in sorted(keys):
+        psi = Poly.from_coeffs(spec, [t.coeff(key) for t in terms])
+        common = poly_gcd(common, psi)
+        if common.is_one():
+            return []
+    return [t for t in roots(common) if not t.is_zero()]
+
+
+def divisor_find_h_mv(f, g):
+    """find_h_mv by enumerating the divisor lattices of the curve's end
+    coefficients: a root y = t*N/D of sum_j c_j(X) Y^j has N | c_0 and
+    D | c_delta, so every pair of divisors of total degree <= d/delta is
+    tried, with the scalar t proposed by one specialization and every
+    candidate confirmed by composing.  Exponential in the number of factors
+    of c_0 and c_delta."""
+    d, delta = f.degree, g.degree
+    if d % delta != 0:
+        return None
+    e = d // delta
+    coeffs = _curve_coeffs(f, g)
+    found = []
+    for num0 in _mv_divisors(coeffs[0], e):
+        for den0 in _mv_divisors(coeffs[-1], e):
+            if max(num0.total_degree(), den0.total_degree()) != e:
+                continue
+            if mpoly_gcd(num0, den0).total_degree() > 0:
+                continue
+            for t in _lambda_candidates_mv(coeffs, num0, den0):
+                cand = MRatFun.make(num0 * t, den0)
+                if mrat_compose(g, cand) == f:
                     found.append(cand)
     return min(found, key=lambda h: h.index_key(), default=None)
 

@@ -6,13 +6,18 @@ completed computation (whatever the verdict), 2 for inputs that do not
 validate, 3 for work the size limit refuses.
 """
 
+import itertools
 import json
+import random
 import time
 
 import pytest
 
-from ffdecomp import __version__, cli, limits
+from ffdecomp import __version__, cli, limits, mvar
 from ffdecomp.cli import main, run
+from ffdecomp.gf_core import build_field
+from ffdecomp.mvar import MPoly, MRatFun, mrat_compose
+from ffdecomp.upoly import Poly, RatFun
 
 
 def run_json(capsys, argv):
@@ -217,15 +222,68 @@ def test_find_h_planted_square_of_degree_twenty(capsys):
     assert elapsed < 1.0
 
 
-def test_find_h_fallback_above_the_factoring_cap_exits_three(capsys):
-    # X^2 is inseparable over F_8, so the curve must be factored, and its
-    # degree 26 is above mvar.DEGREE_CAP
-    assert run(["find-h", "--field", "2^3", "--f", "X^26+X", "--g", "X^2"]) == 3
+def test_find_h_fallback_above_the_factoring_cap_exits_three(capsys, monkeypatch):
+    # forced onto the fallback, the search must factor a curve of degree 26,
+    # above mvar.DEGREE_CAP
+    monkeypatch.setattr(mvar, "_lifted_roots", lambda coeffs, e: None)
+    assert run(["find-h", "--field", "101", "--f", "X^26+X", "--g", "X^2"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err
+
+
+def test_find_h_inseparable_g_above_the_factoring_cap_answers(capsys):
+    # X^2 is inseparable over F_8: the search moves to g1 = X, whose one root
+    # X^26+X is not a square in F_8(X), so no curve is factored
+    doc = run_json(capsys, ["find-h", "--field", "2^3", "--f", "X^26+X", "--g", "X^2"])
+    assert doc["h"] is None and doc["verified"] is False
+
+
+def test_find_h_inseparable_g_planted_degree_three_hundred_answers_quickly(capsys):
+    # g = X^2 over F_8 reduces to g1 = X, whose one root is f itself
+    t0 = time.monotonic()
+    doc = run_json(capsys, ["find-h", "--field", "2^3", "--f", "X^600+X^2+1", "--g", "X^2"])
+    assert doc["verified"] is True and doc["h"].startswith("X^300+X+")
+    assert time.monotonic() - t0 < 1.0
+
+
+def _timed_find_h_mv(capsys, f, g):
+    t0 = time.monotonic()
+    doc = run_json(capsys, ["find-h-mv", "--field", "11", "--f", f, "--g", g])
+    return doc, time.monotonic() - t0
+
+
+def _term_list(terms):
+    return "; ".join(f"{c}:({','.join(map(str, k))})" for k, c in sorted(terms.items()))
+
+
+def _random_terms(rng, n, degree):
+    keys = [k for k in itertools.product(range(degree + 1), repeat=n) if sum(k) <= degree]
+    terms = {k: rng.randrange(11) for k in keys}
+    terms[(degree,) + (0,) * (n - 1)] = 1 + rng.randrange(10)
+    return {k: c for k, c in terms.items() if c}
+
+
+def test_find_h_mv_random_f_at_the_search_cap_answers_quickly(capsys):
+    # n = 3 and d + delta = 10: a divisor search walked the divisors of c_0
+    # and c_delta for over a minute
+    f = _term_list(_random_terms(random.Random(11), 3, 8))
+    doc, elapsed = _timed_find_h_mv(capsys, f, "X^2+X")
+    assert doc["h"] is None and doc["verified"] is False
+    assert elapsed < 1.0
+
+
+def test_find_h_mv_planted_degree_four_answers_quickly(capsys):
+    spec = build_field(11)
+    h = MPoly.from_terms(spec, 3, _random_terms(random.Random(12), 3, 4))
+    g = RatFun.from_poly(Poly.from_ints(spec, [0, 0, 1]))
+    f = mrat_compose(g, MRatFun.from_poly(h)).num
+    doc, elapsed = _timed_find_h_mv(capsys, _term_list({k: c.index for k, c in f.terms.items()}), "X^2")
+    assert doc["verified"] is True
+    assert doc["h"] in (str(h), str(-h))
+    assert elapsed < 1.0
 
 
 def test_find_h_mv_example(capsys):

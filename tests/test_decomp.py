@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffdecomp import decomp
+from ffdecomp import decomp, mvar
 from ffdecomp.bipoly import build_F, count_affine
 from ffdecomp.decomp import (
     artin_schreier_map,
@@ -348,7 +348,7 @@ def _search_cases(rng, spec):
 def _by_factoring(monkeypatch, f, g):
     """find_h forced onto the factoring fallback."""
     with monkeypatch.context() as m:
-        m.setattr(decomp, "_lifted_roots", lambda coeffs, e: None)
+        m.setattr(mvar, "_lifted_roots", lambda coeffs, e: None)
         return find_h(f, g)
 
 
@@ -364,15 +364,11 @@ def test_find_h_matches_divisor_search_and_fallback(monkeypatch, p, k):
 
 
 @pytest.mark.parametrize("p, k, delta, e", [(2, 3, 2, 1), (2, 3, 2, 2), (3, 3, 3, 1)])
-def test_find_h_inseparable_g_takes_the_fallback(monkeypatch, p, k, delta, e):
-    # F_Y = 0 when g = X^p, so no point can start the lifting
+def test_find_h_inseparable_g_is_deflated(monkeypatch, p, k, delta, e):
+    # F_Y = 0 when g = X^p; the search moves to g1 = X and h^p, never factoring
     spec = build_field(p, k)
     g = poly_rf(spec, [0] * delta + [1])
-    calls = []
-    factored = decomp._curve_linear_factors
-    monkeypatch.setattr(
-        decomp, "_curve_linear_factors", lambda f, g: calls.append(f) or factored(f, g)
-    )
+    monkeypatch.setattr(mvar, "_curve_linear_factors", None)
     rng = random.Random(f"inseparable/{spec.order}/{e}")
     for planted in (True, True, False, False):
         h = random_ratfun(rng, spec, e)
@@ -381,12 +377,28 @@ def test_find_h_inseparable_g_takes_the_fallback(monkeypatch, p, k, delta, e):
         got = find_h(f, g)
         assert got == min(every, key=RatFun.index_key, default=None)
         assert (got is not None) >= planted
-    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("p, k", [(2, 3), (3, 2), (2, 5)])
+def test_find_h_inseparable_g_matches_divisor_search(p, k):
+    # g = g1(X^p) with g1 separable and rational, or itself inseparable
+    spec = build_field(p, k)
+    rng = random.Random(f"deflate/{spec.order}")
+    x_p = Poly.from_ints(spec, [0] * p + [1])
+    g1 = random_ratfun(rng, spec, 2)
+    gs = [RatFun.make(g1.num.compose(x_p), g1.den.compose(x_p)), poly_rf(spec, [0] * p * p + [1])]
+    for g in gs:
+        for e in (1, 2):
+            planted = rat_compose(g, random_ratfun(rng, spec, e))
+            for f in (planted, random_ratfun(rng, spec, g.degree * e)):
+                got = find_h(f, g)
+                assert got == divisor_find_h(f, g), f"{f} over {g}"
+                assert (got is not None) >= (f is planted)
 
 
 def test_find_h_steps_past_a_point_with_a_double_root(monkeypatch):
     # h(0) = 0 makes F(0, Y) = -Y^2 a square; x0 = 1 must be used instead
-    monkeypatch.setattr(decomp, "_curve_linear_factors", None)
+    monkeypatch.setattr(mvar, "_curve_linear_factors", None)
     spec = build_field(101)
     g = poly_rf(spec, [0, 0, 1])
     h = poly_rf(spec, [0, 1, 1])

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ffdecomp import mvar
 from ffdecomp.decomp import count_pairs
 from ffdecomp.errors import SizeLimitError, SpecMismatchError, ValidationError
 from ffdecomp.gf_core import build_field
@@ -26,6 +29,8 @@ from ffdecomp.mvar import (
     verify_h_mv,
 )
 from ffdecomp.upoly import Poly, RatFun, poly_gcd
+
+from oracles import divisor_find_h_mv
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -432,6 +437,27 @@ def test_mrat_compose_degree_multiplies():
         assert f.degree == g.degree * h.degree
 
 
+@pytest.mark.parametrize("spec", [F3, F5, build_field(2, 2)], ids=str)
+def test_mrat_compose_is_reduced_without_a_gcd(spec):
+    # the composition of reduced g and h is reduced; MRatFun.make's gcd is the oracle
+    rng = random.Random(f"compose/{spec.order}")
+    x = Poly.x(spec)
+    gs = [RatFun.make(x * x, x + 1), RatFun.make(x * x * x, x * x + x + 1), poly_rf(spec, [1, 2, 1])]
+    done = 0
+    while done < 12:
+        num, den = rand_mpoly(rng, spec, 2, rng.choice([1, 2])), rand_mpoly(rng, spec, 2, 1)
+        if den.is_zero() or MRatFun.make(num, den).is_constant():
+            continue
+        g = gs[done % len(gs)]
+        h = MRatFun.make(num, den)
+        f = mrat_compose(g, h)
+        if f is None:
+            continue
+        assert f == MRatFun.make(f.num, f.den), f"{g} of {h}"
+        assert f.degree == g.degree * h.degree
+        done += 1
+
+
 def test_find_h_mv_product_plus_one():
     f = MRatFun.from_poly(
         mp(F5, 2, {(2, 2): 1, (1, 1): 2, (0, 0): 1})
@@ -440,6 +466,16 @@ def test_find_h_mv_product_plus_one():
     h = find_h_mv(f, g)
     assert h == MRatFun.from_poly(mp(F5, 2, {(1, 1): 1, (0, 0): 1}))
     assert verify_h_mv(f, g, h)
+
+
+def test_find_h_mv_returns_the_canonical_form():
+    # the denominator's lexicographically leading term X1 is not its term of
+    # highest degree, so the root must be rescaled after it is read back
+    h = MRatFun.make(mp(F5, 2, {(0, 2): 1, (1, 0): 2}), mp(F5, 2, {(0, 2): 3, (1, 0): 4}))
+    g = poly_rf(F5, [0, 0, 1])
+    got = find_h_mv(mrat_compose(g, h), g)
+    assert got in (h, MRatFun.make(-h.num, h.den))
+    assert got.den.terms[(1, 0)] == 1
 
 
 def test_find_h_mv_degree_obstruction():
@@ -486,3 +522,87 @@ def test_find_h_mv_limits():
     big = MRatFun.from_poly(mp(F3, 2, {(10, 0): 1}))
     with pytest.raises(SizeLimitError):
         find_h_mv(big, poly_rf(F3, [0, 0, 1]))
+
+
+def _rand_of_degree(rng, spec, n, degree):
+    while True:
+        F = rand_mpoly(rng, spec, n, degree)
+        if F.total_degree() == degree:
+            return F
+
+
+def _mv_search_cases(spec, n):
+    """Seeded (f, g, planted) over X^2, X^2+X, X^3 and (X^2+1)/(X+1): a
+    planted f = g(h) with h a polynomial or a fraction, and a random f."""
+    rng = random.Random(f"find_h_mv/{spec.order}/{n}")
+    x = Poly.x(spec)
+    gs = [x * x, x * x + x, x * x * x]
+    gs = [RatFun.from_poly(u) for u in gs] + [RatFun.make(x * x + 1, x + 1)]
+    cases = []
+    for g in gs:
+        for e in (1, 2) if n == 2 else (1,):
+            den = _rand_of_degree(rng, spec, n, rng.choice([0, e]))
+            f = mrat_compose(g, MRatFun.make(_rand_of_degree(rng, spec, n, e), den))
+            if f is not None and f.degree == g.degree * e:
+                cases.append((f, g, True))
+            cases.append((MRatFun.from_poly(_rand_of_degree(rng, spec, n, g.degree * e)), g, False))
+    return cases
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (11, 1), (3, 2)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_find_h_mv_matches_divisor_search_and_fallback(monkeypatch, p, k, n):
+    spec = build_field(p, k)
+    for f, g, planted in _mv_search_cases(spec, n):
+        want = divisor_find_h_mv(f, g)
+        assert (want is not None) >= planted
+        assert find_h_mv(f, g) == want, f"{f} over {g}"
+        if n == 2 and g.degree == 2:  # factoring larger curves takes seconds each
+            with monkeypatch.context() as m:
+                m.setattr(mvar, "_lifted_roots", lambda coeffs, e: None)
+                assert find_h_mv(f, g) == want, f"fallback on {f} over {g}"
+
+
+def test_find_h_mv_verifies_through_the_mvar_name(monkeypatch):
+    # the benchmark counts compositions per find_h_mv call by tracing this name
+    calls = []
+    monkeypatch.setattr(
+        mvar, "mrat_compose", lambda g, h: calls.append(h) or mrat_compose(g, h)
+    )
+    for g in (poly_rf(F7, [0, 0, 1]), poly_rf(F7, [0, 1, 1]), poly_rf(F7, [0, 0, 0, 1])):
+        h = MRatFun.make(mp(F7, 2, {(1, 1): 1, (0, 1): 3}), mp(F7, 2, {(1, 0): 1, (0, 0): 2}))
+        calls.clear()
+        assert find_h_mv(mrat_compose(g, h), g) is not None
+        assert 1 <= len(calls) <= g.degree
+
+
+_PROPERTY_FIELDS = [F3, F5, F7, build_field(11), build_field(3, 2), build_field(2, 3)]
+
+
+@settings(max_examples=40, deadline=3000)
+@given(
+    spec=st.sampled_from(_PROPERTY_FIELDS),
+    n=st.integers(2, 3),
+    g_kind=st.sampled_from(["X^2", "X^2+X", "X^3", "rational"]),
+    e=st.integers(1, 2),
+    polynomial_h=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_find_h_mv_recovers_a_planted_decomposition(spec, n, g_kind, e, polynomial_h, seed):
+    rng = random.Random(seed)
+    x = Poly.x(spec)
+    g = {
+        "X^2": RatFun.from_poly(x * x),
+        "X^2+X": RatFun.from_poly(x * x + x),
+        "X^3": RatFun.from_poly(x * x * x),
+        "rational": RatFun.make(x * x + 1, x + 1),
+    }[g_kind]
+    den = MPoly.one(spec, n) if polynomial_h else _rand_of_degree(rng, spec, n, e)
+    h = MRatFun.make(_rand_of_degree(rng, spec, n, e), den)
+    f = mrat_compose(g, h)
+    if f is None or h.degree != e:
+        return
+    got = find_h_mv(f, g)
+    assert got is not None
+    assert got.degree == e
+    assert mrat_compose(g, got) == f
