@@ -2,11 +2,12 @@
 
 A curve is an mvar.MPoly with n = 2, X = X1 and Y = X2.  The module builds
 the curve A(X)Q(Y) - B(X)P(Y) from two rational functions, counts its affine
-and projective points exactly, factors it with mvar.mv_factor, and decides
-absolute irreducibility.  The n = 2 views these need are module functions:
-setting X = x or Y = y to get a univariate Poly, swapping the variables, the
-homogeneous parts, partial derivatives, and mapping the coefficients through
-a field embedding.  Curves print with X and Y, through mvar.terms_str.
+and projective points exactly, factors it with mvar.mv_factor (Hensel
+lifting at one fiber X = x0), and decides absolute irreducibility.  The
+n = 2 views these need are module functions: setting X = x or Y = y to get
+a univariate Poly, swapping the variables, the homogeneous parts, partial
+derivatives, and mapping the coefficients through a field embedding.
+Curves print with X and Y, through mvar.terms_str.
 """
 
 from __future__ import annotations
@@ -131,24 +132,24 @@ def count_affine(F: MPoly) -> int:
 
 
 def count_projective(F: MPoly) -> int:
-    """Points of the projectivized curve in P^2(F_q).
-
-    Affine points (x : y : 1) are counted first; the points at infinity are
-    the zeros (x : 1 : 0) of the top form with Y = 1, plus (1 : 0 : 0) when
-    the coefficient of X^d vanishes (d the total degree).  The top form is
-    homogeneous and nonzero, so setting Y = 1 keeps every coefficient.
-    """
+    """Points of the projectivized curve in P^2(F_q): the affine points
+    (x : y : 1) and _points_at_infinity."""
     _require_plane(F)
     if F.is_zero():
         raise ValidationError("the zero polynomial does not define a curve")
     if F.is_constant():
         return 0
+    return count_affine(F) + _points_at_infinity(F)
+
+
+def _points_at_infinity(F: MPoly) -> int:
+    """Points (x : y : 0) on the closure of a nonconstant curve: the zeros
+    (x : 1 : 0) of the top form with Y = 1, plus (1 : 0 : 0) when the
+    coefficient of X^d vanishes (d the total degree).  The top form is
+    homogeneous and nonzero, so setting Y = 1 keeps every coefficient."""
     d = F.total_degree()
     top = form(F, d)
-    total = count_affine(F) + num_distinct_roots(specialize(top, 1, F.spec.one()))
-    if top.coeff((d, 0)).is_zero():
-        total += 1
-    return total
+    return num_distinct_roots(specialize(top, 1, F.spec.one())) + top.coeff((d, 0)).is_zero()
 
 
 # --------------------------------------------------------------------------
@@ -156,8 +157,8 @@ def count_projective(F: MPoly) -> int:
 
 
 def kronecker_factor(F: MPoly) -> tuple[FieldElement, list[tuple[MPoly, int]]]:
-    """Factor a curve over its field; at n = 2 mv_factor's collapse is the
-    Kronecker substitution Y -> X^(deg_X F + 1)."""
+    """Factor a curve over its field: mv_factor, which lifts the factors of
+    one fiber F(x0, Y) and recombines them.  The name is kept for callers."""
     return mv_factor(F)
 
 

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from .bipoly import (
     _irreducible_is_absolute,
+    _points_at_infinity,
     count_affine,
-    count_projective,
     kronecker_factor,
 )
 from .errors import ValidationError
@@ -391,7 +391,7 @@ def verify_bounds_on_sample(config: SampleConfig) -> list[BoundReport]:
                         f"{lo}..{hi}", bool(lo <= aff <= hi),
                     )
                 )
-                proj = count_projective(h)
+                proj = aff + _points_at_infinity(h)
                 s = (D - 1) * (D - 2)
                 reports.append(
                     BoundReport(

@@ -3,10 +3,12 @@
 MPoly is the one polynomial type in several variables: f(X1..Xn) here, and
 with n = 2 the plane curves of bipoly.  Polynomial arithmetic is sparse over
 exponent vectors; gcds run by primitive-part recursion on the last variable.
-mv_factor is the one factorizer: it collapses all variables onto one with a
-mixed-radix substitution (at n = 2 the Kronecker substitution
-Y -> X^(deg_X + 1)), factors the image with the univariate machinery, and
-recombines the univariate factors.
+mv_factor is the one factorizer.  A plane curve is factored by Hensel
+lifting: the factors of one squarefree fiber F(x0, Y) are lifted to power
+series in X - x0 and recombined by Zassenhaus' subset search.  With more
+variables, and for the curves no fiber over F_q serves, it collapses all
+variables onto one with a mixed-radix substitution, factors the image with
+the univariate machinery, and recombines the univariate factors.
 
 Univariate reduced rational functions have a value (possibly infinity) at
 every point; with several variables the numerator and denominator can vanish
@@ -44,6 +46,8 @@ from .upoly import (
     Poly,
     RatFun,
     _coeff_str,
+    _distinct_degree_parts,
+    _equal_degree_parts,
     factor,
     poly_gcd,
     require_nonconstant,
@@ -54,10 +58,19 @@ from .upoly import (
 FIND_H_MAX_VARS = 3
 FIND_H_MAX_DEGREE_SUM = 10
 
-# Factoring enumerates sub-multisets of a univariate factorization, so both
-# the total degree and the number of candidate subsets need hard stops.
+# Factoring enumerates subsets of the factors of a fiber, or sub-multisets of
+# the factorization of the collapsed image, so both the total degree and the
+# number of candidate subsets need hard stops; the cap holds for every n.
+# A plane curve is lifted from the fiber with the fewest factors among the
+# first _FIBERS usable ones, or the first _MAX_FIBERS while each of them has
+# more than _MAX_FIBER_FACTORS.  Recombining r lifted factors tests up to
+# 2^(r-1) subsets at about a millisecond each, so a curve with no fiber of at
+# most _MAX_FIBER_FACTORS factors among those is collapsed instead.
 DEGREE_CAP = 24
 _MAX_SUBSETS = 1 << 20
+_FIBERS = 3
+_MAX_FIBERS = 12
+_MAX_FIBER_FACTORS = 9
 
 
 class _Undefined:
@@ -691,12 +704,11 @@ def mv_factor(F: MPoly) -> tuple[FieldElement, list[tuple[MPoly, int]]]:
 
     Returns (unit, [(factor, multiplicity), ...]); factors are scaled so
     their lexicographically first coefficient is one and sorted by total
-    degree then coefficient indices.  The collapse onto one variable is
-    injective on the monomials of every divisor of F, so each factor
-    corresponds to a sub-multiset of the univariate factorization of the
-    image; testing the sub-multisets in order of increasing product degree
-    means the first one whose lift divides F is irreducible (a proper
-    divisor of the lift would have shown up earlier).
+    degree then coefficient indices, so the result does not depend on the
+    algorithm.  A plane curve (n = 2) is factored by Hensel lifting at one
+    fiber (_plane_factors); more variables, and curves that are not
+    squarefree in Y or have no usable fiber over F_q with few enough
+    factors, are collapsed onto one variable (_mv_factor_by_collapse).
     """
     if F.is_zero():
         raise ValidationError("cannot factor the zero polynomial")
@@ -706,6 +718,26 @@ def mv_factor(F: MPoly) -> tuple[FieldElement, list[tuple[MPoly, int]]]:
         raise SizeLimitError(
             f"factoring degree {F.total_degree()} exceeds the cap {DEGREE_CAP}"
         )
+    found = _plane_factors(F) if F.n == 2 else None
+    if found is None:
+        return _mv_factor_by_collapse(F)
+    found = [(_canon_first(g)[1], m) for g, m in found]
+    found.sort(key=lambda fm: (fm[0].total_degree(), fm[0].index_key()))
+    # the lexicographically first term of a product is the product of the
+    # first terms, and each factor's first coefficient is one
+    return F.terms[min(F.terms)], found
+
+
+def _mv_factor_by_collapse(F: MPoly) -> tuple[FieldElement, list[tuple[MPoly, int]]]:
+    """mv_factor by collapsing F onto one variable, for any n; at n = 2 the
+    fallback and the test oracle of _plane_factors.
+
+    The collapse is injective on the monomials of every divisor of F, so
+    each factor corresponds to a sub-multiset of the univariate
+    factorization of the image; testing the sub-multisets in order of
+    increasing product degree means the first one whose lift divides F is
+    irreducible (a proper divisor of the lift would have shown up earlier).
+    """
     spec = F.spec
     rads, bases = _collapse_key(F)
     _, ufacs = factor(_collapse(F, bases))
@@ -749,6 +781,138 @@ def mv_factor(F: MPoly) -> tuple[FieldElement, list[tuple[MPoly, int]]]:
 
 
 # --------------------------------------------------------------------------
+# plane curves by Hensel lifting at one fiber: power series in t = X - x0
+# are lists of Polys in Y, coefficient k of t^k at index k
+
+
+def _series_mul(a: list[Poly], b: list[Poly], prec: int) -> list[Poly]:
+    out = []
+    for k in range(prec):
+        acc = Poly.zero(a[0].spec)
+        for i in range(max(0, k - len(b) + 1), min(k + 1, len(a))):
+            acc = acc + a[i] * b[k - i]
+        out.append(acc)
+    return out
+
+
+def _transpose(ps: list[Poly], width: int) -> list[Poly]:
+    """[p_0, p_1, ...] -> the polynomials sum_k p_k[j] T^k for j < width."""
+    z = ps[0].spec.zero()
+    return [
+        Poly.from_coeffs(z.spec, [p.coeffs[j] if j < len(p.coeffs) else z for p in ps])
+        for j in range(width)
+    ]
+
+
+def _from_cols(cols: list[Poly]) -> MPoly:
+    """sum_j cols[j](X) Y^j."""
+    return MPoly(cols[0].spec, 2, {
+        (i, j): c for j, col in enumerate(cols) for i, c in enumerate(col.coeffs) if c
+    })
+
+
+def _inv_mod(a: Poly, m: Poly) -> Poly:
+    """a^-1 mod m for a coprime to m, by the extended Euclidean algorithm."""
+    r0, r1, s0, s1 = m, a % m, Poly.zero(m.spec), Poly.one(m.spec)
+    while not r1.is_zero():
+        quo, rem = divmod(r0, r1)
+        r0, r1, s0, s1 = r1, rem, s1, s0 - quo * s1
+    return s0 * r0.lc().inverse()
+
+
+def _hensel_lift(G: list[Poly], lc: list[Poly], fs: list[Poly], prec: int) -> list[list[Poly]]:
+    """Monic F_i = f_i + O(t) with G = lc * prod F_i mod t^prec, for lc(t)
+    the coefficient of the top power of Y in G, a series of constants, and
+    G(0) = lc(0) prod f_i with pairwise coprime monic f_i.  One power of t a step: the error e, of
+    Y-degree below deg_Y G, is sum_i (e s_i mod f_i) prod_{j != i} f_j where
+    s_i is the inverse of prod_{j != i} f_j modulo f_i."""
+    c0 = lc[0].lc().inverse()
+    whole = functools.reduce(Poly.__mul__, fs)
+    ss = [_inv_mod(whole // f, f) for f in fs]
+    lifted = [[f] for f in fs]
+    for k in range(1, prec):
+        have = functools.reduce(lambda a, b: _series_mul(a, b, k + 1), lifted, lc)
+        e = (G[k] - have[k]) * c0
+        for F, f, s in zip(lifted, fs, ss):
+            F.append(e * s % f)
+    return lifted
+
+
+def _plane_factors(F: MPoly) -> Optional[list[tuple[MPoly, int]]]:
+    """The irreducible factors of a plane curve with their multiplicities,
+    unscaled, or None when mv_factor has to collapse F instead.
+
+    The content in Y is factored as a polynomial in X; it leaves P,
+    primitive in Y.  A point x0 is usable when P(x0, Y) keeps the Y-degree
+    and is squarefree; that fails only at the zeros of lc_Y P and of the
+    discriminant in Y, at most deg lc_Y + (2 d_Y - 1) d_X of them unless
+    the discriminant is zero (P not squarefree: None).  Of the first
+    _FIBERS usable points the fiber with the fewest factors is kept, and
+    the scan stops at one with at most two, which need at most one test;
+    an irreducible fiber proves P irreducible.  While every fiber has more
+    than _MAX_FIBER_FACTORS factors the scan goes on to _MAX_FIBERS usable
+    points, and returns None if it finds no smaller fiber, since the
+    subsets to test grow as 2^(r-1).  The monic factors of the
+    fiber are lifted to power series in t = X - x0 to precision
+    deg_X P + 1.  A divisor H of P times lc_Y(P) / lc_Y(H) has X-degree at
+    most deg_X P, so Zassenhaus recombination, trying the subsets in order
+    of size, reads H as the primitive part of lc_Y(P) * product mod t^prec,
+    shifted back.  What is left is irreducible once no subset of at most
+    half the remaining factors divides it.
+    """
+    spec = F.spec
+    cols = [_to_upoly(c) for c in F.last_var_coeffs()]
+    content = functools.reduce(poly_gcd, cols)
+    cols = [c // content for c in cols]
+    found = [(_from_upoly(p, 2), m) for p, m in factor(content)[1]]
+    P, dy, dx = _from_cols(cols), len(cols) - 1, max(c.degree for c in cols)
+    if dy <= 1:  # a constant, or primitive of degree one in Y
+        return found + [(P, 1)] * dy
+    bad, best, usable = cols[-1].degree + (2 * dy - 1) * dx, None, 0
+    for x in map(spec.from_index, range(spec.order)):
+        fiber = Poly.from_coeffs(spec, [c(x) for c in cols])
+        if fiber.degree == dy and poly_gcd(fiber, fiber.derivative()).is_one():
+            parts = _distinct_degree_parts(fiber.monic())
+            r = sum(g.degree // d for g, d in parts)
+            if best is None or r < best[1]:
+                best = x, r, parts
+            usable += 1
+            enough = usable >= _FIBERS and best[1] <= _MAX_FIBER_FACTORS
+            if r <= 2 or enough or usable == _MAX_FIBERS:
+                break
+        elif best is None:
+            bad -= 1
+            if bad < 0:
+                return None
+    if best is None or best[1] > _MAX_FIBER_FACTORS:
+        return None
+    x0, r, parts = best
+    if r == 1:
+        return found + [(P, 1)]
+    fs = [f for g, d in parts for f in _equal_degree_parts(g, d)]
+    prec = dx + 1
+    tcols = [c.compose(Poly.from_coeffs(spec, [x0, 1])) for c in cols]
+    lc = [Poly.constant(c) for c in tcols[-1].coeffs]
+    lifted = _hensel_lift(_transpose(tcols, prec), lc, fs, prec)
+    back = Poly.from_coeffs(spec, [-x0, 1])
+    rest, size = list(range(len(fs))), 1
+    while 2 * size <= len(rest):
+        for subset in itertools.combinations(rest, size):
+            prod = functools.reduce(lambda a, i: _series_mul(a, lifted[i], prec), subset, lc)
+            hcols = _transpose(prod, max(len(p.coeffs) for p in prod))
+            c = functools.reduce(poly_gcd, hcols)
+            H = _from_cols([(h // c).compose(back) for h in hcols])
+            quot = mpoly_divexact(P, H) if H.deg_in(0) <= P.deg_in(0) else None
+            if quot is not None:
+                found.append((H, 1))
+                P, rest = quot, [i for i in rest if i not in subset]
+                break
+        else:
+            size += 1
+    return found + [(P, 1)]
+
+
+# --------------------------------------------------------------------------
 # roots Y = h(X1..Xn) of the curve sum_j c_j(X) Y^j, for find_h_mv and find_h
 
 
@@ -758,11 +922,16 @@ def _jet_ring(n: int, top: int):
     dense lists of field indices over `mons`, the monomials of degree <= top
     in order of degree.  `prods` lists the (i, j, k) with mons[i] + mons[j]
     = mons[k] in order of the degree of k; `cut[t]` and `start[t]` count the
-    products and the monomials of degree below t."""
+    products and the monomials of degree below t.  For n = 1 the product
+    index is i + j, and prods and cut are None."""
     mons = sorted(
         (k for k in itertools.product(range(top + 1), repeat=n) if sum(k) <= top),
         key=lambda k: (sum(k), k),
     )
+    degs = [sum(k) for k in mons]
+    start = tuple(bisect.bisect_left(degs, t) for t in range(top + 2))
+    if n == 1:
+        return tuple(mons), None, None, start
     pos = {k: i for i, k in enumerate(mons)}
     prods = sorted(
         (sum(a) + sum(b), i, j, pos[tuple(x + y for x, y in zip(a, b))])
@@ -771,8 +940,7 @@ def _jet_ring(n: int, top: int):
         if sum(a) + sum(b) <= top
     )
     cut = [bisect.bisect_left(prods, (t,)) for t in range(top + 2)]
-    start = [bisect.bisect_left([sum(k) for k in mons], t) for t in range(top + 2)]
-    return tuple(mons), tuple(pr[1:] for pr in prods), tuple(cut), tuple(start)
+    return tuple(mons), tuple(pr[1:] for pr in prods), tuple(cut), start
 
 
 def _jet_mul(spec: FieldSpec, ring, a: list[int], b: list[int], prec: int) -> list[int]:
@@ -780,6 +948,15 @@ def _jet_mul(spec: FieldSpec, ring, a: list[int], b: list[int], prec: int) -> li
     add, mul = spec._add, spec._mul
     mons, prods, cut, _ = ring
     out = [0] * len(mons)
+    if prods is None:  # one variable: convolve
+        for i, ai in enumerate(a[:prec]):
+            if ai:
+                k = i
+                for bj in b[: prec - i]:
+                    if bj:
+                        out[k] = add(out[k], mul(ai, bj))
+                    k += 1
+        return out
     for i, j, k in prods[: cut[prec]]:
         if a[i] and b[j]:
             out[k] = add(out[k], mul(a[i], b[j]))
@@ -893,12 +1070,16 @@ def _lifted_roots(coeffs: list[MPoly], e: int) -> Optional[list[MRatFun]]:
     out = []
     for y0 in roots(phi):
         y = _newton(spec, ring, cs, y0.index, dphi(y0).inverse().index)
-        rows: dict[int, list[int]] = {}
-        for i, j, k in prods[cut[e + 1]:]:
-            if i < ncols and y[j]:
-                row = rows.setdefault(k, [0] * ncols)
-                row[i] = spec._add(row[i], y[j])
-        den = _kernel_line(spec, list(rows.values()), ncols)
+        if prods is None:  # one variable: a Hankel matrix
+            rows = [[y[k - i] for i in range(ncols)] for k in range(e + 1, 2 * e + 1)]
+        else:
+            by_k: dict[int, list[int]] = {}
+            for i, j, k in prods[cut[e + 1]:]:
+                if i < ncols and y[j]:
+                    row = by_k.setdefault(k, [0] * ncols)
+                    row[i] = spec._add(row[i], y[j])
+            rows = list(by_k.values())
+        den = _kernel_line(spec, rows, ncols)
         if den is not None:
             num = _jet_mul(spec, ring, den + [0] * (len(mons) - ncols), y, e + 1)
             num, den = (

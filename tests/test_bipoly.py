@@ -1,26 +1,40 @@
 import itertools
 import random
+import time
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ffdecomp import bounds, mvar
 from ffdecomp.bipoly import (
     _has_smooth_rational_point,
     _irreducible_is_absolute,
     _is_absolutely_irreducible_by_extension,
+    _points_at_infinity,
     build_F,
     count_affine,
     count_projective,
     curve_str,
     is_absolutely_irreducible,
     kronecker_factor,
+    map_coeffs,
     specialize,
     swap,
 )
-from ffdecomp.bounds import _SAMPLERS
+from ffdecomp.bounds import _SAMPLERS, SampleConfig, verify_bounds_on_sample
 from ffdecomp.errors import SizeLimitError, ValidationError
-from ffdecomp.gf_core import build_field
-from ffdecomp.mvar import MPoly, _collapse, _collapse_key, _uncollapse, mpoly_divexact
+from ffdecomp.gf_core import build_field, extend_field
+from ffdecomp.mvar import (
+    MPoly,
+    _collapse,
+    _collapse_key,
+    _mv_factor_by_collapse,
+    _uncollapse,
+    mpoly_divexact,
+    mv_factor,
+)
 from ffdecomp.upoly import Poly, RatFun
 
 F2 = build_field(2)
@@ -30,6 +44,9 @@ F5 = build_field(5)
 F7 = build_field(7)
 F8 = build_field(2, 3)
 F9 = build_field(3, 2)
+F11 = build_field(11)
+F13 = build_field(13)
+F101 = build_field(101)
 
 SX, SY = sympy.symbols("X Y")
 
@@ -252,9 +269,10 @@ def test_counts_invariant_under_swap():
 
 # -- substitution-based factoring --------------------------------------------
 #
-# At n = 2 the mixed-radix collapse of mv_factor is the Kronecker substitution
-# Y -> X^D with D = deg_X F + 1, and its inverse splits e = i + D*j back into
-# (i, j); division is mpoly_divexact.
+# At n = 2 the mixed-radix collapse of _mv_factor_by_collapse (the fallback and
+# oracle of mv_factor) is the Kronecker substitution Y -> X^D with
+# D = deg_X F + 1, and its inverse splits e = i + D*j back into (i, j);
+# division is mpoly_divexact.
 
 
 def kronecker_image(F, D):
@@ -419,6 +437,179 @@ def test_built_curve_factors_have_positive_y_degree():
         _, facs = kronecker_factor(F)
         assert all(h.deg_in(1) > 0 for h, _ in facs)
         assert sum(m * h.deg_in(1) for h, m in facs) == g.degree
+
+
+# -- Hensel lifting at one fiber against the collapse ---------------------------
+#
+# mv_factor factors a plane curve by lifting the factors of one fiber F(x0, Y);
+# _mv_factor_by_collapse, the algorithm it replaced at n = 2, is the oracle.
+
+
+@pytest.fixture
+def collapse_calls(monkeypatch):
+    """The curves mv_factor hands to the collapse, recorded."""
+    calls = []
+
+    def spy(F):
+        calls.append(F)
+        return _mv_factor_by_collapse(F)
+
+    monkeypatch.setattr(mvar, "_mv_factor_by_collapse", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec", [F2, F3, F4, F5, F7, F8, F9, F11, F13], ids=lambda s: f"q{s.order}"
+)
+def test_plane_factor_matches_collapse_on_sampled_curves(spec, collapse_calls):
+    rng = random.Random(500 + spec.order)
+    curves = [
+        _SAMPLERS[kind](rng, spec, 4)
+        for kind, count in (("conic", 8), ("norm_form", 8), ("random", 3))
+        for _ in range(count)
+    ]
+    for F in curves:
+        assert mv_factor(F) == _mv_factor_by_collapse(F), F
+    # a norm form splits into two conjugate lines over F_{q^2}
+    _, emb = extend_field(spec, 2)
+    for F in curves[8:16]:
+        G = map_coeffs(F, emb)
+        unit, facs = mv_factor(G)
+        assert (unit, facs) == _mv_factor_by_collapse(G), G
+        assert [(h.total_degree(), m) for h, m in facs] == [(1, 1), (1, 1)]
+    # nearly every sampled curve is factored at a fiber
+    assert len(collapse_calls) < len(curves) // 4
+
+
+def test_plane_factor_edge_cases(collapse_calls):
+    X, Y = MPoly.variable(F5, 2, 0), MPoly.variable(F5, 2, 1)
+    through_fiber = [
+        (X + 1) ** 2 * X * (Y**2 - X) * (Y + X + 2),  # content in X with multiplicity
+        X**3 + X,  # no Y at all
+        X * (X - 1) * (X - 2) * Y**2 + Y + X,  # lc_Y vanishes at the first points
+        (Y**2 - 2) * (Y - X**2),  # a factor free of X
+    ]
+    for F in through_fiber:
+        assert mv_factor(F) == _mv_factor_by_collapse(F), F
+    assert collapse_calls == []
+    X3, Y3 = MPoly.variable(F3, 2, 0), MPoly.variable(F3, 2, 1)
+    not_squarefree = [
+        X**2 * Y**3,
+        (Y + X) ** 2 * (Y - X),
+        Y3**3 + X3,  # in F_3[X, Y^3]: F_Y = 0
+        (Y3**3 + X3) * (Y3 + X3**2 + 1),
+    ]
+    for F in not_squarefree:
+        assert mv_factor(F) == _mv_factor_by_collapse(F), F
+    assert collapse_calls == not_squarefree
+
+
+def test_plane_factor_without_usable_point_collapses(collapse_calls):
+    # lc_Y = X^2 + X vanishes on all of F_2, so every fiber loses degree
+    F = bp(F2, {(2, 2): 1, (1, 2): 1, (0, 1): 1, (0, 0): 1})
+    assert mv_factor(F) == _mv_factor_by_collapse(F)
+    assert collapse_calls == [F]
+
+
+@pytest.mark.parametrize("terms", [
+    # at x0 = 1 the fiber Y^20 - 1 has 20 linear factors; at x0 = 2 it is
+    # irreducible, which proves the curve irreducible without recombination
+    {(0, 20): 1, (1, 0): -1},
+    # the cubic is 1 at x0 = 0, 1 and 2, so the first three usable fibers
+    # are all Y^20 - 1; the scan goes on to an irreducible fiber at x0 = 3
+    {(0, 20): 1, (3, 0): -1, (2, 0): 3, (1, 0): -2, (0, 0): -1},
+], ids=["Y20-X", "Y20-cubic"])
+def test_plane_factor_fiber_with_many_factors(terms, collapse_calls):
+    F = bp(F101, terms)
+    start = time.perf_counter()
+    unit, facs = mv_factor(F)
+    assert time.perf_counter() - start < 1.0
+    assert collapse_calls == []
+    assert [m for _, m in facs] == [1] and MPoly.constant(unit, 2) * facs[0][0] == F
+
+
+def test_plane_factor_collapses_when_every_fiber_has_many_factors(
+    monkeypatch, collapse_calls
+):
+    # every fiber of three lines has three factors; with at most two allowed,
+    # the whole field is scanned and the curve goes to the collapse
+    X, Y = MPoly.variable(F5, 2, 0), MPoly.variable(F5, 2, 1)
+    F = (Y - X) * (Y - X - 1) * (Y + X)
+    want = _mv_factor_by_collapse(F)
+    assert mv_factor(F) == want and collapse_calls == []
+    monkeypatch.setattr(mvar, "_MAX_FIBER_FACTORS", 2)
+    assert mvar._plane_factors(F) is None
+    assert mv_factor(F) == want and collapse_calls == [F]
+
+
+def test_plane_factor_recombines_fiber_factors():
+    # no fiber of these is irreducible, so the lifted factors are recombined:
+    # over F_5 at x0 = 2 into two irreducible quadratics; over F_29 the
+    # values x0 + a for a in (4, 5, 22) are squares at x0 = 0, 1, 2, so each
+    # of the three factors is a pair of the six linear factors there
+    F29 = build_field(29)
+    curves = [
+        bp(F5, {(0, 2): 1, (1, 0): -1}) * bp(F5, {(0, 2): 1, (1, 0): -1, (0, 0): -1}),
+        bp(F29, {(0, 2): 1, (1, 0): -1, (0, 0): -4})
+        * bp(F29, {(0, 2): 1, (1, 0): -1, (0, 0): -5})
+        * bp(F29, {(0, 2): 1, (1, 0): -1, (0, 0): -22}),
+    ]
+    for F in curves:
+        unit, facs = mv_factor(F)
+        assert (unit, facs) == _mv_factor_by_collapse(F)
+        assert all(h.total_degree() == 2 and m == 1 for h, m in facs)
+
+
+@st.composite
+def _factor_lists(draw):
+    spec = draw(st.sampled_from([F2, F3, F4, F5, F7]))
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.dictionaries(
+            st.tuples(st.integers(0, 2), st.integers(0, 2)),
+            st.integers(1, spec.order - 1), min_size=1, max_size=4,
+        ))
+        factors.append(bp(spec, {k: spec.from_index(v) for k, v in terms.items()}))
+    return factors
+
+
+@settings(max_examples=40, deadline=None)
+@given(_factor_lists())
+def test_plane_factor_of_products_multiplies_back(factors):
+    F = factors[0]
+    for G in factors[1:]:
+        F = F * G
+    if F.is_constant():
+        return
+    unit, facs = mv_factor(F)
+    prod = MPoly.constant(unit, 2)
+    for h, m in facs:
+        prod = prod * h**m
+    assert prod == F
+    assert (unit, facs) == _mv_factor_by_collapse(F)
+
+
+def test_bound_reports_count_affine_points_once(monkeypatch):
+    # the projective report adds the points at infinity to the affine count
+    # of the same factor instead of counting its affine points again
+    calls = []
+
+    def spy(h):
+        calls.append(h)
+        return count_affine(h)
+
+    monkeypatch.setattr(bounds, "count_affine", spy)
+    for kind in ("conic", "norm_form"):
+        calls.clear()
+        reports = verify_bounds_on_sample(SampleConfig(p=5, kind=kind, count=4, seed=3))
+        affine = [r for r in reports if r.instance.endswith("/affine")]
+        assert len(calls) == len(affine)
+        for r in reports:
+            if r.instance.endswith("/affine"):
+                h = calls[affine.index(r)]
+            else:
+                assert r.observed == count_projective(h)
+                assert r.observed == count_affine(h) + _points_at_infinity(h)
 
 
 # -- absolute irreducibility -------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -403,6 +404,37 @@ def test_find_h_steps_past_a_point_with_a_double_root(monkeypatch):
     g = poly_rf(spec, [0, 0, 1])
     h = poly_rf(spec, [0, 1, 1])
     assert find_h(rat_compose(g, h), g) == h
+
+
+def test_find_h_keeps_no_product_table_for_one_variable():
+    # the jets of one variable multiply by convolution; a table of the
+    # (2e+1)(2e+2)/2 index pairs for e = 120 held 2.4 MB after returning
+    spec = build_field(101)
+    rng = random.Random(7040)
+    g = poly_rf(spec, [0, 0, 1])
+    h = poly_rf(spec, [rng.randrange(101) for _ in range(120)] + [1])
+    f = rat_compose(g, h)
+    tracemalloc.start()
+    try:
+        got = find_h(f, g)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got is not None and rat_compose(g, got) == f
+    assert held < 1_000_000
+
+
+def test_jet_mul_of_one_variable_is_truncated_poly_product():
+    spec = build_field(13)
+    rng = random.Random(7041)
+    ring = mvar._jet_ring(1, 12)
+    assert ring[1] is None and ring[2] is None
+    for prec in (1, 5, 13):
+        a, b = ([rng.randrange(13) for _ in range(13)] for _ in range(2))
+        want = (Poly.from_ints(spec, a) * Poly.from_ints(spec, b)).coeffs[:prec]
+        got = mvar._jet_mul(spec, ring, a, b, prec)
+        assert got[:len(want)] == [c.index for c in want]
+        assert not any(got[len(want):])
 
 
 def test_find_h_verifies_through_the_decomp_name(monkeypatch):
