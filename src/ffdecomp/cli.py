@@ -359,6 +359,8 @@ def run(argv=None) -> int:
             if args.max_order < 2:
                 raise ValidationError("--max-order must be at least 2")
             limits.MAX_ORDER = args.max_order
+        elif limits.MAX_ORDER < 2:
+            raise ValidationError(f"{limits.ENV_VAR} must be an integer of at least 2")
         if args.format == "csv" and args.command != "verify-bounds":
             raise ValidationError("csv output is only available for verify-bounds")
         spec = parse_field(args.field)

@@ -6,7 +6,8 @@ tuple from the constant term up).  An element is its index
 c_0 + c_1 p + ... + c_{k-1} p^{k-1}, the integer whose base-p digits are its
 coordinates over the power basis; `.coeffs` reads the coordinates back.
 Equal inputs always produce equal outputs, and nothing here depends on
-process state.
+process state.  The module has no polynomial arithmetic of its own: moduli
+are searched and checked, and large fields invert, with `upoly` over F_p.
 
 FieldSpec's index primitives `_add`, `_neg`, `_mul` and `_inv` are the one
 place that chooses how to compute:
@@ -24,6 +25,7 @@ place that chooses how to compute:
 
 from __future__ import annotations
 
+import itertools
 import operator
 from functools import lru_cache
 from typing import Iterable, Union
@@ -79,122 +81,25 @@ def prime_factors(n: int) -> list[int]:
 
 
 # --------------------------------------------------------------------------
-# dense F_p[X] arithmetic on plain int lists (constant term first).
-# Only used to build and validate moduli and for element inversion.
+# moduli: searched and checked with upoly over the prime field
 
 
-def _ptrim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _is_irreducible(p: int, f: tuple[int, ...]) -> bool:
+    """f, its coefficients constant term first, is irreducible over F_p."""
+    from . import upoly  # deferred: upoly builds on this module
 
-
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _ptrim([c % p for c in out])
-
-
-def _psub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, ai in enumerate(a):
-        out[i] = ai
-    for i, bi in enumerate(b):
-        out[i] = (out[i] - bi) % p
-    return _ptrim(out)
-
-
-def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lc = pow(b[-1], p - 2, p)
-    r = [c % p for c in a]
-    _ptrim(r)
-    q = [0] * max(0, len(r) - len(b) + 1)
-    while len(r) >= len(b):
-        c = r[-1] * inv_lc % p
-        shift = len(r) - len(b)
-        q[shift] = c
-        for i, bi in enumerate(b):
-            r[shift + i] = (r[shift + i] - c * bi) % p
-        _ptrim(r)
-    return _ptrim(q), r
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    while b:
-        a, b = b, _pdivmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _pxgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Return (g, u) with u*a = g mod b, g the monic gcd."""
-    r0, r1 = [c % p for c in a], [c % p for c in b]
-    _ptrim(r0), _ptrim(r1)
-    s0, s1 = [1], []
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-    if r0:
-        inv = pow(r0[-1], p - 2, p)
-        r0 = [c * inv % p for c in r0]
-        s0 = [c * inv % p for c in s0]
-    return r0, s0
-
-
-def _ppowmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    acc = _pdivmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _pdivmod(_pmul(result, acc, p), mod, p)[1]
-        e >>= 1
-        if e:
-            acc = _pdivmod(_pmul(acc, acc, p), mod, p)[1]
-    return result
-
-
-def _is_irreducible_mod_p(f: list[int], p: int) -> bool:
-    # f irreducible of degree k over F_p  iff  X^{p^k} = X mod f and
-    # gcd(X^{p^{k/r}} - X, f) = 1 for every prime r | k.
-    k = len(f) - 1
-    if k < 1:
-        return False
-    x = [0, 1]
-    if _ppowmod(x, p**k, f, p) != _pdivmod(x, f, p)[1]:
-        return False
-    for r in prime_factors(k):
-        h = _psub(_ppowmod(x, p ** (k // r), f, p), _pdivmod(x, f, p)[1], p)
-        g = _pgcd(h, f, p)
-        if len(g) != 1:
-            return False
-    return True
+    return upoly.is_irreducible(upoly.Poly.from_ints(_field(p, 1, (0, 1)), f))
 
 
 @lru_cache(maxsize=None)
 def _lex_smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
-    # Coefficient tuples (c_0, ..., c_{k-1}, 1) in lexicographic order with
-    # the constant term most significant.
-    # the first p^(k-1) candidates have constant term 0, so X divides them
-    for j in range(p ** (k - 1) if k > 1 else 0, p**k):
-        digits = []
-        t = j
-        for pos in range(k - 1, -1, -1):
-            digits.append(t // p**pos)
-            t %= p**pos
-        f = digits + [1]
-        if _is_irreducible_mod_p(f, p):
-            return tuple(f)
+    """The smallest monic irreducible (c_0, ..., c_{k-1}, 1) over F_p in
+    lexicographic order, c_0 most significant; c_0 = 0 is skipped (X divides)."""
+    if k == 1:
+        return (0, 1)  # X, with no search: the search runs in F_p itself
+    for head in itertools.product(range(1, p), *[range(p)] * (k - 1)):
+        if _is_irreducible(p, head + (1,)):
+            return head + (1,)
     raise AssertionError("no irreducible polynomial found")  # pragma: no cover
 
 
@@ -331,15 +236,13 @@ class FieldSpec:
         return tuple([c % p for c in conv[:k]])
 
     def _inv_coeffs(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        p, k = self.p, self.k
         if not any(a):
             raise ZeroDivisionError(f"inversion of zero in {self!r}")
-        if k == 1:
-            return (pow(a[0], p - 2, p),)
-        g, u = _pxgcd(list(a), list(self.modulus), p)
-        assert g == [1]
-        u = u + [0] * (k - len(u))
-        return tuple(u[:k])
+        from . import upoly  # deferred: upoly builds on this module
+
+        fp = _field(self.p, 1, (0, 1))  # poly_invmod checks that the gcd with m is 1
+        u = upoly.poly_invmod(upoly.Poly.from_ints(fp, a), upoly.Poly.from_ints(fp, self.modulus))
+        return tuple([c.index for c in u.coeffs]) + (0,) * (self.k - len(u.coeffs))
 
     def _coord_ops(self):
         """Index primitives through coordinate arithmetic (q > TABLE_MAX_ORDER)."""
@@ -652,18 +555,19 @@ def build_field(p: int, k: int = 1, modulus: tuple[int, ...] | None = None) -> F
     guard runs on every call; the field itself, tables included, is built
     once per (p, k, modulus) and then shared.
     """
-    if not isinstance(p, int) or not is_prime(p):
-        raise ValidationError(f"characteristic {p!r} is not prime")
     if not isinstance(k, int) or k < 1:
         raise ValidationError(f"extension degree {k!r} must be a positive integer")
-    limits.check_enumerable(p**k, f"field of order {p}^{k}")
+    if isinstance(p, int) and p >= 2:  # before is_prime(p) and p**k, which grow with p and k
+        limits.check_enumerable(p, "field", k)
+    if not isinstance(p, int) or not is_prime(p):
+        raise ValidationError(f"characteristic {p!r} is not prime")
     if modulus is None:
         modulus = _lex_smallest_irreducible(p, k)
     else:
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ValidationError("modulus must be monic of degree k")
-        if not _is_irreducible_mod_p(list(modulus), p):
+        if not _is_irreducible(p, modulus):
             raise ValidationError("modulus is reducible")
     return _field(p, k, modulus)
 

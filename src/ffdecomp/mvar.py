@@ -50,6 +50,7 @@ from .upoly import (
     _equal_degree_parts,
     factor,
     poly_gcd,
+    poly_invmod,
     require_nonconstant,
     roots,
 )
@@ -811,15 +812,6 @@ def _from_cols(cols: list[Poly]) -> MPoly:
     })
 
 
-def _inv_mod(a: Poly, m: Poly) -> Poly:
-    """a^-1 mod m for a coprime to m, by the extended Euclidean algorithm."""
-    r0, r1, s0, s1 = m, a % m, Poly.zero(m.spec), Poly.one(m.spec)
-    while not r1.is_zero():
-        quo, rem = divmod(r0, r1)
-        r0, r1, s0, s1 = r1, rem, s1, s0 - quo * s1
-    return s0 * r0.lc().inverse()
-
-
 def _hensel_lift(G: list[Poly], lc: list[Poly], fs: list[Poly], prec: int) -> list[list[Poly]]:
     """Monic F_i = f_i + O(t) with G = lc * prod F_i mod t^prec, for lc(t)
     the coefficient of the top power of Y in G, a series of constants, and
@@ -828,7 +820,7 @@ def _hensel_lift(G: list[Poly], lc: list[Poly], fs: list[Poly], prec: int) -> li
     s_i is the inverse of prod_{j != i} f_j modulo f_i."""
     c0 = lc[0].lc().inverse()
     whole = functools.reduce(Poly.__mul__, fs)
-    ss = [_inv_mod(whole // f, f) for f in fs]
+    ss = [poly_invmod(whole // f, f) for f in fs]
     lifted = [[f] for f in fs]
     for k in range(1, prec):
         have = functools.reduce(lambda a, b: _series_mul(a, b, k + 1), lifted, lc)

@@ -258,6 +258,17 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
+def poly_invmod(a: Poly, m: Poly) -> Poly:
+    """a^-1 mod m by the extended Euclidean algorithm; a must be coprime to m."""
+    r0, r1, s0, s1 = m, a % m, Poly.zero(m.spec), Poly.one(m.spec)
+    while not r1.is_zero():
+        quo, rem = divmod(r0, r1)
+        r0, r1, s0, s1 = r1, rem, s1, s0 - quo * s1
+    if r0.degree != 0:
+        raise ZeroDivisionError(f"{a} is not invertible modulo {m}")
+    return s0 * r0.lc().inverse()
+
+
 def poly_powmod(base: Poly, e: int, mod: Poly) -> Poly:
     if mod.is_constant():
         raise ValidationError("powmod modulus must be nonconstant")

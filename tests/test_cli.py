@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface.
 
-Each test drives run() in-process and inspects the captured stdout, so the
+Each test drives run() in-process and inspects the captured stdout (the
+environment variable read at import is tested in a subprocess), so the
 exit-code contract and the report layout are pinned down together: 0 for a
 completed computation (whatever the verdict), 2 for inputs that do not
 validate, 3 for work the size limit refuses.
@@ -8,11 +9,15 @@ validate, 3 for work the size limit refuses.
 
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
+import ffdecomp
 from ffdecomp import __version__, cli, limits, mvar
 from ffdecomp.cli import main, run
 from ffdecomp.gf_core import build_field
@@ -508,6 +513,31 @@ def test_unknown_command_raises_argparse_exit():
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command", "--field", "7"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "field", [str(2**4423 - 1), "2^" + "9" * 1000, "7^30"], ids=["huge-p", "huge-k", "7^30"]
+)
+def test_field_beyond_the_limit_exits_three_at_once(capsys, field):
+    start = time.perf_counter()
+    assert run(["field-info", "--field", field]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("value", ["abc", "1", "-5", ""])
+def test_malformed_max_order_variable_exits_two(value):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ffdecomp.__file__)))
+    env = dict(os.environ, FFDECOMP_MAX_ORDER=value, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ffdecomp.cli", "field-info", "--field", "5"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: FFDECOMP_MAX_ORDER must be an integer of at least 2"]
 
 
 def test_main_delegates(capsys):

@@ -4,12 +4,11 @@ import random
 
 import pytest
 
-from ffdecomp import limits
+from ffdecomp import gf_core, limits, upoly
 from ffdecomp.errors import SizeLimitError, SpecMismatchError, ValidationError
 from ffdecomp.gf_core import (
     TABLE_MAX_ORDER,
     FieldSpec,
-    _is_irreducible_mod_p,
     _lex_smallest_irreducible,
     build_field,
     extend_field,
@@ -231,6 +230,8 @@ def _coordinate_oracle(F, a, b):
     }
     if any(cb):
         out["inv"] = F._inv_coeffs(cb)
+        # checked by its definition too, not only against the kernel that computes it
+        assert F._mul_coeffs(cb, out["inv"]) == (1,) + (0,) * (F.k - 1), (F, b)
         out["div"] = F._mul_coeffs(ca, out["inv"])
     return out
 
@@ -353,6 +354,24 @@ def test_memoized_field_still_checks_the_size_limit(monkeypatch):
 # -- the modulus search --------------------------------------------------
 
 
+def _upoly_irreducible(coeffs, p):
+    # degree 1 needs no field, which spares building the tables of F_p for
+    # each of the ~1900 primes the full scan meets at k = 1
+    return len(coeffs) == 2 or upoly.is_irreducible(upoly.Poly.from_ints(build_field(p), coeffs))
+
+
+def test_brute_force_oracle_matches_upoly_irreducibility():
+    # every monic polynomial of degree 1..6 over F_2, 1..4 over F_3, 1..3 over F_5
+    checked = 0
+    for p, top in ((2, 6), (3, 4), (5, 3)):
+        for k in range(1, top + 1):
+            for tail in itertools.product(range(p), repeat=k):
+                f = tail + (1,)
+                assert _upoly_irreducible(f, p) == brute_force_irreducible(f, p), (p, f)
+                checked += 1
+    assert checked == 126 + 120 + 155
+
+
 def _modulus_by_full_scan(p, k):
     """The search before it skipped the candidates with constant term 0."""
     for j in range(p**k):
@@ -364,7 +383,7 @@ def _modulus_by_full_scan(p, k):
         if digits[0] == 0 and k > 1:
             continue
         f = digits + [1]
-        if _is_irreducible_mod_p(f, p):
+        if _upoly_irreducible(f, p):
             return tuple(f)
     raise AssertionError("no irreducible polynomial found")
 
@@ -378,3 +397,49 @@ def test_modulus_search_matches_the_full_scan():
             checked += 1
             k += 1
     assert checked > 1900
+
+
+# (p, k) -> the default modulus, constant term first, for fields beyond the full scan
+PINNED_MODULI = {
+    (2, 16): (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1),
+    (2, 20): tuple(int(i in (0, 17, 20)) for i in range(21)),
+    (2, 24): tuple(int(i in (0, 20, 21, 23, 24)) for i in range(25)),
+    (3, 12): (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1),
+    (5, 8): (1, 0, 0, 0, 0, 1, 1, 0, 1),
+    (7, 7): (1, 0, 0, 0, 0, 0, 6, 1),
+    (13, 6): (1, 0, 0, 0, 0, 1, 1),
+    (101, 3): (1, 0, 1, 1),
+    (8191, 2): (1, 0, 1),
+}
+
+
+@pytest.mark.parametrize("p,k", list(PINNED_MODULI), ids=lambda v: str(v))
+def test_modulus_search_is_pinned_above_the_full_scan(p, k):
+    assert _lex_smallest_irreducible(p, k) == PINNED_MODULI[(p, k)]
+
+
+def test_reducible_explicit_modulus_of_degree_twenty():
+    # m(X)^2 = m(X^2) over F_2 for the default degree-10 modulus m: no roots, not irreducible
+    m = build_field(2, 10).modulus
+    square = [0] * 21
+    for i, c in enumerate(m):
+        square[2 * i] = c
+    with pytest.raises(ValidationError, match="reducible"):
+        build_field(2, 20, modulus=tuple(square))
+
+
+def test_size_guard_runs_before_the_primality_test(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gf_core, "is_prime", lambda n: calls.append(n) or True)
+    with pytest.raises(SizeLimitError):
+        build_field(2**4423 - 1)
+    with pytest.raises(SizeLimitError):
+        build_field(2, 10**100)  # refused without forming 2^(10^100)
+    assert calls == []
+    monkeypatch.setattr(limits, "MAX_ORDER", 16)
+    with pytest.raises(SizeLimitError):
+        build_field(17)
+    with pytest.raises(SizeLimitError):
+        build_field(2, 5)
+    assert calls == []
+    assert build_field(2, 4).order == 16 and calls == [2]

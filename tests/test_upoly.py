@@ -14,6 +14,7 @@ from ffdecomp.upoly import (
     is_irreducible,
     num_distinct_roots,
     poly_gcd,
+    poly_invmod,
     poly_powmod,
     rat_compose,
     roots,
@@ -217,6 +218,26 @@ def test_is_irreducible_oracle_small():
         if f.degree < 2:
             continue
         assert is_irreducible(f) == brute(f.monic())
+
+
+@pytest.mark.parametrize("spec", [F2, F3, build_field(3, 2), build_field(101)], ids=repr)
+def test_invmod_inverts_exactly_the_units(spec):
+    rng = random.Random(f"invmod/{spec!r}")
+    one = Poly.one(spec)
+    units = 0
+    for _ in range(150):
+        g, h = rand_poly(rng, spec, rng.randrange(1, 5)), rand_poly(rng, spec, rng.randrange(0, 4))
+        a = rand_poly(rng, spec, rng.randrange(0, 10))
+        m = g * h
+        if g.degree < 1 or h.is_zero():
+            continue
+        if poly_gcd(a, m) == one:
+            inv = poly_invmod(a, m)
+            assert inv.degree < m.degree and (a * inv) % m == one, (a, m)
+            units += 1
+        with pytest.raises(ZeroDivisionError):
+            poly_invmod(a * g, m)  # shares the factor g with m
+    assert units >= 30
 
 
 def test_x2_plus_1_over_f3_irreducible():
