@@ -10,7 +10,6 @@ and symbolic composition verifies every h before anyone sees it.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -96,16 +95,12 @@ def _require_pair(f: RatFun, g: RatFun) -> FieldSpec:
 def count_pairs(f: RatFun, g: RatFun) -> int:
     """|{(x, y) in F_q x F_q : f(x) = g(y)}| = sum over x in F_q of N_g(f(x)),
     N_g(v) = |{y in F_q : g(y) = v}|, with values compared in F_q^+, so a shared
-    infinity counts as a match.  The oracle is count_affine(build_F(f, g))."""
+    infinity counts as a match.  It is mvar.count_pairs_mv's case n = 1; the
+    oracle is count_affine(build_F(f, g))."""
+    from .mvar import _pair_count  # deferred: mvar builds on this module
+
     _require_pair(f, g)
-    sizes = _fiber_sizes(g)
-    return sum(sizes.get(f.eval(x), 0) for x in f.spec.elements())
-
-
-def _fiber_sizes(g: RatFun) -> Counter:
-    """Map from attained value (over x in F_q; infinity too) to fiber size."""
-    limits.check_enumerable(g.spec.order, "fiber scan")
-    return Counter(map(g.eval, g.spec.elements()))
+    return _pair_count(f, g)
 
 
 def check_t1(f: RatFun, g: RatFun) -> DecompReport:
@@ -115,21 +110,18 @@ def check_t1(f: RatFun, g: RatFun) -> DecompReport:
     (ii) at most 8(d+delta) points a of F_q^+ have 2*|fiber(g, g(a))| <= delta;
     (iii) q >= (d+delta)^4.
     """
+    from .mvar import _fibers, _value_lines  # deferred: mvar builds on this module
+
     spec = _require_pair(f, g)
     q = spec.order
     d, delta = f.degree, g.degree
-    buckets = _fiber_sizes(g)
-    g_image = set(buckets)
-    g_image.add(g.eval(INFINITY))
+    _, buckets, v_inf = _fibers(g)
 
-    cond_i = all(f.eval(x) in g_image for x in spec.elements())
+    cond_i = {*buckets, v_inf}.issuperset(next(_value_lines(f)))
 
-    exceptions = 0
-    for v, size in buckets.items():
-        if 2 * size <= delta:
-            exceptions += size  # each preimage a with g(a) = v is exceptional
-    v_inf = g.eval(INFINITY)
-    if 2 * buckets.get(v_inf, 0) <= delta:
+    # each preimage a with g(a) = v is exceptional when its fiber is small
+    exceptions = sum(size for size in buckets.values() if 2 * size <= delta)
+    if 2 * buckets[v_inf] <= delta:
         exceptions += 1  # a = infinity
     budget = 8 * (d + delta)
 
@@ -227,17 +219,16 @@ def small_fiber_diagnostics(g: RatFun) -> FiberDiagnostics:
     sandwich |values| <= |points| <= (delta/2)|values| always holds (each
     small fiber is nonempty and has size at most delta/2).
     """
+    from .mvar import _INF, _fibers  # deferred: mvar builds on this module
+
     require_nonconstant(g, "g")
     spec = g.spec
     delta = g.degree
-    buckets = _fiber_sizes(g)
-    small_points = set()
-    small_values = set()
-    for x in spec.elements():
-        if 2 * buckets[g.eval(x)] <= delta:
-            small_points.add(x)
-            small_values.add(g.eval(x))
-    if 2 * buckets.get(g.eval(INFINITY), 0) <= delta:
+    line, buckets, v_inf = _fibers(g)
+    small = [x for x, v in enumerate(line) if 2 * buckets[v] <= delta]
+    small_points = {spec.from_index(x) for x in small}
+    small_values = {INFINITY if line[x] == _INF else spec.from_index(line[x]) for x in small}
+    if 2 * buckets[v_inf] <= delta:
         small_points.add(INFINITY)
     finite = len(small_points) - (1 if INFINITY in small_points else 0)
     values = len(small_values)

@@ -13,7 +13,8 @@ the univariate machinery, and recombines the univariate factors.
 Univariate reduced rational functions have a value (possibly infinity) at
 every point; with several variables the numerator and denominator can vanish
 together, so evaluation gains a third outcome, UNDEFINED, and pair counting
-skips exactly those points.
+skips exactly those points.  Pair counts evaluate f on indices, a line of q
+points along Xn at a time; decomp.count_pairs is the case n = 1.
 
 find_h_mv, and decomp.find_h as its case n = 1, finds h as a root Y = h(X)
 of the curve A(X)Q(Y) - B(X)P(Y): Newton iteration lifts each root at the
@@ -29,16 +30,12 @@ import bisect
 import functools
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
 from . import limits
-from .decomp import (
-    DecompReport,
-    ThresholdCheck,
-    _check_epsilon,
-    _fiber_sizes,
-)
+from .decomp import DecompReport, ThresholdCheck, _check_epsilon
 from .errors import SizeLimitError, SpecMismatchError, ValidationError
 from .gf_core import FieldElement, FieldSpec, _same_spec
 from .upoly import (
@@ -536,29 +533,83 @@ def _require_mrat(f: MRatFun, name: str) -> None:
 # pair counting over F_q^n x F_q
 
 
-def _grid(spec: FieldSpec, n: int):
-    return itertools.product(spec.elements(), repeat=n)
+# Value codes of the grid evaluator: a value's index in F_q, or one of these
+# at a pole and where A and B vanish together.
+_INF, _UNDEF = -1, -2
+
+
+def _horner_line(spec: FieldSpec, cs) -> list[int]:
+    """The values at x = 0..q-1 of the polynomial with coefficient indices cs."""
+    add, mul = spec._add, spec._mul
+    xs = range(spec.order)
+    line = [cs[-1]] * spec.order
+    for c in reversed(cs[:-1]):
+        if c:
+            line = [add(mul(a, x), c) for a, x in zip(line, xs)]
+        else:
+            line = [mul(a, x) for a, x in zip(line, xs)]
+    return line
+
+
+def _lines(P: MPoly):
+    """P's values at the points of F_q^n in grid order, one line of q values
+    along Xn at a time, by Horner's rule from the coefficients of the powers
+    of Xn, themselves evaluated recursively; no q^n list is built."""
+    if P.n == 1:
+        yield _horner_line(P.spec, _to_upoly(P)._indices() or [0])
+        return
+    rows = P.last_var_coeffs() or [MPoly.zero(P.spec, P.n - 1)]
+    for cols in zip(*map(_lines, rows)):
+        for cs in zip(*cols):
+            yield _horner_line(P.spec, cs)
+
+
+def _value_lines(f):
+    """The value codes of f = A/B, an MRatFun or a RatFun (n = 1), as _lines
+    yields them."""
+    if isinstance(f, RatFun):
+        f = MRatFun(_from_upoly(f.num), _from_upoly(f.den))
+    if f.den.is_constant():  # reduced, so B = 1
+        yield from _lines(f.num)
+        return
+    mul, inv = f.spec._mul, f.spec._inv
+    for la, lb in zip(_lines(f.num), _lines(f.den)):
+        yield [mul(a, inv(b)) if b else _INF if a else _UNDEF for a, b in zip(la, lb)]
+
+
+def _fibers(g: RatFun) -> tuple[list[int], Counter, int]:
+    """g's value codes at the points of F_q in index order, its fiber sizes
+    keyed by value code, and the code of g(infinity)."""
+    limits.check_enumerable(g.spec.order, "fiber scan")
+    line = next(_value_lines(g))
+    v = g.eval(INFINITY)
+    return line, Counter(line), _INF if v is INFINITY else v.index
+
+
+def _pair_count(f, g: RatFun) -> int:
+    """The sum over the points x of F_q^n of |{y in F_q : g(y) = f(x)}|."""
+    get = _fibers(g)[1].get
+    zeros = itertools.repeat(0)
+    # _UNDEF codes no value of g, so undefined points add nothing
+    return sum(sum(map(get, line, zeros)) for line in _value_lines(f))
 
 
 def count_pairs_mv(f: MRatFun, g: RatFun) -> int:
     """|{(x-vector, y) : f defined at x-vector and f(x-vector) = g(y)}|.
 
     Values are compared in F_q plus infinity; undefined points contribute
-    nothing.
+    nothing.  decomp.count_pairs is the case n = 1.
     """
     if not _same_spec(f.spec, g.spec):
         raise SpecMismatchError("f and g must live over the same field")
-    spec = f.spec
-    limits.check_enumerable(spec.order ** (f.n + 1), "pair grid")
-    sizes = _fiber_sizes(g)
-    # UNDEFINED equals no value of g, so undefined points add nothing
-    return sum(sizes.get(f.eval(xs), 0) for xs in _grid(spec, f.n))
+    limits.check_enumerable(f.spec.order, "pair grid", f.n + 1)
+    return _pair_count(f, g)
 
 
 def count_undefined(f: MRatFun) -> int:
     """Number of grid points where f has no value."""
-    limits.check_enumerable(f.spec.order**f.n, "definedness scan")
-    return sum(1 for xs in _grid(f.spec, f.n) if f.eval(xs) is UNDEFINED)
+    limits.check_enumerable(f.spec.order, "definedness scan", f.n)
+    return sum(line.count(_UNDEF) for line in _value_lines(f))
 
 
 # --------------------------------------------------------------------------

@@ -424,21 +424,22 @@ def factor(a: Poly) -> tuple[FieldElement, list[tuple[Poly, int]]]:
 
 
 def is_irreducible(f: Poly) -> bool:
+    """Rabin's test: X^(q^n) = X mod f, and X^(q^(n/r)) - X is coprime to f
+    for each prime r dividing n = deg f.  The q-th powers of X are stepped
+    through once, each from the one before."""
     n = f.degree
     if n <= 0:
         return False
     if n == 1:
         return True
-    spec = f.spec
-    q = spec.order
-    x = Poly.x(spec)
-    if poly_powmod(x, q**n, f) != x % f:
-        return False
-    for r in prime_factors(n):
-        g = poly_gcd(poly_powmod(x, q ** (n // r), f) - x, f)
-        if g.degree != 0:
+    x = Poly.x(f.spec) % f
+    checks = {n // r for r in prime_factors(n)}
+    y = x
+    for i in range(1, n + 1):
+        y = poly_powmod(y, f.spec.order, f)
+        if i in checks and poly_gcd(y - x, f).degree != 0:
             return False
-    return True
+    return y == x
 
 
 def roots(f: Poly) -> list[FieldElement]:

@@ -6,9 +6,10 @@ enumeration is expensive but deterministic.
 """
 
 import itertools
+from collections import Counter
 
-from ffdecomp.mvar import MPoly, MRatFun, mpoly_gcd, mrat_compose, mv_factor
-from ffdecomp.upoly import Poly, RatFun, factor, poly_gcd, rat_compose, roots
+from ffdecomp.mvar import UNDEFINED, MPoly, MRatFun, mpoly_gcd, mrat_compose, mv_factor
+from ffdecomp.upoly import INFINITY, Poly, RatFun, factor, poly_gcd, rat_compose, roots
 
 _CANDIDATE_CACHE: dict = {}
 
@@ -235,6 +236,53 @@ def brute_pairs(f, g):
         for y in spec.elements()
         if f.eval(x) == g.eval(y)
     )
+
+
+def _grid(spec, n):
+    return itertools.product(spec.elements(), repeat=n)
+
+
+def pointwise_fiber_sizes(g):
+    """Fiber size of each value g takes on F_q (infinity too), one
+    FieldElement evaluation per point."""
+    return Counter(map(g.eval, g.spec.elements()))
+
+
+def pointwise_count_pairs(f, g):
+    """count_pairs by its definition: the sum over x in F_q of N_g(f(x))."""
+    sizes = pointwise_fiber_sizes(g)
+    return sum(sizes.get(f.eval(x), 0) for x in f.spec.elements())
+
+
+def pointwise_count_pairs_mv(f, g):
+    """count_pairs_mv by its definition: the sum over the points of F_q^n of
+    N_g(f(x)); an UNDEFINED value is no value of g."""
+    sizes = pointwise_fiber_sizes(g)
+    return sum(sizes.get(f.eval(xs), 0) for xs in _grid(f.spec, f.n))
+
+
+def pointwise_count_undefined(f):
+    """The points of F_q^n where MRatFun.eval gives UNDEFINED."""
+    return sum(1 for xs in _grid(f.spec, f.n) if f.eval(xs) is UNDEFINED)
+
+
+def pointwise_t1_scan(f, g):
+    """(condition (i), the exceptions counted by condition (ii)) of check_t1,
+    point by point."""
+    sizes = pointwise_fiber_sizes(g)
+    image = set(sizes) | {g.eval(INFINITY)}
+    cond_i = all(f.eval(x) in image for x in f.spec.elements())
+    exceptions = sum(size for size in sizes.values() if 2 * size <= g.degree)
+    exceptions += 2 * sizes.get(g.eval(INFINITY), 0) <= g.degree
+    return cond_i, exceptions
+
+
+def pointwise_small_fibers(g):
+    """(small_points, small_values) of small_fiber_diagnostics, point by point."""
+    sizes = pointwise_fiber_sizes(g)
+    points = [a for a in [*g.spec.elements(), INFINITY] if 2 * sizes.get(g.eval(a), 0) <= g.degree]
+    values = {g.eval(a) for a in points if a is not INFINITY}
+    return frozenset(points), frozenset(values)
 
 
 def schoolbook_mul(a, b):

@@ -1,14 +1,15 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ffdecomp import mvar
-from ffdecomp.decomp import count_pairs
+from ffdecomp import limits, mvar
+from ffdecomp.decomp import check_t1, count_pairs, small_fiber_diagnostics
 from ffdecomp.errors import SizeLimitError, SpecMismatchError, ValidationError
 from ffdecomp.gf_core import build_field
 from ffdecomp.mvar import (
@@ -30,7 +31,14 @@ from ffdecomp.mvar import (
 )
 from ffdecomp.upoly import Poly, RatFun, poly_gcd
 
-from oracles import divisor_find_h_mv
+from oracles import (
+    divisor_find_h_mv,
+    pointwise_count_pairs,
+    pointwise_count_pairs_mv,
+    pointwise_count_undefined,
+    pointwise_small_fibers,
+    pointwise_t1_scan,
+)
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -278,6 +286,111 @@ def test_count_pairs_mv_single_variable_matches_univariate():
             )
             g = poly_rf(spec, [1, rng.randrange(spec.order), 1])
             assert count_pairs_mv(fm, g) == count_pairs(f1, g)
+
+
+# --------------------------------------------------------------------------
+# the grid evaluator against the pointwise scans
+
+
+_SCAN_FIELDS = [F2, F3, build_field(2, 2), build_field(2, 3), build_field(3, 2), build_field(13)]
+
+
+@st.composite
+def _scan_inputs(draw):
+    """f = A/B in n variables, and g = P/Q with a pole at some a in F_q when
+    deg Q > 0 and at infinity when deg P > deg Q.  A and B share the zero at
+    the origin when neither has a constant term, which leaves an UNDEFINED
+    point for n > 1 unless reducing A/B removes it."""
+    spec = draw(st.sampled_from(_SCAN_FIELDS))
+    n = draw(st.integers(1, 3))
+    index, nonzero = st.integers(0, spec.order - 1), st.integers(1, spec.order - 1)
+    keys = st.tuples(*[st.integers(0, 2)] * n)
+    if draw(st.booleans()):
+        keys = keys.filter(any)  # through the origin
+
+    def mpoly():
+        terms = draw(st.dictionaries(keys, nonzero, min_size=1, max_size=4))
+        return mp(spec, n, {k: spec.from_index(i) for k, i in terms.items()})
+
+    num, den = mpoly(), mpoly()
+    a = spec.from_index(draw(index))
+    p = Poly.from_ints(spec, draw(st.lists(index, min_size=1, max_size=3)) + [draw(nonzero)])
+    q = Poly.from_coeffs(spec, [-a, spec.one()]) ** draw(st.integers(0, 2))
+    g = RatFun.make(p, q)
+    assume(not g.is_constant())
+    return MRatFun.make(num, den), g
+
+
+@settings(max_examples=80, deadline=3000)
+@given(_scan_inputs())
+def test_grid_evaluator_matches_pointwise_scans(fg):
+    f, g = fg
+    assert count_pairs_mv(f, g) == pointwise_count_pairs_mv(f, g)
+    assert count_undefined(f) == pointwise_count_undefined(f)
+    diag = small_fiber_diagnostics(g)
+    assert (diag.small_points, diag.small_values) == pointwise_small_fibers(g)
+    if f.n == 1 and not f.is_constant():
+        f1 = RatFun.make(mvar._to_upoly(f.num), mvar._to_upoly(f.den))
+        assert count_pairs(f1, g) == pointwise_count_pairs(f1, g) == count_pairs_mv(f, g)
+        rep = check_t1(f1, g)
+        assert (rep.condition_i, rep.condition_ii.exceptions) == pointwise_t1_scan(f1, g)
+
+
+def test_pair_count_above_the_table_limit_matches_pointwise(monkeypatch):
+    # F_65537 has no tables, so the evaluator runs on the coordinate primitives;
+    # count_pairs_mv guards its q^2 pairs, above the default limit
+    monkeypatch.setattr(limits, "MAX_ORDER", 65537**2)
+    spec = build_field(65537)
+    x = Poly.x(spec)
+    f = RatFun.make(x**3 + 7 * x + 5, x - 3)  # poles at 3 and infinity
+    g = RatFun.make(x**3 + 2 * x + 1, (x - 40000) ** 2)  # a double pole at 40000
+    fm = MRatFun(mvar._from_upoly(f.num), mvar._from_upoly(f.den))
+    assert count_pairs(f, g) == count_pairs_mv(fm, g) == pointwise_count_pairs(f, g)
+
+
+def _scans(spec):
+    """(points walked, label, the count as the refusal writes it, the scan,
+    its answer) for each guarded scan."""
+    q = spec.order
+    f = MRatFun.make(mp(spec, 2, {(1, 0): 1, (0, 2): 1}), mp(spec, 2, {(1, 1): 1, (0, 1): 2}))
+    g = RatFun.make(Poly.from_ints(spec, [1, 0, 0, 1]), Poly.from_ints(spec, [0, 1]))
+    f1 = poly_rf(spec, [1, 2, 0, 1])
+    return [
+        (q, "fiber scan", f"{q}", lambda: count_pairs(f1, g), pointwise_count_pairs(f1, g)),
+        (q**3, "pair grid", f"{q}^3", lambda: count_pairs_mv(f, g), pointwise_count_pairs_mv(f, g)),
+        (q**2, "definedness scan", f"{q}^2", lambda: count_undefined(f), pointwise_count_undefined(f)),
+    ]
+
+
+@pytest.mark.parametrize("case", [0, 1, 2], ids=["count_pairs", "count_pairs_mv", "count_undefined"])
+def test_scans_run_at_the_limit_and_refuse_one_below(monkeypatch, case):
+    points, what, written, scan, want = _scans(F5)[case]
+    monkeypatch.setattr(limits, "MAX_ORDER", points)
+    assert scan() == want
+    monkeypatch.setattr(limits, "MAX_ORDER", points - 1)
+    with pytest.raises(SizeLimitError) as err:
+        scan()
+    assert str(err.value) == (
+        f"{what} requires {written} points; configured limit is {points - 1}"
+        f" (override with {limits.ENV_VAR})"
+    )
+
+
+def test_count_pairs_mv_streams_the_grid():
+    # a list of the 66,049 values of f at q = 257, n = 2 would need over 2 MB
+    spec = build_field(257)
+    f = MRatFun.make(
+        mp(spec, 2, {(2, 1): 1, (1, 1): 3, (0, 1): 5}), mp(spec, 2, {(0, 2): 1, (1, 0): 2, (0, 0): 7})
+    )
+    g = RatFun.make(Poly.from_ints(spec, [1, 0, 3]), Poly.from_ints(spec, [4, 1]))
+    tracemalloc.start()
+    try:
+        got = count_pairs_mv(f, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
+    assert got == pointwise_count_pairs_mv(f, g)
 
 
 # --------------------------------------------------------------------------
