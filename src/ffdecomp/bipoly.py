@@ -5,17 +5,17 @@ the curve A(X)Q(Y) - B(X)P(Y) from two rational functions, counts its affine
 and projective points exactly, factors it with mvar.mv_factor (Hensel
 lifting at one fiber X = x0), and decides absolute irreducibility.  The
 n = 2 views these need are module functions: setting X = x or Y = y to get
-a univariate Poly, swapping the variables, the homogeneous parts, partial
-derivatives, and mapping the coefficients through a field embedding.
-Curves print with X and Y, through mvar.terms_str.
+a univariate Poly, swapping the variables, the homogeneous parts and
+partial derivatives.  Coefficients move to an extension field through
+mvar.map_coeffs, and curves print with X and Y through mvar.terms_str.
 """
 
 from __future__ import annotations
 
 from . import limits
 from .errors import SpecMismatchError, ValidationError
-from .gf_core import FieldElement, FieldEmbedding, _same_spec, extend_field, prime_factors
-from .mvar import MPoly, _from_upoly, mv_factor, terms_str
+from .gf_core import FieldElement, _same_spec, extend_field, prime_factors
+from .mvar import MPoly, _from_upoly, map_coeffs, mv_factor, terms_str
 from .upoly import (
     Poly,
     RatFun,
@@ -81,13 +81,6 @@ def _partial(F: MPoly, var: int) -> MPoly:
             e[var] -= 1
             terms[tuple(e)] = c * k[var]
     return MPoly.from_terms(F.spec, 2, terms)
-
-
-def map_coeffs(F: MPoly, emb: FieldEmbedding) -> MPoly:
-    """Apply a field embedding to every coefficient."""
-    if not _same_spec(F.spec, emb.source):
-        raise SpecMismatchError("embedding source does not match the polynomial")
-    return MPoly(emb.target, F.n, {k: emb(c) for k, c in F.terms.items()})
 
 
 # --------------------------------------------------------------------------

@@ -18,10 +18,10 @@ points along Xn at a time; decomp.count_pairs is the case n = 1.
 
 find_h_mv, and decomp.find_h as its case n = 1, finds h as a root Y = h(X)
 of the curve A(X)Q(Y) - B(X)P(Y): Newton iteration lifts each root at the
-first usable grid point to a truncated power series, a linear system reads
-it back as N/D, and composing verifies it, so a None is a proof.  An
-inseparable g = g1(Y^p) is reduced to g1; the curve is factored only when
-no grid point is usable.
+first usable point of F_q^n, or of F_{q^r}^n when F_q is too small to hold
+one, to a truncated power series; a linear system reads it back as N/D, and
+composing verifies it, so a None is a proof.  An inseparable g = g1(Y^p) is
+reduced to g1.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Optional
 from . import limits
 from .decomp import DecompReport, ThresholdCheck, _check_epsilon
 from .errors import SizeLimitError, SpecMismatchError, ValidationError
-from .gf_core import FieldElement, FieldSpec, _same_spec
+from .gf_core import FieldElement, FieldEmbedding, FieldSpec, _same_spec, extend_field
 from .upoly import (
     INFINITY,
     Poly,
@@ -52,7 +52,9 @@ from .upoly import (
     roots,
 )
 
-# Envelope for the constructive search.
+# Caps of the constructive search: at most FIND_H_MAX_VARS variables and
+# d + delta at most FIND_H_MAX_DEGREE_SUM.  They are the sizes the search is
+# tested at, not bounds derived from the cost of lifting.
 FIND_H_MAX_VARS = 3
 FIND_H_MAX_DEGREE_SUM = 10
 
@@ -289,6 +291,13 @@ class MPoly:
         return f"MPoly({self.spec.descriptor}, {self})"
 
 
+def map_coeffs(F: MPoly, emb: FieldEmbedding) -> MPoly:
+    """Apply a field embedding to every coefficient."""
+    if not _same_spec(F.spec, emb.source):
+        raise SpecMismatchError("embedding source does not match the polynomial")
+    return MPoly(emb.target, F.n, {k: emb(c) for k, c in F.terms.items()})
+
+
 def terms_str(F: MPoly, names) -> str:
     """F as a sum of terms in decreasing exponent order, the variables
     written with the given names."""
@@ -520,15 +529,6 @@ class MRatFun:
         return a / b
 
 
-def mrat_eval(f: MRatFun, xs):
-    return f.eval(xs)
-
-
-def _require_mrat(f: MRatFun, name: str) -> None:
-    if f.is_constant():
-        raise ValidationError(f"{name} must be nonconstant")
-
-
 # --------------------------------------------------------------------------
 # pair counting over F_q^n x F_q
 
@@ -602,7 +602,7 @@ def count_pairs_mv(f: MRatFun, g: RatFun) -> int:
     """
     if not _same_spec(f.spec, g.spec):
         raise SpecMismatchError("f and g must live over the same field")
-    limits.check_enumerable(f.spec.order, "pair grid", f.n + 1)
+    limits.check_enumerable(f.spec.order, "pair grid", f.n)
     return _pair_count(f, g)
 
 
@@ -633,7 +633,7 @@ def check_t41(f: MRatFun, g: RatFun, eps) -> DecompReport:
     """
     if not _same_spec(f.spec, g.spec):
         raise SpecMismatchError("f and g must live over the same field")
-    _require_mrat(f, "f")
+    require_nonconstant(f, "f")
     require_nonconstant(g, "g")
     eps = _check_epsilon(eps)
     spec = f.spec
@@ -664,22 +664,14 @@ def mrat_compose(g: RatFun, h: MRatFun) -> Optional[MRatFun]:
     if not _same_spec(g.spec, h.spec):
         raise SpecMismatchError("g and h must live over the same field")
     delta = g.degree
-    u, v = h.num, h.den
-    upow = [MPoly.one(h.spec, h.n)]
-    vpow = [MPoly.one(h.spec, h.n)]
+    upow, vpow = [MPoly.one(h.spec, h.n)], [MPoly.one(h.spec, h.n)]
     for _ in range(delta):
-        upow.append(upow[-1] * u)
-        vpow.append(vpow[-1] * v)
-
-    def homog(p: Poly) -> MPoly:
-        acc = MPoly.zero(h.spec, h.n)
-        for i, c in enumerate(p.coeffs):
-            if not c.is_zero():
-                acc = acc + upow[i] * vpow[delta - i] * c
-        return acc
-
-    num_c = homog(g.num)
-    den_c = homog(g.den)
+        upow.append(upow[-1] * h.num)
+        vpow.append(vpow[-1] * h.den)
+    num_c, den_c = (
+        sum((upow[i] * vpow[delta - i] * c for i, c in enumerate(p.coeffs) if c), MPoly.zero(h.spec, h.n))
+        for p in (g.num, g.den)
+    )
     if den_c.is_zero():
         return None
     c = den_c.terms[den_c.leading_key()].inverse()
@@ -1080,34 +1072,61 @@ def _shift(F: MPoly, s, top: int) -> MPoly:
     return MPoly(F.spec, F.n, {t: c for t, c in out.items() if c})
 
 
-def _lifted_roots(coeffs: list[MPoly], e: int) -> Optional[list[MRatFun]]:
-    """A candidate for each root of degree e of F = sum_j coeffs[j](X) Y^j,
-    or None when no grid point s (in index order) has c_delta(s) != 0 and
-    F(s, Y) squarefree.
+def _by_largest_index(q: int, n: int):
+    """The index vectors of {0..q-1}^n by increasing largest entry m, lexicographic for n = 1."""
+    for m in range(q):
+        for i in range(n):  # the first entry equal to m
+            for head in itertools.product(range(m), repeat=i):
+                for tail in itertools.product(range(m + 1), repeat=n - 1 - i):
+                    yield head + (m,) + tail
 
-    A root N/D has D | c_delta, so its value at s is a simple root of
-    F(s, Y) in F_q, which Newton iteration lifts uniquely to a power series
-    y in X - s.  To total degree 2e, D is the kernel of [D y]_nu = 0 for
-    e < |nu| <= 2e, a line exactly when the root has degree e, and N = D y
-    to degree e.  A point fails only where c_delta or the discriminant in Y
-    vanishes, and a nonzero polynomial of degree t has at most t q^(n-1)
-    zeros in F_q^n, so more failures than that mean the discriminant is zero.
-    """
+
+def _usable_point(coeffs: list[MPoly], t: int):
+    """(s, F(s, Y), F_Y(s, Y)) for the first point s of F_q^n, F_q the field
+    of the coefficients, with c_delta(s) != 0 and F(s, Y) squarefree, or None.
+    The points that fail are zeros of c_delta times the discriminant in Y, of
+    degree at most t; by Schwartz-Zippel a nonzero one has a non-zero in each
+    box S^n with |S| > t and at most t q^(n-1) zeros in F_q^n, so the scan
+    goes box by box and stops after t q^(n-1) failures."""
     spec, n = coeffs[0].spec, coeffs[0].n
     q, delta = spec.order, len(coeffs) - 1
-    t = coeffs[-1].total_degree() + (2 * delta - 2) * max(c.total_degree() for c in coeffs)
     tries = min(q**n, t * q ** (n - 1) + 1)
     limits.check_enumerable(tries, "specialization grid")
-    for idx in itertools.islice(itertools.product(range(q), repeat=n), tries):
+    for idx in itertools.islice(_by_largest_index(q, n), tries):
         s = [spec.from_index(i) for i in idx]
         phi = Poly.from_coeffs(spec, [c(s) for c in coeffs])
         dphi = phi.derivative()
         if phi.degree == delta and poly_gcd(phi, dphi).is_one():
-            break
-    else:
-        return None
+            return s, phi, dphi
+    return None
+
+
+def _lifted_roots(coeffs: list[MPoly], e: int) -> list[MRatFun]:
+    """A candidate for each root of degree e of F = sum_j coeffs[j](X) Y^j,
+    squarefree in Y, with coefficients in F_q.
+
+    A root N/D has D | c_delta, so its value at a usable point s is a simple
+    root of F(s, Y), which Newton iteration lifts uniquely to a power series
+    y in X - s.  To total degree 2e, D is the kernel of [D y]_nu = 0 for
+    e < |nu| <= 2e, a line exactly when the root has degree e, and N = D y
+    to degree e.  If F_q^n holds no usable point, then q <= t (_usable_point)
+    and the lifting runs at a point of F_Q^n, Q = q^r the least power above
+    t; a root scaled to leading coefficient one is kept when its
+    coefficients lie in F_q.
+    """
+    base, n, delta = coeffs[0].spec, coeffs[0].n, len(coeffs) - 1
+    t = coeffs[-1].total_degree() + (2 * delta - 2) * max(c.total_degree() for c in coeffs)
+    found, down = _usable_point(coeffs, t), None
+    if found is None:  # so q <= t
+        _, emb = extend_field(base, next(r for r in itertools.count(2) if base.order**r > t))
+        down = {emb(a).index: a for a in base.elements()}
+        coeffs = [map_coeffs(c, emb) for c in coeffs]
+        found = _usable_point(coeffs, t)
+        assert found is not None, "the discriminant in Y is not zero"
+    s, phi, dphi = found
+    spec = phi.spec
     ring = mons, prods, cut, start = _jet_ring(n, 2 * e)
-    ncols, back = start[e + 1], [-x for x in s]
+    ncols, minus_s = start[e + 1], [-x for x in s]
     cs = [_shift(c, s, 2 * e).terms for c in coeffs]
     cs = [[c[k].index if k in c else 0 for k in mons] for c in cs]
     out = []
@@ -1126,23 +1145,18 @@ def _lifted_roots(coeffs: list[MPoly], e: int) -> Optional[list[MRatFun]]:
         if den is not None:
             num = _jet_mul(spec, ring, den + [0] * (len(mons) - ncols), y, e + 1)
             num, den = (
-                _shift(MPoly(spec, n, {k: spec.from_index(c) for k, c in zip(mons, v) if c}), back, e)
+                _shift(MPoly(spec, n, {k: spec.from_index(c) for k, c in zip(mons, v) if c}), minus_s, e)
                 for v in (num, den)
             )
             c = den.terms[den.leading_key()].inverse()
-            out.append(MRatFun(num * c, den * c))  # reduced if verified: degree e
+            num, den = num * c, den * c
+            if down is not None:  # back to F_q, if every coefficient lies there
+                terms = [{k: down.get(a.index) for k, a in F.terms.items()} for F in (num, den)]
+                if any(None in ts.values() for ts in terms):
+                    continue
+                num, den = (MPoly(base, n, ts) for ts in terms)
+            out.append(MRatFun(num, den))  # reduced if verified: degree e
     return out
-
-
-def _curve_linear_factors(coeffs: list[MPoly]) -> list[MRatFun]:
-    """-b/a for each factor a(X)Y + b(X) of the curve sum_j coeffs[j] Y^j:
-    the fallback for fields too small to hold a usable point.  mv_factor
-    raises SizeLimitError above DEGREE_CAP."""
-    n = coeffs[0].n
-    terms = {k + (j,): c for j, cj in enumerate(coeffs) for k, c in cj.terms.items()}
-    facs = mv_factor(MPoly(coeffs[0].spec, n + 1, terms))[1]
-    lines = [fac.last_var_coeffs() for fac, _ in facs if fac.deg_in(n) == 1]
-    return [MRatFun.make(-b, a) for b, a in lines]
 
 
 def _pth_root(F: MPoly) -> Optional[MPoly]:
@@ -1157,8 +1171,10 @@ def _curve_roots(f: MRatFun, g: RatFun, e: int) -> list[MRatFun]:
     """Candidates, not yet verified, for every root of degree e of the curve
     A(X)Q(Y) - B(X)P(Y) of f = A/B and g = P/Q.
 
-    An inseparable g = g1(Y^p) (P' = Q' = 0) has the roots H^(1/p) for the
-    roots H of the curve of f and g1 that lie in F_q(X1^p..Xn^p).
+    For a separable g the curve is squarefree in Y, as P(Y) - tQ(Y) is
+    separable over F_q(t) and so over F_q(X) through t = f.  An inseparable
+    g = g1(Y^p) (P' = Q' = 0) has the roots H^(1/p) for the roots H of the
+    curve of f and g1 that lie in F_q(X1^p..Xn^p).
     """
     spec = f.spec
     if g.num.derivative().is_zero() and g.den.derivative().is_zero():
@@ -1174,34 +1190,28 @@ def _curve_roots(f: MRatFun, g: RatFun, e: int) -> list[MRatFun]:
     assert not coeffs[0].is_zero() and not coeffs[-1].is_zero()
     if len(coeffs) == 2:  # g of degree one: its one root is exact
         return [MRatFun.make(-coeffs[0], coeffs[1])]
-    cands = _lifted_roots(coeffs, e)
-    return _curve_linear_factors(coeffs) if cands is None else cands
+    return _lifted_roots(coeffs, e)
 
 
-def find_h_mv(
-    f: MRatFun,
-    g: RatFun,
-    max_vars: int = FIND_H_MAX_VARS,
-    max_degree_sum: int = FIND_H_MAX_DEGREE_SUM,
-) -> Optional[MRatFun]:
+def find_h_mv(f: MRatFun, g: RatFun) -> Optional[MRatFun]:
     """Some h(X1..Xn) with f = g(h), or None.
 
     f = g(h) exactly when Y = h(X), of total degree d/delta, is a root of
     the curve A(X)Q(Y) - B(X)P(Y) = sum_j c_j(X) Y^j.  Every such root (at
-    most delta) is a candidate and each is confirmed by composing, so None
+    most delta) is lifted from one point and confirmed by composing, so None
     is a proof.  The valid root with lexicographically smallest coefficient
     indices wins.
     """
     if not _same_spec(f.spec, g.spec):
         raise SpecMismatchError("f and g must live over the same field")
-    _require_mrat(f, "f")
+    require_nonconstant(f, "f")
     require_nonconstant(g, "g")
     d, delta = f.degree, g.degree
-    if f.n > max_vars:
-        raise SizeLimitError(f"search supports at most {max_vars} variables")
-    if d + delta > max_degree_sum:
+    if f.n > FIND_H_MAX_VARS:
+        raise SizeLimitError(f"search supports at most {FIND_H_MAX_VARS} variables")
+    if d + delta > FIND_H_MAX_DEGREE_SUM:
         raise SizeLimitError(
-            f"combined degree {d + delta} exceeds the search cap {max_degree_sum}"
+            f"combined degree {d + delta} exceeds the search cap {FIND_H_MAX_DEGREE_SUM}"
         )
     if d % delta != 0:
         return None

@@ -561,29 +561,26 @@ class RatFun:
 def rat_compose(g: RatFun, h: RatFun) -> RatFun:
     """g(h(X)) as a reduced rational function.
 
-    Degrees multiply whenever both inputs are nonconstant.  Raises if the
+    No gcd is needed: the homogenized parts are coprime, as in
+    mvar.mrat_compose, so only the denominator is made monic.  Degrees
+    multiply whenever both inputs are nonconstant.  Raises if the
     composition is the constant infinity (h constant at a pole of g).
     """
     if not _same_spec(g.spec, h.spec):
         raise SpecMismatchError("composing rational functions over different fields")
-    spec = g.spec
     delta = g.degree
-    n_pows = [Poly.one(spec)]
-    d_pows = [Poly.one(spec)]
+    n_pows, d_pows = [Poly.one(g.spec)], [Poly.one(g.spec)]
     for _ in range(delta):
         n_pows.append(n_pows[-1] * h.num)
         d_pows.append(d_pows[-1] * h.den)
-    num = Poly.zero(spec)
-    den = Poly.zero(spec)
-    for i, c in enumerate(g.num.coeffs):
-        if not c.is_zero():
-            num = num + n_pows[i] * d_pows[delta - i] * c
-    for i, c in enumerate(g.den.coeffs):
-        if not c.is_zero():
-            den = den + n_pows[i] * d_pows[delta - i] * c
+    num, den = (
+        sum((n_pows[i] * d_pows[delta - i] * c for i, c in enumerate(u.coeffs) if c), Poly.zero(g.spec))
+        for u in (g.num, g.den)
+    )
     if den.is_zero():
         raise ValidationError("composition is identically infinite")
-    out = RatFun.make(num, den)
+    c = den.lc().inverse()
+    out = RatFun(num * c, den * c)
     if not g.is_constant() and not h.is_constant():
         assert out.degree == g.degree * h.degree
     return out

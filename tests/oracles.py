@@ -242,6 +242,19 @@ def _grid(spec, n):
     return itertools.product(spec.elements(), repeat=n)
 
 
+def usable_points(f, g):
+    """The points s of F_q^n where the curve of f (an MRatFun) and g has
+    c_delta(s) != 0 and a squarefree fiber sum_j c_j(s) Y^j: the points the
+    root search can lift at, by scanning the whole grid."""
+    coeffs = _curve_coeffs(f, g)
+    out = []
+    for xs in _grid(f.spec, f.n):
+        phi = Poly.from_coeffs(f.spec, [c(xs) for c in coeffs])
+        if phi.degree == g.degree and poly_gcd(phi, phi.derivative()).is_one():
+            out.append(xs)
+    return out
+
+
 def pointwise_fiber_sizes(g):
     """Fiber size of each value g takes on F_q (infinity too), one
     FieldElement evaluation per point."""

@@ -227,16 +227,17 @@ def test_find_h_planted_square_of_degree_twenty(capsys):
     assert elapsed < 1.0
 
 
-def test_find_h_fallback_above_the_factoring_cap_exits_three(capsys, monkeypatch):
-    # forced onto the fallback, the search must factor a curve of degree 26,
-    # above mvar.DEGREE_CAP
-    monkeypatch.setattr(mvar, "_lifted_roots", lambda coeffs, e: None)
-    assert run(["find-h", "--field", "101", "--f", "X^26+X", "--g", "X^2"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("error:")
-    assert "Traceback" not in captured.err
+def test_find_h_without_a_usable_point_lifts_over_an_extension(capsys, monkeypatch):
+    # f(0) = f(1) = 0 over F_2, where the fiber Y^3 + Y = Y(Y + 1)^2 is not
+    # squarefree, so the roots are lifted at a point of F_{2^7}; the curve,
+    # of degree 27, is never factored
+    def no_factoring(F):
+        raise AssertionError(f"the root search factored {F}")
+
+    monkeypatch.setattr(mvar, "mv_factor", no_factoring)
+    f = "(X^9+X^3+X)^3+X^9+X^3+X"
+    doc = run_json(capsys, ["find-h", "--field", "2", "--f", f, "--g", "X^3+X"])
+    assert doc["h"] == "X^9+X^3+X" and doc["verified"] is True
 
 
 def test_find_h_inseparable_g_above_the_factoring_cap_answers(capsys):

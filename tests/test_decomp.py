@@ -346,10 +346,17 @@ def _search_cases(rng, spec):
     return cases
 
 
-def _by_factoring(monkeypatch, f, g):
-    """find_h forced onto the factoring fallback."""
+def _no_factoring(F):
+    raise AssertionError(f"the root search factored {F}")
+
+
+def _by_extension(monkeypatch, f, g):
+    """find_h with the scan of F_q made to fail, so that it lifts at a point
+    of an extension field, the path of fields too small to hold one."""
+    scan = mvar._usable_point
     with monkeypatch.context() as m:
-        m.setattr(mvar, "_lifted_roots", lambda coeffs, e: None)
+        m.setattr(mvar, "_usable_point", lambda cs, t: None if cs[0].spec == f.spec else scan(cs, t))
+        m.setattr(mvar, "mv_factor", _no_factoring)
         return find_h(f, g)
 
 
@@ -361,7 +368,7 @@ def test_find_h_matches_divisor_search_and_fallback(monkeypatch, p, k):
         want = divisor_find_h(f, g)
         assert (want is not None) >= planted
         assert find_h(f, g) == want, f"{f} over {g}"
-        assert _by_factoring(monkeypatch, f, g) == want, f"fallback on {f} over {g}"
+        assert _by_extension(monkeypatch, f, g) == want, f"over an extension: {f} over {g}"
 
 
 @pytest.mark.parametrize("p, k, delta, e", [(2, 3, 2, 1), (2, 3, 2, 2), (3, 3, 3, 1)])
@@ -369,7 +376,7 @@ def test_find_h_inseparable_g_is_deflated(monkeypatch, p, k, delta, e):
     # F_Y = 0 when g = X^p; the search moves to g1 = X and h^p, never factoring
     spec = build_field(p, k)
     g = poly_rf(spec, [0] * delta + [1])
-    monkeypatch.setattr(mvar, "_curve_linear_factors", None)
+    monkeypatch.setattr(mvar, "mv_factor", _no_factoring)
     rng = random.Random(f"inseparable/{spec.order}/{e}")
     for planted in (True, True, False, False):
         h = random_ratfun(rng, spec, e)
@@ -399,7 +406,7 @@ def test_find_h_inseparable_g_matches_divisor_search(p, k):
 
 def test_find_h_steps_past_a_point_with_a_double_root(monkeypatch):
     # h(0) = 0 makes F(0, Y) = -Y^2 a square; x0 = 1 must be used instead
-    monkeypatch.setattr(mvar, "_curve_linear_factors", None)
+    monkeypatch.setattr(mvar, "mv_factor", _no_factoring)
     spec = build_field(101)
     g = poly_rf(spec, [0, 0, 1])
     h = poly_rf(spec, [0, 1, 1])

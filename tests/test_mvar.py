@@ -1,5 +1,7 @@
+import functools
 import itertools
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ffdecomp import limits, mvar
-from ffdecomp.decomp import check_t1, count_pairs, small_fiber_diagnostics
+from ffdecomp.decomp import check_t1, count_pairs, find_h, small_fiber_diagnostics
 from ffdecomp.errors import SizeLimitError, SpecMismatchError, ValidationError
 from ffdecomp.gf_core import build_field
 from ffdecomp.mvar import (
@@ -24,20 +26,21 @@ from ffdecomp.mvar import (
     mpoly_divexact,
     mpoly_gcd,
     mrat_compose,
-    mrat_eval,
     mv_factor,
     t41_threshold_ok,
     verify_h_mv,
 )
-from ffdecomp.upoly import Poly, RatFun, poly_gcd
+from ffdecomp.upoly import Poly, RatFun, poly_gcd, roots
 
 from oracles import (
+    divisor_find_h,
     divisor_find_h_mv,
     pointwise_count_pairs,
     pointwise_count_pairs_mv,
     pointwise_count_undefined,
     pointwise_small_fibers,
     pointwise_t1_scan,
+    usable_points,
 )
 
 F2 = build_field(2)
@@ -195,10 +198,10 @@ def test_mratfun_reduces_and_normalizes():
 def test_mrat_eval_three_outcomes():
     f = MRatFun.make(MPoly.variable(F3, 2, 0), MPoly.variable(F3, 2, 1))  # X1/X2
     zero, one = F3.zero(), F3.one()
-    assert mrat_eval(f, (zero, zero)) is UNDEFINED
-    assert mrat_eval(f, (one, zero)) is INFINITY
+    assert f.eval((zero, zero)) is UNDEFINED
+    assert f.eval((one, zero)) is INFINITY
     prod = MRatFun.from_poly(mp(F3, 2, {(1, 1): 1}))
-    assert mrat_eval(prod, (F3.element(2), F3.element(2))) == one
+    assert prod.eval((F3.element(2), F3.element(2))) == one
 
 
 def test_count_undefined():
@@ -336,10 +339,9 @@ def test_grid_evaluator_matches_pointwise_scans(fg):
         assert (rep.condition_i, rep.condition_ii.exceptions) == pointwise_t1_scan(f1, g)
 
 
-def test_pair_count_above_the_table_limit_matches_pointwise(monkeypatch):
+def test_pair_count_above_the_table_limit_matches_pointwise():
     # F_65537 has no tables, so the evaluator runs on the coordinate primitives;
-    # count_pairs_mv guards its q^2 pairs, above the default limit
-    monkeypatch.setattr(limits, "MAX_ORDER", 65537**2)
+    # at n = 1 count_pairs_mv guards its q points, as count_pairs does
     spec = build_field(65537)
     x = Poly.x(spec)
     f = RatFun.make(x**3 + 7 * x + 5, x - 3)  # poles at 3 and infinity
@@ -357,7 +359,7 @@ def _scans(spec):
     f1 = poly_rf(spec, [1, 2, 0, 1])
     return [
         (q, "fiber scan", f"{q}", lambda: count_pairs(f1, g), pointwise_count_pairs(f1, g)),
-        (q**3, "pair grid", f"{q}^3", lambda: count_pairs_mv(f, g), pointwise_count_pairs_mv(f, g)),
+        (q**2, "pair grid", f"{q}^2", lambda: count_pairs_mv(f, g), pointwise_count_pairs_mv(f, g)),
         (q**2, "definedness scan", f"{q}^2", lambda: count_undefined(f), pointwise_count_undefined(f)),
     ]
 
@@ -662,6 +664,20 @@ def _mv_search_cases(spec, n):
     return cases
 
 
+def _no_factoring(F):
+    raise AssertionError(f"the root search factored {F}")
+
+
+def _by_extension(monkeypatch, f, g):
+    """find_h_mv with the scan of F_q^n made to fail, so that it lifts at a
+    point of an extension field, the path of fields too small to hold one."""
+    scan = mvar._usable_point
+    with monkeypatch.context() as m:
+        m.setattr(mvar, "_usable_point", lambda cs, t: None if cs[0].spec == f.spec else scan(cs, t))
+        m.setattr(mvar, "mv_factor", _no_factoring)
+        return find_h_mv(f, g)
+
+
 @pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (11, 1), (3, 2)])
 @pytest.mark.parametrize("n", [2, 3])
 def test_find_h_mv_matches_divisor_search_and_fallback(monkeypatch, p, k, n):
@@ -670,10 +686,87 @@ def test_find_h_mv_matches_divisor_search_and_fallback(monkeypatch, p, k, n):
         want = divisor_find_h_mv(f, g)
         assert (want is not None) >= planted
         assert find_h_mv(f, g) == want, f"{f} over {g}"
-        if n == 2 and g.degree == 2:  # factoring larger curves takes seconds each
-            with monkeypatch.context() as m:
-                m.setattr(mvar, "_lifted_roots", lambda coeffs, e: None)
-                assert find_h_mv(f, g) == want, f"fallback on {f} over {g}"
+        assert _by_extension(monkeypatch, f, g) == want, f"over an extension: {f} over {g}"
+
+
+def _pointless_cases(spec, n):
+    """Seeded (f, g, planted) whose curve has no usable point in F_q^n.  g is
+    a separable polynomial, so the curve's leading coefficient -B vanishes
+    where f has a pole, and the fiber over g(c) is not squarefree at a
+    critical point c of g.  A planted f = g(h) has h = c + N/D, or N/D, with
+    the factors X1 - a (a in F_q) split between N and D, so that h takes
+    only the values c and infinity on F_q^n; a random f = A/B has every
+    such factor in B."""
+    rng = random.Random(f"pointless/{spec.order}/{n}")
+    x1 = [MPoly.variable(spec, n, 0) - a for a in spec.elements()]
+
+    def free_of_x1(degree):  # so that no factor X1 - a cancels
+        return mp(spec, n, {k: c for k, c in rand_mpoly(rng, spec, n, degree).terms.items() if not k[0]})
+
+    cases = []
+    while len(cases) < 6:
+        delta = rng.choice([2, 3] if n < 3 else [2])  # the divisor search takes seconds at n = 3, delta = 3
+        P = Poly.from_coeffs(spec, [spec.from_index(rng.randrange(spec.order)) for _ in range(delta)] + [spec.one()])
+        if P.derivative().is_zero():
+            continue
+        crit = roots(P.derivative())
+        g = RatFun.from_poly(P)
+        rng.shuffle(x1)
+        if rng.random() < 0.5:
+            cut = rng.randrange(len(x1) + 1) if crit else 0
+            N, D = free_of_x1(1), free_of_x1(rng.choice([0, 1]))
+            if N.is_zero() or D.is_zero():
+                continue
+            h = MRatFun.make(functools.reduce(MPoly.__mul__, x1[:cut], N), functools.reduce(MPoly.__mul__, x1[cut:], D))
+            if cut:
+                h = MRatFun(h.num + h.den * rng.choice(crit), h.den)
+            f, planted = mrat_compose(g, h), True
+        else:
+            A, B = rand_mpoly(rng, spec, n, delta * rng.choice([1, 2])), free_of_x1(1)
+            if A.is_zero() or B.is_zero():
+                continue
+            f, planted = MRatFun.make(A, functools.reduce(MPoly.__mul__, x1, B)), False
+            if f.den.deg_in(0) < spec.order:  # A shared a factor X1 - a
+                continue
+        if f.is_constant() or f.degree % delta or (n > 1 and f.degree + delta > mvar.FIND_H_MAX_DEGREE_SUM):
+            continue
+        cases.append((f, g, planted))
+    return cases
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_search_without_a_usable_point_matches_divisor_search(monkeypatch, p, k, n):
+    # with no point of F_q^n to lift at, the roots are lifted at a point of
+    # an extension field and mapped back; the curve is never factored
+    monkeypatch.setattr(mvar, "mv_factor", _no_factoring)
+    spec = build_field(p, k)
+    for f, g, planted in _pointless_cases(spec, n):
+        assert usable_points(f, g) == [], f"{f} over {g}"
+        if n == 1:
+            f1 = RatFun.make(mvar._to_upoly(f.num), mvar._to_upoly(f.den))
+            got, want = find_h(f1, g), divisor_find_h(f1, g)
+        else:
+            got, want = find_h_mv(f, g), divisor_find_h_mv(f, g)
+        assert got == want, f"{f} over {g}"
+        assert (got is not None) >= planted
+
+
+def test_find_h_mv_without_a_usable_point_in_three_variables_answers_quickly(monkeypatch):
+    # N lies in the ideal of the X_i^3 - X_i, so at every point of F_3^3
+    # h = N/D is 0, where the fiber of X^2 is a double point, or has no
+    # value; the roots are lifted at a point of F_27^3
+    monkeypatch.setattr(mvar, "mv_factor", _no_factoring)
+    N = mp(F3, 3, {(4, 0, 0): 1, (2, 0, 0): 2, (1, 0, 3): 1, (1, 0, 1): 2, (0, 3, 1): 1, (0, 1, 1): 2})
+    D = mp(F3, 3, {(2, 0, 0): 1, (1, 0, 1): 2, (0, 2, 0): 1, (0, 1, 0): 2, (0, 0, 2): 1, (0, 0, 0): 1})
+    g = poly_rf(F3, [0, 0, 1])
+    f = mrat_compose(g, MRatFun.make(N, D))
+    assert usable_points(f, g) == []
+    t0 = time.monotonic()
+    got = find_h_mv(f, g)
+    elapsed = time.monotonic() - t0
+    assert got == divisor_find_h_mv(f, g) == MRatFun.make(-N, D)
+    assert elapsed < 1.0
 
 
 def test_find_h_mv_verifies_through_the_mvar_name(monkeypatch):
