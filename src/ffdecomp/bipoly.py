@@ -5,9 +5,10 @@ the curve A(X)Q(Y) - B(X)P(Y) from two rational functions, counts its affine
 and projective points exactly, factors it with mvar.mv_factor (Hensel
 lifting at one fiber X = x0), and decides absolute irreducibility.  The
 n = 2 views these need are module functions: setting X = x or Y = y to get
-a univariate Poly, swapping the variables, the homogeneous parts and
-partial derivatives.  Coefficients move to an extension field through
-mvar.map_coeffs, and curves print with X and Y through mvar.terms_str.
+a univariate Poly, the homogeneous parts and partial derivatives; swapping
+the variables is mvar.swap, which factoring uses too.  Coefficients move to
+an extension field through mvar.map_coeffs, and curves print with X and Y
+through mvar.terms_str.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from . import limits
 from .errors import SpecMismatchError, ValidationError
 from .gf_core import FieldElement, _same_spec, extend_field, prime_factors
-from .mvar import MPoly, _from_upoly, map_coeffs, mv_factor, terms_str
+from .mvar import MPoly, _from_upoly, map_coeffs, mv_factor, swap, terms_str
 from .upoly import (
     Poly,
     RatFun,
@@ -61,10 +62,6 @@ def specialize(F: MPoly, var: int, v: FieldElement) -> Poly:
     for k, c in F.terms.items():
         out[k[other]] = out[k[other]] + c * pows[k[var]]
     return Poly.from_coeffs(spec, out)
-
-
-def swap(F: MPoly) -> MPoly:
-    return MPoly(F.spec, 2, {(j, i): c for (i, j), c in F.terms.items()})
 
 
 def form(F: MPoly, m: int) -> MPoly:
@@ -151,7 +148,8 @@ def _points_at_infinity(F: MPoly) -> int:
 
 def kronecker_factor(F: MPoly) -> tuple[FieldElement, list[tuple[MPoly, int]]]:
     """Factor a curve over its field: mv_factor, which lifts the factors of
-    one fiber F(x0, Y) and recombines them.  The name is kept for callers."""
+    one fiber F(x0, Y); no Kronecker substitution is left.  The name stays
+    public (ffdecomp.__all__) and is a traced span of the benchmark."""
     return mv_factor(F)
 
 

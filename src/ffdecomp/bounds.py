@@ -371,6 +371,9 @@ def verify_bounds_on_sample(config: SampleConfig) -> list[BoundReport]:
         raise ValidationError(f"unknown sampler kind {config.kind!r}")
     if config.count < 1:
         raise ValidationError("sample count must be positive")
+    if config.kind == "random" and config.max_degree < 1:
+        # every curve drawn would be constant, and the sampler draws again
+        raise ValidationError("max degree of random curves must be positive")
     spec = build_field(config.p, config.k)
     q = spec.order
     rng = random.Random(config.seed)

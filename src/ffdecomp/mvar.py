@@ -3,12 +3,12 @@
 MPoly is the one polynomial type in several variables: f(X1..Xn) here, and
 with n = 2 the plane curves of bipoly.  Polynomial arithmetic is sparse over
 exponent vectors; gcds run by primitive-part recursion on the last variable.
-mv_factor is the one factorizer.  A plane curve is factored by Hensel
-lifting: the factors of one squarefree fiber F(x0, Y) are lifted to power
-series in X - x0 and recombined by Zassenhaus' subset search.  With more
-variables, and for the curves no fiber over F_q serves, it collapses all
-variables onto one with a mixed-radix substitution, factors the image with
-the univariate machinery, and recombines the univariate factors.
+mv_factor is the one factorizer, for plane curves.  The factors of one
+squarefree fiber F(x0, Y) are lifted to power series in X - x0 and
+recombined by Zassenhaus' subset search; a curve with zero Y-derivative is
+a p-th power or is factored with X and Y swapped, one with repeated factors
+through its squarefree part, and one with no usable fiber over F_q at a
+fiber over an extension F_{q^r}.
 
 Univariate reduced rational functions have a value (possibly infinity) at
 every point; with several variables the numerator and denominator can vanish
@@ -58,16 +58,16 @@ from .upoly import (
 FIND_H_MAX_VARS = 3
 FIND_H_MAX_DEGREE_SUM = 10
 
-# Factoring enumerates subsets of the factors of a fiber, or sub-multisets of
-# the factorization of the collapsed image, so both the total degree and the
-# number of candidate subsets need hard stops; the cap holds for every n.
-# A plane curve is lifted from the fiber with the fewest factors among the
-# first _FIBERS usable ones, or the first _MAX_FIBERS while each of them has
-# more than _MAX_FIBER_FACTORS.  Recombining r lifted factors tests up to
-# 2^(r-1) subsets at about a millisecond each, so a curve with no fiber of at
-# most _MAX_FIBER_FACTORS factors among those is collapsed instead.
+# Factoring is refused above total degree DEGREE_CAP.  A plane curve is
+# lifted from the fiber with the fewest factors among the first _FIBERS
+# usable ones, or the first _MAX_FIBERS while each of them has more than
+# _MAX_FIBER_FACTORS.  Recombining r lifted factors tests up to 2^(r-1)
+# subsets, and more than _MAX_SUBSETS tests are refused.  Measured on a
+# 2-vCPU x86 machine (Python 3.11), a test of up to three of 24 linear
+# factors at degree 24 costs about 5 ms (3 ms at degree 12), and lifting
+# the 24 factors 1.1 s, so a refusal comes after at most about 10 s.
 DEGREE_CAP = 24
-_MAX_SUBSETS = 1 << 20
+_MAX_SUBSETS = 1500
 _FIBERS = 3
 _MAX_FIBERS = 12
 _MAX_FIBER_FACTORS = 9
@@ -686,74 +686,16 @@ def verify_h_mv(f: MRatFun, g: RatFun, h: MRatFun) -> bool:
     return composed is not None and composed == f
 
 
-def _collapse_key(F: MPoly) -> tuple[list[int], list[int]]:
-    """Mixed-radix weights for folding all variables onto one.
-
-    Divisor degrees never exceed the degrees of F variable by variable, so
-    with radix deg_i + 1 the exponent vectors of every divisor (and of any
-    product of divisors that still divides F) encode injectively and
-    without carries.
-    """
-    rads = [F.deg_in(i) + 1 for i in range(F.n)]
-    bases = [1]
-    for r in rads[:-1]:
-        bases.append(bases[-1] * r)
-    return rads, bases
-
-
-def _collapse(F: MPoly, bases: list[int]) -> Poly:
-    out = [F.spec.zero()] * (1 + sum(d * b for d, b in zip(
-        (F.deg_in(i) for i in range(F.n)), bases)))
-    for k, c in F.terms.items():
-        e = sum(ei * b for ei, b in zip(k, bases))
-        out[e] = out[e] + c
-    return Poly.from_coeffs(F.spec, out)
-
-
-def _uncollapse(u: Poly, rads: list[int], bases: list[int], n: int) -> MPoly:
-    terms = {}
-    for e, c in enumerate(u.coeffs):
-        if c.is_zero():
-            continue
-        key = []
-        rest = e
-        for i in range(n):
-            if i + 1 < n:
-                key.append((rest // bases[i]) % rads[i])
-            else:
-                key.append(rest // bases[i])
-        terms[tuple(key)] = c
-    return MPoly(u.spec, n, terms)
-
-
-def _submultisets_by_degree(facs: list[tuple[Poly, int]]):
-    """All nonempty choices of multiplicities, ordered by product degree."""
-    ranges = [range(m + 1) for _, m in facs]
-    count = 1
-    for r in ranges:
-        count *= len(r)
-    if count > _MAX_SUBSETS:
-        raise SizeLimitError(
-            f"factor recombination would test {count} subsets "
-            f"(limit {_MAX_SUBSETS})"
-        )
-    degs = [p.degree for p, _ in facs]
-    vectors = [v for v in itertools.product(*ranges) if any(v)]
-    vectors.sort(key=lambda v: (sum(m * d for m, d in zip(v, degs)), v))
-    return vectors
-
-
 def mv_factor(F: MPoly) -> tuple[FieldElement, list[tuple[MPoly, int]]]:
-    """Factor into irreducibles over F_q.
+    """Factor a plane curve (n = 2) into irreducibles over F_q.
 
     Returns (unit, [(factor, multiplicity), ...]); factors are scaled so
     their lexicographically first coefficient is one and sorted by total
     degree then coefficient indices, so the result does not depend on the
-    algorithm.  A plane curve (n = 2) is factored by Hensel lifting at one
-    fiber (_plane_factors); more variables, and curves that are not
-    squarefree in Y or have no usable fiber over F_q with few enough
-    factors, are collapsed onto one variable (_mv_factor_by_collapse).
+    algorithm.  _plane_factors lifts the factors of one fiber F(x0, Y).
     """
+    if F.n != 2:
+        raise ValidationError(f"mv_factor factors plane curves, not {F.n} variables")
     if F.is_zero():
         raise ValidationError("cannot factor the zero polynomial")
     if F.is_constant():
@@ -762,66 +704,84 @@ def mv_factor(F: MPoly) -> tuple[FieldElement, list[tuple[MPoly, int]]]:
         raise SizeLimitError(
             f"factoring degree {F.total_degree()} exceeds the cap {DEGREE_CAP}"
         )
-    found = _plane_factors(F) if F.n == 2 else None
-    if found is None:
-        return _mv_factor_by_collapse(F)
-    found = [(_canon_first(g)[1], m) for g, m in found]
+    found = [(_canon_first(g)[1], m) for g, m in _plane_factors(F)]
     found.sort(key=lambda fm: (fm[0].total_degree(), fm[0].index_key()))
     # the lexicographically first term of a product is the product of the
     # first terms, and each factor's first coefficient is one
     return F.terms[min(F.terms)], found
 
 
-def _mv_factor_by_collapse(F: MPoly) -> tuple[FieldElement, list[tuple[MPoly, int]]]:
-    """mv_factor by collapsing F onto one variable, for any n; at n = 2 the
-    fallback and the test oracle of _plane_factors.
+# --------------------------------------------------------------------------
+# usable points: where a polynomial sum_j c_j(X) Y^j in F_q[X1..Xn][Y] keeps
+# its Y-degree and a squarefree fiber, so the fiber's roots or factors lift
 
-    The collapse is injective on the monomials of every divisor of F, so
-    each factor corresponds to a sub-multiset of the univariate
-    factorization of the image; testing the sub-multisets in order of
-    increasing product degree means the first one whose lift divides F is
-    irreducible (a proper divisor of the lift would have shown up earlier).
-    """
-    spec = F.spec
-    rads, bases = _collapse_key(F)
-    _, ufacs = factor(_collapse(F, bases))
-    remaining = [[p, m] for p, m in ufacs]
-    current = F
-    found: list[tuple[MPoly, int]] = []
-    while not current.is_constant():
-        facs = [(p, m) for p, m in remaining if m > 0]
-        hit = None
-        for vmult in _submultisets_by_degree(facs):
-            prod = Poly.one(spec)
-            for (p, _), mult in zip(facs, vmult):
-                if mult:
-                    prod = prod * p**mult
-            cand = _uncollapse(prod, rads, bases, F.n)
-            if mpoly_divexact(current, cand) is not None:
-                hit = (vmult, facs, cand)
-                break
-        if hit is None:
-            raise AssertionError("the full sub-multiset always divides")
-        vmult, facs, cand = hit
-        _, g = _canon_first(cand)
-        mult = 0
-        while True:
-            quot = mpoly_divexact(current, g)
-            if quot is None:
-                break
-            current = quot
-            mult += 1
-            for (p, _), used in zip(facs, vmult):
-                if used:
-                    for slot in remaining:
-                        if slot[0] == p:
-                            slot[1] -= used
-                            assert slot[1] >= 0
-                            break
-        found.append((g, mult))
-    unit = current.coeff((0,) * F.n)
-    found.sort(key=lambda fm: (fm[0].total_degree(), fm[0].index_key()))
-    return unit, found
+
+def _by_largest_index(q: int, n: int):
+    """The index vectors of {0..q-1}^n by increasing largest entry m, lexicographic for n = 1."""
+    for m in range(q):
+        for i in range(n):  # the first entry equal to m
+            for head in itertools.product(range(m), repeat=i):
+                for tail in itertools.product(range(m + 1), repeat=n - 1 - i):
+                    yield head + (m,) + tail
+
+
+def _bad_degree(coeffs: list[MPoly]) -> int:
+    """Bounds the degree of c_delta times the discriminant in Y, a form of
+    degree 2 delta - 2 in the c_j."""
+    return coeffs[-1].total_degree() + (2 * len(coeffs) - 4) * max(c.total_degree() for c in coeffs)
+
+
+def _usable_points(coeffs: list[MPoly]):
+    """(s, F(s, Y), F_Y(s, Y)) for each point s of F_q^n, F_q the field of
+    the coefficients, with c_delta(s) != 0 and F(s, Y) squarefree, box by
+    box (_by_largest_index).  The points that fail are zeros of a polynomial
+    of degree at most t = _bad_degree; by Schwartz-Zippel a nonzero one has
+    a non-zero in each box S^n with |S| > t and at most t q^(n-1) zeros in
+    F_q^n, so the scan stops after t q^(n-1) failures."""
+    spec, n = coeffs[0].spec, coeffs[0].n
+    q, delta, t = spec.order, len(coeffs) - 1, _bad_degree(coeffs)
+    bad = t * q ** (n - 1)
+    limits.check_enumerable(min(q**n, bad + 1), "specialization grid")
+    for idx in _by_largest_index(q, n):
+        s = [spec.from_index(i) for i in idx]
+        phi = Poly.from_coeffs(spec, [c(s) for c in coeffs])
+        dphi = phi.derivative()
+        if phi.degree == delta and poly_gcd(phi, dphi).is_one():
+            yield s, phi, dphi
+        else:
+            bad -= 1
+            if bad < 0:
+                return
+
+
+def _over_extension(coeffs: list[MPoly]):
+    """Coefficients over F_Q, Q = q^r the least power of q above _bad_degree,
+    so F_Q^n holds a usable point unless the discriminant in Y is zero; their
+    _usable_points; and `down`, which maps a polynomial over F_Q to F_q when
+    every coefficient lies there, else to None."""
+    base, t = coeffs[0].spec, _bad_degree(coeffs)
+    _, emb = extend_field(base, next(r for r in itertools.count(2) if base.order**r > t))
+    back = {emb(a).index: a for a in base.elements()}
+
+    def down(F: MPoly) -> Optional[MPoly]:
+        terms = {k: back.get(c.index) for k, c in F.terms.items()}
+        return None if None in terms.values() else MPoly(base, F.n, terms)
+
+    coeffs = [map_coeffs(c, emb) for c in coeffs]
+    return coeffs, _usable_points(coeffs), down
+
+
+def _pth_root(F: MPoly) -> Optional[MPoly]:
+    """G with G^p = F when F lies in F_q[X1^p..Xn^p], else None."""
+    p, q = F.spec.p, F.spec.order
+    if any(x % p for k in F.terms for x in k):
+        return None
+    return MPoly(F.spec, F.n, {tuple(x // p for x in k): c ** (q // p) for k, c in F.terms.items()})
+
+
+def swap(F: MPoly) -> MPoly:
+    """A plane curve with X and Y exchanged."""
+    return MPoly(F.spec, 2, {(j, i): c for (i, j), c in F.terms.items()})
 
 
 # --------------------------------------------------------------------------
@@ -873,75 +833,104 @@ def _hensel_lift(G: list[Poly], lc: list[Poly], fs: list[Poly], prec: int) -> li
     return lifted
 
 
-def _plane_factors(F: MPoly) -> Optional[list[tuple[MPoly, int]]]:
+def _plane_factors(F: MPoly) -> list[tuple[MPoly, int]]:
     """The irreducible factors of a plane curve with their multiplicities,
-    unscaled, or None when mv_factor has to collapse F instead.
+    unscaled.
 
-    The content in Y is factored as a polynomial in X; it leaves P,
-    primitive in Y.  A point x0 is usable when P(x0, Y) keeps the Y-degree
-    and is squarefree; that fails only at the zeros of lc_Y P and of the
-    discriminant in Y, at most deg lc_Y + (2 d_Y - 1) d_X of them unless
-    the discriminant is zero (P not squarefree: None).  Of the first
-    _FIBERS usable points the fiber with the fewest factors is kept, and
-    the scan stops at one with at most two, which need at most one test;
-    an irreducible fiber proves P irreducible.  While every fiber has more
-    than _MAX_FIBER_FACTORS factors the scan goes on to _MAX_FIBERS usable
-    points, and returns None if it finds no smaller fiber, since the
-    subsets to test grow as 2^(r-1).  The monic factors of the
-    fiber are lifted to power series in t = X - x0 to precision
-    deg_X P + 1.  A divisor H of P times lc_Y(P) / lc_Y(H) has X-degree at
-    most deg_X P, so Zassenhaus recombination, trying the subsets in order
-    of size, reads H as the primitive part of lc_Y(P) * product mod t^prec,
-    shifted back.  What is left is irreducible once no subset of at most
-    half the remaining factors divides it.
+    The content in Y is factored in X, leaving P primitive in Y.  If P_Y = 0,
+    P is a p-th power (P_X = 0 too) or is factored with X and Y swapped.
+    Else, when F_q holds no usable point (_usable_points) and gcd(P, P_Y) is
+    not constant, the squarefree P / gcd(P, P_Y) is factored, multiplicities
+    are read by exact division, and the quotient left has zero Y-derivative.
+    Otherwise P is lifted at a fiber and recombined (_recombine), over an
+    extension (_over_extension) when F_q holds no usable point.
     """
-    spec = F.spec
+    p = F.spec.p
     cols = [_to_upoly(c) for c in F.last_var_coeffs()]
     content = functools.reduce(poly_gcd, cols)
     cols = [c // content for c in cols]
-    found = [(_from_upoly(p, 2), m) for p, m in factor(content)[1]]
-    P, dy, dx = _from_cols(cols), len(cols) - 1, max(c.degree for c in cols)
+    found = [(_from_upoly(g, 2), m) for g, m in factor(content)[1]]
+    P, dy = _from_cols(cols), len(cols) - 1
     if dy <= 1:  # a constant, or primitive of degree one in Y
         return found + [(P, 1)] * dy
-    bad, best, usable = cols[-1].degree + (2 * dy - 1) * dx, None, 0
-    for x in map(spec.from_index, range(spec.order)):
-        fiber = Poly.from_coeffs(spec, [c(x) for c in cols])
-        if fiber.degree == dy and poly_gcd(fiber, fiber.derivative()).is_one():
-            parts = _distinct_degree_parts(fiber.monic())
-            r = sum(g.degree // d for g, d in parts)
-            if best is None or r < best[1]:
-                best = x, r, parts
-            usable += 1
-            enough = usable >= _FIBERS and best[1] <= _MAX_FIBER_FACTORS
-            if r <= 2 or enough or usable == _MAX_FIBERS:
-                break
-        elif best is None:
-            bad -= 1
-            if bad < 0:
-                return None
-    if best is None or best[1] > _MAX_FIBER_FACTORS:
-        return None
+    if all(c.is_zero() for j, c in enumerate(cols) if j % p):  # P_Y = 0
+        root = _pth_root(P)
+        if root is not None:
+            return found + [(H, m * p) for H, m in _plane_factors(root)]
+        return found + [(swap(H), m) for H, m in _plane_factors(swap(P))]
+    coeffs, down = [_from_upoly(c) for c in cols], None
+    points = _usable_points(coeffs)
+    first = next(points, None)
+    if first is None:
+        G = mpoly_gcd(P, _from_cols([c * j for j, c in enumerate(cols)][1:]))
+        if not G.is_constant():
+            for H, _ in _plane_factors(mpoly_divexact(P, G)):
+                m, quot = 0, mpoly_divexact(P, H)
+                while quot is not None:
+                    P, m, quot = quot, m + 1, mpoly_divexact(quot, H)
+                found.append((H, m))
+            return found + _plane_factors(P)
+        coeffs, points, down = _over_extension(coeffs)
+        cols, first = [_to_upoly(c) for c in coeffs], next(points)
+    return found + _recombine(P, cols, itertools.chain([first], points), down)
+
+
+def _recombine(P: MPoly, cols: list[Poly], points, down) -> list[tuple[MPoly, int]]:
+    """The irreducible factors of P, primitive and squarefree in Y of degree
+    at least two, from the usable points of cols, its coefficients in Y,
+    over F_q, or over F_Q when `down` (_over_extension) is given.
+
+    Of the first _FIBERS usable fibers the one with the fewest factors is
+    kept, and the scan stops at one with at most two; an irreducible fiber
+    proves P irreducible.  While every fiber has more than
+    _MAX_FIBER_FACTORS factors the scan goes on to _MAX_FIBERS fibers.  The
+    fiber's monic factors are lifted to power series in t = X - x0 to
+    precision deg_X P + 1, which bounds the X-degree of a divisor H of P
+    times lc_Y(P) / lc_Y(H).  So Zassenhaus recombination reads H as the
+    primitive part of lc_Y(P) * product mod t^prec, shifted back, trying
+    subsets by size; over F_Q, H scaled to first coefficient one must lie
+    over F_q, so the first subset accepted is F_q-irreducible.  What is left
+    is irreducible once no subset of at most half the factors divides it.
+    """
+    best, usable = None, 0
+    for s, fiber, _ in points:
+        parts = _distinct_degree_parts(fiber.monic())
+        r = sum(g.degree // d for g, d in parts)
+        if best is None or r < best[1]:
+            best = s[0], r, parts
+        usable += 1
+        enough = usable >= _FIBERS and best[1] <= _MAX_FIBER_FACTORS
+        if r <= 2 or enough or usable == _MAX_FIBERS:
+            break
     x0, r, parts = best
     if r == 1:
-        return found + [(P, 1)]
+        return [(P, 1)]
+    spec, prec = x0.spec, max(c.degree for c in cols) + 1
     fs = [f for g, d in parts for f in _equal_degree_parts(g, d)]
-    prec = dx + 1
     tcols = [c.compose(Poly.from_coeffs(spec, [x0, 1])) for c in cols]
     lc = [Poly.constant(c) for c in tcols[-1].coeffs]
     lifted = _hensel_lift(_transpose(tcols, prec), lc, fs, prec)
     back = Poly.from_coeffs(spec, [-x0, 1])
-    rest, size = list(range(len(fs))), 1
+    found, rest, size, tests = [], list(range(len(fs))), 1, 0
     while 2 * size <= len(rest):
         for subset in itertools.combinations(rest, size):
+            tests += 1
+            if tests > _MAX_SUBSETS:
+                raise SizeLimitError(
+                    f"factor recombination needs more than {_MAX_SUBSETS} subset tests"
+                )
             prod = functools.reduce(lambda a, i: _series_mul(a, lifted[i], prec), subset, lc)
             hcols = _transpose(prod, max(len(p.coeffs) for p in prod))
             c = functools.reduce(poly_gcd, hcols)
             H = _from_cols([(h // c).compose(back) for h in hcols])
-            quot = mpoly_divexact(P, H) if H.deg_in(0) <= P.deg_in(0) else None
-            if quot is not None:
-                found.append((H, 1))
-                P, rest = quot, [i for i in rest if i not in subset]
-                break
+            if down is not None:
+                H = down(_canon_first(H)[1])
+            if H is not None and H.deg_in(0) <= P.deg_in(0):
+                quot = mpoly_divexact(P, H)
+                if quot is not None:
+                    found.append((H, 1))
+                    P, rest = quot, [i for i in rest if i not in subset]
+                    break
         else:
             size += 1
     return found + [(P, 1)]
@@ -1072,35 +1061,6 @@ def _shift(F: MPoly, s, top: int) -> MPoly:
     return MPoly(F.spec, F.n, {t: c for t, c in out.items() if c})
 
 
-def _by_largest_index(q: int, n: int):
-    """The index vectors of {0..q-1}^n by increasing largest entry m, lexicographic for n = 1."""
-    for m in range(q):
-        for i in range(n):  # the first entry equal to m
-            for head in itertools.product(range(m), repeat=i):
-                for tail in itertools.product(range(m + 1), repeat=n - 1 - i):
-                    yield head + (m,) + tail
-
-
-def _usable_point(coeffs: list[MPoly], t: int):
-    """(s, F(s, Y), F_Y(s, Y)) for the first point s of F_q^n, F_q the field
-    of the coefficients, with c_delta(s) != 0 and F(s, Y) squarefree, or None.
-    The points that fail are zeros of c_delta times the discriminant in Y, of
-    degree at most t; by Schwartz-Zippel a nonzero one has a non-zero in each
-    box S^n with |S| > t and at most t q^(n-1) zeros in F_q^n, so the scan
-    goes box by box and stops after t q^(n-1) failures."""
-    spec, n = coeffs[0].spec, coeffs[0].n
-    q, delta = spec.order, len(coeffs) - 1
-    tries = min(q**n, t * q ** (n - 1) + 1)
-    limits.check_enumerable(tries, "specialization grid")
-    for idx in itertools.islice(_by_largest_index(q, n), tries):
-        s = [spec.from_index(i) for i in idx]
-        phi = Poly.from_coeffs(spec, [c(s) for c in coeffs])
-        dphi = phi.derivative()
-        if phi.degree == delta and poly_gcd(phi, dphi).is_one():
-            return s, phi, dphi
-    return None
-
-
 def _lifted_roots(coeffs: list[MPoly], e: int) -> list[MRatFun]:
     """A candidate for each root of degree e of F = sum_j coeffs[j](X) Y^j,
     squarefree in Y, with coefficients in F_q.
@@ -1109,19 +1069,15 @@ def _lifted_roots(coeffs: list[MPoly], e: int) -> list[MRatFun]:
     root of F(s, Y), which Newton iteration lifts uniquely to a power series
     y in X - s.  To total degree 2e, D is the kernel of [D y]_nu = 0 for
     e < |nu| <= 2e, a line exactly when the root has degree e, and N = D y
-    to degree e.  If F_q^n holds no usable point, then q <= t (_usable_point)
-    and the lifting runs at a point of F_Q^n, Q = q^r the least power above
-    t; a root scaled to leading coefficient one is kept when its
-    coefficients lie in F_q.
+    to degree e.  If F_q^n holds no usable point, the lifting runs at a
+    point of an extension F_Q^n (_over_extension); a root scaled to leading
+    coefficient one is kept when its coefficients lie in F_q.
     """
-    base, n, delta = coeffs[0].spec, coeffs[0].n, len(coeffs) - 1
-    t = coeffs[-1].total_degree() + (2 * delta - 2) * max(c.total_degree() for c in coeffs)
-    found, down = _usable_point(coeffs, t), None
-    if found is None:  # so q <= t
-        _, emb = extend_field(base, next(r for r in itertools.count(2) if base.order**r > t))
-        down = {emb(a).index: a for a in base.elements()}
-        coeffs = [map_coeffs(c, emb) for c in coeffs]
-        found = _usable_point(coeffs, t)
+    n, down = coeffs[0].n, None
+    found = next(_usable_points(coeffs), None)
+    if found is None:
+        coeffs, points, down = _over_extension(coeffs)
+        found = next(points, None)
         assert found is not None, "the discriminant in Y is not zero"
     s, phi, dphi = found
     spec = phi.spec
@@ -1151,20 +1107,11 @@ def _lifted_roots(coeffs: list[MPoly], e: int) -> list[MRatFun]:
             c = den.terms[den.leading_key()].inverse()
             num, den = num * c, den * c
             if down is not None:  # back to F_q, if every coefficient lies there
-                terms = [{k: down.get(a.index) for k, a in F.terms.items()} for F in (num, den)]
-                if any(None in ts.values() for ts in terms):
+                num, den = down(num), down(den)
+                if num is None or den is None:
                     continue
-                num, den = (MPoly(base, n, ts) for ts in terms)
             out.append(MRatFun(num, den))  # reduced if verified: degree e
     return out
-
-
-def _pth_root(F: MPoly) -> Optional[MPoly]:
-    """G with G^p = F when F lies in F_q[X1^p..Xn^p], else None."""
-    p, q = F.spec.p, F.spec.order
-    if any(x % p for k in F.terms for x in k):
-        return None
-    return MPoly(F.spec, F.n, {tuple(x // p for x in k): c ** (q // p) for k, c in F.terms.items()})
 
 
 def _curve_roots(f: MRatFun, g: RatFun, e: int) -> list[MRatFun]:

@@ -8,10 +8,23 @@ enumeration is expensive but deterministic.
 import itertools
 from collections import Counter
 
-from ffdecomp.mvar import UNDEFINED, MPoly, MRatFun, mpoly_gcd, mrat_compose, mv_factor
+from ffdecomp.errors import SizeLimitError
+from ffdecomp.mvar import (
+    UNDEFINED,
+    MPoly,
+    MRatFun,
+    mpoly_divexact,
+    mpoly_gcd,
+    mrat_compose,
+    mv_factor,
+)
 from ffdecomp.upoly import INFINITY, Poly, RatFun, factor, poly_gcd, rat_compose, roots
 
 _CANDIDATE_CACHE: dict = {}
+
+# collapse_factor refuses a univariate image whose factorization has more
+# sub-multisets than this
+_MAX_SUBMULTISETS = 1 << 20
 
 
 def _curve_coeffs(f, g):
@@ -149,10 +162,124 @@ def divisor_find_h(f, g):
     return min(found, key=lambda h: h.index_key(), default=None)
 
 
+def collapse_key(F):
+    """Mixed-radix weights for folding all variables onto one.
+
+    Divisor degrees never exceed the degrees of F variable by variable, so
+    with radix deg_i + 1 the exponent vectors of every divisor (and of any
+    product of divisors that still divides F) encode injectively and
+    without carries.  At n = 2 this is the Kronecker substitution
+    Y -> X^(deg_X F + 1).
+    """
+    rads = [F.deg_in(i) + 1 for i in range(F.n)]
+    bases = [1]
+    for r in rads[:-1]:
+        bases.append(bases[-1] * r)
+    return rads, bases
+
+
+def collapse(F, bases):
+    """The univariate image of F under the weights of collapse_key."""
+    out = [F.spec.zero()] * (1 + sum(d * b for d, b in zip(
+        (F.deg_in(i) for i in range(F.n)), bases)))
+    for k, c in F.terms.items():
+        e = sum(ei * b for ei, b in zip(k, bases))
+        out[e] = out[e] + c
+    return Poly.from_coeffs(F.spec, out)
+
+
+def uncollapse(u, rads, bases, n):
+    """The polynomial in n variables whose collapse is u."""
+    terms = {}
+    for e, c in enumerate(u.coeffs):
+        if c.is_zero():
+            continue
+        key = []
+        rest = e
+        for i in range(n):
+            if i + 1 < n:
+                key.append((rest // bases[i]) % rads[i])
+            else:
+                key.append(rest // bases[i])
+        terms[tuple(key)] = c
+    return MPoly(u.spec, n, terms)
+
+
+def _submultisets_by_degree(facs):
+    """All nonempty choices of multiplicities, ordered by product degree."""
+    ranges = [range(m + 1) for _, m in facs]
+    count = 1
+    for r in ranges:
+        count *= len(r)
+    if count > _MAX_SUBMULTISETS:
+        raise SizeLimitError(
+            f"factor recombination would test {count} subsets "
+            f"(limit {_MAX_SUBMULTISETS})"
+        )
+    degs = [p.degree for p, _ in facs]
+    vectors = [v for v in itertools.product(*ranges) if any(v)]
+    vectors.sort(key=lambda v: (sum(m * d for m, d in zip(v, degs)), v))
+    return vectors
+
+
+def collapse_factor(F):
+    """mv_factor for any number of variables, by collapsing F onto one
+    variable; the oracle of mv_factor at n = 2.
+
+    The collapse is injective on the monomials of every divisor of F, so
+    each factor corresponds to a sub-multiset of the univariate
+    factorization of the image; testing the sub-multisets in order of
+    increasing product degree means the first one whose lift divides F is
+    irreducible (a proper divisor of the lift would have shown up earlier).
+    Factors are scaled and sorted as mv_factor scales and sorts them.
+    """
+    spec = F.spec
+    rads, bases = collapse_key(F)
+    _, ufacs = factor(collapse(F, bases))
+    remaining = [[p, m] for p, m in ufacs]
+    current = F
+    found = []
+    while not current.is_constant():
+        facs = [(p, m) for p, m in remaining if m > 0]
+        hit = None
+        for vmult in _submultisets_by_degree(facs):
+            prod = Poly.one(spec)
+            for (p, _), mult in zip(facs, vmult):
+                if mult:
+                    prod = prod * p**mult
+            cand = uncollapse(prod, rads, bases, F.n)
+            if mpoly_divexact(current, cand) is not None:
+                hit = (vmult, facs, cand)
+                break
+        if hit is None:
+            raise AssertionError("the full sub-multiset always divides")
+        vmult, facs, cand = hit
+        g = cand * cand.terms[min(cand.terms)].inverse()
+        mult = 0
+        while True:
+            quot = mpoly_divexact(current, g)
+            if quot is None:
+                break
+            current = quot
+            mult += 1
+            for (p, _), used in zip(facs, vmult):
+                if used:
+                    for slot in remaining:
+                        if slot[0] == p:
+                            slot[1] -= used
+                            assert slot[1] >= 0
+                            break
+        found.append((g, mult))
+    unit = current.coeff((0,) * F.n)
+    found.sort(key=lambda fm: (fm[0].total_degree(), fm[0].index_key()))
+    return unit, found
+
+
 def _mv_divisors(c, max_total):
     """Divisors of c with total degree <= max_total, deterministically
-    ordered; scaling is canonical per irreducible factor."""
-    _, facs = mv_factor(c)
+    ordered; scaling is canonical per irreducible factor.  Plane curves are
+    factored by mv_factor, other polynomials by collapse_factor."""
+    _, facs = mv_factor(c) if c.n == 2 else collapse_factor(c)
     divisors = [MPoly.one(c.spec, c.n)]
     for p, m in facs:
         grown = []

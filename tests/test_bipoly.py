@@ -1,10 +1,11 @@
+import functools
 import itertools
 import random
 import time
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ffdecomp import bounds, mvar
@@ -26,16 +27,10 @@ from ffdecomp.bipoly import (
 from ffdecomp.bounds import _SAMPLERS, SampleConfig, verify_bounds_on_sample
 from ffdecomp.errors import SizeLimitError, ValidationError
 from ffdecomp.gf_core import build_field, extend_field
-from ffdecomp.mvar import (
-    MPoly,
-    _collapse,
-    _collapse_key,
-    _mv_factor_by_collapse,
-    _uncollapse,
-    mpoly_divexact,
-    mv_factor,
-)
+from ffdecomp.mvar import MPoly, mpoly_divexact, mv_factor
 from ffdecomp.upoly import Poly, RatFun
+
+from oracles import collapse, collapse_factor, collapse_key, uncollapse
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -93,11 +88,13 @@ def sympy_divides(G, F):
 
 
 def brute_irreducible(F):
-    """Exhaustive divisor scan over a prime field, via sympy division."""
+    """Exhaustive divisor scan over a prime field, via sympy division.  A
+    reducible F of total degree d has a nonconstant divisor of total degree
+    at most d // 2, so only those candidates are tried."""
     d = F.total_degree()
     assert d >= 1
     p = F.spec.p
-    monos = [(i, j) for i in range(d) for j in range(d - i)]
+    monos = [(i, j) for i in range(d // 2 + 1) for j in range(d // 2 + 1 - i)]
     for coeffs in itertools.product(range(p), repeat=len(monos)):
         G = bp(F.spec, dict(zip(monos, coeffs)))
         if G.is_zero() or G.is_constant():
@@ -269,10 +266,9 @@ def test_counts_invariant_under_swap():
 
 # -- substitution-based factoring --------------------------------------------
 #
-# At n = 2 the mixed-radix collapse of _mv_factor_by_collapse (the fallback and
-# oracle of mv_factor) is the Kronecker substitution Y -> X^D with
-# D = deg_X F + 1, and its inverse splits e = i + D*j back into (i, j);
-# division is mpoly_divexact.
+# At n = 2 the mixed-radix collapse of oracles.collapse_factor (the oracle of
+# mv_factor) is the Kronecker substitution Y -> X^D with D = deg_X F + 1, and
+# its inverse splits e = i + D*j back into (i, j); division is mpoly_divexact.
 
 
 def kronecker_image(F, D):
@@ -288,10 +284,10 @@ def test_kronecker_image_lift_roundtrip():
     for _ in range(40):
         F = rand_bipoly(rng, F5, 4)
         D = F.deg_in(0) + 1
-        rads, bases = _collapse_key(F)
+        rads, bases = collapse_key(F)
         assert bases == [1, D]
-        assert _collapse(F, bases) == kronecker_image(F, D)
-        assert _uncollapse(_collapse(F, bases), rads, bases, 2) == F
+        assert collapse(F, bases) == kronecker_image(F, D)
+        assert uncollapse(collapse(F, bases), rads, bases, 2) == F
 
 
 def test_kronecker_image_multiplicative():
@@ -299,8 +295,8 @@ def test_kronecker_image_multiplicative():
     for _ in range(40):
         F = rand_bipoly(rng, F3, 2)
         G = rand_bipoly(rng, F3, 2)
-        _, bases = _collapse_key(F * G)
-        assert _collapse(F * G, bases) == _collapse(F, bases) * _collapse(G, bases)
+        _, bases = collapse_key(F * G)
+        assert collapse(F * G, bases) == collapse(F, bases) * collapse(G, bases)
 
 
 def test_exact_div_roundtrip():
@@ -442,26 +438,13 @@ def test_built_curve_factors_have_positive_y_degree():
 # -- Hensel lifting at one fiber against the collapse ---------------------------
 #
 # mv_factor factors a plane curve by lifting the factors of one fiber F(x0, Y);
-# _mv_factor_by_collapse, the algorithm it replaced at n = 2, is the oracle.
-
-
-@pytest.fixture
-def collapse_calls(monkeypatch):
-    """The curves mv_factor hands to the collapse, recorded."""
-    calls = []
-
-    def spy(F):
-        calls.append(F)
-        return _mv_factor_by_collapse(F)
-
-    monkeypatch.setattr(mvar, "_mv_factor_by_collapse", spy)
-    return calls
+# oracles.collapse_factor, the algorithm it replaced, is the oracle.
 
 
 @pytest.mark.parametrize(
     "spec", [F2, F3, F4, F5, F7, F8, F9, F11, F13], ids=lambda s: f"q{s.order}"
 )
-def test_plane_factor_matches_collapse_on_sampled_curves(spec, collapse_calls):
+def test_plane_factor_matches_collapse_on_sampled_curves(spec):
     rng = random.Random(500 + spec.order)
     curves = [
         _SAMPLERS[kind](rng, spec, 4)
@@ -469,46 +452,49 @@ def test_plane_factor_matches_collapse_on_sampled_curves(spec, collapse_calls):
         for _ in range(count)
     ]
     for F in curves:
-        assert mv_factor(F) == _mv_factor_by_collapse(F), F
+        assert mv_factor(F) == collapse_factor(F), F
     # a norm form splits into two conjugate lines over F_{q^2}
     _, emb = extend_field(spec, 2)
     for F in curves[8:16]:
         G = map_coeffs(F, emb)
         unit, facs = mv_factor(G)
-        assert (unit, facs) == _mv_factor_by_collapse(G), G
+        assert (unit, facs) == collapse_factor(G), G
         assert [(h.total_degree(), m) for h, m in facs] == [(1, 1), (1, 1)]
-    # nearly every sampled curve is factored at a fiber
-    assert len(collapse_calls) < len(curves) // 4
 
 
-def test_plane_factor_edge_cases(collapse_calls):
+def test_plane_factor_edge_cases():
     X, Y = MPoly.variable(F5, 2, 0), MPoly.variable(F5, 2, 1)
-    through_fiber = [
+    X3, Y3 = MPoly.variable(F3, 2, 0), MPoly.variable(F3, 2, 1)
+    curves = [
         (X + 1) ** 2 * X * (Y**2 - X) * (Y + X + 2),  # content in X with multiplicity
         X**3 + X,  # no Y at all
         X * (X - 1) * (X - 2) * Y**2 + Y + X,  # lc_Y vanishes at the first points
         (Y**2 - 2) * (Y - X**2),  # a factor free of X
-    ]
-    for F in through_fiber:
-        assert mv_factor(F) == _mv_factor_by_collapse(F), F
-    assert collapse_calls == []
-    X3, Y3 = MPoly.variable(F3, 2, 0), MPoly.variable(F3, 2, 1)
-    not_squarefree = [
         X**2 * Y**3,
-        (Y + X) ** 2 * (Y - X),
-        Y3**3 + X3,  # in F_3[X, Y^3]: F_Y = 0
-        (Y3**3 + X3) * (Y3 + X3**2 + 1),
+        (Y + X) ** 2 * (Y - X),  # a repeated factor
+        Y3**3 + X3,  # in F_3[X, Y^3]: F_Y = 0, so X and Y are swapped
+        (Y3**3 + X3) * (Y3 + X3**2 + 1),  # F_Y != 0, but no fiber is squarefree
+        Y3**6 + X3**3,  # F_Y = 0 = F_X: the cube of Y^2 + X
+        (Y3**3 + X3**3 + 1) * (Y3 + X3),  # (Y + X + 1)^3 (Y + X): multiplicity p
+        (Y3 + X3) ** 3 * (Y3**2 + X3) ** 2,  # the quotient left by the squarefree part is a cube
     ]
-    for F in not_squarefree:
-        assert mv_factor(F) == _mv_factor_by_collapse(F), F
-    assert collapse_calls == not_squarefree
+    for F in curves:
+        assert mv_factor(F) == collapse_factor(F), F
 
 
-def test_plane_factor_without_usable_point_collapses(collapse_calls):
-    # lc_Y = X^2 + X vanishes on all of F_2, so every fiber loses degree
-    F = bp(F2, {(2, 2): 1, (1, 2): 1, (0, 1): 1, (0, 0): 1})
-    assert mv_factor(F) == _mv_factor_by_collapse(F)
-    assert collapse_calls == [F]
+def test_plane_factor_without_usable_point_lifts_over_an_extension():
+    # lc_Y = X^2 + X, or its square, vanishes on all of F_2, so every fiber
+    # loses degree and the fibers are taken over an extension of F_2
+    X, Y = MPoly.variable(F2, 2, 0), MPoly.variable(F2, 2, 1)
+    H = (X**2 + X) * Y + 1
+    curves = [
+        (X**2 + X) * Y**2 + Y + 1,
+        (Y + 1) * H,  # two factors, recombined over the extension
+        (Y**2 + Y + X**2 + X + 1) * H,
+        (Y + 1) * H**2,  # P_Y = H^2: the squarefree part is Y + 1
+    ]
+    for F in curves:
+        assert mv_factor(F) == collapse_factor(F), F
 
 
 @pytest.mark.parametrize("terms", [
@@ -519,27 +505,70 @@ def test_plane_factor_without_usable_point_collapses(collapse_calls):
     # are all Y^20 - 1; the scan goes on to an irreducible fiber at x0 = 3
     {(0, 20): 1, (3, 0): -1, (2, 0): 3, (1, 0): -2, (0, 0): -1},
 ], ids=["Y20-X", "Y20-cubic"])
-def test_plane_factor_fiber_with_many_factors(terms, collapse_calls):
+def test_plane_factor_fiber_with_many_factors(terms):
     F = bp(F101, terms)
     start = time.perf_counter()
     unit, facs = mv_factor(F)
     assert time.perf_counter() - start < 1.0
-    assert collapse_calls == []
     assert [m for _, m in facs] == [1] and MPoly.constant(unit, 2) * facs[0][0] == F
 
 
-def test_plane_factor_collapses_when_every_fiber_has_many_factors(
-    monkeypatch, collapse_calls
-):
+def test_plane_factor_recombines_when_every_fiber_has_many_factors(monkeypatch):
     # every fiber of three lines has three factors; with at most two allowed,
-    # the whole field is scanned and the curve goes to the collapse
+    # the whole field is scanned and the best fiber is recombined anyway
     X, Y = MPoly.variable(F5, 2, 0), MPoly.variable(F5, 2, 1)
     F = (Y - X) * (Y - X - 1) * (Y + X)
-    want = _mv_factor_by_collapse(F)
-    assert mv_factor(F) == want and collapse_calls == []
+    want = collapse_factor(F)
+    assert mv_factor(F) == want
     monkeypatch.setattr(mvar, "_MAX_FIBER_FACTORS", 2)
-    assert mvar._plane_factors(F) is None
-    assert mv_factor(F) == want and collapse_calls == [F]
+    assert mv_factor(F) == want
+
+
+def factored_by_parts(parts):
+    """The product of the (curve, multiplicity) pairs and its factors, each
+    part factored by the oracle, sorted as mv_factor sorts them."""
+    F = functools.reduce(MPoly.__mul__, [G**m for G, m in parts])
+    facs = [(h, k * m) for G, m in parts for h, k in collapse_factor(G)[1]]
+    return F, sorted(facs, key=lambda fm: (fm[0].total_degree(), fm[0].index_key()))
+
+
+def test_plane_factor_ten_lines_answer_quickly():
+    # every fiber splits into the ten lines, and each is found by a test of
+    # one lifted factor; the collapse took 13 to 15 s on this curve
+    X, Y = MPoly.variable(F11, 2, 0), MPoly.variable(F11, 2, 1)
+    F, want = factored_by_parts([(Y - X - i, 1) for i in range(10)])
+    start = time.perf_counter()
+    unit, facs = mv_factor(F)
+    assert time.perf_counter() - start < 1.0
+    assert facs == want and unit == F.terms[min(F.terms)]
+
+
+def test_plane_factor_repeated_factors_answer_quickly():
+    # the collapse refused this curve: its image would test 63700992 subsets
+    F, want = factored_by_parts([
+        (bp(F101, {(2, 0): 22, (0, 3): 98, (0, 0): 2}), 1),
+        (bp(F101, {(1, 1): 61, (1, 0): 24, (0, 2): 35}), 1),
+        (bp(F101, {(2, 0): 94, (1, 1): 62, (1, 0): 72, (0, 2): 4, (0, 1): 45}), 2),
+    ])
+    start = time.perf_counter()
+    unit, facs = mv_factor(F)
+    assert time.perf_counter() - start < 1.0
+    assert facs == want and len(facs) == 3
+    prod = MPoly.constant(unit, 2)
+    for h, m in facs:
+        prod = prod * h**m
+    assert prod == F
+
+
+def test_plane_factor_refuses_past_the_subset_budget(monkeypatch):
+    # the ten lines need nine subset tests, one per line found but the last
+    X, Y = MPoly.variable(F11, 2, 0), MPoly.variable(F11, 2, 1)
+    F = functools.reduce(MPoly.__mul__, [Y - X - i for i in range(10)])
+    monkeypatch.setattr(mvar, "_MAX_SUBSETS", 9)
+    assert len(mv_factor(F)[1]) == 10
+    monkeypatch.setattr(mvar, "_MAX_SUBSETS", 8)
+    with pytest.raises(SizeLimitError, match="more than 8 subset tests"):
+        mv_factor(F)
 
 
 def test_plane_factor_recombines_fiber_factors():
@@ -556,7 +585,7 @@ def test_plane_factor_recombines_fiber_factors():
     ]
     for F in curves:
         unit, facs = mv_factor(F)
-        assert (unit, facs) == _mv_factor_by_collapse(F)
+        assert (unit, facs) == collapse_factor(F)
         assert all(h.total_degree() == 2 and m == 1 for h, m in facs)
 
 
@@ -586,7 +615,40 @@ def test_plane_factor_of_products_multiplies_back(factors):
     for h, m in facs:
         prod = prod * h**m
     assert prod == F
-    assert (unit, facs) == _mv_factor_by_collapse(F)
+    assert (unit, facs) == collapse_factor(F)
+
+
+@st.composite
+def _branch_curves(draw):
+    """Curves for each branch of _plane_factors that does not lift at a
+    fiber over F_q: products with repeated factors, curves in F_q[X, Y^p]
+    and p-th powers, and curves whose lc_Y vanishes on all of F_q."""
+    spec = draw(st.sampled_from([F2, F3, F4, F5, F9]))
+    p, q = spec.p, spec.order
+    X, Y = MPoly.variable(spec, 2, 0), MPoly.variable(spec, 2, 1)
+
+    def curve(max_x, max_y, step=1):
+        terms = draw(st.dictionaries(
+            st.tuples(st.integers(0, max_x), st.integers(0, max_y)),
+            st.integers(1, q - 1), min_size=1, max_size=4,
+        ))
+        return bp(spec, {(i, step * j): spec.from_index(v) for (i, j), v in terms.items()})
+
+    kind = draw(st.sampled_from(["repeated", "inseparable", "lc_vanishes"]))
+    if kind == "repeated":
+        F = curve(1, 1) ** draw(st.integers(1, p + 1)) * curve(1, 2) ** draw(st.integers(1, 2))
+    elif kind == "inseparable":
+        F = curve(2, 2, p) * curve(1, 1) ** draw(st.sampled_from([1, p]))
+    else:
+        F = (X**q - X) * curve(1, 0) * Y ** draw(st.integers(1, 3)) + curve(2, 2)
+    return F
+
+
+@settings(max_examples=60, deadline=None)
+@given(_branch_curves())
+def test_plane_factor_branches_match_collapse(F):
+    assume(not F.is_constant() and F.total_degree() <= 16)
+    assert mv_factor(F) == collapse_factor(F), F
 
 
 def test_bound_reports_count_affine_points_once(monkeypatch):

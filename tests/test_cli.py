@@ -382,6 +382,17 @@ def test_verify_bounds_json_counts_violations(capsys):
         assert rep["pass"] is True
 
 
+@pytest.mark.parametrize("max_degree", ["0", "-1"])
+def test_verify_bounds_refuses_random_curves_of_degree_below_one(capsys, max_degree):
+    start = time.perf_counter()
+    code = run(["verify-bounds", "--field", "5", "--kind", "random",
+                f"--max-degree={max_degree}", "--count", "2"])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: max degree of random curves must be positive\n"
+
+
 def test_identical_invocations_identical_bytes(capsys):
     argv = ["check-t31", "--field", "7", "--f", "(X^2+1)^2", "--g", "X^2",
             "--eps", "1/3"]

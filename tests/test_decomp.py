@@ -353,9 +353,9 @@ def _no_factoring(F):
 def _by_extension(monkeypatch, f, g):
     """find_h with the scan of F_q made to fail, so that it lifts at a point
     of an extension field, the path of fields too small to hold one."""
-    scan = mvar._usable_point
+    scan = mvar._usable_points
     with monkeypatch.context() as m:
-        m.setattr(mvar, "_usable_point", lambda cs, t: None if cs[0].spec == f.spec else scan(cs, t))
+        m.setattr(mvar, "_usable_points", lambda cs: iter(()) if cs[0].spec == f.spec else scan(cs))
         m.setattr(mvar, "mv_factor", _no_factoring)
         return find_h(f, g)
 

@@ -33,6 +33,7 @@ from ffdecomp.mvar import (
 from ffdecomp.upoly import Poly, RatFun, poly_gcd, roots
 
 from oracles import (
+    collapse_factor,
     divisor_find_h,
     divisor_find_h_mv,
     pointwise_count_pairs,
@@ -480,13 +481,17 @@ def test_mv_factor_repeated_factor():
 
 
 def test_mv_factor_three_variables():
+    # mv_factor factors plane curves only; the collapse oracle takes any n
     F = mp(F3, 3, {(1, 1, 0): 1, (0, 0, 1): 1}) * mp(F3, 3, {(1, 0, 0): 1, (0, 0, 0): 1})
-    unit, facs = mv_factor(F)
+    unit, facs = collapse_factor(F)
     assert unit == F3.one()
     recon = MPoly.constant(unit, 3)
     for p, m in facs:
         recon = recon * p**m
-    assert recon == F
+    assert recon == F and len(facs) == 2
+    for G in (F, mp(F3, 1, {(2,): 1, (0,): 1})):
+        with pytest.raises(ValidationError, match="plane curves"):
+            mv_factor(G)
 
 
 def test_mv_factor_reconstruction_and_irreducibility():
@@ -671,9 +676,9 @@ def _no_factoring(F):
 def _by_extension(monkeypatch, f, g):
     """find_h_mv with the scan of F_q^n made to fail, so that it lifts at a
     point of an extension field, the path of fields too small to hold one."""
-    scan = mvar._usable_point
+    scan = mvar._usable_points
     with monkeypatch.context() as m:
-        m.setattr(mvar, "_usable_point", lambda cs, t: None if cs[0].spec == f.spec else scan(cs, t))
+        m.setattr(mvar, "_usable_points", lambda cs: iter(()) if cs[0].spec == f.spec else scan(cs))
         m.setattr(mvar, "mv_factor", _no_factoring)
         return find_h_mv(f, g)
 
