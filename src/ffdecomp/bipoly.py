@@ -50,34 +50,38 @@ def curve_str(F: MPoly) -> str:
 
 def specialize(F: MPoly, var: int, v: FieldElement) -> Poly:
     """F with X (var 0) or Y (var 1) set to v, a polynomial in the other."""
+    return _specialize(F, var, F.spec.element(v).index)
+
+
+def _specialize(F: MPoly, var: int, v: int) -> Poly:
+    """specialize at the element of index v."""
     spec = F.spec
-    v = spec.element(v)
-    if not F.terms:
-        return Poly.zero(spec)
+    add, mul = spec._add, spec._mul
     other = 1 - var
-    pows = [spec.one()]
+    pows = [1]
     for _ in range(F.deg_in(var)):
-        pows.append(pows[-1] * v)
-    out = [spec.zero()] * (F.deg_in(other) + 1)
-    for k, c in F.terms.items():
-        out[k[other]] = out[k[other]] + c * pows[k[var]]
-    return Poly.from_coeffs(spec, out)
+        pows.append(mul(pows[-1], v))
+    out = [0] * (F.deg_in(other) + 1)
+    for k, c in F.idx.items():
+        out[k[other]] = add(out[k[other]], mul(c, pows[k[var]]))
+    return Poly(spec, out)
 
 
 def form(F: MPoly, m: int) -> MPoly:
     """The terms of total degree m; the top form when m is the total degree."""
-    return MPoly(F.spec, 2, {k: c for k, c in F.terms.items() if k[0] + k[1] == m})
+    return MPoly(F.spec, 2, {k: c for k, c in F.idx.items() if k[0] + k[1] == m})
 
 
 def _partial(F: MPoly, var: int) -> MPoly:
     """The formal partial derivative in X (var 0) or in Y (var 1)."""
-    terms = {}
-    for k, c in F.terms.items():
-        if k[var]:
+    mul, p = F.spec._mul, F.spec.p
+    idx = {}
+    for k, c in F.idx.items():
+        if k[var] % p:
             e = list(k)
             e[var] -= 1
-            terms[tuple(e)] = c * k[var]
-    return MPoly.from_terms(F.spec, 2, terms)
+            idx[tuple(e)] = mul(c, k[var] % p)
+    return MPoly(F.spec, 2, idx)
 
 
 # --------------------------------------------------------------------------
@@ -112,8 +116,8 @@ def count_affine(F: MPoly) -> int:
     spec = F.spec
     limits.check_enumerable(spec.order, "affine point count")
     total = 0
-    for x in spec.elements():
-        u = specialize(F, 0, x)
+    for x in range(spec.order):
+        u = _specialize(F, 0, x)
         if u.is_zero():
             total += spec.order
         else:
@@ -139,7 +143,7 @@ def _points_at_infinity(F: MPoly) -> int:
     homogeneous and nonzero, so setting Y = 1 keeps every coefficient."""
     d = F.total_degree()
     top = form(F, d)
-    return num_distinct_roots(specialize(top, 1, F.spec.one())) + top.coeff((d, 0)).is_zero()
+    return num_distinct_roots(_specialize(top, 1, 1)) + ((d, 0) not in top.idx)
 
 
 # --------------------------------------------------------------------------
@@ -183,24 +187,21 @@ def _has_smooth_rational_point(F: MPoly) -> bool:
     X = x in index order, at most _SMOOTH_SCAN_LINES of them.  False means
     no such point exists when q <= _SMOOTH_SCAN_LINES.
     """
-    spec, one = F.spec, F.spec.one()
     d = F.total_degree()
     top = form(F, d)
     # at (1 : 0 : 0) the partials T_Y and F_{d-1} are the coefficients of
     # X^(d-1) Y and X^(d-1); T_X = d * coeff(X^d) vanishes with T there
-    if top.coeff((d, 0)).is_zero() and not (
-        F.coeff((d - 1, 1)).is_zero() and F.coeff((d - 1, 0)).is_zero()
-    ):
+    if (d, 0) not in top.idx and ((d - 1, 1) in F.idx or (d - 1, 0) in F.idx):
         return True
     at_infinity = [
-        specialize(G, 1, one) for G in (_partial(top, 0), _partial(top, 1), form(F, d - 1))
+        _specialize(G, 1, 1) for G in (_partial(top, 0), _partial(top, 1), form(F, d - 1))
     ]
-    if _has_smooth_root(specialize(top, 1, one), at_infinity):
+    if _has_smooth_root(_specialize(top, 1, 1), at_infinity):
         return True
     fx, fy = _partial(F, 0), _partial(F, 1)
     return any(
-        _has_smooth_root(specialize(F, 0, x), [specialize(fx, 0, x), specialize(fy, 0, x)])
-        for x in map(spec.from_index, range(min(spec.order, _SMOOTH_SCAN_LINES)))
+        _has_smooth_root(_specialize(F, 0, x), [_specialize(fx, 0, x), _specialize(fy, 0, x)])
+        for x in range(min(F.spec.order, _SMOOTH_SCAN_LINES))
     )
 
 

@@ -21,6 +21,7 @@ from .upoly import (
     INFINITY,
     Poly,
     RatFun,
+    _random_poly,
     rat_compose,
     require_nonconstant,
 )
@@ -257,10 +258,7 @@ def artin_schreier_map(spec: FieldSpec, r: int) -> RatFun:
         raise ValidationError(f"{r} is not a positive power of the characteristic {p}")
     if spec.k % j != 0:
         raise ValidationError(f"F_{r} is not a subfield of F_{spec.order}")
-    coeffs = [spec.zero()] * (r + 1)
-    coeffs[1] = -spec.one()
-    coeffs[r] = spec.one()
-    return RatFun.from_poly(Poly.from_coeffs(spec, coeffs))
+    return RatFun.from_poly(Poly.from_ints(spec, [0, -1] + [0] * (r - 2) + [1]))
 
 
 def subspace_map(spec: FieldSpec, basis) -> RatFun:
@@ -280,9 +278,7 @@ def power_map(spec: FieldSpec, d: int) -> RatFun:
     """X^d with d dividing q - 1 (every nonzero value is hit d-to-1)."""
     if d < 1 or (spec.order - 1) % d != 0:
         raise ValidationError(f"exponent {d} must divide q-1 = {spec.order - 1}")
-    coeffs = [spec.zero()] * (d + 1)
-    coeffs[d] = spec.one()
-    return RatFun.from_poly(Poly.from_coeffs(spec, coeffs))
+    return RatFun.from_poly(Poly.from_ints(spec, [0] * d + [1]))
 
 
 def _require_moebius(phi: RatFun) -> None:
@@ -325,12 +321,7 @@ def random_ratfun(rng: random.Random, spec: FieldSpec, degree: int) -> RatFun:
     if degree < 1:
         raise ValidationError("degree must be at least 1")
     while True:
-        num = Poly.from_coeffs(
-            spec, [spec.from_index(rng.randrange(spec.order)) for _ in range(degree + 1)]
-        )
-        den = Poly.from_coeffs(
-            spec, [spec.from_index(rng.randrange(spec.order)) for _ in range(degree + 1)]
-        )
+        num, den = _random_poly(rng, spec, degree + 1), _random_poly(rng, spec, degree + 1)
         if den.is_zero():
             continue
         cand = RatFun.make(num, den)

@@ -10,7 +10,9 @@ process state.  The module has no polynomial arithmetic of its own: moduli
 are searched and checked, and large fields invert, with `upoly` over F_p.
 
 FieldSpec's index primitives `_add`, `_neg`, `_mul` and `_inv` are the one
-place that chooses how to compute:
+place that chooses how to compute.  The polynomials of `upoly` and `mvar`
+store their coefficients as indices and call these primitives directly, so
+FieldElement arithmetic serves only callers at the API boundary.
 
 - q <= 2^16 (TABLE_MAX_ORDER): log/antilog tables over the primitive
   element of smallest index.  Products, inverses and negatives are table
@@ -200,6 +202,10 @@ class FieldSpec:
 
     # -- indices and coordinates ---------------------------------------------
 
+    def _pow(self, a: int, e: int) -> int:
+        """The index of a^e, for e >= 0."""
+        return power(a, e, 1, self._mul)
+
     def _coords(self, i: int) -> tuple[int, ...]:
         p = self.p
         out = []
@@ -242,7 +248,7 @@ class FieldSpec:
 
         fp = _field(self.p, 1, (0, 1))  # poly_invmod checks that the gcd with m is 1
         u = upoly.poly_invmod(upoly.Poly.from_ints(fp, a), upoly.Poly.from_ints(fp, self.modulus))
-        return tuple([c.index for c in u.coeffs]) + (0,) * (self.k - len(u.coeffs))
+        return u.idx + (0,) * (self.k - len(u.idx))
 
     def _coord_ops(self):
         """Index primitives through coordinate arithmetic (q > TABLE_MAX_ORDER)."""
@@ -403,6 +409,17 @@ def _identity(a: int) -> int:
     return a
 
 
+def power(x, e: int, one, mul=operator.mul):
+    """x^e for e >= 0 by square and multiply, in the monoid of one and mul."""
+    while e:
+        if e & 1:
+            one = mul(one, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return one
+
+
 class _Fresh:
     """The element "list" of a field without tables: a new element per index."""
 
@@ -475,23 +492,19 @@ class FieldElement:
         return NotImplemented
 
     def __add__(self, other):
-        spec = self.spec
-        if other.__class__ is FieldElement and other.spec is spec:  # the common case
-            return spec._elems[spec._add(self.index, other.index)]
         b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
+        spec = self.spec
         return spec._elems[spec._add(self.index, b)]
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        spec = self.spec
-        if other.__class__ is FieldElement and other.spec is spec:  # the common case
-            return spec._elems[spec._add(self.index, spec._neg(other.index))]
         b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
+        spec = self.spec
         return spec._elems[spec._add(self.index, spec._neg(b))]
 
     def __rsub__(self, other):
@@ -502,12 +515,10 @@ class FieldElement:
         return spec._elems[spec._neg(self.index)]
 
     def __mul__(self, other):
-        spec = self.spec
-        if other.__class__ is FieldElement and other.spec is spec:  # the common case
-            return spec._elems[spec._mul(self.index, other.index)]
         b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
+        spec = self.spec
         return spec._elems[spec._mul(self.index, b)]
 
     __rmul__ = __mul__
@@ -530,15 +541,7 @@ class FieldElement:
         if e < 0:
             return self.inverse() ** (-e)
         spec = self.spec
-        mul = spec._mul
-        result, acc = 1, self.index
-        while e:
-            if e & 1:
-                result = mul(result, acc)
-            e >>= 1
-            if e:
-                acc = mul(acc, acc)
-        return spec._elems[result]
+        return spec._elems[spec._pow(self.index, e)]
 
     def frobenius(self) -> "FieldElement":
         return self ** self.spec.p
@@ -589,10 +592,15 @@ class FieldEmbedding:
     def __call__(self, a: FieldElement) -> FieldElement:
         if not _same_spec(a.spec, self.source):
             raise SpecMismatchError(f"element of {a.spec!r} fed to embedding of {self.source!r}")
-        acc = self.target.zero()
-        for c, w in zip(a.coeffs, self.powers):
-            if c:
-                acc = acc + w * c
+        return self.target._elems[self.map_index(a.index)]
+
+    def map_index(self, i: int) -> int:
+        """The index of the image of the source element of index i."""
+        add, mul = self.target._add, self.target._mul
+        acc = 0
+        for c, w in zip(self.source._coords(i), self.powers):
+            if c:  # the coordinate c lies in F_p, where index and value agree
+                acc = add(acc, mul(w.index, c))
         return acc
 
 

@@ -1,8 +1,11 @@
 """Multivariate polynomials and rational functions over F_q, and f = g(h).
 
 MPoly is the one polynomial type in several variables: f(X1..Xn) here, and
-with n = 2 the plane curves of bipoly.  Polynomial arithmetic is sparse over
-exponent vectors; gcds run by primitive-part recursion on the last variable.
+with n = 2 the plane curves of bipoly.  It stores {exponent vector: field
+index}, and its arithmetic, evaluation and the lifting below compute on
+those indices; `terms`, `coeff()` and the printed form read them back as
+FieldElements.  Arithmetic is sparse over exponent vectors; gcds run by
+primitive-part recursion on the last variable.
 mv_factor is the one factorizer, for plane curves.  The factors of one
 squarefree fiber F(x0, Y) are lifted to power series in X - x0 and
 recombined by Zassenhaus' subset search; a curve with zero Y-derivative is
@@ -37,19 +40,18 @@ from typing import Optional
 from . import limits
 from .decomp import DecompReport, ThresholdCheck, _check_epsilon
 from .errors import SizeLimitError, SpecMismatchError, ValidationError
-from .gf_core import FieldElement, FieldEmbedding, FieldSpec, _same_spec, extend_field
+from .gf_core import FieldElement, FieldEmbedding, FieldSpec, _same_spec, extend_field, power
 from .upoly import (
     INFINITY,
     Poly,
     RatFun,
-    _coeff_str,
     _distinct_degree_parts,
     _equal_degree_parts,
+    _root_indices,
     factor,
     poly_gcd,
     poly_invmod,
     require_nonconstant,
-    roots,
 )
 
 # Caps of the constructive search: at most FIND_H_MAX_VARS variables and
@@ -64,8 +66,8 @@ FIND_H_MAX_DEGREE_SUM = 10
 # _MAX_FIBER_FACTORS.  Recombining r lifted factors tests up to 2^(r-1)
 # subsets, and more than _MAX_SUBSETS tests are refused.  Measured on a
 # 2-vCPU x86 machine (Python 3.11), a test of up to three of 24 linear
-# factors at degree 24 costs about 5 ms (3 ms at degree 12), and lifting
-# the 24 factors 1.1 s, so a refusal comes after at most about 10 s.
+# factors at degree 24 costs about 4 ms, and lifting the 24 factors 0.1 s,
+# so a refusal comes after at most about 6 s.
 DEGREE_CAP = 24
 _MAX_SUBSETS = 1500
 _FIBERS = 3
@@ -87,34 +89,32 @@ UNDEFINED = _Undefined()
 
 
 class MPoly:
-    __slots__ = ("spec", "n", "terms")
+    """A polynomial in n variables over F_q held as `idx`, {exponent vector:
+    coefficient index} with no zero index; `terms` reads it as FieldElements."""
 
-    def __init__(self, spec: FieldSpec, n: int, terms: dict[tuple, FieldElement]):
+    __slots__ = ("spec", "n", "idx")
+
+    def __init__(self, spec: FieldSpec, n: int, idx: dict[tuple, int]):
         # private: callers go through from_terms and friends
         self.spec = spec
         self.n = n
-        self.terms = terms
+        self.idx = idx
 
     @classmethod
     def from_terms(cls, spec: FieldSpec, n: int, terms) -> "MPoly":
         if n < 1:
             raise ValidationError("need at least one variable")
-        out: dict[tuple, FieldElement] = {}
+        add = spec._add
+        out: dict[tuple, int] = {}
         for key, c in dict(terms).items():
             key = tuple(int(e) for e in key)
             if len(key) != n:
                 raise ValidationError(f"exponent vector {key} does not have {n} entries")
             if any(e < 0 for e in key):
                 raise ValidationError("exponents must be nonnegative")
-            c = spec.element(c)
-            if c.is_zero():
-                continue
-            if key in out:
-                c = out[key] + c
-                if c.is_zero():
-                    del out[key]
-                    continue
-            out[key] = c
+            c = add(out.pop(key, 0), spec.element(c).index)
+            if c:
+                out[key] = c
         return cls(spec, n, out)
 
     @classmethod
@@ -123,7 +123,7 @@ class MPoly:
 
     @classmethod
     def one(cls, spec: FieldSpec, n: int) -> "MPoly":
-        return cls(spec, n, {(0,) * n: spec.one()})
+        return cls(spec, n, {(0,) * n: 1})
 
     @classmethod
     def constant(cls, value: FieldElement, n: int) -> "MPoly":
@@ -135,38 +135,43 @@ class MPoly:
         if not 0 <= i < n:
             raise ValidationError(f"variable index {i} out of range for {n} variables")
         key = tuple(1 if t == i else 0 for t in range(n))
-        return cls(spec, n, {key: spec.one()})
+        return cls(spec, n, {key: 1})
 
     @classmethod
     def monomial(cls, spec: FieldSpec, key: tuple) -> "MPoly":
-        return cls(spec, len(key), {tuple(key): spec.one()})
+        return cls(spec, len(key), {tuple(key): 1})
 
     # -- structure -----------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[tuple, FieldElement]:
+        elems = self.spec._elems
+        return {k: elems[c] for k, c in self.idx.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.idx
 
     def is_constant(self) -> bool:
-        return all(not any(k) for k in self.terms)
+        return all(not any(k) for k in self.idx)
 
     def total_degree(self) -> int:
-        return max((sum(k) for k in self.terms), default=-1)
+        return max((sum(k) for k in self.idx), default=-1)
 
     def deg_in(self, i: int) -> int:
-        return max((k[i] for k in self.terms), default=-1)
+        return max((k[i] for k in self.idx), default=-1)
 
     def coeff(self, key: tuple) -> FieldElement:
-        return self.terms.get(tuple(key), self.spec.zero())
+        return self.spec._elems[self.idx.get(tuple(key), 0)]
 
     def leading_key(self) -> tuple:
         """Largest exponent vector in lexicographic order."""
-        if not self.terms:
+        if not self.idx:
             raise ValidationError("zero polynomial has no leading term")
-        return max(self.terms)
+        return max(self.idx)
 
     def index_key(self) -> tuple:
         """Deterministic sort key over the sparse terms."""
-        return tuple(sorted((*k, c.index) for k, c in self.terms.items()))
+        return tuple(sorted((*k, c) for k, c in self.idx.items()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MPoly):
@@ -174,16 +179,14 @@ class MPoly:
         return (
             _same_spec(self.spec, other.spec)
             and self.n == other.n
-            and self.terms == other.terms
+            and self.idx == other.idx
         )
 
     def __hash__(self) -> int:
-        return hash(
-            (self.spec.p, self.spec.modulus, self.n, frozenset(self.terms.items()))
-        )
+        return hash((self.spec.p, self.spec.modulus, self.n, frozenset(self.idx.items())))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.idx)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -198,19 +201,19 @@ class MPoly:
 
     def __add__(self, other) -> "MPoly":
         other = self._coerce(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k, self.spec.zero()) + c
-            if s.is_zero():
-                terms.pop(k, None)
-            else:
-                terms[k] = s
-        return MPoly(self.spec, self.n, terms)
+        add = self.spec._add
+        idx = dict(self.idx)
+        for k, c in other.idx.items():
+            c = add(idx.pop(k, 0), c)
+            if c:
+                idx[k] = c
+        return MPoly(self.spec, self.n, idx)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.spec, self.n, {k: -c for k, c in self.terms.items()})
+        neg = self.spec._neg
+        return MPoly(self.spec, self.n, {k: neg(c) for k, c in self.idx.items()})
 
     def __sub__(self, other) -> "MPoly":
         return self + (-self._coerce(other))
@@ -218,71 +221,72 @@ class MPoly:
     def __rsub__(self, other) -> "MPoly":
         return (-self) + self._coerce(other)
 
+    def _scale(self, c: int) -> "MPoly":
+        """The product with the field element of index c."""
+        if not c:
+            return MPoly.zero(self.spec, self.n)
+        mul = self.spec._mul
+        return MPoly(self.spec, self.n, {k: mul(v, c) for k, v in self.idx.items()})
+
     def __mul__(self, other) -> "MPoly":
         if isinstance(other, (FieldElement, int)):
-            c = self.spec.element(other)
-            if c.is_zero():
-                return MPoly.zero(self.spec, self.n)
-            return MPoly(self.spec, self.n, {k: v * c for k, v in self.terms.items()})
+            return self._scale(self.spec.element(other).index)
         other = self._coerce(other)
-        terms: dict[tuple, FieldElement] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                prod = c1 * c2
-                if k in terms:
-                    s = terms[k] + prod
-                    if s.is_zero():
-                        del terms[k]
-                    else:
-                        terms[k] = s
-                elif not prod.is_zero():
-                    terms[k] = prod
-        return MPoly(self.spec, self.n, terms)
+        add, mul = self.spec._add, self.spec._mul
+        idx: dict[tuple, int] = {}
+        for k1, c1 in self.idx.items():
+            for k2, c2 in other.idx.items():
+                k = tuple([a + b for a, b in zip(k1, k2)])
+                c = add(idx.pop(k, 0), mul(c1, c2))
+                if c:
+                    idx[k] = c
+        return MPoly(self.spec, self.n, idx)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
             raise ValidationError("negative power of a polynomial")
-        result = MPoly.one(self.spec, self.n)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, MPoly.one(self.spec, self.n))
 
     # -- evaluation and views --------------------------------------------------
 
+    def _eval(self, xs) -> int:
+        """The index of the value at the point of coordinate indices xs, with
+        one table of powers per coordinate, grown as the terms need it."""
+        add, mul = self.spec._add, self.spec._mul
+        tables = [[1, x] for x in xs]
+        acc = 0
+        for k, c in self.idx.items():
+            for row, e in zip(tables, k):
+                if e:
+                    while len(row) <= e:
+                        row.append(mul(row[-1], row[1]))
+                    c = mul(c, row[e])
+            acc = add(acc, c)
+        return acc
+
     def __call__(self, xs) -> FieldElement:
-        xs = [self.spec.element(x) for x in xs]
+        spec = self.spec
+        xs = [spec.element(x).index for x in xs]
         if len(xs) != self.n:
             raise ValidationError(f"need {self.n} coordinates, got {len(xs)}")
-        acc = self.spec.zero()
-        for k, c in self.terms.items():
-            term = c
-            for x, e in zip(xs, k):
-                if e:
-                    term = term * x**e
-            acc = acc + term
-        return acc
+        return spec._elems[self._eval(xs)]
 
     def last_var_coeffs(self) -> list["MPoly"]:
         """Coefficients c_j(X1..X_{n-1}) with self = sum_j c_j * Xn^j."""
         if self.n < 2:
             raise ValidationError("need at least two variables to split off the last")
-        if not self.terms:
+        if not self.idx:
             return []
         rows: list[dict] = [dict() for _ in range(self.deg_in(self.n - 1) + 1)]
-        for k, c in self.terms.items():
+        for k, c in self.idx.items():
             rows[k[-1]][k[:-1]] = c
         return [MPoly(self.spec, self.n - 1, row) for row in rows]
 
     def lift_last(self) -> "MPoly":
         """The same polynomial viewed in one more variable (absent from it)."""
-        return MPoly(self.spec, self.n + 1, {k + (0,): c for k, c in self.terms.items()})
+        return MPoly(self.spec, self.n + 1, {k + (0,): c for k, c in self.idx.items()})
 
     def __str__(self) -> str:
         return terms_str(self, [f"X{i + 1}" for i in range(self.n)])
@@ -295,24 +299,22 @@ def map_coeffs(F: MPoly, emb: FieldEmbedding) -> MPoly:
     """Apply a field embedding to every coefficient."""
     if not _same_spec(F.spec, emb.source):
         raise SpecMismatchError("embedding source does not match the polynomial")
-    return MPoly(emb.target, F.n, {k: emb(c) for k, c in F.terms.items()})
+    return MPoly(emb.target, F.n, {k: emb.map_index(c) for k, c in F.idx.items()})
 
 
 def terms_str(F: MPoly, names) -> str:
     """F as a sum of terms in decreasing exponent order, the variables
     written with the given names."""
-    if not F.terms:
+    if not F.idx:
         return "0"
-    parts = []
-    for key in sorted(F.terms, reverse=True):
-        c = F.terms[key]
+    elems, parts = F.spec._elems, []
+    for key in sorted(F.idx, reverse=True):
+        c = F.idx[key]
         mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, key) if e)
         if not mono:
-            parts.append(_coeff_str(c))
-        elif c == 1:
-            parts.append(mono)
+            parts.append(str(elems[c]))
         else:
-            parts.append(f"{_coeff_str(c)}*{mono}")
+            parts.append(mono if c == 1 else f"{elems[c]}*{mono}")
     return "+".join(parts)
 
 
@@ -332,15 +334,15 @@ def mpoly_divexact(F: MPoly, G: MPoly) -> Optional[MPoly]:
     if F.is_zero():
         return MPoly.zero(F.spec, F.n)
     gk = G.leading_key()
-    glc = G.terms[gk]
-    quot: dict[tuple, FieldElement] = {}
+    mul, inv_lc = F.spec._mul, F.spec._inv(G.idx[gk])
+    quot: dict[tuple, int] = {}
     rem = F
     while not rem.is_zero():
         rk = rem.leading_key()
         if any(r < g for r, g in zip(rk, gk)):
             return None
         k = tuple(r - g for r, g in zip(rk, gk))
-        c = rem.terms[rk] / glc
+        c = mul(rem.idx[rk], inv_lc)
         quot[k] = c
         rem = rem - G * MPoly(F.spec, F.n, {k: c})
     return MPoly(F.spec, F.n, quot)
@@ -350,30 +352,23 @@ def _canon_monic(G: MPoly) -> MPoly:
     """Scale so the lexicographically leading coefficient is one."""
     if G.is_zero():
         return G
-    c = G.terms[G.leading_key()]
-    return G if c == 1 else G * c.inverse()
+    c = G.idx[G.leading_key()]
+    return G if c == 1 else G._scale(G.spec._inv(c))
 
 
-def _canon_first(G: MPoly) -> tuple[FieldElement, MPoly]:
+def _canon_first(G: MPoly) -> MPoly:
     """Scale so the lexicographically first nonzero coefficient is one."""
-    c = G.terms[min(G.terms)]
-    return c, G * c.inverse()
+    return G._scale(G.spec._inv(G.idx[min(G.idx)]))
 
 
 def _to_upoly(f: MPoly) -> Poly:
     assert f.n == 1
-    out = [f.spec.zero()] * (f.deg_in(0) + 1)
-    for (e,), c in f.terms.items():
-        out[e] = c
-    return Poly.from_coeffs(f.spec, out)
+    return Poly(f.spec, [f.idx.get((e,), 0) for e in range(f.deg_in(0) + 1)])
 
 
 def _from_upoly(p: Poly, n: int = 1) -> MPoly:
-    terms = {}
-    for e, c in enumerate(p.coeffs):
-        if not c.is_zero():
-            terms[(e,) + (0,) * (n - 1)] = c
-    return MPoly(p.spec, n, terms)
+    pad = (0,) * (n - 1)
+    return MPoly(p.spec, n, {(e,) + pad: c for e, c in enumerate(p.idx) if c})
 
 
 def _content_last(f: MPoly) -> MPoly:
@@ -398,9 +393,7 @@ def _primitive_last(f: MPoly) -> MPoly:
 def _leading_in_last(f: MPoly) -> MPoly:
     """Leading coefficient in the last variable, kept n-variate."""
     d = f.deg_in(f.n - 1)
-    return MPoly(
-        f.spec, f.n, {k[:-1] + (0,): c for k, c in f.terms.items() if k[-1] == d}
-    )
+    return MPoly(f.spec, f.n, {k[:-1] + (0,): c for k, c in f.idx.items() if k[-1] == d})
 
 
 def _prem_last(f: MPoly, g: MPoly) -> MPoly:
@@ -474,12 +467,8 @@ class MRatFun:
             num = mpoly_divexact(num, g)
             den = mpoly_divexact(den, g)
             assert num is not None and den is not None
-        c = den.terms[den.leading_key()]
-        if c != 1:
-            inv = c.inverse()
-            num = num * inv
-            den = den * inv
-        return cls(num, den)
+        c = den.spec._inv(den.idx[den.leading_key()])
+        return cls(num._scale(c), den._scale(c))
 
     @classmethod
     def from_poly(cls, p: MPoly) -> "MRatFun":
@@ -556,7 +545,7 @@ def _lines(P: MPoly):
     along Xn at a time, by Horner's rule from the coefficients of the powers
     of Xn, themselves evaluated recursively; no q^n list is built."""
     if P.n == 1:
-        yield _horner_line(P.spec, _to_upoly(P)._indices() or [0])
+        yield _horner_line(P.spec, _to_upoly(P).idx or (0,))
         return
     rows = P.last_var_coeffs() or [MPoly.zero(P.spec, P.n - 1)]
     for cols in zip(*map(_lines, rows)):
@@ -669,13 +658,13 @@ def mrat_compose(g: RatFun, h: MRatFun) -> Optional[MRatFun]:
         upow.append(upow[-1] * h.num)
         vpow.append(vpow[-1] * h.den)
     num_c, den_c = (
-        sum((upow[i] * vpow[delta - i] * c for i, c in enumerate(p.coeffs) if c), MPoly.zero(h.spec, h.n))
+        sum((upow[i] * vpow[delta - i]._scale(c) for i, c in enumerate(p.idx) if c), MPoly.zero(h.spec, h.n))
         for p in (g.num, g.den)
     )
     if den_c.is_zero():
         return None
-    c = den_c.terms[den_c.leading_key()].inverse()
-    return MRatFun(num_c * c, den_c * c)
+    c = h.spec._inv(den_c.idx[den_c.leading_key()])
+    return MRatFun(num_c._scale(c), den_c._scale(c))
 
 
 def verify_h_mv(f: MRatFun, g: RatFun, h: MRatFun) -> bool:
@@ -704,11 +693,11 @@ def mv_factor(F: MPoly) -> tuple[FieldElement, list[tuple[MPoly, int]]]:
         raise SizeLimitError(
             f"factoring degree {F.total_degree()} exceeds the cap {DEGREE_CAP}"
         )
-    found = [(_canon_first(g)[1], m) for g, m in _plane_factors(F)]
+    found = [(_canon_first(g), m) for g, m in _plane_factors(F)]
     found.sort(key=lambda fm: (fm[0].total_degree(), fm[0].index_key()))
     # the lexicographically first term of a product is the product of the
     # first terms, and each factor's first coefficient is one
-    return F.terms[min(F.terms)], found
+    return F.coeff(min(F.idx)), found
 
 
 # --------------------------------------------------------------------------
@@ -732,9 +721,10 @@ def _bad_degree(coeffs: list[MPoly]) -> int:
 
 
 def _usable_points(coeffs: list[MPoly]):
-    """(s, F(s, Y), F_Y(s, Y)) for each point s of F_q^n, F_q the field of
-    the coefficients, with c_delta(s) != 0 and F(s, Y) squarefree, box by
-    box (_by_largest_index).  The points that fail are zeros of a polynomial
+    """(s, F(s, Y), F_Y(s, Y)) for each point s of F_q^n, given by its
+    coordinate indices, F_q the field of the coefficients, with
+    c_delta(s) != 0 and F(s, Y) squarefree, box by box
+    (_by_largest_index).  The points that fail are zeros of a polynomial
     of degree at most t = _bad_degree; by Schwartz-Zippel a nonzero one has
     a non-zero in each box S^n with |S| > t and at most t q^(n-1) zeros in
     F_q^n, so the scan stops after t q^(n-1) failures."""
@@ -742,9 +732,8 @@ def _usable_points(coeffs: list[MPoly]):
     q, delta, t = spec.order, len(coeffs) - 1, _bad_degree(coeffs)
     bad = t * q ** (n - 1)
     limits.check_enumerable(min(q**n, bad + 1), "specialization grid")
-    for idx in _by_largest_index(q, n):
-        s = [spec.from_index(i) for i in idx]
-        phi = Poly.from_coeffs(spec, [c(s) for c in coeffs])
+    for s in _by_largest_index(q, n):
+        phi = Poly(spec, [c._eval(s) for c in coeffs])
         dphi = phi.derivative()
         if phi.degree == delta and poly_gcd(phi, dphi).is_one():
             yield s, phi, dphi
@@ -761,11 +750,11 @@ def _over_extension(coeffs: list[MPoly]):
     every coefficient lies there, else to None."""
     base, t = coeffs[0].spec, _bad_degree(coeffs)
     _, emb = extend_field(base, next(r for r in itertools.count(2) if base.order**r > t))
-    back = {emb(a).index: a for a in base.elements()}
+    back = {emb.map_index(a): a for a in range(base.order)}
 
     def down(F: MPoly) -> Optional[MPoly]:
-        terms = {k: back.get(c.index) for k, c in F.terms.items()}
-        return None if None in terms.values() else MPoly(base, F.n, terms)
+        idx = {k: back.get(c) for k, c in F.idx.items()}
+        return None if None in idx.values() else MPoly(base, F.n, idx)
 
     coeffs = [map_coeffs(c, emb) for c in coeffs]
     return coeffs, _usable_points(coeffs), down
@@ -773,15 +762,16 @@ def _over_extension(coeffs: list[MPoly]):
 
 def _pth_root(F: MPoly) -> Optional[MPoly]:
     """G with G^p = F when F lies in F_q[X1^p..Xn^p], else None."""
-    p, q = F.spec.p, F.spec.order
-    if any(x % p for k in F.terms for x in k):
+    spec = F.spec
+    p, e = spec.p, spec.order // spec.p
+    if any(x % p for k in F.idx for x in k):
         return None
-    return MPoly(F.spec, F.n, {tuple(x // p for x in k): c ** (q // p) for k, c in F.terms.items()})
+    return MPoly(spec, F.n, {tuple(x // p for x in k): spec._pow(c, e) for k, c in F.idx.items()})
 
 
 def swap(F: MPoly) -> MPoly:
     """A plane curve with X and Y exchanged."""
-    return MPoly(F.spec, 2, {(j, i): c for (i, j), c in F.terms.items()})
+    return MPoly(F.spec, 2, {(j, i): c for (i, j), c in F.idx.items()})
 
 
 # --------------------------------------------------------------------------
@@ -801,17 +791,14 @@ def _series_mul(a: list[Poly], b: list[Poly], prec: int) -> list[Poly]:
 
 def _transpose(ps: list[Poly], width: int) -> list[Poly]:
     """[p_0, p_1, ...] -> the polynomials sum_k p_k[j] T^k for j < width."""
-    z = ps[0].spec.zero()
-    return [
-        Poly.from_coeffs(z.spec, [p.coeffs[j] if j < len(p.coeffs) else z for p in ps])
-        for j in range(width)
-    ]
+    spec = ps[0].spec
+    return [Poly(spec, [p.idx[j] if j < len(p.idx) else 0 for p in ps]) for j in range(width)]
 
 
 def _from_cols(cols: list[Poly]) -> MPoly:
     """sum_j cols[j](X) Y^j."""
     return MPoly(cols[0].spec, 2, {
-        (i, j): c for j, col in enumerate(cols) for i, c in enumerate(col.coeffs) if c
+        (i, j): c for j, col in enumerate(cols) for i, c in enumerate(col.idx) if c
     })
 
 
@@ -820,16 +807,27 @@ def _hensel_lift(G: list[Poly], lc: list[Poly], fs: list[Poly], prec: int) -> li
     the coefficient of the top power of Y in G, a series of constants, and
     G(0) = lc(0) prod f_i with pairwise coprime monic f_i.  One power of t a step: the error e, of
     Y-degree below deg_Y G, is sum_i (e s_i mod f_i) prod_{j != i} f_j where
-    s_i is the inverse of prod_{j != i} f_j modulo f_i."""
-    c0 = lc[0].lc().inverse()
+    s_i is the inverse of prod_{j != i} f_j modulo f_i.
+
+    The partial products P_j = lc F_1 ... F_j are kept below the power of
+    the step, so step k costs O(r k) products, not a whole product: the
+    coefficient of t^k in P_r, with every F_i[k] still zero, gives e; then
+    P_j[k] = P_{j-1}[k] f_j + sum_{0<m<k} P_{j-1}[m] F_j[k-m] + P_{j-1}[0] F_j[k]."""
+    spec = fs[0].spec
+    zero, c0 = Poly.zero(spec), spec._inv(lc[0].idx[-1])
     whole = functools.reduce(Poly.__mul__, fs)
     ss = [poly_invmod(whole // f, f) for f in fs]
-    lifted = [[f] for f in fs]
+    lifted, parts = [[f] for f in fs], [[lc[0]]]
+    for f in fs:
+        parts.append([parts[-1][0] * f])
     for k in range(1, prec):
-        have = functools.reduce(lambda a, b: _series_mul(a, b, k + 1), lifted, lc)
-        e = (G[k] - have[k]) * c0
-        for F, f, s in zip(lifted, fs, ss):
+        parts[0].append(lc[k] if k < len(lc) else zero)
+        mids = [sum((P[m] * F[k - m] for m in range(1, k)), zero) for F, P in zip(lifted, parts)]
+        have = functools.reduce(lambda a, fm: a * fm[0] + fm[1], zip(fs, mids), parts[0][k])
+        e = (G[k] - have)._scale(c0)
+        for F, f, s, mid, P, Q in zip(lifted, fs, ss, mids, parts, parts[1:]):
             F.append(e * s % f)
+            Q.append(P[k] * f + mid + P[0] * F[k])
     return lifted
 
 
@@ -862,7 +860,7 @@ def _plane_factors(F: MPoly) -> list[tuple[MPoly, int]]:
     points = _usable_points(coeffs)
     first = next(points, None)
     if first is None:
-        G = mpoly_gcd(P, _from_cols([c * j for j, c in enumerate(cols)][1:]))
+        G = mpoly_gcd(P, _from_cols([c._scale(j % p) for j, c in enumerate(cols)][1:]))
         if not G.is_constant():
             for H, _ in _plane_factors(mpoly_divexact(P, G)):
                 m, quot = 0, mpoly_divexact(P, H)
@@ -905,12 +903,12 @@ def _recombine(P: MPoly, cols: list[Poly], points, down) -> list[tuple[MPoly, in
     x0, r, parts = best
     if r == 1:
         return [(P, 1)]
-    spec, prec = x0.spec, max(c.degree for c in cols) + 1
+    spec, prec = cols[0].spec, max(c.degree for c in cols) + 1
     fs = [f for g, d in parts for f in _equal_degree_parts(g, d)]
-    tcols = [c.compose(Poly.from_coeffs(spec, [x0, 1])) for c in cols]
-    lc = [Poly.constant(c) for c in tcols[-1].coeffs]
+    tcols = [c.compose(Poly(spec, (x0, 1))) for c in cols]
+    lc = [Poly(spec, (c,)) for c in tcols[-1].idx]
     lifted = _hensel_lift(_transpose(tcols, prec), lc, fs, prec)
-    back = Poly.from_coeffs(spec, [-x0, 1])
+    back = Poly(spec, (spec._neg(x0), 1))
     found, rest, size, tests = [], list(range(len(fs))), 1, 0
     while 2 * size <= len(rest):
         for subset in itertools.combinations(rest, size):
@@ -920,11 +918,11 @@ def _recombine(P: MPoly, cols: list[Poly], points, down) -> list[tuple[MPoly, in
                     f"factor recombination needs more than {_MAX_SUBSETS} subset tests"
                 )
             prod = functools.reduce(lambda a, i: _series_mul(a, lifted[i], prec), subset, lc)
-            hcols = _transpose(prod, max(len(p.coeffs) for p in prod))
+            hcols = _transpose(prod, max(len(p.idx) for p in prod))
             c = functools.reduce(poly_gcd, hcols)
             H = _from_cols([(h // c).compose(back) for h in hcols])
             if down is not None:
-                H = down(_canon_first(H)[1])
+                H = down(_canon_first(H))
             if H is not None and H.deg_in(0) <= P.deg_in(0):
                 quot = mpoly_divexact(P, H)
                 if quot is not None:
@@ -1002,9 +1000,9 @@ def _newton(spec: FieldSpec, ring, cs: list[list[int]], y0: int, s0: int) -> lis
             acc = [add(u, v) for u, v in zip(_jet_mul(spec, ring, acc, y, prec), c)]
         return acc
 
-    dcs = [[mul(spec.element(j).index, v) for v in c] for j, c in enumerate(cs)][1:]
+    dcs = [[mul(j % spec.p, v) for v in c] for j, c in enumerate(cs)][1:]
     zeros = [0] * (len(ring[0]) - 1)
-    y, s, two = [y0] + zeros, [s0] + zeros, [spec.element(2).index] + zeros
+    y, s, two = [y0] + zeros, [s0] + zeros, [2 % spec.p] + zeros
     prec, end = 1, len(ring[3]) - 1
     while prec < end:
         prec = min(2 * prec, end)
@@ -1048,17 +1046,21 @@ def _kernel_line(spec: FieldSpec, rows: list[list[int]], ncols: int) -> Optional
 
 
 def _shift(F: MPoly, s, top: int) -> MPoly:
-    """The terms of total degree <= top of F(X + s)."""
-    out: dict[tuple, FieldElement] = {}
-    for key, c0 in F.terms.items():
+    """The terms of total degree <= top of F(X + s), s given by its
+    coordinate indices."""
+    spec = F.spec
+    add, mul, p = spec._add, spec._mul, spec.p
+    tables = [[spec._pow(x, e) for e in range(F.deg_in(i) + 1)] for i, x in enumerate(s)]
+    out: dict[tuple, int] = {}
+    for key, c0 in F.idx.items():
         for t in itertools.product(*(range(k + 1) for k in key)):
             if sum(t) <= top:
                 c = c0
-                for k, ti, si in zip(key, t, s):
+                for k, ti, row in zip(key, t, tables):
                     if k != ti:
-                        c = c * si ** (k - ti) * math.comb(k, ti)
-                out[t] = out[t] + c if t in out else c
-    return MPoly(F.spec, F.n, {t: c for t, c in out.items() if c})
+                        c = mul(mul(c, row[k - ti]), math.comb(k, ti) % p)
+                out[t] = add(out.get(t, 0), c)
+    return MPoly(spec, F.n, {t: c for t, c in out.items() if c})
 
 
 def _lifted_roots(coeffs: list[MPoly], e: int) -> list[MRatFun]:
@@ -1082,12 +1084,12 @@ def _lifted_roots(coeffs: list[MPoly], e: int) -> list[MRatFun]:
     s, phi, dphi = found
     spec = phi.spec
     ring = mons, prods, cut, start = _jet_ring(n, 2 * e)
-    ncols, minus_s = start[e + 1], [-x for x in s]
-    cs = [_shift(c, s, 2 * e).terms for c in coeffs]
-    cs = [[c[k].index if k in c else 0 for k in mons] for c in cs]
+    ncols, minus_s = start[e + 1], [spec._neg(x) for x in s]
+    cs = [_shift(c, s, 2 * e).idx for c in coeffs]
+    cs = [[c.get(k, 0) for k in mons] for c in cs]
     out = []
-    for y0 in roots(phi):
-        y = _newton(spec, ring, cs, y0.index, dphi(y0).inverse().index)
+    for y0 in _root_indices(phi):
+        y = _newton(spec, ring, cs, y0, spec._inv(dphi._eval(y0)))
         if prods is None:  # one variable: a Hankel matrix
             rows = [[y[k - i] for i in range(ncols)] for k in range(e + 1, 2 * e + 1)]
         else:
@@ -1101,11 +1103,11 @@ def _lifted_roots(coeffs: list[MPoly], e: int) -> list[MRatFun]:
         if den is not None:
             num = _jet_mul(spec, ring, den + [0] * (len(mons) - ncols), y, e + 1)
             num, den = (
-                _shift(MPoly(spec, n, {k: spec.from_index(c) for k, c in zip(mons, v) if c}), minus_s, e)
+                _shift(MPoly(spec, n, {k: c for k, c in zip(mons, v) if c}), minus_s, e)
                 for v in (num, den)
             )
-            c = den.terms[den.leading_key()].inverse()
-            num, den = num * c, den * c
+            c = spec._inv(den.idx[den.leading_key()])
+            num, den = num._scale(c), den._scale(c)
             if down is not None:  # back to F_q, if every coefficient lies there
                 num, den = down(num), down(den)
                 if num is None or den is None:
@@ -1127,13 +1129,13 @@ def _curve_roots(f: MRatFun, g: RatFun, e: int) -> list[MRatFun]:
     if g.num.derivative().is_zero() and g.den.derivative().is_zero():
         p = spec.p
         g1 = RatFun.make(
-            Poly.from_coeffs(spec, g.num.coeffs[::p]), Poly.from_coeffs(spec, g.den.coeffs[::p])
+            Poly(spec, g.num.idx[::p]), Poly(spec, g.den.idx[::p])
         )
         roots_p = [(_pth_root(H.num), _pth_root(H.den)) for H in _curve_roots(f, g1, e * p)]
         return [MRatFun(a, b) for a, b in roots_p if a is not None and b is not None]
-    zeros = [spec.zero()] * (g.degree + 1)
-    P, Q = (list(u.coeffs) + zeros[len(u.coeffs):] for u in (g.num, g.den))
-    coeffs = [f.num * qj - f.den * pj for pj, qj in zip(P, Q)]
+    zeros = (0,) * (g.degree + 1)
+    P, Q = (u.idx + zeros[len(u.idx):] for u in (g.num, g.den))
+    coeffs = [f.num._scale(qj) - f.den._scale(pj) for pj, qj in zip(P, Q)]
     assert not coeffs[0].is_zero() and not coeffs[-1].is_zero()
     if len(coeffs) == 2:  # g of degree one: its one root is exact
         return [MRatFun.make(-coeffs[0], coeffs[1])]

@@ -1,12 +1,13 @@
 """Univariate polynomials and rational functions over a finite field.
 
-Polynomials are dense coefficient tuples (constant term first, no trailing
-zeros).  Products, division with remainder and evaluation run on the
-coefficients' indices through the field's index primitives, and the results
-are read back as the field's elements.  Rational functions are kept reduced
-with a monic denominator, which makes structural equality the same as
-mathematical equality.  Evaluation is over the projective line: a rational
-function takes values in F_q plus a single point at infinity.
+A polynomial stores its coefficients as field indices, a dense tuple with
+the constant term first and no trailing zeros, and every kernel computes on
+them through the field's index primitives.  FieldElements are made only at
+the boundary: `coeffs`, `lc()`, values, roots and the printed form.  An int
+given to arithmetic means n * 1, never an index.  Rational functions are
+kept reduced with a monic denominator, which makes structural equality the
+same as mathematical equality.  Evaluation is over the projective line: a
+rational function takes values in F_q plus a single point at infinity.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Union
 
 from . import limits
 from .errors import ConstantInputError, SpecMismatchError, ValidationError
-from .gf_core import FieldElement, FieldSpec, _same_spec, prime_factors
+from .gf_core import FieldElement, FieldSpec, _same_spec, power, prime_factors
 
 
 class _Infinity:
@@ -39,33 +40,26 @@ PointOrInf = Union[FieldElement, _Infinity]
 
 
 class Poly:
-    __slots__ = ("spec", "coeffs")
+    """A polynomial over F_q held as `idx`, the indices of its coefficients,
+    constant term first; `coeffs` reads them as FieldElements."""
 
-    def __init__(self, spec: FieldSpec, coeffs: tuple[FieldElement, ...]):
-        # private: callers go through from_coeffs / from_ints
+    __slots__ = ("spec", "idx")
+
+    def __init__(self, spec: FieldSpec, idx):
+        # private: callers go through from_coeffs / from_ints; trailing zeros are trimmed
+        n = len(idx)
+        while n and not idx[n - 1]:
+            n -= 1
         self.spec = spec
-        self.coeffs = coeffs
+        self.idx = tuple(idx[:n])
 
     @classmethod
     def from_coeffs(cls, spec: FieldSpec, coeffs) -> "Poly":
-        cs = [spec.element(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        return cls(spec, tuple(cs))
+        return cls(spec, [spec.element(c).index for c in coeffs])
 
     @classmethod
     def from_ints(cls, spec: FieldSpec, ints) -> "Poly":
-        return cls.from_coeffs(spec, [spec.element(int(c)) for c in ints])
-
-    @classmethod
-    def _from_indices(cls, spec: FieldSpec, idx: list[int]) -> "Poly":
-        while idx and not idx[-1]:
-            idx.pop()
-        elems = spec._elems
-        return cls(spec, tuple([elems[i] for i in idx]))
-
-    def _indices(self) -> list[int]:
-        return [c.index for c in self.coeffs]
+        return cls(spec, [int(c) % spec.p for c in ints])
 
     @classmethod
     def zero(cls, spec: FieldSpec) -> "Poly":
@@ -73,45 +67,50 @@ class Poly:
 
     @classmethod
     def one(cls, spec: FieldSpec) -> "Poly":
-        return cls(spec, (spec.one(),))
+        return cls(spec, (1,))
 
     @classmethod
     def x(cls, spec: FieldSpec) -> "Poly":
-        return cls(spec, (spec.zero(), spec.one()))
+        return cls(spec, (0, 1))
 
     @classmethod
     def constant(cls, value: FieldElement) -> "Poly":
-        return cls.from_coeffs(value.spec, (value,))
+        return cls(value.spec, (value.index,))
 
     # -- structure -----------------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple[FieldElement, ...]:
+        elems = self.spec._elems
+        return tuple([elems[c] for c in self.idx])
 
     @property
     def degree(self) -> int:
         # -1 marks the zero polynomial (its true degree is minus infinity,
         # and -1 never collides with the degree of a nonzero polynomial)
-        return len(self.coeffs) - 1
+        return len(self.idx) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.idx
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == 1
+        return self.idx == (1,)
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.idx) <= 1
 
     def lc(self) -> FieldElement:
-        if not self.coeffs:
+        if not self.idx:
             raise ValidationError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.spec._elems[self.idx[-1]]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return _same_spec(self.spec, other.spec) and self.coeffs == other.coeffs
+        return _same_spec(self.spec, other.spec) and self.idx == other.idx
 
     def __hash__(self) -> int:
-        return hash((self.spec.p, tuple([c.coeffs for c in self.coeffs])))
+        return hash((self.spec.p, self.idx))
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -121,7 +120,7 @@ class Poly:
 
     def index_key(self) -> tuple[int, ...]:
         """Deterministic sort key: coefficient indices, constant term first."""
-        return tuple(c.index for c in self.coeffs)
+        return self.idx
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -131,22 +130,18 @@ class Poly:
                 raise SpecMismatchError("mixing polynomials over different fields")
             return other
         if isinstance(other, (FieldElement, int)):
-            return Poly.from_coeffs(self.spec, (self.spec.element(other),))
+            return Poly(self.spec, (self.spec.element(other).index,))
         return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.idx, other.idx
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        while out and out[-1].is_zero():
-            out.pop()
-        return Poly(self.spec, tuple(out))
+        add = self.spec._add
+        return Poly(self.spec, [add(x, y) for x, y in zip(a, b)] + list(a[len(b):]))
 
     __radd__ = __add__
 
@@ -160,42 +155,38 @@ class Poly:
         return (-self) + other
 
     def __neg__(self):
-        return Poly(self.spec, tuple([-c for c in self.coeffs]))
+        neg = self.spec._neg
+        return Poly(self.spec, [neg(c) for c in self.idx])
+
+    def _scale(self, c: int) -> "Poly":
+        """The product with the field element of index c."""
+        mul = self.spec._mul
+        return Poly(self.spec, [mul(a, c) for a in self.idx])
 
     def __mul__(self, other):
-        spec = self.spec
-        mul = spec._mul
         if isinstance(other, (FieldElement, int)):
-            c = spec.element(other).index
-            return Poly._from_indices(spec, [mul(a.index, c) for a in self.coeffs])
+            return self._scale(self.spec.element(other).index)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._indices(), other._indices()
+        spec = self.spec
+        a, b = self.idx, other.idx
         if not a or not b:
             return Poly.zero(spec)
-        add = spec._add
+        add, mul = spec._add, spec._mul
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b, i):
                     out[j] = add(out[j], mul(ai, bj))
-        return Poly._from_indices(spec, out)
+        return Poly(spec, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValidationError("negative polynomial power")
-        result = Poly.one(self.spec)
-        acc = self
-        while e:
-            if e & 1:
-                result = result * acc
-            e >>= 1
-            if e:
-                acc = acc * acc
-        return result
+        return power(self, e, Poly.one(self.spec))
 
     def __divmod__(self, other):
         other = self._coerce(other)
@@ -205,10 +196,10 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         spec = self.spec
         add, mul = spec._add, spec._mul
-        r, b = self._indices(), other._indices()
-        inv_lc = spec._inv(b.pop())
-        neg_b = [spec._neg(x) for x in b]
-        db = len(b)
+        r, b = list(self.idx), other.idx
+        inv_lc = spec._inv(b[-1])
+        neg_b = [spec._neg(x) for x in b[:-1]]
+        db = len(neg_b)
         q = [0] * max(0, len(r) - db)
         while len(r) > db:
             c = mul(r.pop(), inv_lc)  # the leading term cancels exactly
@@ -218,7 +209,7 @@ class Poly:
                 r[i] = add(r[i], mul(c, x))
             while r and not r[-1]:
                 r.pop()
-        return Poly._from_indices(spec, q), Poly._from_indices(spec, r)
+        return Poly(spec, q), Poly(spec, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -227,27 +218,32 @@ class Poly:
         return divmod(self, other)[1]
 
     def monic(self) -> "Poly":
-        if self.is_zero() or self.lc() == 1:
+        if self.is_zero() or self.idx[-1] == 1:
             return self
-        return self * self.lc().inverse()
+        return self._scale(self.spec._inv(self.idx[-1]))
 
     def derivative(self) -> "Poly":
-        cs = [c * i for i, c in enumerate(self.coeffs)][1:]
-        return Poly.from_coeffs(self.spec, cs)
+        spec = self.spec
+        mul, p = spec._mul, spec.p
+        return Poly(spec, [mul(c, i % p) for i, c in enumerate(self.idx)][1:])
+
+    def _eval(self, x: int) -> int:
+        """The index of the value at the element of index x, by Horner's rule."""
+        add, mul = self.spec._add, self.spec._mul
+        acc = 0
+        for c in reversed(self.idx):
+            acc = add(mul(acc, x), c)
+        return acc
 
     def __call__(self, x: FieldElement) -> FieldElement:
         spec = self.spec
-        add, mul = spec._add, spec._mul
-        xi = spec.element(x).index
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = add(mul(acc, xi), c.index)
-        return spec._elems[acc]
+        return spec._elems[self._eval(spec.element(x).index)]
 
     def compose(self, other: "Poly") -> "Poly":
-        acc = Poly.zero(self.spec)
-        for c in reversed(self.coeffs):
-            acc = acc * other + c
+        spec = self.spec
+        acc = Poly.zero(spec)
+        for c in reversed(self.idx):
+            acc = acc * other + Poly(spec, (c,))
         return acc
 
 
@@ -266,7 +262,7 @@ def poly_invmod(a: Poly, m: Poly) -> Poly:
         r0, r1, s0, s1 = r1, rem, s1, s0 - quo * s1
     if r0.degree != 0:
         raise ZeroDivisionError(f"{a} is not invertible modulo {m}")
-    return s0 * r0.lc().inverse()
+    return s0._scale(m.spec._inv(r0.idx[0]))
 
 
 def poly_powmod(base: Poly, e: int, mod: Poly) -> Poly:
@@ -290,12 +286,8 @@ def poly_powmod(base: Poly, e: int, mod: Poly) -> Poly:
 def _pth_root(f: Poly) -> Poly:
     # f = g(X^p); the coefficient p-th root is Frobenius applied k-1 times
     spec = f.spec
-    p, k = spec.p, spec.k
-    e = p ** (k - 1)
-    out = []
-    for i in range(0, len(f.coeffs), p):
-        out.append(f.coeffs[i] ** e)
-    return Poly.from_coeffs(spec, out)
+    e = spec.order // spec.p
+    return Poly(spec, [spec._pow(c, e) for c in f.idx[::spec.p]])
 
 
 def _squarefree_parts(f: Poly) -> list[tuple[Poly, int]]:
@@ -352,15 +344,14 @@ def _factor_seed(f: Poly, d: int) -> str:
     parts = [str(spec.p), str(spec.k)]
     parts.extend(str(c) for c in spec.modulus)
     parts.append("|")
-    parts.extend(str(c.index) for c in f.coeffs)
+    parts.extend(map(str, f.idx))
     parts.append(f"d{d}")
     return ":".join(parts)
 
 
 def _random_poly(rng: random.Random, spec: FieldSpec, deg_below: int) -> Poly:
     q = spec.order
-    cs = [spec.from_index(rng.randrange(q)) for _ in range(deg_below)]
-    return Poly.from_coeffs(spec, cs)
+    return Poly(spec, [rng.randrange(q) for _ in range(deg_below)])
 
 
 def _equal_degree_parts(f: Poly, d: int) -> list[Poly]:
@@ -444,6 +435,11 @@ def is_irreducible(f: Poly) -> bool:
 
 def roots(f: Poly) -> list[FieldElement]:
     """Distinct roots of f in the base field, sorted by coordinate index."""
+    return [f.spec._elems[r] for r in _root_indices(f)]
+
+
+def _root_indices(f: Poly) -> list[int]:
+    """The indices of the distinct roots of f in the base field, ascending."""
     if f.is_zero():
         raise ValidationError("zero polynomial has every root")
     if f.is_constant():
@@ -453,10 +449,7 @@ def roots(f: Poly) -> list[FieldElement]:
     u = poly_gcd(poly_powmod(x, spec.order, f) - x, f)
     if u.degree == 0:
         return []
-    linears = _equal_degree_parts(u.monic(), 1)
-    rs = [-g.coeffs[0] for g in linears]
-    rs.sort(key=lambda e: e.index)
-    return rs
+    return sorted(spec._neg(g.idx[0]) for g in _equal_degree_parts(u.monic(), 1))
 
 
 def num_distinct_roots(f: Poly) -> int:
@@ -496,11 +489,8 @@ class RatFun:
         if g.degree > 0:
             num = num // g
             den = den // g
-        c = den.lc().inverse()
-        if c != 1:
-            num = num * c
-            den = den * c
-        return cls(num, den)
+        c = den.spec._inv(den.idx[-1])
+        return cls(num._scale(c), den._scale(c))
 
     @classmethod
     def from_poly(cls, p: Poly) -> "RatFun":
@@ -574,13 +564,13 @@ def rat_compose(g: RatFun, h: RatFun) -> RatFun:
         n_pows.append(n_pows[-1] * h.num)
         d_pows.append(d_pows[-1] * h.den)
     num, den = (
-        sum((n_pows[i] * d_pows[delta - i] * c for i, c in enumerate(u.coeffs) if c), Poly.zero(g.spec))
+        sum((n_pows[i] * d_pows[delta - i]._scale(c) for i, c in enumerate(u.idx) if c), Poly.zero(g.spec))
         for u in (g.num, g.den)
     )
     if den.is_zero():
         raise ValidationError("composition is identically infinite")
-    c = den.lc().inverse()
-    out = RatFun(num * c, den * c)
+    c = g.spec._inv(den.idx[-1])
+    out = RatFun(num._scale(c), den._scale(c))
     if not g.is_constant() and not h.is_constant():
         assert out.degree == g.degree * h.degree
     return out
@@ -609,26 +599,19 @@ def require_nonconstant(f: RatFun, name: str) -> None:
 # plain-text rendering (parsing lives in the cli-facing module)
 
 
-def _coeff_str(c: FieldElement) -> str:
-    if c.spec.k == 1:
-        return str(c.coeffs[0])
-    return "[" + ",".join(str(v) for v in c.coeffs) + "]"
-
-
 def _poly_str(f: Poly, var: str = "X") -> str:
+    """Terms from the highest power down; a coefficient prints as its
+    FieldElement does (an integer, or a coordinate list in brackets)."""
     if f.is_zero():
         return "0"
-    parts = []
+    elems, parts = f.spec._elems, []
     for e in range(f.degree, -1, -1):
-        c = f.coeffs[e]
-        if c.is_zero():
+        c = f.idx[e]
+        if not c:
             continue
         if e == 0:
-            parts.append(_coeff_str(c))
+            parts.append(str(elems[c]))
         else:
             xs = var if e == 1 else f"{var}^{e}"
-            if c == 1:
-                parts.append(xs)
-            else:
-                parts.append(f"{_coeff_str(c)}*{xs}")
+            parts.append(xs if c == 1 else f"{elems[c]}*{xs}")
     return "+".join(parts)

@@ -5,7 +5,9 @@ candidate enumeration, no clever algebra.  Results are cached where the
 enumeration is expensive but deterministic.
 """
 
+import functools
 import itertools
+import math
 from collections import Counter
 
 from ffdecomp.errors import SizeLimitError
@@ -13,12 +15,13 @@ from ffdecomp.mvar import (
     UNDEFINED,
     MPoly,
     MRatFun,
+    _series_mul,
     mpoly_divexact,
     mpoly_gcd,
     mrat_compose,
     mv_factor,
 )
-from ffdecomp.upoly import INFINITY, Poly, RatFun, factor, poly_gcd, rat_compose, roots
+from ffdecomp.upoly import INFINITY, Poly, RatFun, factor, poly_gcd, poly_invmod, rat_compose, roots
 
 _CANDIDATE_CACHE: dict = {}
 
@@ -202,7 +205,7 @@ def uncollapse(u, rads, bases, n):
             else:
                 key.append(rest // bases[i])
         terms[tuple(key)] = c
-    return MPoly(u.spec, n, terms)
+    return MPoly.from_terms(u.spec, n, terms)
 
 
 def _submultisets_by_degree(facs):
@@ -425,16 +428,131 @@ def pointwise_small_fibers(g):
     return frozenset(points), frozenset(values)
 
 
+# The element oracles below compute on FieldElements, coefficient lists
+# constant term first, the way Poly and MPoly computed before they held
+# field indices.
+
+
+def _trim(cs):
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return cs
+
+
+def _list_mul(spec, x, y):
+    if not x or not y:
+        return []
+    out = [spec.zero()] * (len(x) + len(y) - 1)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            out[i + j] = out[i + j] + xi * yj
+    return out
+
+
 def schoolbook_mul(a, b):
     """Coefficients of a * b by the double loop over FieldElement products."""
-    spec = a.spec
-    if a.is_zero() or b.is_zero():
+    return _list_mul(a.spec, list(a.coeffs), list(b.coeffs))
+
+
+def schoolbook_add(a, b):
+    """Coefficients of a + b, added one FieldElement at a time."""
+    x, y = list(a.coeffs), list(b.coeffs)
+    if len(x) < len(y):
+        x, y = y, x
+    for i, c in enumerate(y):
+        x[i] = x[i] + c
+    return _trim(x)
+
+
+def schoolbook_sub(a, b):
+    """Coefficients of a - b."""
+    return schoolbook_add(a, Poly.from_coeffs(b.spec, [-c for c in b.coeffs]))
+
+
+def schoolbook_derivative(a):
+    """Coefficients of a', each c_i times the integer i."""
+    return _trim([c * i for i, c in enumerate(a.coeffs)][1:])
+
+
+def schoolbook_monic(a):
+    """Coefficients of a divided by its leading coefficient."""
+    if a.is_zero():
         return []
-    out = [spec.zero()] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, ai in enumerate(a.coeffs):
-        for j, bj in enumerate(b.coeffs):
-            out[i + j] = out[i + j] + ai * bj
-    return out
+    inv = a.coeffs[-1].inverse()
+    return [c * inv for c in a.coeffs]
+
+
+def schoolbook_compose(a, b):
+    """Coefficients of a(b), by Horner's rule on FieldElement lists."""
+    acc = []
+    for c in reversed(a.coeffs):
+        acc = _list_mul(a.spec, acc, list(b.coeffs)) or [a.spec.zero()]
+        acc[0] = acc[0] + c
+        _trim(acc)
+    return acc
+
+
+def term_add(F, G):
+    """The terms of F + G, added one FieldElement at a time."""
+    terms = dict(F.terms)
+    for k, c in G.terms.items():
+        s = terms.get(k, F.spec.zero()) + c
+        if s.is_zero():
+            terms.pop(k, None)
+        else:
+            terms[k] = s
+    return terms
+
+
+def term_mul(F, G):
+    """The terms of F * G, by the double loop over the terms."""
+    terms = {}
+    for k1, c1 in F.terms.items():
+        for k2, c2 in G.terms.items():
+            k = tuple(a + b for a, b in zip(k1, k2))
+            terms[k] = terms.get(k, F.spec.zero()) + c1 * c2
+    return {k: c for k, c in terms.items() if not c.is_zero()}
+
+
+def term_eval(F, xs):
+    """F at the point xs, each term's powers x**e taken on FieldElements."""
+    acc = F.spec.zero()
+    for k, c in F.terms.items():
+        for x, e in zip(xs, k):
+            if e:
+                c = c * x**e
+        acc = acc + c
+    return acc
+
+
+def term_shift(F, s, top):
+    """The terms of total degree <= top of F(X + s), s a list of FieldElements,
+    by the binomial expansion of every term."""
+    out = {}
+    for key, c0 in F.terms.items():
+        for t in itertools.product(*(range(k + 1) for k in key)):
+            if sum(t) <= top:
+                c = c0
+                for k, ti, si in zip(key, t, s):
+                    if k != ti:
+                        c = c * si ** (k - ti) * math.comb(k, ti)
+                out[t] = out[t] + c if t in out else c
+    return {t: c for t, c in out.items() if c}
+
+
+def hensel_lift_by_recomputing(G, lc, fs, prec):
+    """mvar._hensel_lift with the whole product lc * prod F_i recomputed to
+    precision k + 1 at every power k of t: r * prec^3 series products."""
+    c0 = lc[0].lc().inverse()
+    whole = functools.reduce(Poly.__mul__, fs)
+    ss = [poly_invmod(whole // f, f) for f in fs]
+    lifted = [[f] for f in fs]
+    for k in range(1, prec):
+        have = functools.reduce(lambda a, b: _series_mul(a, b, k + 1), lifted, lc)
+        e = (G[k] - have[k]) * c0
+        for F, f, s in zip(lifted, fs, ss):
+            F.append(e * s % f)
+    return lifted
 
 
 def schoolbook_divmod(a, b):

@@ -30,17 +30,22 @@ from ffdecomp.mvar import (
     t41_threshold_ok,
     verify_h_mv,
 )
-from ffdecomp.upoly import Poly, RatFun, poly_gcd, roots
+from ffdecomp.upoly import Poly, RatFun, _distinct_degree_parts, _equal_degree_parts, poly_gcd, roots
 
 from oracles import (
     collapse_factor,
     divisor_find_h,
     divisor_find_h_mv,
+    hensel_lift_by_recomputing,
     pointwise_count_pairs,
     pointwise_count_pairs_mv,
     pointwise_count_undefined,
     pointwise_small_fibers,
     pointwise_t1_scan,
+    term_add,
+    term_eval,
+    term_mul,
+    term_shift,
     usable_points,
 )
 
@@ -100,6 +105,54 @@ def test_mpoly_arithmetic_agrees_with_evaluation():
                 assert (a * b)(xs) == a(xs) * b(xs)
                 assert (a - b)(xs) == a(xs) - b(xs)
             assert (a**3)(list(spec.elements())[:2]) == a(list(spec.elements())[:2]) ** 3
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (3, 2), (13, 1), (2, 17)], ids=str)
+def test_index_kernels_match_the_element_oracles(p, k):
+    # F_2^17 has no tables: its elements are made fresh (_Fresh), never interned
+    spec = build_field(p, k)
+    rng = random.Random(f"mpoly kernels/{p}^{k}")
+    for _ in range(12):
+        n = rng.choice([1, 2, 3])
+        a = rand_mpoly(rng, spec, n, rng.randrange(4))
+        b = rand_mpoly(rng, spec, n, rng.randrange(3))
+        xs = [spec.from_index(rng.randrange(spec.order)) for _ in range(n)]
+        assert (a + b).terms == term_add(a, b)
+        assert (a - a).terms == {}
+        assert (a * b).terms == term_mul(a, b)
+        assert a(xs) == term_eval(a, xs)
+        top = rng.randrange(4)
+        assert mvar._shift(a, [x.index for x in xs], top).terms == term_shift(a, xs, top)
+
+
+def test_ints_are_multiples_of_one_in_several_variables():
+    F9 = build_field(3, 2)
+    a = F9.from_index(4)  # the element [1,1]; the int 4 is 4 * 1 = 1
+    x1, x2 = MPoly.variable(F9, 2, 0), MPoly.variable(F9, 2, 1)
+    f = x1 * x2 * a + 5
+    assert f.terms == {(1, 1): a, (0, 0): F9.element(2)}
+    assert (f + 4).terms == {(1, 1): a}
+    assert (4 - f).terms == {(1, 1): -a, (0, 0): F9.element(2)}
+    assert f * 4 == f and 7 * f == f and (f * 3).is_zero()
+    assert mp(F9, 2, {(1, 1): a, (0, 0): 5, (2, 0): 9}) == f
+    assert f([4, 5]) == f([1, 2]) == a * 2 + 2 and f([3, 1]) == F9.element(2)
+    assert f.coeff((0, 0)) == 2 and f.coeff((5, 5)) == 0
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (3, 2), (2, 17)], ids=str)
+def test_equal_mpolys_hash_alike_however_built(p, k):
+    spec = build_field(p, k)
+    a = spec.from_index(spec.order - 1)
+    x1, x2 = MPoly.variable(spec, 2, 0), MPoly.variable(spec, 2, 1)
+    built = [
+        mp(spec, 2, {(1, 1): a, (0, 0): spec.one()}),
+        mp(spec, 2, {(1, 1): a, (0, 0): 1, (3, 0): spec.p}),
+        x1 * x2 * a + 1,
+        (x1 + 1) * (x2 * a) - x2 * a + MPoly.one(spec, 2),
+        mpoly_divexact(x1 * x1 * x2 * a + x1, x1),
+    ]
+    assert all(g == built[0] and hash(g) == hash(built[0]) for g in built)
+    assert len(set(built)) == 1
 
 
 def test_mpoly_structure_and_str():
@@ -530,6 +583,39 @@ def test_mv_factor_reconstruction_and_irreducibility():
 
 # --------------------------------------------------------------------------
 # verification and search
+
+
+def _lift_inputs(P):
+    """(G, lc, fs, prec) as mvar._recombine builds them at the first usable
+    fiber X = x0 of the plane curve P, or None without one over F_q."""
+    spec = P.spec
+    cols = [mvar._to_upoly(c) for c in P.last_var_coeffs()]
+    found = next(mvar._usable_points([mvar._from_upoly(c) for c in cols]), None)
+    if found is None:
+        return None
+    x0 = spec.from_index(found[0][0])
+    fs = [f for g, d in _distinct_degree_parts(found[1].monic()) for f in _equal_degree_parts(g, d)]
+    prec = max(c.degree for c in cols) + 1
+    tcols = [c.compose(Poly.from_coeffs(spec, [x0, 1])) for c in cols]
+    lc = [Poly.constant(c) for c in tcols[-1].coeffs]
+    return mvar._transpose(tcols, prec), lc, fs, prec
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 3), (13, 1), (101, 1)], ids=str)
+def test_hensel_lift_matches_the_recomputing_oracle(p, k):
+    spec = build_field(p, k)
+    rng = random.Random(f"hensel/{p}^{k}")
+    lifts, factors = 0, 0
+    while lifts < 12:
+        # a random curve, or one times three factors Y^j + ..., for fibers with many factors
+        y = MPoly.variable(spec, 2, 1)
+        parts = [y ** (j + 1) + rand_mpoly(rng, spec, 2, j) for j in rng.choices([0, 1], k=lifts % 2 * 3)]
+        P = functools.reduce(MPoly.__mul__, parts, rand_mpoly(rng, spec, 2, rng.randrange(1, 4)))
+        if P.deg_in(1) < 2 or (inputs := _lift_inputs(P)) is None:
+            continue
+        lifts, factors = lifts + 1, max(factors, len(inputs[2]))
+        assert mvar._hensel_lift(*inputs) == hensel_lift_by_recomputing(*inputs), P
+    assert factors >= 4
 
 
 def test_verify_h_mv_examples():

@@ -20,7 +20,16 @@ from ffdecomp.upoly import (
     roots,
 )
 
-from oracles import horner, schoolbook_divmod, schoolbook_mul
+from oracles import (
+    horner,
+    schoolbook_add,
+    schoolbook_compose,
+    schoolbook_derivative,
+    schoolbook_divmod,
+    schoolbook_monic,
+    schoolbook_mul,
+    schoolbook_sub,
+)
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -80,12 +89,50 @@ def test_index_kernels_match_schoolbook(p, k):
         c = F.from_index(rng.randrange(F.order))
         assert list((a * b).coeffs) == schoolbook_mul(a, b)
         assert list((a * c).coeffs) == schoolbook_mul(a, Poly.constant(c))
+        assert list((a + b).coeffs) == schoolbook_add(a, b)
+        assert list((a - b).coeffs) == schoolbook_sub(a, b)
+        assert list((a - a).coeffs) == []
+        assert list((-a).coeffs) == [-x for x in a.coeffs]
+        assert list(a.derivative().coeffs) == schoolbook_derivative(a)
+        assert list(a.monic().coeffs) == schoolbook_monic(a)
+        assert list(b.compose(a).coeffs) == schoolbook_compose(b, a)
         x = F.from_index(rng.randrange(F.order))
         assert a(x) == horner(a, x)
         if b.is_zero():
             continue
         q, r = divmod(a, b)
         assert (list(q.coeffs), list(r.coeffs)) == schoolbook_divmod(a, b)
+
+
+def test_ints_mean_multiples_of_one_not_indices():
+    F9 = build_field(3, 2)
+    x, one = Poly.x(F9), F9.one()
+    a = F9.from_index(4)  # the element [1,1]; the int 4 is 4 * 1 = 1
+    f = x * a + 5
+    assert f.coeffs == (F9.element(2), a)
+    assert (f + 4).coeffs == (F9.zero(), a)
+    assert (4 - f).coeffs == (F9.element(2), -a)
+    assert (f * 4).coeffs == f.coeffs and (7 * f) == f and (f * 3).is_zero()
+    assert Poly.from_ints(F9, [4, 5, 9]) == Poly.from_coeffs(F9, [one, -one])
+    assert f(4) == f(one) == a + 2 and f(3) == F9.element(2)
+    assert (x**3 - x).derivative() == Poly.from_ints(F9, [-1])
+    assert divmod(f, 2) == (f * F9.element(2).inverse(), Poly.zero(F9))
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (2, 17)], ids=lambda v: str(v))
+def test_equal_polys_hash_alike_however_built(p, k):
+    F = build_field(p, k)
+    a = F.from_index(F.order - 1)
+    built = [
+        Poly.from_coeffs(F, [a, F.element(2), F.one()]),
+        Poly.from_coeffs(F, [a, 2, 1, 0, F.zero()]),
+        Poly.x(F) ** 2 + Poly.x(F) * 2 + a,
+        (Poly.x(F) + 1) ** 2 + (Poly.constant(a) - 1),
+        Poly.from_ints(F, [0, 1, 1]) * Poly.x(F) // Poly.x(F) + Poly.x(F) + a,
+    ]
+    assert all(g == built[0] and hash(g) == hash(built[0]) for g in built)
+    assert len(set(built)) == 1
+    assert Poly.from_ints(F, [F.p]) == Poly.zero(F) and hash(Poly.from_ints(F, [F.p])) == hash(Poly.zero(F))
 
 
 def test_evaluation_refuses_another_fields_point():
