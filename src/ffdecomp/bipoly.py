@@ -3,12 +3,14 @@
 A curve is an mvar.MPoly with n = 2, X = X1 and Y = X2.  The module builds
 the curve A(X)Q(Y) - B(X)P(Y) from two rational functions, counts its affine
 and projective points exactly, factors it with mvar.mv_factor (Hensel
-lifting at one fiber X = x0), and decides absolute irreducibility.  The
-n = 2 views these need are module functions: setting X = x or Y = y to get
-a univariate Poly, the homogeneous parts and partial derivatives; swapping
-the variables is mvar.swap, which factoring uses too.  Coefficients move to
-an extension field through mvar.map_coeffs, and curves print with X and Y
-through mvar.terms_str.
+lifting at one fiber X = x0), and decides absolute irreducibility: an
+F_q-irreducible curve is absolutely irreducible when it has more than
+floor(D^2/4) F_q-points or a nonsingular one, found as a simple root on a
+line, and otherwise by re-factoring over extensions.  The n = 2 views these
+need are module functions: setting X = x or Y = y to get a univariate Poly
+and the homogeneous parts; swapping the variables is mvar.swap, which
+factoring uses too.  Coefficients move to an extension field through
+mvar.map_coeffs, and curves print with X and Y through mvar.terms_str.
 """
 
 from __future__ import annotations
@@ -17,21 +19,14 @@ from . import limits
 from .errors import SpecMismatchError, ValidationError
 from .gf_core import FieldElement, _same_spec, extend_field, prime_factors
 from .mvar import MPoly, _from_upoly, map_coeffs, mv_factor, swap, terms_str
-from .upoly import (
-    Poly,
-    RatFun,
-    num_distinct_roots,
-    poly_gcd,
-    poly_powmod,
-    require_nonconstant,
-)
+from .upoly import Poly, RatFun, _rational_part, num_distinct_roots, poly_gcd, require_nonconstant
 
-# The smooth-point search in is_absolutely_irreducible tries at most this
-# many affine lines X = x.  A curve that is not absolutely irreducible has no
-# nonsingular rational point, so on it the search always runs to the end
-# before the fallback; over a field of order about 1000 a full scan of a norm
-# form cost 10 times the fallback, while an absolutely irreducible curve
-# almost always shows a nonsingular point within the first few lines.
+# The line scan in is_absolutely_irreducible tries at most this many affine
+# lines X = x.  A curve that is not absolutely irreducible has no nonsingular
+# rational point, so on it the scan always runs to the end before the
+# fallback; over a field of order about 1000 a full scan of a norm form cost
+# 10 times the fallback, while an absolutely irreducible curve almost always
+# meets one of the first few lines in a simple root.
 _SMOOTH_SCAN_LINES = 64
 
 
@@ -70,18 +65,6 @@ def _specialize(F: MPoly, var: int, v: int) -> Poly:
 def form(F: MPoly, m: int) -> MPoly:
     """The terms of total degree m; the top form when m is the total degree."""
     return MPoly(F.spec, 2, {k: c for k, c in F.idx.items() if k[0] + k[1] == m})
-
-
-def _partial(F: MPoly, var: int) -> MPoly:
-    """The formal partial derivative in X (var 0) or in Y (var 1)."""
-    mul, p = F.spec._mul, F.spec.p
-    idx = {}
-    for k, c in F.idx.items():
-        if k[var] % p:
-            e = list(k)
-            e[var] -= 1
-            idx[tuple(e)] = mul(c, k[var] % p)
-    return MPoly(F.spec, 2, idx)
 
 
 # --------------------------------------------------------------------------
@@ -157,50 +140,29 @@ def kronecker_factor(F: MPoly) -> tuple[FieldElement, list[tuple[MPoly, int]]]:
     return mv_factor(F)
 
 
-def _has_smooth_root(u: Poly, partials: list[Poly]) -> bool:
-    """Whether u has a root in the base field where some partial is nonzero.
-
-    The rational roots of u are the roots of gcd(u, T^q - T), each once, and
-    the ones where every partial vanishes are the roots of its gcd with the
-    partials, so comparing the two degrees needs no root extraction.
-    """
-    if u.is_constant():
+def _has_simple_root(u: Poly) -> bool:
+    """Whether u has a simple root in the base field: a root of its rational
+    part gcd(u, T^q - T) that is not a root of u'."""
+    if u.is_zero():
         return False
-    t = Poly.x(u.spec)
-    rational = poly_gcd(poly_powmod(t, u.spec.order, u) - t, u)
-    common = rational
-    for d in partials:
-        if common.degree == 0:
-            break
-        common = poly_gcd(common, d)
-    return rational.degree > common.degree
+    rational = _rational_part(u)
+    return rational.degree > poly_gcd(rational, u.derivative()).degree
 
 
-def _has_smooth_rational_point(F: MPoly) -> bool:
-    """Whether a nonsingular F_q-point of the projective closure of F was found.
+def _line_meets_simply(F: MPoly) -> bool:
+    """Whether a scanned line meets F in a simple F_q-root.
 
-    With F(X, Y, Z) = sum_k F_k(X, Y) Z^(d-k) the homogenization, a point
-    (x : y : 0) at infinity lies on the curve when the top form T = F_d
-    vanishes there, and is nonsingular when T_X, T_Y or F_{d-1} (the partial
-    in Z at Z = 0) does not.  The points at infinity are checked first, as
-    (1 : 0 : 0) and then (x : 1 : 0) through T(X, 1); then the affine lines
-    X = x in index order, at most _SMOOTH_SCAN_LINES of them.  False means
-    no such point exists when q <= _SMOOTH_SCAN_LINES.
+    The lines are Z = 0, which meets F in the zeros (x : 1 : 0) of T(X, 1),
+    T the top form, then X = x for the first _SMOOTH_SCAN_LINES indices x.
+    At a simple root of the restriction of F to a line, the partial of the
+    homogenization along the line (in X on Z = 0, in Y on X = x) is not
+    zero, so the point is nonsingular on the projective closure.
     """
-    d = F.total_degree()
-    top = form(F, d)
-    # at (1 : 0 : 0) the partials T_Y and F_{d-1} are the coefficients of
-    # X^(d-1) Y and X^(d-1); T_X = d * coeff(X^d) vanishes with T there
-    if (d, 0) not in top.idx and ((d - 1, 1) in F.idx or (d - 1, 0) in F.idx):
+    top = form(F, F.total_degree())
+    if _has_simple_root(_specialize(top, 1, 1)):
         return True
-    at_infinity = [
-        _specialize(G, 1, 1) for G in (_partial(top, 0), _partial(top, 1), form(F, d - 1))
-    ]
-    if _has_smooth_root(_specialize(top, 1, 1), at_infinity):
-        return True
-    fx, fy = _partial(F, 0), _partial(F, 1)
     return any(
-        _has_smooth_root(_specialize(F, 0, x), [_specialize(fx, 0, x), _specialize(fy, 0, x)])
+        _has_simple_root(_specialize(F, 0, x))
         for x in range(min(F.spec.order, _SMOOTH_SCAN_LINES))
     )
 
@@ -225,17 +187,20 @@ def _is_absolutely_irreducible_by_extension(F: MPoly) -> bool:
     return all(_irreducible_over(F, r) for r in [1, *prime_factors(F.total_degree())])
 
 
-def _irreducible_is_absolute(F: MPoly) -> bool:
+def _irreducible_is_absolute(F: MPoly, points: int = 0) -> bool:
     """Whether F, known to be irreducible over F_q, is absolutely irreducible.
 
-    True as soon as a nonsingular F_q-point turns up; otherwise F is
-    re-factored over F_{q^r} for each prime r dividing its total degree.
-    is_absolutely_irreducible explains why, and is this check after
-    factoring F over F_q.
+    points is a lower bound on the F_q-points of the projective closure of
+    F; a caller that counted them passes the count.  True when points
+    exceeds floor(D^2/4) (D the total degree) or when _line_meets_simply
+    finds a nonsingular F_q-point; otherwise F is re-factored over F_{q^r}
+    for each prime r dividing D.  is_absolutely_irreducible explains why,
+    and is this check after factoring F over F_q.
     """
-    if _has_smooth_rational_point(F):
+    d = F.total_degree()
+    if points > d * d // 4 or _line_meets_simply(F):
         return True
-    return all(_irreducible_over(F, r) for r in prime_factors(F.total_degree()))
+    return all(_irreducible_over(F, r) for r in prime_factors(d))
 
 
 def is_absolutely_irreducible(F: MPoly) -> bool:
@@ -245,19 +210,22 @@ def is_absolutely_irreducible(F: MPoly) -> bool:
     the algebraic closure it is then a product of s >= 2 distinct factors
     that Frobenius permutes as one Galois orbit.  An F_q-rational point is
     fixed by Frobenius, so if it lies on one factor it lies on all of them,
-    and a point on two components is singular.  This holds at infinity too,
-    on the projective closure: a rational (x : y : 0) is nonsingular when the
-    top form T vanishes there but one of T_X, T_Y and F_{d-1} (the part of
-    degree d - 1) does not.  So after F is found irreducible over F_q, one
-    nonsingular F_q-point proves it absolutely irreducible.
+    and a point on two components is singular.  Two certificates follow, on
+    the projective closure, once F is found irreducible over F_q:
 
-    The search looks at the points at infinity and at the affine lines
-    X = x, at most _SMOOTH_SCAN_LINES of them.  Only when it finds no
-    nonsingular F_q-point (every non-absolutely-irreducible F, and a few
-    absolutely irreducible ones, mostly over tiny fields) does the fallback
-    run: F is re-factored over F_{q^r} for each prime r dividing its total
-    degree.  A caller that already holds the factors of a curve over F_q
-    skips the F_q factoring with _irreducible_is_absolute.
+    - more than floor(D^2/4) F_q-points, as every rational point then lies
+      on two components of degree D/s, which meet in at most (D/s)^2 points
+      by Bezout (bounds.non_abs_bound);
+    - one nonsingular F_q-point, which the scan finds as a simple root of F
+      restricted to the line at infinity or to a line X = x, at most
+      _SMOOTH_SCAN_LINES of them.
+
+    Here the count is not known, so only the scan runs.  When it finds no
+    simple root (every non-absolutely-irreducible F, and some absolutely
+    irreducible ones, mostly over tiny fields) the fallback runs: F is
+    re-factored over F_{q^r} for each prime r dividing its total degree.  A
+    caller that already holds the factors of a curve over F_q, and their
+    point counts, skips the F_q factoring with _irreducible_is_absolute.
     """
     _require_plane(F)
     if F.is_zero() or F.is_constant():

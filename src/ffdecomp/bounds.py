@@ -175,8 +175,8 @@ def non_abs_bound(D: int) -> int:
     degree D/s, and a rational point, fixed by Frobenius, lies on all of
     them; so every rational point is a singular point in the intersection of
     two components, and there are at most (D/s)^2 <= floor(D^2/4) of those
-    by Bezout.  The same fact lets bipoly.is_absolutely_irreducible accept
-    an F_q-irreducible curve as soon as it has one nonsingular F_q-point.
+    by Bezout.  So more than floor(D^2/4) F_q-points, or one nonsingular
+    F_q-point, prove an F_q-irreducible curve absolutely irreducible (bipoly).
     """
     if D < 1:
         raise ValidationError("degree must be at least 1")
@@ -365,7 +365,7 @@ def verify_bounds_on_sample(config: SampleConfig) -> list[BoundReport]:
     and the projective band; factors that stay irreducible over F_q only are
     checked against floor(D^2/4).  Reports are deterministic in the seed.
     The factors are irreducible over F_q, so only the step beyond F_q of the
-    absolute-irreducibility test runs on them.
+    absolute-irreducibility test runs on them, given their point counts.
     """
     if config.kind not in _SAMPLERS:
         raise ValidationError(f"unknown sampler kind {config.kind!r}")
@@ -385,7 +385,8 @@ def verify_bounds_on_sample(config: SampleConfig) -> list[BoundReport]:
         for fidx, (h, _) in enumerate(facs):
             D = h.total_degree()
             aff = count_affine(h)
-            if _irreducible_is_absolute(h):
+            proj = aff + _points_at_infinity(h)
+            if _irreducible_is_absolute(h, proj):
                 label = "absolutely-irreducible"
                 lo, hi = ap_interval(D, q)
                 reports.append(
@@ -394,7 +395,6 @@ def verify_bounds_on_sample(config: SampleConfig) -> list[BoundReport]:
                         f"{lo}..{hi}", bool(lo <= aff <= hi),
                     )
                 )
-                proj = aff + _points_at_infinity(h)
                 s = (D - 1) * (D - 2)
                 reports.append(
                     BoundReport(

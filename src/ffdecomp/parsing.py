@@ -136,7 +136,7 @@ class _Tokens:
     def integer(self) -> int:
         self.peek()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise ValidationError(
@@ -201,7 +201,7 @@ def _parse_atom(tok: _Tokens, spec: FieldSpec, depth: int) -> Poly:
     if ch in ("X", "x"):
         tok.take()
         return Poly.x(spec)
-    if ch.isdigit():
+    if ch.isdecimal():
         return Poly.constant(spec.element(tok.integer()))
     raise ValidationError(
         f"unexpected {ch!r} at position {tok.pos} of {tok.text!r}"

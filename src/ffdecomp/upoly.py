@@ -440,29 +440,24 @@ def roots(f: Poly) -> list[FieldElement]:
 
 def _root_indices(f: Poly) -> list[int]:
     """The indices of the distinct roots of f in the base field, ascending."""
-    if f.is_zero():
-        raise ValidationError("zero polynomial has every root")
-    if f.is_constant():
-        return []
-    spec = f.spec
-    x = Poly.x(spec)
-    u = poly_gcd(poly_powmod(x, spec.order, f) - x, f)
-    if u.degree == 0:
-        return []
-    return sorted(spec._neg(g.idx[0]) for g in _equal_degree_parts(u.monic(), 1))
+    u = _rational_part(f)
+    return sorted(f.spec._neg(g.idx[0]) for g in _equal_degree_parts(u, 1)) if u.degree else []
 
 
 def num_distinct_roots(f: Poly) -> int:
     """Count of distinct roots in the base field without extracting them."""
+    return 1 if f.degree == 1 else _rational_part(f).degree
+
+
+def _rational_part(f: Poly) -> Poly:
+    """gcd(f, T^q - T): the monic product of T - a over the distinct roots a
+    of f in the base field, each once."""
     if f.is_zero():
         raise ValidationError("zero polynomial has every root")
     if f.is_constant():
-        return 0
-    if f.degree == 1:
-        return 1
-    spec = f.spec
-    x = Poly.x(spec)
-    return poly_gcd(poly_powmod(x, spec.order, f) - x, f).degree
+        return Poly.one(f.spec)
+    x = Poly.x(f.spec)
+    return poly_gcd(poly_powmod(x, f.spec.order, f) - x, f)
 
 
 # --------------------------------------------------------------------------

@@ -8,11 +8,12 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ffdecomp import bounds, mvar
+from ffdecomp import bipoly, bounds, mvar
 from ffdecomp.bipoly import (
-    _has_smooth_rational_point,
+    _SMOOTH_SCAN_LINES,
     _irreducible_is_absolute,
     _is_absolutely_irreducible_by_extension,
+    _line_meets_simply,
     _points_at_infinity,
     build_F,
     count_affine,
@@ -700,9 +701,23 @@ def test_norm_form_is_irreducible_but_not_absolutely():
     _, facs = kronecker_factor(F)
     assert len(facs) == 1 and facs[0][1] == 1
     # the conjugate lines meet in the one rational point, so the fallback runs
-    assert not _has_smooth_rational_point(F)
+    assert not _line_meets_simply(F)
     assert not is_absolutely_irreducible(F)
     assert not _is_absolutely_irreducible_by_extension(F)
+    # that point is all floor(2^2/4) = 1 allows, so the count proves nothing
+    assert count_projective(F) == 1 == bounds.non_abs_bound(2)
+    assert not _irreducible_is_absolute(F, 1)
+    # the norm of the conic A - alpha*B has the 4 = floor(4^2/4) rational
+    # points where the conics A = X^2 - X and B = Y^2 - Y meet
+    a = bp(F7, {(2, 0): 1, (1, 0): -1})
+    b = bp(F7, {(0, 2): 1, (0, 1): -1})
+    G = a * a + a * b + 3 * b * b
+    _, facs = kronecker_factor(G)
+    assert len(facs) == 1 and facs[0][1] == 1
+    assert count_projective(G) == 4 == bounds.non_abs_bound(4)
+    assert not _line_meets_simply(G)
+    assert not _irreducible_is_absolute(G, 4)
+    assert not _is_absolutely_irreducible_by_extension(G)
 
 
 def test_absolute_irreducibility_rejects_constant():
@@ -710,9 +725,10 @@ def test_absolute_irreducibility_rejects_constant():
         is_absolutely_irreducible(MPoly.constant(F3.one(), 2))
 
 
-def brute_smooth_points(F):
-    """The points of P^2(F_q) on the projective closure of F where the
-    gradient of the homogenization does not vanish, by a full scan."""
+def brute_curve_points(F):
+    """The points of P^2(F_q) on the projective closure of F, each with the
+    values there of the partials in X, Y and Z of the homogenization, by a
+    full scan."""
     spec = F.spec
     d = F.total_degree()
     hom = {(i, j, d - i - j): c for (i, j), c in F.terms.items()}
@@ -740,18 +756,36 @@ def brute_smooth_points(F):
     els = spec.elements()
     points = [(x, y, one) for x in els for y in els]
     points += [(x, one, zero) for x in els] + [(one, zero, zero)]
+    return [(pt, [value(g, pt) for g in grads]) for pt in points if value(hom, pt).is_zero()]
+
+
+def brute_smooth_points(F):
+    """The points where the gradient of the homogenization does not vanish."""
+    return [pt for pt, grad in brute_curve_points(F) if any(not v.is_zero() for v in grad)]
+
+
+def brute_line_roots(F):
+    """The simple F_q-roots of F on the lines _line_meets_simply scans: of
+    T(X, 1), T the top form, at the points (x : 1 : 0), where the partial
+    in X is not zero; and of F(x, Y) for the first _SMOOTH_SCAN_LINES x, at
+    the points (x : y : 1), where the partial in Y is not zero."""
+    spec = F.spec
+    lines = spec.elements()[:_SMOOTH_SCAN_LINES]
     return [
         pt
-        for pt in points
-        if value(hom, pt).is_zero() and any(not value(g, pt).is_zero() for g in grads)
+        for pt, grad in brute_curve_points(F)
+        if (pt[2].is_zero() and pt[1] == spec.one() and not grad[0].is_zero())
+        or (not pt[2].is_zero() and pt[0] in lines and not grad[1].is_zero())
     ]
 
 
 @pytest.mark.parametrize("spec", [F2, F3, F4, F5, F7, F8, F9], ids=lambda s: f"q{s.order}")
 def test_absolute_irreducibility_matches_extension_oracle(spec):
-    # the smooth-point shortcut against the definitional re-factoring over
-    # F_{q^r}, and the smooth-point search against a scan of P^2(F_q); norm
-    # forms have no nonsingular rational point, so they run the fallback
+    # both certificates against the definitional re-factoring over F_{q^r}:
+    # the projective point count with the line scan, and the line scan alone;
+    # the line scan against a scan of the same lines, and every simple root
+    # it sees against the nonsingular points of P^2(F_q).  Norm forms have
+    # no nonsingular rational point, so they run the fallback
     rng = random.Random(spec.order)
     for kind, count in (("conic", 4), ("norm_form", 3), ("random", 3)):
         for _ in range(count):
@@ -759,21 +793,47 @@ def test_absolute_irreducibility_matches_extension_oracle(spec):
             for h, _ in facs:
                 expected = _is_absolutely_irreducible_by_extension(h)
                 assert is_absolutely_irreducible(h) == expected, h
-                smooth = _has_smooth_rational_point(h)
-                assert smooth == bool(brute_smooth_points(h)), h
+                points = count_projective(h)
+                assert _irreducible_is_absolute(h, points) == expected, h
+                assert _irreducible_is_absolute(h, 0) == expected, h
+                roots = brute_line_roots(h)
+                assert _line_meets_simply(h) == bool(roots), h
+                smooth = brute_smooth_points(h)
+                assert set(roots) <= set(smooth), h
                 assert expected or not smooth, h
+                assert expected or points <= bounds.non_abs_bound(h.total_degree()), h
 
 
 @pytest.mark.parametrize("spec", [F2, F3, F4, F5, F7, F8, F9], ids=lambda s: f"q{s.order}")
 def test_known_irreducible_check_matches_full_test(spec):
-    # verify_bounds_on_sample passes the factors it already has to
-    # _irreducible_is_absolute, which skips the factoring over F_q
+    # verify_bounds_on_sample passes the factors it already has, with their
+    # projective point counts, to _irreducible_is_absolute, which skips the
+    # factoring over F_q
     rng = random.Random(1000 + spec.order)
     for kind in ("conic", "norm_form", "random"):
         for _ in range(3):
             _, facs = kronecker_factor(_SAMPLERS[kind](rng, spec, 4))
             for h, _ in facs:
-                assert _irreducible_is_absolute(h) == is_absolutely_irreducible(h), h
+                full = is_absolutely_irreducible(h)
+                assert _irreducible_is_absolute(h) == full, h
+                assert _irreducible_is_absolute(h, count_projective(h)) == full, h
+
+
+def test_point_count_decides_where_no_line_meets_simply(monkeypatch):
+    # Y^p - X meets each line X = x in one p-fold root and the line at
+    # infinity only at (1 : 0 : 0), so the scan finds nothing; its q + 1
+    # points exceed floor(p^2/4) and prove it absolutely irreducible with no
+    # re-factoring
+    def refactor(F, r):
+        raise AssertionError("the fallback ran")
+
+    monkeypatch.setattr(bipoly, "_irreducible_over", refactor)
+    for spec in (F2, F3, F9):
+        F = bp(spec, {(0, spec.p): 1, (1, 0): -1})
+        points = count_projective(F)
+        assert points == spec.order + 1 > bounds.non_abs_bound(spec.p)
+        assert not _line_meets_simply(F)
+        assert _irreducible_is_absolute(F, points)
 
 
 def test_curve_helpers_refuse_other_variable_counts():
@@ -788,26 +848,33 @@ def test_absolutely_irreducible_without_smooth_point_takes_fallback():
     # and (1 : 1 : 0), both singular, yet it is absolutely irreducible
     quartic = bp(F2, {(4, 0): 1, (1, 1): 1, (0, 4): 1})
     assert count_projective(quartic) == 2
-    assert not _has_smooth_rational_point(quartic)
+    assert not brute_smooth_points(quartic)
+    assert not _line_meets_simply(quartic)
+    assert _irreducible_is_absolute(quartic, 2)
     assert is_absolutely_irreducible(quartic)
     assert _is_absolutely_irreducible_by_extension(quartic)
 
 
 def test_smooth_point_found_by_each_partial():
     # over F_2 each curve's nonsingular rational points are affine (Z = 1) or
-    # all at infinity (Z = 0), and only the partial named shows them: F_X or
-    # F_Y, or at infinity T_X, T_Y (T the top form) or F_{d-1}
+    # all at infinity (Z = 0), and only the partial named is nonzero there:
+    # F_X or F_Y, or at infinity T_X, T_Y (T the top form) or F_{d-1}.  The
+    # line scan sees a point only through the partial along its line, F_Y on
+    # X = x and T_X on Z = 0; for the others the fallback decides
     one, zero = F2.one(), F2.zero()
     cases = [
-        ({(4, 0): 1, (0, 1): 1}, one),  # X^4 + Y, F_Y; singular at (0 : 1 : 0)
-        ({(1, 0): 1, (0, 4): 1}, one),  # X + Y^4, F_X; singular at (1 : 0 : 0)
-        ({(1, 3): 1, (1, 1): 1, (0, 0): 1}, zero),  # X*Y^3 + X*Y + 1 at (0 : 1 : 0), T_X
-        ({(3, 1): 1, (1, 1): 1, (0, 0): 1}, zero),  # X^3*Y + X*Y + 1 at (1 : 0 : 0), T_Y
-        ({(2, 2): 1, (2, 0): 1, (0, 3): 1}, zero),  # X^2*Y^2 + X^2 + Y^3 at (0 : 1 : 0), F_{d-1}
-        ({(2, 0): 1, (1, 1): 1, (0, 3): 1}, zero),  # X^2 + X*Y + Y^3 at (1 : 0 : 0), F_{d-1}
+        ({(4, 0): 1, (0, 1): 1}, one, True),  # X^4 + Y, F_Y; singular at (0 : 1 : 0)
+        ({(1, 0): 1, (0, 4): 1}, one, False),  # X + Y^4, F_X; singular at (1 : 0 : 0)
+        ({(1, 3): 1, (1, 1): 1, (0, 0): 1}, zero, True),  # X*Y^3 + X*Y + 1 at (0 : 1 : 0), T_X
+        ({(3, 1): 1, (1, 1): 1, (0, 0): 1}, zero, False),  # X^3*Y + X*Y + 1 at (1 : 0 : 0), T_Y
+        # X^2*Y^2 + X^2 + Y^3 at (0 : 1 : 0), F_{d-1}
+        ({(2, 2): 1, (2, 0): 1, (0, 3): 1}, zero, False),
+        # X^2 + X*Y + Y^3 at (1 : 0 : 0), F_{d-1}
+        ({(2, 0): 1, (1, 1): 1, (0, 3): 1}, zero, False),
     ]
-    for terms, z in cases:
+    for terms, z, on_a_line in cases:
         F = bp(F2, terms)
         assert {pt[2] for pt in brute_smooth_points(F)} == {z}
-        assert _has_smooth_rational_point(F)
+        assert _line_meets_simply(F) == on_a_line == bool(brute_line_roots(F))
+        assert _irreducible_is_absolute(F, count_projective(F))
         assert is_absolutely_irreducible(F)

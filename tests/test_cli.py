@@ -406,6 +406,8 @@ def test_identical_invocations_identical_bytes(capsys):
 def test_malformed_input_exits_two(capsys):
     assert run(["eval", "--field", "7", "--f", "X^^2", "--x", "1"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert run(["eval", "--field", "7", "--f", "X^\u00b2", "--x", "1"]) == 2
+    assert "digits" not in capsys.readouterr().err
     assert run(["eval", "--field", "4", "--f", "X", "--x", "1"]) == 2
     capsys.readouterr()
     assert run(["find-h", "--field", "7", "--f", "3", "--g", "X^2"]) == 2
