@@ -6,11 +6,15 @@ and projective points exactly, factors it with mvar.mv_factor (Hensel
 lifting at one fiber X = x0), and decides absolute irreducibility: an
 F_q-irreducible curve is absolutely irreducible when it has more than
 floor(D^2/4) F_q-points or a nonsingular one, found as a simple root on a
-line, and otherwise by re-factoring over extensions.  The n = 2 views these
-need are module functions: setting X = x or Y = y to get a univariate Poly
-and the homogeneous parts; swapping the variables is mvar.swap, which
-factoring uses too.  Coefficients move to an extension field through
-mvar.map_coeffs, and curves print with X and Y through mvar.terms_str.
+line, and otherwise by re-factoring over extensions.  Point counts on a
+line X = x and the search for a simple root there are upoly's
+num_distinct_roots and _has_simple_root, which read the line's values at
+every element over a field of order at most upoly.EVAL_ROOTS_MAX_ORDER and
+take gcd(F(x, Y), Y^q - Y) above it.  The n = 2 views these need are
+module functions: setting X = x or Y = y to get a univariate Poly and the
+homogeneous parts; swapping the variables is mvar.swap, which factoring
+uses too.  Coefficients move to an extension field through mvar.map_coeffs,
+and curves print with X and Y through mvar.terms_str.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from . import limits
 from .errors import SpecMismatchError, ValidationError
 from .gf_core import FieldElement, _same_spec, extend_field, prime_factors
 from .mvar import MPoly, _from_upoly, map_coeffs, mv_factor, swap, terms_str
-from .upoly import Poly, RatFun, _rational_part, num_distinct_roots, poly_gcd, require_nonconstant
+from .upoly import Poly, RatFun, _has_simple_root, num_distinct_roots, require_nonconstant
 
 # The line scan in is_absolutely_irreducible tries at most this many affine
 # lines X = x.  A curve that is not absolutely irreducible has no nonsingular
@@ -138,15 +142,6 @@ def kronecker_factor(F: MPoly) -> tuple[FieldElement, list[tuple[MPoly, int]]]:
     one fiber F(x0, Y); no Kronecker substitution is left.  The name stays
     public (ffdecomp.__all__) and is a traced span of the benchmark."""
     return mv_factor(F)
-
-
-def _has_simple_root(u: Poly) -> bool:
-    """Whether u has a simple root in the base field: a root of its rational
-    part gcd(u, T^q - T) that is not a root of u'."""
-    if u.is_zero():
-        return False
-    rational = _rational_part(u)
-    return rational.degree > poly_gcd(rational, u.derivative()).degree
 
 
 def _line_meets_simply(F: MPoly) -> bool:

@@ -47,6 +47,7 @@ from .upoly import (
     RatFun,
     _distinct_degree_parts,
     _equal_degree_parts,
+    _horner_line,
     _root_indices,
     factor,
     poly_gcd,
@@ -525,19 +526,6 @@ class MRatFun:
 # Value codes of the grid evaluator: a value's index in F_q, or one of these
 # at a pole and where A and B vanish together.
 _INF, _UNDEF = -1, -2
-
-
-def _horner_line(spec: FieldSpec, cs) -> list[int]:
-    """The values at x = 0..q-1 of the polynomial with coefficient indices cs."""
-    add, mul = spec._add, spec._mul
-    xs = range(spec.order)
-    line = [cs[-1]] * spec.order
-    for c in reversed(cs[:-1]):
-        if c:
-            line = [add(mul(a, x), c) for a, x in zip(line, xs)]
-        else:
-            line = [mul(a, x) for a, x in zip(line, xs)]
-    return line
 
 
 def _lines(P: MPoly):

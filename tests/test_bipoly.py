@@ -29,7 +29,7 @@ from ffdecomp.bounds import _SAMPLERS, SampleConfig, verify_bounds_on_sample
 from ffdecomp.errors import SizeLimitError, ValidationError
 from ffdecomp.gf_core import build_field, extend_field
 from ffdecomp.mvar import MPoly, mpoly_divexact, mv_factor
-from ffdecomp.upoly import Poly, RatFun
+from ffdecomp.upoly import EVAL_ROOTS_MAX_ORDER, Poly, RatFun
 
 from oracles import collapse, collapse_factor, collapse_key, uncollapse
 
@@ -43,6 +43,7 @@ F9 = build_field(3, 2)
 F11 = build_field(11)
 F13 = build_field(13)
 F101 = build_field(101)
+F131 = build_field(131)
 
 SX, SY = sympy.symbols("X Y")
 
@@ -227,6 +228,18 @@ def test_count_affine_matches_scan():
             if F.is_zero():
                 continue
             assert count_affine(F) == brute_affine(F)
+
+
+def test_count_affine_matches_scan_above_the_root_cutoff():
+    # above EVAL_ROOTS_MAX_ORDER each line's roots are counted by
+    # gcd(F(x, Y), Y^q - Y), not from values
+    assert F131.order > EVAL_ROOTS_MAX_ORDER
+    rng = random.Random(131)
+    for _ in range(2):
+        F = rand_bipoly(rng, F131, 3)
+        assert count_affine(F) == brute_affine(F)
+    parabola = bp(F131, {(0, 2): 1, (1, 0): -1})  # Y^2 - X
+    assert count_affine(parabola) == F131.order
 
 
 def test_count_affine_rejects_zero():

@@ -6,9 +6,14 @@ import pytest
 from ffdecomp.errors import SpecMismatchError, ValidationError
 from ffdecomp.gf_core import build_field
 from ffdecomp.upoly import (
+    EVAL_ROOTS_MAX_ORDER,
     INFINITY,
     Poly,
     RatFun,
+    _equal_degree_parts,
+    _has_simple_root,
+    _rational_part,
+    _root_indices,
     factor,
     fiber,
     is_irreducible,
@@ -36,6 +41,9 @@ F3 = build_field(3)
 F4 = build_field(2, 2)
 F5 = build_field(5)
 F7 = build_field(7)
+F9 = build_field(3, 2)
+F128 = build_field(2, 7)
+F256 = build_field(2, 8)
 
 
 def rand_poly(rng, spec, max_deg):
@@ -291,16 +299,92 @@ def test_x2_plus_1_over_f3_irreducible():
     assert is_irreducible(Poly.from_ints(F3, [1, 0, 1]))
 
 
+def linear(spec, r):
+    """X - a, a the element of index r."""
+    return Poly.from_coeffs(spec, [-spec.from_index(r), 1])
+
+
+def plant_roots(rng, f, count):
+    """f times X - a for count random a; a repeated a makes a repeated root."""
+    for _ in range(count):
+        f = f * linear(f.spec, rng.randrange(f.spec.order))
+    return f
+
+
 def test_roots_match_scan():
+    # F_2^7 is at EVAL_ROOTS_MAX_ORDER, where roots are still read from
+    # values; F_2^8 is above it, where they come from gcd(f, T^q - T).  A
+    # random f over a large field seldom has a root, so roots are planted
+    assert F128.order <= EVAL_ROOTS_MAX_ORDER < F256.order
     rng = random.Random(17)
-    for spec in [F3, F4, F7]:
+    for spec in [F3, F4, F7, F128, F256]:
         for _ in range(80):
             f = rand_poly(rng, spec, rng.randrange(1, 7))
             if f.is_zero():
                 continue
+            if spec.order > 7:
+                f = plant_roots(rng, f, rng.randrange(4))
             scan = sorted((a.index for a in spec.elements() if f(a).is_zero()))
             assert [a.index for a in roots(f)] == scan
             assert num_distinct_roots(f) == len(scan)
+
+
+@pytest.mark.parametrize(
+    "spec", [F2, F3, F4, F7, build_field(5, 2), build_field(101), F128], ids=repr
+)
+def test_root_evaluation_matches_gcd_route(spec):
+    # at or below EVAL_ROOTS_MAX_ORDER, roots and root counts are read from
+    # f's values; the gcd route above the cutoff, the rational part split by
+    # equal-degree splitting, is their oracle
+    assert spec.order <= EVAL_ROOTS_MAX_ORDER
+    rng = random.Random(f"root-paths/{spec!r}")
+    for _ in range(60):
+        f = plant_roots(rng, rand_poly(rng, spec, rng.randrange(0, 9)), rng.randrange(5))
+        if f.is_zero():
+            continue
+        u = _rational_part(f)
+        by_gcd = sorted(spec._neg(g.idx[0]) for g in _equal_degree_parts(u, 1)) if u.degree else []
+        assert _root_indices(f) == by_gcd, f
+        assert num_distinct_roots(f) == u.degree == len(by_gcd), f
+
+
+@pytest.mark.parametrize("spec", [F7, F256], ids=repr)
+def test_roots_of_constants_on_both_paths(spec):
+    # one field on each side of EVAL_ROOTS_MAX_ORDER
+    for find in (roots, _root_indices, num_distinct_roots):
+        with pytest.raises(ValidationError, match="zero polynomial has every root"):
+            find(Poly.zero(spec))
+    c = Poly.from_coeffs(spec, [spec.from_index(spec.order - 1)])
+    assert roots(c) == [] and _root_indices(c) == [] and num_distinct_roots(c) == 0
+
+
+def brute_has_simple_root(u):
+    du = u.derivative()
+    return any(u(a).is_zero() and not du(a).is_zero() for a in u.spec.elements())
+
+
+@pytest.mark.parametrize("spec", [F7, F9, F128, F256], ids=repr)
+def test_has_simple_root_matches_scan(spec):
+    # F_2^8 lies above EVAL_ROOTS_MAX_ORDER, the others at or below it, so
+    # both the scan of values and the gcd with u' are checked
+    rng = random.Random(f"simple-root/{spec!r}")
+    x = spec.from_index(rng.randrange(spec.order))
+    a, b, c = rng.sample(range(spec.order), 3)
+    # X^p - x is inseparable: it has the root x^(1/p), and u' = 0
+    inseparable = Poly.from_coeffs(spec, [-x] + [0] * (spec.p - 1) + [1])
+    assert inseparable.derivative().is_zero() and roots(inseparable)
+    # the only rational roots of (X - a)^2 (X - b)^3 are repeated
+    repeated = linear(spec, a) ** 2 * linear(spec, b) ** 3
+    for u in (inseparable, repeated):
+        assert not _has_simple_root(u) and not brute_has_simple_root(u), u
+    assert _has_simple_root(repeated * linear(spec, c))
+    assert not _has_simple_root(Poly.zero(spec))
+    for _ in range(40):
+        u = rand_poly(rng, spec, 4)
+        for _ in range(rng.randrange(4)):
+            u = u * linear(spec, rng.randrange(spec.order)) ** rng.randrange(1, 3)
+        if not u.is_zero():
+            assert _has_simple_root(u) == brute_has_simple_root(u), u
 
 
 # -- rational functions ------------------------------------------------------
