@@ -171,17 +171,6 @@ def _irreducible_over(F: MPoly, r: int) -> bool:
     return len(facs) == 1 and facs[0][1] == 1
 
 
-def _is_absolutely_irreducible_by_extension(F: MPoly) -> bool:
-    """The definitional test, kept as the oracle for is_absolutely_irreducible.
-
-    An F_q-irreducible polynomial splits over the algebraic closure into a
-    Galois orbit of s conjugate factors with s dividing the total degree, and
-    it then splits over F_{q^r} for every prime r dividing s.  So it is enough
-    to re-factor over F_q and over F_{q^r} for the primes r dividing the degree.
-    """
-    return all(_irreducible_over(F, r) for r in [1, *prime_factors(F.total_degree())])
-
-
 def _irreducible_is_absolute(F: MPoly, points: int = 0) -> bool:
     """Whether F, known to be irreducible over F_q, is absolutely irreducible.
 

@@ -23,7 +23,7 @@ from .bipoly import (
 from .errors import ValidationError
 from .gf_core import FieldSpec, build_field
 from .mvar import MPoly
-from .upoly import Poly, is_irreducible
+from .upoly import Poly, num_distinct_roots
 
 
 def _sgn(x) -> int:
@@ -293,33 +293,33 @@ class BoundReport:
 CSV_HEADER = "instance,q,degree,classification,observed,bound,pass"
 
 
+def _random_curve(rng: random.Random, spec: FieldSpec, degree: int) -> MPoly:
+    """A curve with a coefficient index drawn for each monomial X^i Y^j of
+    total degree at most degree, in order of i, then j."""
+    keys = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+    draws = [rng.randrange(spec.order) for _ in keys]
+    return MPoly(spec, 2, {k: c for k, c in zip(keys, draws) if c})
+
+
 def _random_bipoly(rng: random.Random, spec: FieldSpec, max_degree: int) -> MPoly:
     while True:
-        terms = {}
-        for i in range(max_degree + 1):
-            for j in range(max_degree + 1 - i):
-                terms[(i, j)] = spec.from_index(rng.randrange(spec.order))
-        F = MPoly.from_terms(spec, 2, terms)
+        F = _random_curve(rng, spec, max_degree)
         if not F.is_zero() and not F.is_constant():
             return F
 
 
 def _random_conic(rng: random.Random, spec: FieldSpec, max_degree: int) -> MPoly:
     while True:
-        terms = {
-            (i, j): spec.from_index(rng.randrange(spec.order))
-            for i in range(3)
-            for j in range(3 - i)
-        }
-        F = MPoly.from_terms(spec, 2, terms)
+        F = _random_curve(rng, spec, 2)
         if F.total_degree() == 2:
             return F
 
 
-def _random_linear_form(rng: random.Random, spec: FieldSpec):
+def _random_linear_form(rng: random.Random, spec: FieldSpec) -> list[int]:
+    """Coefficient indices of c0 + c1*X + c2*Y with c1 or c2 nonzero."""
     while True:
-        c = [spec.from_index(rng.randrange(spec.order)) for _ in range(3)]
-        if not (c[1].is_zero() and c[2].is_zero()):
+        c = [rng.randrange(spec.order) for _ in range(3)]
+        if c[1] or c[2]:
             return c
 
 
@@ -332,23 +332,20 @@ def _norm_form(rng: random.Random, spec: FieldSpec, max_degree: int) -> MPoly:
     and splits over the quadratic extension.
     """
     while True:
-        t = spec.from_index(rng.randrange(spec.order))
-        n = spec.from_index(rng.randrange(spec.order))
-        if is_irreducible(Poly.from_coeffs(spec, [n, t, spec.one()])):
+        t = rng.randrange(spec.order)
+        n = rng.randrange(spec.order)
+        if not num_distinct_roots(Poly(spec, (n, t, 1))):
             break
+    mul = spec._mul
     while True:
         cn = _random_linear_form(rng, spec)
         cm = _random_linear_form(rng, spec)
-        prop = all(
-            (cn[i] * cm[j] - cn[j] * cm[i]).is_zero()
-            for i in range(3)
-            for j in range(i + 1, 3)
-        )
-        if not prop:
+        if any(mul(cn[i], cm[j]) != mul(cn[j], cm[i]) for i in range(3) for j in range(i + 1, 3)):
             break
-    N = MPoly.from_terms(spec, 2, {(0, 0): cn[0], (1, 0): cn[1], (0, 1): cn[2]})
-    M = MPoly.from_terms(spec, 2, {(0, 0): cm[0], (1, 0): cm[1], (0, 1): cm[2]})
-    return N * N + t * N * M + n * M * M
+    keys = ((0, 0), (1, 0), (0, 1))
+    N = MPoly(spec, 2, {k: c for k, c in zip(keys, cn) if c})
+    M = MPoly(spec, 2, {k: c for k, c in zip(keys, cm) if c})
+    return N * N + N._scale(t) * M + M._scale(n) * M
 
 
 _SAMPLERS = {

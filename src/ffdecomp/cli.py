@@ -355,6 +355,9 @@ def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     saved_limit = limits.MAX_ORDER
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, list):  # argparse reads --name=-- as an empty list
+                raise ValidationError(f"no value for --{name.replace('_', '-')} ('--' is not one)")
         if args.max_order is not None:
             if args.max_order < 2:
                 raise ValidationError("--max-order must be at least 2")

@@ -7,10 +7,14 @@ bracketed coordinate lists (extensions), e.g. "(X^2+1)^2" or
 "[1,1]*X^2+[0,1]".  Rational functions split numerator and denominator at a
 top-level slash.  Bivariate and multivariate polynomials use a term list
 "c:(i,j); c:(i,j); ..." keyed by exponent vectors.
+
+Coefficients are read straight into field indices, the format of Poly and
+MPoly; FieldElements come only from parse_element and parse_point.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Optional
 
@@ -47,25 +51,23 @@ def parse_fraction(text: str) -> Fraction:
         raise ValidationError(f"malformed rational {text!r}") from None
 
 
-def _split_top_level(text: str, sep: str) -> list[str]:
-    """Split on a separator that sits outside every bracket and paren."""
-    parts = []
-    depth = 0
-    start = 0
+def _num_den(text: str) -> list[str]:
+    """text split at a slash outside every bracket and paren: [num] or [num, den]."""
+    depth, cuts = 0, [-1]
     for i, ch in enumerate(text):
         if ch in "([":
             depth += 1
         elif ch in ")]":
             depth -= 1
             if depth < 0:
-                raise ValidationError(f"unbalanced brackets in {text!r}")
-        elif ch == sep and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
+                break
+        elif ch == "/" and depth == 0:
+            cuts.append(i)
     if depth != 0:
         raise ValidationError(f"unbalanced brackets in {text!r}")
-    parts.append(text[start:])
-    return parts
+    if len(cuts) > 2:
+        raise ValidationError(f"more than one top-level '/' in {text!r}")
+    return [text[a + 1 : b] for a, b in zip(cuts, cuts[1:] + [len(text)])]
 
 
 def _clip(text: str, width: int = 40) -> str:
@@ -85,13 +87,11 @@ def _read_int(text: str, what: str, context: str) -> int:
         raise ValidationError(f"malformed {what} in {_clip(context)}") from None
 
 
-def _element_from_coords(spec: FieldSpec, coords: list[int]) -> FieldElement:
-    """Coordinates constant-first, padded with zeros up to the field degree."""
+def _coords_index(spec: FieldSpec, coords: list[int]) -> int:
+    """The index of the element of these coordinates, constant-first, zeros implied."""
     if len(coords) > spec.k:
-        raise ValidationError(
-            f"{len(coords)} coordinates is too many for {spec!r}"
-        )
-    return spec.element(coords + [0] * (spec.k - len(coords)))
+        raise ValidationError(f"{len(coords)} coordinates is too many for {spec!r}")
+    return spec._index([c % spec.p for c in coords])
 
 
 # --------------------------------------------------------------------------
@@ -105,6 +105,8 @@ MAX_NESTING = 100
 # reach while parsing; checked before the product or power is computed.
 MAX_DEGREE = 1024
 
+_TOKEN = re.compile(r"\d+|\S")  # \d is str.isdecimal and \s str.isspace, on every code point
+
 
 def _check_degree(d: int, what: str) -> None:
     if d > MAX_DEGREE:
@@ -112,40 +114,37 @@ def _check_degree(d: int, what: str) -> None:
 
 
 class _Tokens:
+    """A text's tokens, cut once and ended by ""; positions are found for errors only."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.toks = _TOKEN.findall(text) + [""]
+        self.i = 0
+
+    def last(self) -> int:
+        """Where the token taken last starts in the text; its length for the end."""
+        starts = [m.start() for m in _TOKEN.finditer(self.text)]
+        return starts[self.i - 1] if self.i <= len(starts) else len(self.text)
 
     def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.toks[self.i]
 
     def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
+        self.i += 1
+        return self.toks[self.i - 1]
 
-    def expect(self, ch: str) -> None:
-        got = self.take()
-        if got != ch:
-            raise ValidationError(
-                f"expected {ch!r} at position {self.pos} of {self.text!r}"
-            )
+    def expect(self, tok: str) -> None:
+        if self.take() != tok:
+            raise ValidationError(f"expected {tok!r} at position {self.last() + 1} of {self.text!r}")
 
     def integer(self) -> int:
-        self.peek()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start:
-            raise ValidationError(
-                f"expected a number at position {start} of {self.text!r}"
-            )
+        tok = self.take()
+        if not tok.isdecimal():
+            raise ValidationError(f"expected a number at position {self.last()} of {self.text!r}")
         try:
-            return int(self.text[start : self.pos])
+            return int(tok)
         except ValueError:  # more digits than int() converts
-            raise SizeLimitError(f"number at position {start} has too many digits") from None
+            raise SizeLimitError(f"number at position {self.last()} has too many digits") from None
 
 
 def _parse_expr(tok: _Tokens, spec: FieldSpec, depth: int = 0) -> Poly:
@@ -168,8 +167,9 @@ def _parse_term(tok: _Tokens, spec: FieldSpec, depth: int) -> Poly:
 
 
 def _parse_factor(tok: _Tokens, spec: FieldSpec, depth: int) -> Poly:
-    if depth > MAX_NESTING:
-        raise ValidationError(f"nested deeper than {MAX_NESTING} levels at position {tok.pos}")
+    if depth > MAX_NESTING:  # reached just after taking a "(" or a "-"
+        pos = tok.last() + 1
+        raise ValidationError(f"nested deeper than {MAX_NESTING} levels at position {pos}")
     if tok.peek() == "-":
         tok.take()
         return -_parse_factor(tok, spec, depth + 1)
@@ -179,55 +179,48 @@ def _parse_factor(tok: _Tokens, spec: FieldSpec, depth: int) -> Poly:
         e = tok.integer()
         _check_degree(e, "exponent")
         _check_degree(atom.degree * e, "degree")
+        if atom.idx == (0, 1):  # X^e: the coefficient 1 at index e
+            return Poly(spec, (0,) * e + (1,))
         return atom**e
     return atom
 
 
 def _parse_atom(tok: _Tokens, spec: FieldSpec, depth: int) -> Poly:
-    ch = tok.peek()
+    if tok.peek().isdecimal():
+        return Poly(spec, (tok.integer() % spec.p,))
+    ch = tok.take()
     if ch == "(":
-        tok.take()
         inner = _parse_expr(tok, spec, depth + 1)
         tok.expect(")")
         return inner
     if ch == "[":
-        tok.take()
         coords = [tok.integer()]
         while tok.peek() == ",":
             tok.take()
             coords.append(tok.integer())
         tok.expect("]")
-        return Poly.constant(_element_from_coords(spec, coords))
+        return Poly(spec, (_coords_index(spec, coords),))
     if ch in ("X", "x"):
-        tok.take()
         return Poly.x(spec)
-    if ch.isdecimal():
-        return Poly.constant(spec.element(tok.integer()))
-    raise ValidationError(
-        f"unexpected {ch!r} at position {tok.pos} of {tok.text!r}"
-    )
+    raise ValidationError(f"unexpected {ch!r} at position {tok.last()} of {tok.text!r}")
 
 
 def parse_poly(spec: FieldSpec, text: str) -> Poly:
     """A univariate polynomial from expression syntax."""
     tok = _Tokens(text)
     out = _parse_expr(tok, spec)
-    if tok.peek():
-        raise ValidationError(
-            f"trailing input at position {tok.pos} of {text!r}"
-        )
+    if tok.take():
+        raise ValidationError(f"trailing input at position {tok.last()} of {text!r}")
     return out
 
 
 def parse_ratfun(spec: FieldSpec, text: str) -> RatFun:
     """A rational function "num / den" (or a bare polynomial)."""
-    parts = _split_top_level(text, "/")
-    if len(parts) == 1:
-        return RatFun.from_poly(parse_poly(spec, parts[0]))
-    if len(parts) != 2:
-        raise ValidationError(f"more than one top-level '/' in {text!r}")
-    num = parse_poly(spec, parts[0])
-    den = parse_poly(spec, parts[1])
+    num_text, *den_text = _num_den(text)
+    num = parse_poly(spec, num_text)
+    if not den_text:
+        return RatFun.from_poly(num)
+    den = parse_poly(spec, den_text[0])
     if den.is_zero():
         raise ValidationError("zero denominator")
     return RatFun.make(num, den)
@@ -237,16 +230,24 @@ def parse_ratfun(spec: FieldSpec, text: str) -> RatFun:
 # term lists for several variables
 
 
-def parse_element(spec: FieldSpec, text: str) -> FieldElement:
+def _element_index(spec: FieldSpec, text: str) -> int:
+    """The index of an element written as an integer or a coordinate list."""
     text = text.strip()
     if text.startswith("[") and text.endswith("]"):
         coords = [_read_int(c, "coefficient", text) for c in text[1:-1].split(",")]
-        return _element_from_coords(spec, coords)
-    return spec.element(_read_int(text, "coefficient", text))
+        return _coords_index(spec, coords)
+    return _read_int(text, "coefficient", text) % spec.p
 
 
-def _parse_term_list(spec: FieldSpec, text: str) -> dict[tuple, FieldElement]:
-    terms: dict[tuple, FieldElement] = {}
+def parse_element(spec: FieldSpec, text: str) -> FieldElement:
+    return spec._elems[_element_index(spec, text)]
+
+
+def _parse_term_list(spec: FieldSpec, text: str, n: Optional[int], pairs: bool) -> MPoly:
+    """The MPoly in n variables (by default, one per exponent of a term) of a
+    term list; with pairs, every term must have two exponents."""
+    add = spec._add
+    idx: dict[tuple, int] = {}  # zeros kept, each vector where it first appears
     width = None
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -265,39 +266,37 @@ def _parse_term_list(spec: FieldSpec, text: str) -> dict[tuple, FieldElement]:
             raise ValidationError(
                 f"term {_clip(chunk)} has {len(key)} exponents, earlier terms had {width}"
             )
-        c = parse_element(spec, coeff_text)
-        if key in terms:
-            c = terms[key] + c
-        terms[key] = c
+        c = _element_index(spec, coeff_text)
+        idx[key] = add(idx[key], c) if key in idx else c
     if width is None:
         raise ValidationError("empty term list")
-    return terms
+    if pairs and width != 2:
+        raise ValidationError("bivariate terms need exponent pairs (i,j)")
+    n = width if n is None else n
+    if n < 1:
+        raise ValidationError("need at least one variable")
+    if width != n:
+        raise ValidationError(f"exponent vector {next(iter(idx))} does not have {n} entries")
+    if any(e < 0 for key in idx for e in key):
+        raise ValidationError("exponents must be nonnegative")
+    return MPoly(spec, n, {key: c for key, c in idx.items() if c})
+
+
+def parse_mpoly(spec: FieldSpec, text: str, n: Optional[int] = None) -> MPoly:
+    return _parse_term_list(spec, text, n, pairs=False)
 
 
 def parse_bipoly(spec: FieldSpec, text: str) -> MPoly:
     """A plane curve: an MPoly in X = X1 and Y = X2."""
-    terms = _parse_term_list(spec, text)
-    if any(len(k) != 2 for k in terms):
-        raise ValidationError("bivariate terms need exponent pairs (i,j)")
-    return MPoly.from_terms(spec, 2, terms)
-
-
-def parse_mpoly(spec: FieldSpec, text: str, n: Optional[int] = None) -> MPoly:
-    terms = _parse_term_list(spec, text)
-    width = len(next(iter(terms)))
-    if n is None:
-        n = width
-    return MPoly.from_terms(spec, n, terms)
+    return _parse_term_list(spec, text, 2, pairs=True)
 
 
 def parse_mratfun(spec: FieldSpec, text: str) -> MRatFun:
-    parts = _split_top_level(text, "/")
-    if len(parts) == 1:
-        return MRatFun.from_poly(parse_mpoly(spec, parts[0]))
-    if len(parts) != 2:
-        raise ValidationError(f"more than one top-level '/' in {text!r}")
-    num = parse_mpoly(spec, parts[0])
-    den = parse_mpoly(spec, parts[1], n=num.n)
+    num_text, *den_text = _num_den(text)
+    num = parse_mpoly(spec, num_text)
+    if not den_text:
+        return MRatFun.from_poly(num)
+    den = parse_mpoly(spec, den_text[0], n=num.n)
     if den.is_zero():
         raise ValidationError("zero denominator")
     return MRatFun.make(num, den)

@@ -10,17 +10,20 @@ import itertools
 import math
 from collections import Counter
 
-from ffdecomp.errors import SizeLimitError
+from ffdecomp.errors import SizeLimitError, ValidationError
+from ffdecomp.gf_core import extend_field, prime_factors
 from ffdecomp.mvar import (
     UNDEFINED,
     MPoly,
     MRatFun,
     _series_mul,
+    map_coeffs,
     mpoly_divexact,
     mpoly_gcd,
     mrat_compose,
     mv_factor,
 )
+from ffdecomp.parsing import MAX_DEGREE, MAX_NESTING
 from ffdecomp.upoly import INFINITY, Poly, RatFun, factor, poly_gcd, poly_invmod, rat_compose, roots
 
 _CANDIDATE_CACHE: dict = {}
@@ -578,3 +581,253 @@ def horner(f, x):
     for c in reversed(f.coeffs):
         acc = acc * x + c
     return acc
+
+
+# --------------------------------------------------------------------------
+# absolute irreducibility by re-factoring over extensions
+
+
+def _is_absolutely_irreducible_by_extension(F):
+    """The definitional test, kept as the oracle for is_absolutely_irreducible.
+
+    An F_q-irreducible polynomial splits over the algebraic closure into a
+    Galois orbit of s conjugate factors with s dividing the total degree, and
+    it then splits over F_{q^r} for every prime r dividing s.  So it is enough
+    to re-factor over F_q and over F_{q^r} for the primes r dividing the degree.
+    """
+    for r in [1, *prime_factors(F.total_degree())]:
+        G = F
+        if r > 1:
+            _, emb = extend_field(F.spec, r)
+            G = map_coeffs(F, emb)
+        _, facs = mv_factor(G)
+        if len(facs) != 1 or facs[0][1] != 1:
+            return False
+    return True
+
+
+# --------------------------------------------------------------------------
+# the text parser that reads a character at a time and adds FieldElements
+
+
+def _charwise_split_top_level(text, sep):
+    """Split on a separator that sits outside every bracket and paren."""
+    parts = []
+    depth = 0
+    start = 0
+    for i, ch in enumerate(text):
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+            if depth < 0:
+                raise ValidationError(f"unbalanced brackets in {text!r}")
+        elif ch == sep and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    if depth != 0:
+        raise ValidationError(f"unbalanced brackets in {text!r}")
+    parts.append(text[start:])
+    return parts
+
+
+def _charwise_clip(text, width=40):
+    if len(text) <= width:
+        return repr(text)
+    return f"{text[:width]!r}... ({len(text)} characters)"
+
+
+def _charwise_read_int(text, what, context):
+    try:
+        return int(text)
+    except ValueError:
+        if text.strip().lstrip("+-").isdecimal():
+            raise SizeLimitError(f"{what} in {_charwise_clip(context)} has too many digits") from None
+        raise ValidationError(f"malformed {what} in {_charwise_clip(context)}") from None
+
+
+def _charwise_element(spec, coords):
+    if len(coords) > spec.k:
+        raise ValidationError(f"{len(coords)} coordinates is too many for {spec!r}")
+    return spec.element(coords + [0] * (spec.k - len(coords)))
+
+
+def _charwise_check_degree(d, what):
+    if d > MAX_DEGREE:
+        raise SizeLimitError(f"{what} {d} exceeds the parser cap {MAX_DEGREE}")
+
+
+class _CharTokens:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def peek(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self):
+        ch = self.peek()
+        self.pos += 1
+        return ch
+
+    def expect(self, ch):
+        if self.take() != ch:
+            raise ValidationError(f"expected {ch!r} at position {self.pos} of {self.text!r}")
+
+    def integer(self):
+        self.peek()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+            self.pos += 1
+        if self.pos == start:
+            raise ValidationError(f"expected a number at position {start} of {self.text!r}")
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:
+            raise SizeLimitError(f"number at position {start} has too many digits") from None
+
+
+def _charwise_expr(tok, spec, depth=0):
+    acc = _charwise_term(tok, spec, depth)
+    while tok.peek() in ("+", "-"):
+        op = tok.take()
+        rhs = _charwise_term(tok, spec, depth)
+        acc = acc + rhs if op == "+" else acc - rhs
+    return acc
+
+
+def _charwise_term(tok, spec, depth):
+    acc = _charwise_factor(tok, spec, depth)
+    while tok.peek() == "*":
+        tok.take()
+        rhs = _charwise_factor(tok, spec, depth)
+        _charwise_check_degree(acc.degree + rhs.degree, "degree")
+        acc = acc * rhs
+    return acc
+
+
+def _charwise_factor(tok, spec, depth):
+    if depth > MAX_NESTING:
+        raise ValidationError(f"nested deeper than {MAX_NESTING} levels at position {tok.pos}")
+    if tok.peek() == "-":
+        tok.take()
+        return -_charwise_factor(tok, spec, depth + 1)
+    atom = _charwise_atom(tok, spec, depth)
+    if tok.peek() == "^":
+        tok.take()
+        e = tok.integer()
+        _charwise_check_degree(e, "exponent")
+        _charwise_check_degree(atom.degree * e, "degree")
+        return atom**e
+    return atom
+
+
+def _charwise_atom(tok, spec, depth):
+    ch = tok.peek()
+    if ch == "(":
+        tok.take()
+        inner = _charwise_expr(tok, spec, depth + 1)
+        tok.expect(")")
+        return inner
+    if ch == "[":
+        tok.take()
+        coords = [tok.integer()]
+        while tok.peek() == ",":
+            tok.take()
+            coords.append(tok.integer())
+        tok.expect("]")
+        return Poly.constant(_charwise_element(spec, coords))
+    if ch in ("X", "x"):
+        tok.take()
+        return Poly.x(spec)
+    if ch.isdecimal():
+        return Poly.constant(spec.element(tok.integer()))
+    raise ValidationError(f"unexpected {ch!r} at position {tok.pos} of {tok.text!r}")
+
+
+def charwise_parse_poly(spec, text):
+    """parsing.parse_poly, one character at a time on FieldElements."""
+    tok = _CharTokens(text)
+    out = _charwise_expr(tok, spec)
+    if tok.peek():
+        raise ValidationError(f"trailing input at position {tok.pos} of {text!r}")
+    return out
+
+
+def charwise_parse_ratfun(spec, text):
+    parts = _charwise_split_top_level(text, "/")
+    if len(parts) == 1:
+        return RatFun.from_poly(charwise_parse_poly(spec, parts[0]))
+    if len(parts) != 2:
+        raise ValidationError(f"more than one top-level '/' in {text!r}")
+    num = charwise_parse_poly(spec, parts[0])
+    den = charwise_parse_poly(spec, parts[1])
+    if den.is_zero():
+        raise ValidationError("zero denominator")
+    return RatFun.make(num, den)
+
+
+def _charwise_parse_element(spec, text):
+    text = text.strip()
+    if text.startswith("[") and text.endswith("]"):
+        coords = [_charwise_read_int(c, "coefficient", text) for c in text[1:-1].split(",")]
+        return _charwise_element(spec, coords)
+    return spec.element(_charwise_read_int(text, "coefficient", text))
+
+
+def _charwise_term_list(spec, text):
+    terms = {}
+    width = None
+    for chunk in text.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        coeff_text, sep, exp_text = chunk.partition(":")
+        exp_text = exp_text.strip()
+        if not sep or not exp_text.startswith("(") or not exp_text.endswith(")"):
+            raise ValidationError(f"malformed term {_charwise_clip(chunk)}; expected 'c:(i,j)'")
+        key = tuple([_charwise_read_int(e, "exponent", chunk) for e in exp_text[1:-1].split(",")])
+        for e in key:
+            _charwise_check_degree(e, "exponent")
+        if width is None:
+            width = len(key)
+        elif len(key) != width:
+            raise ValidationError(
+                f"term {_charwise_clip(chunk)} has {len(key)} exponents, earlier terms had {width}"
+            )
+        c = _charwise_parse_element(spec, coeff_text)
+        if key in terms:
+            c = terms[key] + c
+        terms[key] = c
+    if width is None:
+        raise ValidationError("empty term list")
+    return terms
+
+
+def charwise_parse_bipoly(spec, text):
+    terms = _charwise_term_list(spec, text)
+    if any(len(k) != 2 for k in terms):
+        raise ValidationError("bivariate terms need exponent pairs (i,j)")
+    return MPoly.from_terms(spec, 2, terms)
+
+
+def charwise_parse_mpoly(spec, text, n=None):
+    terms = _charwise_term_list(spec, text)
+    if n is None:
+        n = len(next(iter(terms)))
+    return MPoly.from_terms(spec, n, terms)
+
+
+def charwise_parse_mratfun(spec, text):
+    parts = _charwise_split_top_level(text, "/")
+    if len(parts) == 1:
+        return MRatFun.from_poly(charwise_parse_mpoly(spec, parts[0]))
+    if len(parts) != 2:
+        raise ValidationError(f"more than one top-level '/' in {text!r}")
+    num = charwise_parse_mpoly(spec, parts[0])
+    den = charwise_parse_mpoly(spec, parts[1], n=num.n)
+    if den.is_zero():
+        raise ValidationError("zero denominator")
+    return MRatFun.make(num, den)

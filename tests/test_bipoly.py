@@ -12,7 +12,6 @@ from ffdecomp import bipoly, bounds, mvar
 from ffdecomp.bipoly import (
     _SMOOTH_SCAN_LINES,
     _irreducible_is_absolute,
-    _is_absolutely_irreducible_by_extension,
     _line_meets_simply,
     _points_at_infinity,
     build_F,
@@ -31,7 +30,13 @@ from ffdecomp.gf_core import build_field, extend_field
 from ffdecomp.mvar import MPoly, mpoly_divexact, mv_factor
 from ffdecomp.upoly import EVAL_ROOTS_MAX_ORDER, Poly, RatFun
 
-from oracles import collapse, collapse_factor, collapse_key, uncollapse
+from oracles import (
+    _is_absolutely_irreducible_by_extension,
+    collapse,
+    collapse_factor,
+    collapse_key,
+    uncollapse,
+)
 
 F2 = build_field(2)
 F3 = build_field(3)

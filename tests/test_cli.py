@@ -7,6 +7,8 @@ completed computation (whatever the verdict), 2 for inputs that do not
 validate, 3 for work the size limit refuses.
 """
 
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -16,6 +18,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ffdecomp
 from ffdecomp import __version__, cli, limits, mvar
@@ -429,6 +433,104 @@ def test_deeply_nested_expression_exits_two(capsys, text):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err
+
+
+_EXPRESSIONS = st.recursive(
+    st.sampled_from(["X", "x", "1", "2", "12", "[1,1]", "\u0663"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", " - "]), inner).map("".join),
+        inner.map("({})".format),
+        inner.map("-{}".format),
+        st.tuples(inner, st.sampled_from(["^2", "^3"])).map("".join),
+    ),
+    max_leaves=6,
+)
+_TERM_LISTS = st.integers(1, 3).flatmap(
+    lambda width: st.lists(
+        st.tuples(
+            st.sampled_from(["1", "2", "-1", "[1,1]"]),
+            st.lists(st.integers(0, 3).map(str), min_size=width, max_size=width).map(",".join),
+        ).map("{0[0]}:({0[1]})".format),
+        min_size=1,
+        max_size=4,
+    ).map("; ".join)
+)
+
+
+def _edited(texts):
+    """texts with one character inserted, replaced or deleted."""
+    chars = st.sampled_from(list("X1+-*^()[],/:; \t\u00b2Y") + [""])
+    return st.tuples(texts, st.integers(0, 30), chars, st.booleans()).map(
+        lambda t: t[0][: t[1]] + t[2] + t[0][t[1] + (not t[3]) :]
+    )
+
+
+def _cli_texts(valid):
+    """Texts for one option: mostly what it takes, and edits and noise."""
+    noise = st.text("Xx0123456789+-*^()[],/:; \t", max_size=20)
+    return st.one_of(valid, valid, _edited(valid), noise)
+
+
+_RATIONAL = _EXPRESSIONS | st.tuples(_EXPRESSIONS, st.just(" / "), _EXPRESSIONS).map("".join)
+_TEXT_OPTIONS = {
+    "eval": (("--f", _RATIONAL),),
+    "compose": (("--g", _RATIONAL), ("--h", _RATIONAL)),
+    "find-h": (("--f", _RATIONAL), ("--g", _RATIONAL)),
+    "find-h-mv": (
+        ("--f", _TERM_LISTS | st.tuples(_TERM_LISTS, st.just(" / "), _TERM_LISTS).map("".join)),
+        ("--g", _RATIONAL),
+    ),
+}
+
+
+def _command_lines(command):
+    """command and each of its text options, set to a drawn text."""
+    options = [
+        _cli_texts(texts).map(f"{option}={{}}".format) for option, texts in _TEXT_OPTIONS[command]
+    ]
+    return st.tuples(st.just(command), *options)
+
+
+@settings(max_examples=150, deadline=5000)
+@given(
+    st.sampled_from(["7", "3^2", "2^5", "101"]),
+    st.sampled_from(sorted(_TEXT_OPTIONS)).flatmap(_command_lines),
+)
+def test_text_boundary_fuzz_ends_in_a_known_exit(field, command_and_options):
+    # every text ends in an answer (exit 0) or one error line (exit 2 for an
+    # invalid input, 3 for one too large), never in a traceback
+    command, *options = command_and_options
+    argv = [command, "--field", field, *options, *(["--x=2"] if command == "eval" else [])]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 2, 3), argv
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+        assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--field", "7", "--f=--", "--x=2"],
+        ["find-h-mv", "--field", "7", "--f=--", "--g=X^2"],
+        ["compose", "--field", "7", "--g=X", "--h=--"],
+        ["verify-bounds", "--field", "7", "--count=--"],
+        ["--max-order=--", "field-info", "--field", "7"],
+        ["field-info", "--field=--"],
+    ],
+)
+def test_option_value_of_two_dashes_exits_two(capsys, argv):
+    # argparse hands --name=-- over as an empty list, not as the text "--"
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no value for --")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_csv_rejected_outside_verify_bounds(capsys):

@@ -1,12 +1,16 @@
 """Text-format round trips and rejection cases for the parsing layer."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from ffdecomp import bounds
 from ffdecomp.bipoly import curve_str
 from ffdecomp.errors import SizeLimitError, ValidationError
-from ffdecomp.gf_core import build_field
+from ffdecomp.gf_core import FieldSpec, build_field
 from ffdecomp.parsing import (
     MAX_DEGREE,
     MAX_NESTING,
@@ -21,7 +25,15 @@ from ffdecomp.parsing import (
     parse_ratfun,
     point_str,
 )
-from ffdecomp.upoly import INFINITY
+from ffdecomp.upoly import INFINITY, Poly
+
+from oracles import (
+    charwise_parse_bipoly,
+    charwise_parse_mpoly,
+    charwise_parse_mratfun,
+    charwise_parse_poly,
+    charwise_parse_ratfun,
+)
 
 F7 = build_field(7)
 F9 = build_field(3, 2)
@@ -232,3 +244,166 @@ def test_parse_fraction():
         parse_fraction("half")
     with pytest.raises(ValidationError):
         parse_fraction("1/0")
+
+
+# --------------------------------------------------------------------------
+# the parser against the one that reads a character at a time and adds
+# FieldElements (oracles.charwise_parse_*): the same polynomial, or the same
+# exception with the same message
+
+DIFF_FIELDS = [F7, F9, build_field(2, 5), build_field(101)]
+
+# what a mutation writes: the syntax, and a tab, a superscript two (not
+# decimal), an Arabic-Indic three (decimal), a stray variable and a no-break
+# space (a space to str.isspace)
+MUTATION_ALPHABET = "Xx0123456789+-*^()[],/\t\u00b2\u0663Y\u00a0"
+DIGITS_5000 = "9" * 5000
+
+
+def mostly(valid, rare):
+    """valid eight times in nine, else rare."""
+    return st.one_of(*[valid] * 8, rare)
+
+
+@st.composite
+def mutated(draw, texts, alphabet):
+    """A text from texts with a few characters inserted, deleted or replaced."""
+    text = draw(texts)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 4]))):
+        i = draw(st.integers(0, len(text)))
+        c = draw(st.sampled_from(alphabet))
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        if op == "insert":
+            text = text[:i] + c + text[i:]
+        else:
+            text = text[:i] + (c if op == "replace" else "") + text[i + 1 :]
+    return text
+
+
+def texts_to_parse(texts, alphabet):
+    """Mostly mutated texts from texts, now and then any short text over alphabet."""
+    return mostly(mutated(texts, alphabet), st.text(alphabet, max_size=30))
+
+
+def spaced(parts):
+    """The parts joined, with a space, tab or no-break space before some."""
+    gap = st.sampled_from(["", "", " ", "\t", "\u00a0"])
+    return st.lists(gap, min_size=len(parts), max_size=len(parts)).map(
+        lambda gaps: "".join(g + p for g, p in zip(gaps, parts))
+    )
+
+
+_COORDINATE_LISTS = st.lists(st.integers(0, 200).map(str), min_size=1, max_size=3).map(
+    lambda cs: "[" + ",".join(cs) + "]"
+)
+_ATOMS = mostly(
+    st.sampled_from(["X", "x", "0", "1", "\u0663"]) | st.integers(0, 10**6).map(str), _COORDINATE_LISTS
+)
+_EXPONENT_TEXTS = mostly(st.sampled_from(["0", "1", "2", "3", "7"]), st.sampled_from(["1025", DIGITS_5000]))
+
+
+def _compound(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner).flatmap(spaced),
+        inner.map("({})".format),
+        inner.map("-{}".format),
+        st.tuples(inner, st.just("^"), _EXPONENT_TEXTS).flatmap(spaced),
+    )
+
+
+EXPRESSIONS = mostly(
+    st.recursive(_ATOMS, _compound, max_leaves=10),
+    st.sampled_from(
+        [
+            "(" * (MAX_NESTING + 1) + "X" + ")" * (MAX_NESTING + 1),
+            "(" * MAX_NESTING + "X" + ")" * MAX_NESTING,
+            "-" * (MAX_NESTING + 1) + "X",
+            "- -(" * 60 + "X" + ")" * 60,
+            f"X^{MAX_DEGREE}*X",
+            "X^" + DIGITS_5000,
+            DIGITS_5000 + "*X",
+            "[1,2,3,4,5,6]",
+        ]
+    ),
+)
+RATIONAL_TEXTS = EXPRESSIONS | st.tuples(EXPRESSIONS, st.just("/"), EXPRESSIONS).flatmap(spaced)
+
+
+def outcome(parse, spec, text):
+    """What parse makes of text: its coefficient indices, in order, or the
+    type and message of the exception it raises."""
+    try:
+        out = parse(spec, text)
+    except Exception as exc:  # noqa: BLE001 - every exception is compared
+        return type(exc), str(exc)
+    parts = (out.num, out.den) if hasattr(out, "den") else (out,)
+    return [p.idx if isinstance(p, Poly) else (p.n, list(p.idx.items())) for p in parts]
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(DIFF_FIELDS), texts_to_parse(RATIONAL_TEXTS, MUTATION_ALPHABET + " "))
+def test_expression_parser_matches_the_charwise_parser(spec, text):
+    assert outcome(parse_poly, spec, text) == outcome(charwise_parse_poly, spec, text)
+    assert outcome(parse_ratfun, spec, text) == outcome(charwise_parse_ratfun, spec, text)
+
+
+_COEFFS = mostly(
+    st.integers(-10**6, 10**6).map(str) | st.sampled_from(["[1,2]", "[ -1 , 1_0 ]", "+3", "1_0", " 7 "]),
+    st.sampled_from(["", "x", DIGITS_5000, "[1,2,3]", "[]", "[" + DIGITS_5000 + "]"]),
+)
+_EXPONENTS = mostly(
+    st.integers(0, 4).map(str) | st.sampled_from(["+2", "1_0", " 3", str(MAX_DEGREE)]),
+    st.sampled_from(["-1", "", "1025", DIGITS_5000]),
+)
+
+
+def _terms(widths):
+    exponents = widths.flatmap(lambda w: st.lists(_EXPONENTS, min_size=w, max_size=w))
+    return st.tuples(_COEFFS, exponents).map(lambda t: f"{t[0]}:({','.join(t[1])})")
+
+
+def _term_list(width):
+    """Terms of one width, and now and then one of another."""
+    terms = mostly(_terms(st.just(width)), _terms(st.integers(1, 3)))
+    return st.lists(terms, min_size=1, max_size=5).map("; ".join)
+
+
+def _repeated_keys(width):
+    keys = st.lists(st.tuples(_COEFFS, st.integers(0, 2)), min_size=1, max_size=6)
+    return keys.map(lambda ks: ";".join(f"{c}:({','.join([str(e)] * width)})" for c, e in ks))
+
+
+TERM_LISTS = mostly(
+    st.integers(1, 3).flatmap(_term_list) | st.integers(1, 3).flatmap(_repeated_keys),
+    st.sampled_from(
+        ["+2:(-1)", "1:(1,0); 6:(1,0); 1:(0,1)", "3:(1,1); 4:(1,1)", "1:(1,0); 1:(1,0,0)", "0:(0,0)", "1:2,0", ""]
+    ),
+)
+MRAT_TEXTS = TERM_LISTS | st.tuples(TERM_LISTS, st.just(" / "), TERM_LISTS).map("".join)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(DIFF_FIELDS), texts_to_parse(MRAT_TEXTS, MUTATION_ALPHABET + ":; "))
+def test_term_list_parser_matches_the_charwise_parser(spec, text):
+    assert outcome(parse_mpoly, spec, text) == outcome(charwise_parse_mpoly, spec, text)
+    assert outcome(parse_bipoly, spec, text) == outcome(charwise_parse_bipoly, spec, text)
+    assert outcome(parse_mratfun, spec, text) == outcome(charwise_parse_mratfun, spec, text)
+
+
+def test_parsers_and_samplers_build_no_field_element(monkeypatch):
+    # coefficients become indices as they are read, and the curve samplers
+    # draw indices: neither edge goes through a FieldElement
+    def refuse(self, value):
+        raise AssertionError("a FieldElement was built")
+
+    monkeypatch.setattr(FieldSpec, "element", refuse)
+    monkeypatch.setattr(FieldSpec, "from_index", refuse)
+    f = parse_ratfun(build_field(2, 5), "([1,0,1]*X^3 + [0,1]*X + 1) / ([1,1,0,0,1]*X^2 + X)")
+    assert f.degree == 3
+    for spec in (F7, F9):
+        assert parse_mratfun(spec, "1:(2,0,1); [2]:(0,1,0) / 1:(1,1,0); 2:(0,0,0)").n == 3
+        assert parse_bipoly(spec, "1:(2,0); 2:(0,1); 1:(1,1); 1:(2,0)").total_degree() == 2
+    rng = random.Random(9)
+    for kind, sampler in bounds._SAMPLERS.items():
+        F = sampler(rng, F9, 4)
+        assert F.total_degree() >= 1, kind
