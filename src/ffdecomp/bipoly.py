@@ -5,16 +5,18 @@ the curve A(X)Q(Y) - B(X)P(Y) from two rational functions, counts its affine
 and projective points exactly, factors it with mvar.mv_factor (Hensel
 lifting at one fiber X = x0), and decides absolute irreducibility: an
 F_q-irreducible curve is absolutely irreducible when it has more than
-floor(D^2/4) F_q-points or a nonsingular one, found as a simple root on a
-line, and otherwise by re-factoring over extensions.  Point counts on a
-line X = x and the search for a simple root there are upoly's
-num_distinct_roots and _has_simple_root, which read the line's values at
-every element over a field of order at most upoly.EVAL_ROOTS_MAX_ORDER and
-take gcd(F(x, Y), Y^q - Y) above it.  The n = 2 views these need are
-module functions: setting X = x or Y = y to get a univariate Poly and the
-homogeneous parts; swapping the variables is mvar.swap, which factoring
-uses too.  Coefficients move to an extension field through mvar.map_coeffs,
-and curves print with X and Y through mvar.terms_str.
+floor(D^2/4) F_q-points, and only then where the Aubry-Perret floor lies
+above that cap (_count_decides).  Where it does not, or with the count
+unknown, a simple root on a line proves it too, and re-factoring over
+extensions decides the rest.  Point counts on a line X = x and the search
+for a simple root there are upoly's num_distinct_roots and _has_simple_root,
+which read the line's values at every element over a field of order at most
+upoly.EVAL_ROOTS_MAX_ORDER and take gcd(F(x, Y), Y^q - Y) above it.  The
+n = 2 views these need are module functions: setting X = x or Y = y to get
+a univariate Poly and the homogeneous parts; swapping the variables is
+mvar.swap, which factoring uses too.  Coefficients move to an extension
+field through mvar.map_coeffs, and curves print with X and Y through
+mvar.terms_str.
 """
 
 from __future__ import annotations
@@ -171,20 +173,35 @@ def _irreducible_over(F: MPoly, r: int) -> bool:
     return len(facs) == 1 and facs[0][1] == 1
 
 
-def _irreducible_is_absolute(F: MPoly, points: int = 0) -> bool:
+def _count_decides(D: int, q: int) -> bool:
+    """Whether the exact projective count decides absolute irreducibility
+    of an F_q-irreducible curve of degree D: whether the Aubry-Perret floor
+    q + 1 - s*sqrt(q), s = (D-1)(D-2), lies above floor(D^2/4).  With
+    t = q + 1 - floor(D^2/4) that is t > 0 and t^2 > s^2*q, in integers."""
+    t = q + 1 - D * D // 4
+    s = (D - 1) * (D - 2)
+    return t > 0 and t * t > s * s * q
+
+
+def _irreducible_is_absolute(F: MPoly, count: int | None = None) -> bool:
     """Whether F, known to be irreducible over F_q, is absolutely irreducible.
 
-    points is a lower bound on the F_q-points of the projective closure of
-    F; a caller that counted them passes the count.  True when points
-    exceeds floor(D^2/4) (D the total degree) or when _line_meets_simply
-    finds a nonsingular F_q-point; otherwise F is re-factored over F_{q^r}
-    for each prime r dividing D.  is_absolutely_irreducible explains why,
-    and is this check after factoring F over F_q.
+    count is the exact number of F_q-points of the projective closure of F,
+    or None if not counted.  Where _count_decides(D, q), D the total degree,
+    the answer is count > floor(D^2/4): an absolutely irreducible curve has
+    at least q + 1 - (D-1)(D-2)sqrt(q) points (Aubry-Perret, singular curves
+    included), more than that, and one that is not at most floor(D^2/4)
+    (bounds.non_abs_bound).  Elsewhere a count above floor(D^2/4) still
+    proves it; otherwise, as with no count, a nonsingular F_q-point found by
+    _line_meets_simply does, and failing that F is re-factored over F_{q^r}
+    for each prime r dividing D.  is_absolutely_irreducible explains the
+    certificates, and is this check with no count after factoring over F_q.
     """
     d = F.total_degree()
-    if points > d * d // 4 or _line_meets_simply(F):
-        return True
-    return all(_irreducible_over(F, r) for r in prime_factors(d))
+    cap = d * d // 4
+    if count is not None and (count > cap or _count_decides(d, F.spec.order)):
+        return count > cap
+    return _line_meets_simply(F) or all(_irreducible_over(F, r) for r in prime_factors(d))
 
 
 def is_absolutely_irreducible(F: MPoly) -> bool:
@@ -208,8 +225,10 @@ def is_absolutely_irreducible(F: MPoly) -> bool:
     simple root (every non-absolutely-irreducible F, and some absolutely
     irreducible ones, mostly over tiny fields) the fallback runs: F is
     re-factored over F_{q^r} for each prime r dividing its total degree.  A
-    caller that already holds the factors of a curve over F_q, and their
-    point counts, skips the F_q factoring with _irreducible_is_absolute.
+    caller that already holds the factors of a curve over F_q and their
+    exact projective counts, as bounds.verify_bounds_on_sample does, calls
+    _irreducible_is_absolute with the count: it skips the F_q factoring,
+    and where _count_decides it skips the scan and the fallback too.
     """
     _require_plane(F)
     if F.is_zero() or F.is_constant():

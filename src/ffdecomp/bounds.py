@@ -177,6 +177,10 @@ def non_abs_bound(D: int) -> int:
     two components, and there are at most (D/s)^2 <= floor(D^2/4) of those
     by Bezout.  So more than floor(D^2/4) F_q-points, or one nonsingular
     F_q-point, prove an F_q-irreducible curve absolutely irreducible (bipoly).
+    Where the Aubry-Perret floor q + 1 - (D-1)(D-2)sqrt(q) of an absolutely
+    irreducible curve lies above this cap (bipoly._count_decides), the
+    exact count also proves the converse: at most floor(D^2/4) points means
+    not absolutely irreducible.
     """
     if D < 1:
         raise ValidationError("degree must be at least 1")
@@ -362,7 +366,12 @@ def verify_bounds_on_sample(config: SampleConfig) -> list[BoundReport]:
     and the projective band; factors that stay irreducible over F_q only are
     checked against floor(D^2/4).  Reports are deterministic in the seed.
     The factors are irreducible over F_q, so only the step beyond F_q of the
-    absolute-irreducibility test runs on them, given their point counts.
+    absolute-irreducibility test runs on them, given their exact projective
+    counts.  Where that count decides the question (bipoly._count_decides:
+    D <= 2 at every q, D = 3 from q = 7, D = 4 from q = 43) the label comes
+    from the count itself, so there a "not-absolutely-irreducible" row with
+    aff <= floor(D^2/4) restates the rule rather than testing the bound;
+    the test suite checks those labels against re-factoring over F_{q^r}.
     """
     if config.kind not in _SAMPLERS:
         raise ValidationError(f"unknown sampler kind {config.kind!r}")

@@ -1,7 +1,9 @@
+import contextlib
 import functools
 import itertools
 import random
 import time
+from unittest import mock
 
 import pytest
 import sympy
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from ffdecomp import bipoly, bounds, mvar
 from ffdecomp.bipoly import (
     _SMOOTH_SCAN_LINES,
+    _count_decides,
     _irreducible_is_absolute,
     _line_meets_simply,
     _points_at_infinity,
@@ -24,11 +27,18 @@ from ffdecomp.bipoly import (
     specialize,
     swap,
 )
-from ffdecomp.bounds import _SAMPLERS, SampleConfig, verify_bounds_on_sample
+from ffdecomp.bounds import (
+    _SAMPLERS,
+    SampleConfig,
+    SqrtVal,
+    _random_conic,
+    _random_linear_form,
+    verify_bounds_on_sample,
+)
 from ffdecomp.errors import SizeLimitError, ValidationError
-from ffdecomp.gf_core import build_field, extend_field
+from ffdecomp.gf_core import build_field, extend_field, prime_factors
 from ffdecomp.mvar import MPoly, mpoly_divexact, mv_factor
-from ffdecomp.upoly import EVAL_ROOTS_MAX_ORDER, Poly, RatFun
+from ffdecomp.upoly import EVAL_ROOTS_MAX_ORDER, Poly, RatFun, num_distinct_roots
 
 from oracles import (
     _is_absolutely_irreducible_by_extension,
@@ -47,6 +57,9 @@ F8 = build_field(2, 3)
 F9 = build_field(3, 2)
 F11 = build_field(11)
 F13 = build_field(13)
+F41 = build_field(41)
+F43 = build_field(43)
+F49 = build_field(7, 2)
 F101 = build_field(101)
 F131 = build_field(131)
 
@@ -722,7 +735,8 @@ def test_norm_form_is_irreducible_but_not_absolutely():
     assert not _line_meets_simply(F)
     assert not is_absolutely_irreducible(F)
     assert not _is_absolutely_irreducible_by_extension(F)
-    # that point is all floor(2^2/4) = 1 allows, so the count proves nothing
+    # that point is all floor(2^2/4) = 1 allows, and for a conic no
+    # absolutely irreducible curve has so few, so the count decides at once
     assert count_projective(F) == 1 == bounds.non_abs_bound(2)
     assert not _irreducible_is_absolute(F, 1)
     # the norm of the conic A - alpha*B has the 4 = floor(4^2/4) rational
@@ -800,10 +814,11 @@ def brute_line_roots(F):
 @pytest.mark.parametrize("spec", [F2, F3, F4, F5, F7, F8, F9], ids=lambda s: f"q{s.order}")
 def test_absolute_irreducibility_matches_extension_oracle(spec):
     # both certificates against the definitional re-factoring over F_{q^r}:
-    # the projective point count with the line scan, and the line scan alone;
-    # the line scan against a scan of the same lines, and every simple root
-    # it sees against the nonsingular points of P^2(F_q).  Norm forms have
-    # no nonsingular rational point, so they run the fallback
+    # the exact projective point count with the line scan, and with no count
+    # the line scan alone; the line scan against a scan of the same lines,
+    # and every simple root it sees against the nonsingular points of
+    # P^2(F_q).  Norm forms have no nonsingular rational point, so with no
+    # count they run the fallback
     rng = random.Random(spec.order)
     for kind, count in (("conic", 4), ("norm_form", 3), ("random", 3)):
         for _ in range(count):
@@ -813,7 +828,7 @@ def test_absolute_irreducibility_matches_extension_oracle(spec):
                 assert is_absolutely_irreducible(h) == expected, h
                 points = count_projective(h)
                 assert _irreducible_is_absolute(h, points) == expected, h
-                assert _irreducible_is_absolute(h, 0) == expected, h
+                assert _irreducible_is_absolute(h) == expected, h
                 roots = brute_line_roots(h)
                 assert _line_meets_simply(h) == bool(roots), h
                 smooth = brute_smooth_points(h)
@@ -835,6 +850,103 @@ def test_known_irreducible_check_matches_full_test(spec):
                 full = is_absolutely_irreducible(h)
                 assert _irreducible_is_absolute(h) == full, h
                 assert _irreducible_is_absolute(h, count_projective(h)) == full, h
+
+
+def test_count_rule_condition_matches_the_exact_comparison():
+    # _count_decides(D, q) in integers against the Aubry-Perret floor
+    # q + 1 - (D-1)(D-2)sqrt(q) compared with floor(D^2/4) by SqrtVal
+    prime_powers = [q for q in range(2, 200) if len(prime_factors(q)) == 1]
+    decided = {}
+    for q in prime_powers:
+        for D in range(1, 9):
+            s = (D - 1) * (D - 2)
+            assert _count_decides(D, q) == (SqrtVal(q, q + 1, -s) > D * D // 4), (D, q)
+            if _count_decides(D, q):
+                decided.setdefault(D, []).append(q)
+    assert decided[1] == decided[2] == prime_powers
+    assert decided[3] == [q for q in prime_powers if q >= 7]
+    assert decided[4] == [q for q in prime_powers if q >= 43]
+
+
+@contextlib.contextmanager
+def _without_slow_paths():
+    """bipoly's line scan and its re-factoring over F_{q^r}, made to raise."""
+
+    def refuse(*args):
+        raise AssertionError("the line scan or the re-factoring ran")
+
+    with mock.patch.object(bipoly, "_line_meets_simply", refuse), mock.patch.object(
+        bipoly, "_irreducible_over", refuse
+    ):
+        yield
+
+
+def _norm_of(rng, spec, e, form):
+    """N^e + c_1*N^(e-1)*M + ... + c_e*M^e for forms N and M and a monic
+    P = T^e + c_1*T^(e-1) + ... + c_e of degree 2 or 3 with no root in F_q,
+    so irreducible: the norm of N - alpha*M, alpha a root of P in F_{q^e}."""
+    while True:
+        c = [rng.randrange(spec.order) for _ in range(e)]
+        if not num_distinct_roots(Poly(spec, [*reversed(c), 1])):
+            break
+    N, M = form(rng, spec), form(rng, spec)
+    out = N**e
+    for i, ci in enumerate(c, 1):
+        out = out + (N ** (e - i) * M**i)._scale(ci)
+    return out
+
+
+def _line(rng, spec):
+    keys = ((0, 0), (1, 0), (0, 1))
+    return MPoly(spec, 2, {k: c for k, c in zip(keys, _random_linear_form(rng, spec)) if c})
+
+
+_ORACLE_CURVES = {
+    "conic": lambda rng, spec, degree: _SAMPLERS["conic"](rng, spec, 2),
+    "norm_form": lambda rng, spec, degree: _SAMPLERS["norm_form"](rng, spec, 2),
+    "random": lambda rng, spec, degree: _SAMPLERS["random"](rng, spec, degree),
+    # three conjugate lines through one point (D = 3)
+    "norm_of_lines": lambda rng, spec, degree: _norm_of(rng, spec, 3, _line),
+    # two conjugate conics, meeting in at most 4 points (D = 4)
+    "norm_of_conics": lambda rng, spec, degree: _norm_of(
+        rng, spec, 2, lambda rng, spec: _random_conic(rng, spec, 2)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "spec", [F2, F3, F4, F5, F7, F8, F9, F11, F13, F41, F43, F49], ids=lambda s: f"q{s.order}"
+)
+@settings(max_examples=15, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_ORACLE_CURVES)),
+    degree=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_count_rule_matches_extension_oracle(spec, kind, degree, seed):
+    # the exact projective count against re-factoring over F_{q^r}, on every
+    # F_q-factor, with fields on both sides of each threshold: F_5 and F_7
+    # for D = 3, F_41 and F_43, F_49 for D = 4.  Where the count decides, it
+    # decides alone
+    rng = random.Random(seed)
+    _, facs = kronecker_factor(_ORACLE_CURVES[kind](rng, spec, degree))
+    for h, _ in facs:
+        expected = _is_absolutely_irreducible_by_extension(h)
+        count = count_projective(h)
+        decides = _count_decides(h.total_degree(), spec.order)
+        with _without_slow_paths() if decides else contextlib.nullcontext():
+            assert _irreducible_is_absolute(h, count) == expected, h
+
+
+@pytest.mark.parametrize("kind", ["norm_form", "conic"])
+def test_conics_and_norm_forms_need_no_scan_or_refactoring(kind):
+    # every factor of a conic or a norm form has degree at most 2, where the
+    # exact count decides at every q
+    with _without_slow_paths():
+        for spec in (F2, F3, F4, F5, F7, F8, F9, F11, F13):
+            config = SampleConfig(p=spec.p, k=spec.k, kind=kind, count=20, seed=spec.order)
+            reports = verify_bounds_on_sample(config)
+            assert reports and all(r.passed for r in reports), spec.order
 
 
 def test_point_count_decides_where_no_line_meets_simply(monkeypatch):

@@ -4,7 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import _is_absolutely_irreducible_by_extension
+
+from ffdecomp.bipoly import kronecker_factor
 from ffdecomp.bounds import (
+    _SAMPLERS,
     CSV_HEADER,
     BoundReport,
     SampleConfig,
@@ -20,6 +24,7 @@ from ffdecomp.bounds import (
     verify_bounds_on_sample,
 )
 from ffdecomp.errors import ValidationError
+from ffdecomp.gf_core import build_field
 
 
 # -- independent sign oracle: interval refinement instead of squaring --------
@@ -256,6 +261,37 @@ def test_verify_bounds_norm_forms_classified():
     labels = {r.classification for r in reports}
     assert labels == {"not-absolutely-irreducible"}
     assert all(r.observed <= non_abs_bound(r.degree) for r in reports)
+
+
+def test_criterion_4_labels_match_the_extension_oracle():
+    # criterion 4's configurations (tests/test_acceptance.py), each factor
+    # labelled by re-factoring over F_{q^r}.  Where the exact count decides
+    # (D <= 2 always), verify_bounds_on_sample labels a factor by the count,
+    # so its "aff <= floor(D^2/4)" row restates that rule; this check of the
+    # labels does not use the count
+    configs = [
+        SampleConfig(p=p, k=k, kind="norm_form", count=30, seed=0)
+        for p, k in [(2, 1), (3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)]
+    ] + [
+        SampleConfig(p=p, k=k, kind="random", count=40, max_degree=4, seed=1)
+        for p, k in [(2, 1), (3, 1)]
+    ]
+    for config in configs:
+        labels = {
+            r.instance.rsplit("/", 1)[0]: r.classification
+            for r in verify_bounds_on_sample(config)
+        }
+        spec = build_field(config.p, config.k)
+        rng = random.Random(config.seed)
+        expected = {}
+        for idx in range(config.count):
+            F = _SAMPLERS[config.kind](rng, spec, config.max_degree)
+            for fidx, (h, _) in enumerate(kronecker_factor(F)[1]):
+                absolute = _is_absolutely_irreducible_by_extension(h)
+                expected[f"{idx}/{fidx}"] = (
+                    "absolutely-irreducible" if absolute else "not-absolutely-irreducible"
+                )
+        assert labels == expected, config
 
 
 def test_verify_bounds_deterministic():

@@ -513,6 +513,61 @@ def test_text_boundary_fuzz_ends_in_a_known_exit(field, command_and_options):
         assert out.getvalue() == ""
 
 
+_SWEEP_FIELDS = ["2", "3", "2^2", "5", "7", "2^3", "3^2", "11", "13"]
+# random curves of degree 4 over F_13 take seconds, so they stay on q <= 5
+_RANDOM_CURVE_FIELDS = ["2", "3", "2^2", "5"]
+_ODD_VALUES = ["", "x", "1.5", "0x2", " 2", "\uff12", "1e1", "-", "--", "Conic", "9" * 5000]
+
+
+def _sweep_options(kind):
+    """verify-bounds options for one --kind, with values valid in form."""
+    fields = _RANDOM_CURVE_FIELDS if kind == "random" else _SWEEP_FIELDS
+    return st.tuples(
+        st.sampled_from(fields),
+        st.integers(0, 3),
+        st.integers(0, 5),
+        st.integers(-(10**12), 10**12),
+    ).map(
+        lambda t: {
+            "--field": t[0], "--kind": kind, "--count": str(t[1]),
+            "--max-degree": str(t[2]), "--seed": str(t[3]),
+        }
+    )
+
+
+@settings(max_examples=150, deadline=5000)
+@given(
+    st.sampled_from(["random", "conic", "norm_form"]).flatmap(_sweep_options),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["--kind", "--count", "--max-degree", "--seed"]),
+            st.sampled_from(_ODD_VALUES) | st.text("-x.e ", max_size=4),
+        ),
+        max_size=1,
+    ),
+)
+def test_verify_bounds_fuzz_ends_in_a_known_exit(options, odd):
+    # every option text ends in a report with no violation (exit 0) or in an
+    # exit 2 with one error line; argparse refuses a value that is no int or
+    # no choice itself, with its usage lines above that error line
+    options.update(odd)
+    argv = ["verify-bounds", *(f"{name}={value}" for name, value in options.items())]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), argv
+    if code == 0:
+        assert json.loads(out.getvalue())["violations"] == 0, argv
+    else:
+        lines = err.getvalue().splitlines()
+        errors = [line for line in lines if "error: " in line]
+        assert errors == lines[-1:], (argv, lines)
+        assert "Traceback" not in err.getvalue() and out.getvalue() == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [
