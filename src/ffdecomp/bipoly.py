@@ -3,12 +3,10 @@
 A curve is an mvar.MPoly with n = 2, X = X1 and Y = X2.  The module builds
 the curve A(X)Q(Y) - B(X)P(Y) from two rational functions, counts its affine
 and projective points exactly, factors it with mvar.mv_factor (Hensel
-lifting at one fiber X = x0), and decides absolute irreducibility: an
-F_q-irreducible curve is absolutely irreducible when it has more than
-floor(D^2/4) F_q-points, and only then where the Aubry-Perret floor lies
-above that cap (_count_decides).  Where it does not, or with the count
-unknown, a simple root on a line proves it too, and re-factoring over
-extensions decides the rest.  Point counts on a line X = x and the search
+lifting at one fiber X = x0), and decides absolute irreducibility from
+the geometry: for an F_q-irreducible curve a simple root on a line proves
+it, and re-factoring over extensions decides the rest; what a point count
+decides is stated in bounds.  Point counts on a line X = x and the search
 for a simple root there are upoly's num_distinct_roots and _has_simple_root,
 which read the line's values at every element over a field of order at most
 upoly.EVAL_ROOTS_MAX_ORDER and take gcd(F(x, Y), Y^q - Y) above it.  The
@@ -173,35 +171,15 @@ def _irreducible_over(F: MPoly, r: int) -> bool:
     return len(facs) == 1 and facs[0][1] == 1
 
 
-def _count_decides(D: int, q: int) -> bool:
-    """Whether the exact projective count decides absolute irreducibility
-    of an F_q-irreducible curve of degree D: whether the Aubry-Perret floor
-    q + 1 - s*sqrt(q), s = (D-1)(D-2), lies above floor(D^2/4).  With
-    t = q + 1 - floor(D^2/4) that is t > 0 and t^2 > s^2*q, in integers."""
-    t = q + 1 - D * D // 4
-    s = (D - 1) * (D - 2)
-    return t > 0 and t * t > s * s * q
-
-
-def _irreducible_is_absolute(F: MPoly, count: int | None = None) -> bool:
-    """Whether F, known to be irreducible over F_q, is absolutely irreducible.
-
-    count is the exact number of F_q-points of the projective closure of F,
-    or None if not counted.  Where _count_decides(D, q), D the total degree,
-    the answer is count > floor(D^2/4): an absolutely irreducible curve has
-    at least q + 1 - (D-1)(D-2)sqrt(q) points (Aubry-Perret, singular curves
-    included), more than that, and one that is not at most floor(D^2/4)
-    (bounds.non_abs_bound).  Elsewhere a count above floor(D^2/4) still
-    proves it; otherwise, as with no count, a nonsingular F_q-point found by
-    _line_meets_simply does, and failing that F is re-factored over F_{q^r}
-    for each prime r dividing D.  is_absolutely_irreducible explains the
-    certificates, and is this check with no count after factoring over F_q.
+def _irreducible_is_absolute(F: MPoly) -> bool:
+    """Whether F, known to be irreducible over F_q, is absolutely irreducible:
+    a nonsingular F_q-point found by _line_meets_simply proves it, and failing
+    that F is re-factored over F_{q^r} for each prime r dividing its total
+    degree.  is_absolutely_irreducible is this check after factoring over F_q.
     """
-    d = F.total_degree()
-    cap = d * d // 4
-    if count is not None and (count > cap or _count_decides(d, F.spec.order)):
-        return count > cap
-    return _line_meets_simply(F) or all(_irreducible_over(F, r) for r in prime_factors(d))
+    return _line_meets_simply(F) or all(
+        _irreducible_over(F, r) for r in prime_factors(F.total_degree())
+    )
 
 
 def is_absolutely_irreducible(F: MPoly) -> bool:
@@ -211,24 +189,13 @@ def is_absolutely_irreducible(F: MPoly) -> bool:
     the algebraic closure it is then a product of s >= 2 distinct factors
     that Frobenius permutes as one Galois orbit.  An F_q-rational point is
     fixed by Frobenius, so if it lies on one factor it lies on all of them,
-    and a point on two components is singular.  Two certificates follow, on
-    the projective closure, once F is found irreducible over F_q:
-
-    - more than floor(D^2/4) F_q-points, as every rational point then lies
-      on two components of degree D/s, which meet in at most (D/s)^2 points
-      by Bezout (bounds.non_abs_bound);
-    - one nonsingular F_q-point, which the scan finds as a simple root of F
-      restricted to the line at infinity or to a line X = x, at most
-      _SMOOTH_SCAN_LINES of them.
-
-    Here the count is not known, so only the scan runs.  When it finds no
-    simple root (every non-absolutely-irreducible F, and some absolutely
-    irreducible ones, mostly over tiny fields) the fallback runs: F is
-    re-factored over F_{q^r} for each prime r dividing its total degree.  A
-    caller that already holds the factors of a curve over F_q and their
-    exact projective counts, as bounds.verify_bounds_on_sample does, calls
-    _irreducible_is_absolute with the count: it skips the F_q factoring,
-    and where _count_decides it skips the scan and the fallback too.
+    and a point on two components is singular.  So one nonsingular F_q-point
+    of the projective closure proves an F_q-irreducible F absolutely
+    irreducible; the scan finds one as a simple root of F restricted to the
+    line at infinity or to a line X = x, at most _SMOOTH_SCAN_LINES of them.
+    When it finds none (every non-absolutely-irreducible F, and some
+    absolutely irreducible ones, mostly over tiny fields) F is re-factored
+    over F_{q^r} for each prime r dividing its total degree.
     """
     _require_plane(F)
     if F.is_zero() or F.is_constant():

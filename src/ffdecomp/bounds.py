@@ -175,12 +175,7 @@ def non_abs_bound(D: int) -> int:
     degree D/s, and a rational point, fixed by Frobenius, lies on all of
     them; so every rational point is a singular point in the intersection of
     two components, and there are at most (D/s)^2 <= floor(D^2/4) of those
-    by Bezout.  So more than floor(D^2/4) F_q-points, or one nonsingular
-    F_q-point, prove an F_q-irreducible curve absolutely irreducible (bipoly).
-    Where the Aubry-Perret floor q + 1 - (D-1)(D-2)sqrt(q) of an absolutely
-    irreducible curve lies above this cap (bipoly._count_decides), the
-    exact count also proves the converse: at most floor(D^2/4) points means
-    not absolutely irreducible.
+    by Bezout.
     """
     if D < 1:
         raise ValidationError("degree must be at least 1")
@@ -194,8 +189,7 @@ def factor_sum_bound(m: int, dprime: int, q: int) -> SqrtVal:
     """
     if m < 1 or dprime < 1:
         raise ValidationError("factor count and degree must be at least 1")
-    share = Fraction(dprime, m)
-    return SqrtVal(q, m * (q + 1), m * (share - 1) * (share - 2))
+    return SqrtVal(q, m * (q + 1), equal_split_slack(m, dprime))
 
 
 def equal_split_slack(m: int, dprime: int) -> Fraction:
@@ -359,19 +353,40 @@ _SAMPLERS = {
 }
 
 
+def _absolutely_irreducible(h: MPoly, count: int) -> bool:
+    """Whether h, irreducible over F_q with exact projective count `count`,
+    is absolutely irreducible.
+
+    The count decides first, both ways.  More than non_abs_bound(D) points
+    prove it, since a curve that is not absolutely irreducible has at most
+    that many (Bezout).  A count outside the Aubry-Perret band disproves it,
+    since an absolutely irreducible curve of degree D, singular or not, has
+    |count - (q+1)| <= (D-1)(D-2)sqrt(q) (ap_projective_ok).  Where the
+    band's floor lies above the cap (D <= 2 at every q, D = 3 from q = 7,
+    D = 4 from q = 43, D = 5 from q = 157) every count is decided so.  Only
+    a count inside both ranges is left to the geometry of
+    bipoly._irreducible_is_absolute: a simple root on a line, then
+    re-factoring over F_{q^r}.
+    """
+    D = h.total_degree()
+    if count > non_abs_bound(D):
+        return True
+    if not ap_projective_ok(count, D, h.spec.order):
+        return False
+    return _irreducible_is_absolute(h)
+
+
 def verify_bounds_on_sample(config: SampleConfig) -> list[BoundReport]:
     """Sample curves, factor them, and check the applicable bound per factor.
 
     Absolutely irreducible factors are checked against the affine interval
     and the projective band; factors that stay irreducible over F_q only are
     checked against floor(D^2/4).  Reports are deterministic in the seed.
-    The factors are irreducible over F_q, so only the step beyond F_q of the
-    absolute-irreducibility test runs on them, given their exact projective
-    counts.  Where that count decides the question (bipoly._count_decides:
-    D <= 2 at every q, D = 3 from q = 7, D = 4 from q = 43) the label comes
-    from the count itself, so there a "not-absolutely-irreducible" row with
-    aff <= floor(D^2/4) restates the rule rather than testing the bound;
-    the test suite checks those labels against re-factoring over F_{q^r}.
+    Each factor is labelled by _absolutely_irreducible, which asks the cap
+    and the band before any geometry.  So only the rows of a factor with
+    more than floor(D^2/4) points test a bound its label did not use; the
+    other rows restate what labelled them, and the test suite checks the
+    labels against re-factoring over F_{q^r}.
     """
     if config.kind not in _SAMPLERS:
         raise ValidationError(f"unknown sampler kind {config.kind!r}")
@@ -392,7 +407,7 @@ def verify_bounds_on_sample(config: SampleConfig) -> list[BoundReport]:
             D = h.total_degree()
             aff = count_affine(h)
             proj = aff + _points_at_infinity(h)
-            if _irreducible_is_absolute(h, proj):
+            if _absolutely_irreducible(h, proj):
                 label = "absolutely-irreducible"
                 lo, hi = ap_interval(D, q)
                 reports.append(

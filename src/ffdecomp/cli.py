@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import signal
 import sys
 from typing import Optional
 
@@ -377,10 +378,7 @@ def run(argv=None) -> int:
             doc.update(payload)
             print(json.dumps(doc, indent=2, sort_keys=True))
         return 0
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ZeroDivisionError as exc:
+    except (ValidationError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SizeLimitError as exc:
@@ -391,6 +389,10 @@ def run(argv=None) -> int:
 
 
 def main(argv=None) -> int:
+    # a reader that stops early (| head) ends the command as it ends other
+    # filters, by SIGPIPE, instead of with a BrokenPipeError traceback
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     return run(argv)
 
 

@@ -6,6 +6,7 @@ enumeration is expensive but deterministic.
 """
 
 import functools
+import heapq
 import itertools
 import math
 from collections import Counter
@@ -28,8 +29,8 @@ from ffdecomp.upoly import INFINITY, Poly, RatFun, factor, poly_gcd, poly_invmod
 
 _CANDIDATE_CACHE: dict = {}
 
-# collapse_factor refuses a univariate image whose factorization has more
-# sub-multisets than this
+# collapse_factor refuses a factorization once it has tested this many
+# sub-multisets of the univariate image's factors
 _MAX_SUBMULTISETS = 1 << 20
 
 
@@ -212,20 +213,29 @@ def uncollapse(u, rads, bases, n):
 
 
 def _submultisets_by_degree(facs):
-    """All nonempty choices of multiplicities, ordered by product degree."""
-    ranges = [range(m + 1) for _, m in facs]
-    count = 1
-    for r in ranges:
-        count *= len(r)
-    if count > _MAX_SUBMULTISETS:
-        raise SizeLimitError(
-            f"factor recombination would test {count} subsets "
-            f"(limit {_MAX_SUBMULTISETS})"
-        )
+    """Every nonempty choice of multiplicities, lazily, ordered by product
+    degree and then by the vector; refuses the one past _MAX_SUBMULTISETS.
+
+    A vector's parent lowers its last nonzero entry by one, so each vector
+    is pushed once, by its parent, and has a larger degree than it; the
+    heap therefore pops the vectors in order.
+    """
     degs = [p.degree for p, _ in facs]
-    vectors = [v for v in itertools.product(*ranges) if any(v)]
-    vectors.sort(key=lambda v: (sum(m * d for m, d in zip(v, degs)), v))
-    return vectors
+    tops = [m for _, m in facs]
+    heap = [(0, (0,) * len(facs), 0)]
+    tested = 0
+    while heap:
+        degree, v, last = heapq.heappop(heap)
+        if degree:
+            tested += 1
+            if tested > _MAX_SUBMULTISETS:
+                raise SizeLimitError(
+                    f"factor recombination tested more than {_MAX_SUBMULTISETS} subsets"
+                )
+            yield v
+        for i in range(last, len(v)):
+            if v[i] < tops[i]:
+                heapq.heappush(heap, (degree + degs[i], v[:i] + (v[i] + 1,) + v[i + 1:], i))
 
 
 def collapse_factor(F):

@@ -3,6 +3,7 @@ import functools
 import itertools
 import random
 import time
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from ffdecomp import bipoly, bounds, mvar
 from ffdecomp.bipoly import (
     _SMOOTH_SCAN_LINES,
-    _count_decides,
     _irreducible_is_absolute,
     _line_meets_simply,
     _points_at_infinity,
@@ -31,8 +31,10 @@ from ffdecomp.bounds import (
     _SAMPLERS,
     SampleConfig,
     SqrtVal,
+    _absolutely_irreducible,
     _random_conic,
     _random_linear_form,
+    ap_projective_ok,
     verify_bounds_on_sample,
 )
 from ffdecomp.errors import SizeLimitError, ValidationError
@@ -683,6 +685,18 @@ def test_plane_factor_branches_match_collapse(F):
     assert mv_factor(F) == collapse_factor(F), F
 
 
+def test_plane_factor_matches_collapse_on_a_fifth_power():
+    # a draw of the property above: its collapse has 1327104 sub-multisets,
+    # which the oracle once built and sorted before testing any; tested
+    # lazily by degree, the image of X + 1 divides at once
+    X, Y = MPoly.variable(F5, 2, 0), MPoly.variable(F5, 2, 1)
+    parts = [(X + 1, 1), (2 * X * Y + 1, 5), (X + Y**5, 1)]
+    F = 3 * functools.reduce(MPoly.__mul__, [G**m for G, m in parts])
+    want = (F5.element(3), parts)
+    assert mv_factor(F) == want
+    assert collapse_factor(F) == want
+
+
 def test_bound_reports_count_affine_points_once(monkeypatch):
     # the projective report adds the points at infinity to the affine count
     # of the same factor instead of counting its affine points again
@@ -738,7 +752,7 @@ def test_norm_form_is_irreducible_but_not_absolutely():
     # that point is all floor(2^2/4) = 1 allows, and for a conic no
     # absolutely irreducible curve has so few, so the count decides at once
     assert count_projective(F) == 1 == bounds.non_abs_bound(2)
-    assert not _irreducible_is_absolute(F, 1)
+    assert not _absolutely_irreducible(F, 1)
     # the norm of the conic A - alpha*B has the 4 = floor(4^2/4) rational
     # points where the conics A = X^2 - X and B = Y^2 - Y meet
     a = bp(F7, {(2, 0): 1, (1, 0): -1})
@@ -748,7 +762,7 @@ def test_norm_form_is_irreducible_but_not_absolutely():
     assert len(facs) == 1 and facs[0][1] == 1
     assert count_projective(G) == 4 == bounds.non_abs_bound(4)
     assert not _line_meets_simply(G)
-    assert not _irreducible_is_absolute(G, 4)
+    assert not _absolutely_irreducible(G, 4)
     assert not _is_absolutely_irreducible_by_extension(G)
 
 
@@ -814,11 +828,11 @@ def brute_line_roots(F):
 @pytest.mark.parametrize("spec", [F2, F3, F4, F5, F7, F8, F9], ids=lambda s: f"q{s.order}")
 def test_absolute_irreducibility_matches_extension_oracle(spec):
     # both certificates against the definitional re-factoring over F_{q^r}:
-    # the exact projective point count with the line scan, and with no count
-    # the line scan alone; the line scan against a scan of the same lines,
-    # and every simple root it sees against the nonsingular points of
-    # P^2(F_q).  Norm forms have no nonsingular rational point, so with no
-    # count they run the fallback
+    # the exact projective point count with the geometry, and the geometry
+    # alone; the line scan against a scan of the same lines, and every
+    # simple root it sees against the nonsingular points of P^2(F_q).  Norm
+    # forms have no nonsingular rational point, so with no count they run
+    # the fallback
     rng = random.Random(spec.order)
     for kind, count in (("conic", 4), ("norm_form", 3), ("random", 3)):
         for _ in range(count):
@@ -827,7 +841,7 @@ def test_absolute_irreducibility_matches_extension_oracle(spec):
                 expected = _is_absolutely_irreducible_by_extension(h)
                 assert is_absolutely_irreducible(h) == expected, h
                 points = count_projective(h)
-                assert _irreducible_is_absolute(h, points) == expected, h
+                assert _absolutely_irreducible(h, points) == expected, h
                 assert _irreducible_is_absolute(h) == expected, h
                 roots = brute_line_roots(h)
                 assert _line_meets_simply(h) == bool(roots), h
@@ -840,7 +854,7 @@ def test_absolute_irreducibility_matches_extension_oracle(spec):
 @pytest.mark.parametrize("spec", [F2, F3, F4, F5, F7, F8, F9], ids=lambda s: f"q{s.order}")
 def test_known_irreducible_check_matches_full_test(spec):
     # verify_bounds_on_sample passes the factors it already has, with their
-    # projective point counts, to _irreducible_is_absolute, which skips the
+    # projective point counts, to _absolutely_irreducible, which skips the
     # factoring over F_q
     rng = random.Random(1000 + spec.order)
     for kind in ("conic", "norm_form", "random"):
@@ -849,23 +863,34 @@ def test_known_irreducible_check_matches_full_test(spec):
             for h, _ in facs:
                 full = is_absolutely_irreducible(h)
                 assert _irreducible_is_absolute(h) == full, h
-                assert _irreducible_is_absolute(h, count_projective(h)) == full, h
+                assert _absolutely_irreducible(h, count_projective(h)) == full, h
 
 
-def test_count_rule_condition_matches_the_exact_comparison():
-    # _count_decides(D, q) in integers against the Aubry-Perret floor
-    # q + 1 - (D-1)(D-2)sqrt(q) compared with floor(D^2/4) by SqrtVal
+def test_count_rule_decides_below_the_aubry_perret_floor():
+    # with the geometry stubbed out, a count N up to floor(D^2/4) is decided
+    # (False) exactly when it lies below the Aubry-Perret floor
+    # q + 1 - (D-1)(D-2)sqrt(q), compared by SqrtVal, and every N above the
+    # cap is decided True; where that floor lies above the cap, no count is
+    # left to the geometry
     prime_powers = [q for q in range(2, 200) if len(prime_factors(q)) == 1]
     decided = {}
-    for q in prime_powers:
-        for D in range(1, 9):
-            s = (D - 1) * (D - 2)
-            assert _count_decides(D, q) == (SqrtVal(q, q + 1, -s) > D * D // 4), (D, q)
-            if _count_decides(D, q):
-                decided.setdefault(D, []).append(q)
+    with mock.patch.object(bounds, "_irreducible_is_absolute", lambda h: None):
+        for q in prime_powers:
+            for D in range(1, 9):
+                h = SimpleNamespace(spec=SimpleNamespace(order=q), total_degree=lambda: D)
+                floor = SqrtVal(q, q + 1, -(D - 1) * (D - 2))
+                cap = D * D // 4
+                for N in range(cap + 1):
+                    want = False if floor > N else None
+                    assert _absolutely_irreducible(h, N) is want, (D, q, N)
+                assert _absolutely_irreducible(h, cap + 1) is True
+                if floor > cap:
+                    decided.setdefault(D, []).append(q)
     assert decided[1] == decided[2] == prime_powers
     assert decided[3] == [q for q in prime_powers if q >= 7]
     assert decided[4] == [q for q in prime_powers if q >= 43]
+    assert decided[5] == [q for q in prime_powers if q >= 157]
+    assert not decided.keys() & {6, 7, 8}
 
 
 @contextlib.contextmanager
@@ -933,9 +958,10 @@ def test_count_rule_matches_extension_oracle(spec, kind, degree, seed):
     for h, _ in facs:
         expected = _is_absolutely_irreducible_by_extension(h)
         count = count_projective(h)
-        decides = _count_decides(h.total_degree(), spec.order)
+        D = h.total_degree()
+        decides = count > bounds.non_abs_bound(D) or not ap_projective_ok(count, D, spec.order)
         with _without_slow_paths() if decides else contextlib.nullcontext():
-            assert _irreducible_is_absolute(h, count) == expected, h
+            assert _absolutely_irreducible(h, count) == expected, h
 
 
 @pytest.mark.parametrize("kind", ["norm_form", "conic"])
@@ -963,7 +989,7 @@ def test_point_count_decides_where_no_line_meets_simply(monkeypatch):
         points = count_projective(F)
         assert points == spec.order + 1 > bounds.non_abs_bound(spec.p)
         assert not _line_meets_simply(F)
-        assert _irreducible_is_absolute(F, points)
+        assert _absolutely_irreducible(F, points)
 
 
 def test_curve_helpers_refuse_other_variable_counts():
@@ -980,7 +1006,7 @@ def test_absolutely_irreducible_without_smooth_point_takes_fallback():
     assert count_projective(quartic) == 2
     assert not brute_smooth_points(quartic)
     assert not _line_meets_simply(quartic)
-    assert _irreducible_is_absolute(quartic, 2)
+    assert _absolutely_irreducible(quartic, 2)
     assert is_absolutely_irreducible(quartic)
     assert _is_absolutely_irreducible_by_extension(quartic)
 
@@ -1006,5 +1032,5 @@ def test_smooth_point_found_by_each_partial():
         F = bp(F2, terms)
         assert {pt[2] for pt in brute_smooth_points(F)} == {z}
         assert _line_meets_simply(F) == on_a_line == bool(brute_line_roots(F))
-        assert _irreducible_is_absolute(F, count_projective(F))
+        assert _absolutely_irreducible(F, count_projective(F))
         assert is_absolutely_irreducible(F)

@@ -13,6 +13,7 @@ import itertools
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -568,6 +569,43 @@ def test_verify_bounds_fuzz_ends_in_a_known_exit(options, odd):
         assert "Traceback" not in err.getvalue() and out.getvalue() == ""
 
 
+_CURVE_TERM_LISTS = st.lists(
+    st.tuples(
+        st.sampled_from(["1", "2", "-1", "0", "[1,1]"]), st.integers(0, 3), st.integers(0, 3)
+    ).map("{0[0]}:({0[1]},{0[2]})".format),
+    min_size=1,
+    max_size=6,
+).map("; ".join)
+
+
+@settings(max_examples=150, deadline=5000)
+@given(
+    st.sampled_from(["factor-b", "count-affine", "count-projective"]),
+    st.sampled_from(_SWEEP_FIELDS),
+    st.one_of(
+        _CURVE_TERM_LISTS, _CURVE_TERM_LISTS, _edited(_CURVE_TERM_LISTS), st.text(max_size=30)
+    ),
+)
+def test_term_list_fuzz_ends_in_a_known_exit(command, field, poly):
+    # every --poly text ends in a report (exit 0) or in an exit 2 or 3 with
+    # one error line, below argparse's usage lines when argparse refuses it
+    argv = [command, "--field", field, f"--poly={poly}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), argv
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        lines = err.getvalue().splitlines()
+        errors = [line for line in lines if "error: " in line]
+        assert errors == lines[-1:], (argv, lines)
+        assert "Traceback" not in err.getvalue() and out.getvalue() == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -712,5 +750,31 @@ def test_malformed_max_order_variable_exits_two(value):
 
 
 def test_main_delegates(capsys):
-    assert main(["field-info", "--field", "5"]) == 0
+    # main restores the default SIGPIPE action; put back the test process's own
+    saved = signal.getsignal(signal.SIGPIPE) if hasattr(signal, "SIGPIPE") else None
+    try:
+        assert main(["field-info", "--field", "5"]) == 0
+    finally:
+        if saved is not None:
+            signal.signal(signal.SIGPIPE, saved)
     capsys.readouterr()
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_pipe_ends_the_command_without_a_traceback():
+    # the report, about 170 kB, outgrows the pipe, so the command is still
+    # writing when the reader closes it after 150 bytes, as `| head -c 150` does
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ffdecomp.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ffdecomp.cli", "verify-bounds", "--field", "7",
+         "--kind", "conic", "--count", "400"],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(150)
+    proc.stdout.close()
+    proc.wait(timeout=60)
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert len(head) == 150
+    assert "Traceback" not in err and err == ""
+    assert proc.returncode == -signal.SIGPIPE
