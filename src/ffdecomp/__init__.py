@@ -23,7 +23,6 @@ from .bipoly import (
 )
 from .bounds import ap_interval, cm_band, verify_bounds_on_sample
 from .decomp import (
-    DecompReport,
     check_t1,
     check_t31,
     count_pairs,
@@ -34,6 +33,7 @@ from .decomp import (
 from .gf_core import FieldElement, FieldSpec, build_field, extend_field
 from .mvar import (
     UNDEFINED,
+    DecompReport,
     MPoly,
     MRatFun,
     check_t41,

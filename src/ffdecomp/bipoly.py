@@ -14,7 +14,7 @@ n = 2 views these need are module functions: setting X = x or Y = y to get
 a univariate Poly and the homogeneous parts; swapping the variables is
 mvar.swap, which factoring uses too.  Coefficients move to an extension
 field through mvar.map_coeffs, and curves print with X and Y through
-mvar.terms_str.
+upoly.terms_str.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from __future__ import annotations
 from . import limits
 from .errors import SpecMismatchError, ValidationError
 from .gf_core import FieldElement, _same_spec, extend_field, prime_factors
-from .mvar import MPoly, _from_upoly, map_coeffs, mv_factor, swap, terms_str
-from .upoly import Poly, RatFun, _has_simple_root, num_distinct_roots, require_nonconstant
+from .mvar import MPoly, _from_upoly, map_coeffs, mv_factor, swap
+from .upoly import Poly, RatFun, _has_simple_root, num_distinct_roots, require_nonconstant, terms_str
 
 # The line scan in is_absolutely_irreducible tries at most this many affine
 # lines X = x.  A curve that is not absolutely irreducible has no nonsingular
@@ -40,7 +40,7 @@ def _require_plane(F: MPoly) -> None:
 
 
 def curve_str(F: MPoly) -> str:
-    return terms_str(F, "XY")
+    return terms_str(F.spec, F.idx, "XY")
 
 
 # --------------------------------------------------------------------------

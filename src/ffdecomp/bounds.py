@@ -3,8 +3,8 @@
 Every verdict here is reached in integer or rational arithmetic.  Values of
 the shape a + b*sqrt(q) are carried symbolically and compared by case
 analysis and squaring; the mixed-radical band for n-variate counts clears
-its 1/2 and 1/3 exponents by squaring and cubing.  No float ever decides
-anything (floats appear only in approx() helpers for display).
+its 1/2 and 1/3 exponents by squaring and cubing.  No float appears
+anywhere: values print as exact expressions such as 3+2*sqrt(13).
 """
 
 from __future__ import annotations
@@ -123,12 +123,6 @@ class SqrtVal:
             return hash(self.a)
         return hash((self.q, self.a, self.b))
 
-    def approx(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.q)
-
-    def __float__(self) -> float:
-        return self.approx()
-
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)
@@ -244,11 +238,6 @@ class CMBand:
         if alpha <= M:
             return True
         return (alpha - M) ** 2 <= beta * beta * self.q
-
-    def approx_interval(self) -> tuple[float, float]:
-        A, B = self._slack_coeffs()
-        slack = float(A) * math.sqrt(self.q) + float(B) * float(self.d) ** (1 / 3)
-        return self.center - slack, self.center + slack
 
 
 def cm_band(n: int, d: int, q: int) -> CMBand:

@@ -21,7 +21,6 @@ from . import __version__, limits
 from .bipoly import count_affine, count_projective, curve_str, kronecker_factor
 from .bounds import CSV_HEADER, SampleConfig, verify_bounds_on_sample
 from .decomp import (
-    DecompReport,
     check_t1,
     check_t31,
     count_pairs,
@@ -30,7 +29,7 @@ from .decomp import (
     small_fiber_diagnostics,
 )
 from .errors import SizeLimitError, ValidationError
-from .mvar import check_t41, find_h_mv
+from .mvar import DecompReport, check_t41, find_h_mv
 from .parsing import (
     parse_bipoly,
     parse_element,

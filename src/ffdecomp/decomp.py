@@ -4,19 +4,37 @@ The checkers evaluate decomposition hypotheses exactly: image containment and
 fiber-size exceptions by full scans, thresholds by integer or rational
 comparison.  The constructive search finds h as a rational root in Y of the
 curve A(X)Q(Y) - B(X)P(Y) with the search of mvar.find_h_mv in one variable,
-and symbolic composition verifies every h before anyone sees it.
+and symbolic composition verifies every h before anyone sees it.  The
+reports, the argument check of (f, g) and the fiber scans come from mvar,
+which this module builds on.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import limits
-from .errors import SpecMismatchError, ValidationError
-from .gf_core import FieldSpec, _same_spec
+from .errors import ValidationError
+from .gf_core import FieldSpec
+from .mvar import (
+    ConditionCount,
+    DecompReport,
+    MRatFun,
+    ThresholdCheck,
+    _INF,
+    _check_epsilon,
+    _curve_roots,
+    _fibers,
+    _from_upoly,
+    _graded_report,
+    _pair_count,
+    _require_pair,
+    _to_upoly,
+    _value_lines,
+)
 from .upoly import (
     INFINITY,
     Poly,
@@ -25,68 +43,6 @@ from .upoly import (
     rat_compose,
     require_nonconstant,
 )
-
-
-@dataclass(frozen=True)
-class ConditionCount:
-    exceptions: int
-    budget: int
-    passed: bool
-
-
-@dataclass(frozen=True)
-class ThresholdCheck:
-    q: int
-    threshold: Fraction
-    passed: bool
-
-
-@dataclass(frozen=True)
-class DecompReport:
-    q: int
-    d: int
-    delta: int
-    condition_i: Optional[bool] = None
-    condition_ii: Optional[ConditionCount] = None
-    condition_iii: Optional[ThresholdCheck] = None
-    pair_count: Optional[int] = None
-    pair_threshold: Optional[Fraction] = None
-    h_found: Optional[RatFun] = None
-    verified: bool = False
-
-    def with_h(self, h: Optional[RatFun]) -> "DecompReport":
-        return replace(self, h_found=h, verified=h is not None)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "d": self.d,
-            "delta": self.delta,
-            "cond_i": self.condition_i,
-            "cond_ii": None
-            if self.condition_ii is None
-            else {
-                "exceptions": self.condition_ii.exceptions,
-                "budget": self.condition_ii.budget,
-            },
-            "cond_iii": None
-            if self.condition_iii is None
-            else {"threshold": str(self.condition_iii.threshold)},
-            "pair_count": self.pair_count,
-            "pair_threshold": None
-            if self.pair_threshold is None
-            else str(self.pair_threshold),
-            "h": None if self.h_found is None else str(self.h_found),
-            "verified": self.verified,
-        }
-
-
-def _require_pair(f: RatFun, g: RatFun) -> FieldSpec:
-    if not _same_spec(f.spec, g.spec):
-        raise SpecMismatchError("f and g must live over the same field")
-    require_nonconstant(f, "f")
-    require_nonconstant(g, "g")
-    return f.spec
 
 
 # --------------------------------------------------------------------------
@@ -98,8 +54,6 @@ def count_pairs(f: RatFun, g: RatFun) -> int:
     N_g(v) = |{y in F_q : g(y) = v}|, with values compared in F_q^+, so a shared
     infinity counts as a match.  It is mvar.count_pairs_mv's case n = 1; the
     oracle is count_affine(build_F(f, g))."""
-    from .mvar import _pair_count  # deferred: mvar builds on this module
-
     _require_pair(f, g)
     return _pair_count(f, g)
 
@@ -111,8 +65,6 @@ def check_t1(f: RatFun, g: RatFun) -> DecompReport:
     (ii) at most 8(d+delta) points a of F_q^+ have 2*|fiber(g, g(a))| <= delta;
     (iii) q >= (d+delta)^4.
     """
-    from .mvar import _fibers, _value_lines  # deferred: mvar builds on this module
-
     spec = _require_pair(f, g)
     q = spec.order
     d, delta = f.degree, g.degree
@@ -137,13 +89,6 @@ def check_t1(f: RatFun, g: RatFun) -> DecompReport:
     )
 
 
-def _check_epsilon(eps) -> Fraction:
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValidationError(f"epsilon {eps} must satisfy 0 < eps <= 1")
-    return eps
-
-
 def t31_threshold_ok(q: int, d: int, delta: int, eps) -> bool:
     """q >= (d+delta)^4 / eps^2, decided in exact rational arithmetic."""
     eps = _check_epsilon(eps)
@@ -156,21 +101,10 @@ def check_t31(f: RatFun, g: RatFun, eps) -> DecompReport:
     Pair condition: count_pairs(f, g) >= q(floor(delta/2) + eps);
     threshold: q >= (d+delta)^4 / eps^2.  Both exact.
     """
-    spec = _require_pair(f, g)
+    q = _require_pair(f, g).order
     eps = _check_epsilon(eps)
-    q = spec.order
-    d, delta = f.degree, g.degree
-    pairs = count_pairs(f, g)
-    pair_threshold = q * (delta // 2 + eps)
-    threshold = Fraction((d + delta) ** 4) / eps**2
-    return DecompReport(
-        q=q,
-        d=d,
-        delta=delta,
-        condition_iii=ThresholdCheck(q, threshold, q >= threshold),
-        pair_count=pairs,
-        pair_threshold=pair_threshold,
-    )
+    threshold = Fraction((f.degree + g.degree) ** 4) / eps**2
+    return _graded_report(f, g, count_pairs(f, g), 1, eps, threshold, q)
 
 
 # --------------------------------------------------------------------------
@@ -187,8 +121,6 @@ def find_h(f: RatFun, g: RatFun) -> Optional[RatFun]:
     valid root with lexicographically smallest coefficient indices wins,
     which makes the result deterministic under symmetries like h vs -h.
     """
-    from .mvar import MRatFun, _curve_roots, _from_upoly, _to_upoly  # deferred: mvar builds on this module
-
     _require_pair(f, g)
     d, delta = f.degree, g.degree
     if d % delta != 0:
@@ -220,8 +152,6 @@ def small_fiber_diagnostics(g: RatFun) -> FiberDiagnostics:
     sandwich |values| <= |points| <= (delta/2)|values| always holds (each
     small fiber is nonempty and has size at most delta/2).
     """
-    from .mvar import _INF, _fibers  # deferred: mvar builds on this module
-
     require_nonconstant(g, "g")
     spec = g.spec
     delta = g.degree
@@ -313,7 +243,7 @@ def gen_g_family(spec: FieldSpec, kind: str, **params) -> RatFun:
 
 
 # --------------------------------------------------------------------------
-# seeded random rational functions (shared by experiments and the CLI)
+# seeded random rational functions
 
 
 def random_ratfun(rng: random.Random, spec: FieldSpec, degree: int) -> RatFun:

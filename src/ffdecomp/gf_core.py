@@ -290,17 +290,8 @@ class FieldSpec:
 
     def _is_primitive(self, g: int) -> bool:
         """g has order q - 1: no g^((q-1)/r) is 1 for a prime r | q - 1."""
-        one, m = self._coords(1), self.order - 1
-        for r in prime_factors(m):
-            e, acc, out = m // r, self._coords(g), one
-            while e:
-                if e & 1:
-                    out = self._mul_coeffs(out, acc)
-                e >>= 1
-                acc = self._mul_coeffs(acc, acc)
-            if out == one:
-                return False
-        return True
+        one, m, x = self._coords(1), self.order - 1, self._coords(g)
+        return all(power(x, m // r, one, self._mul_coeffs) != one for r in prime_factors(m))
 
     def _powers(self, g: int) -> list[int]:
         """Indices of g^0, g^1, ... up to the power before the first 1 after g^0.

@@ -25,6 +25,10 @@ first usable point of F_q^n, or of F_{q^r}^n when F_q is too small to hold
 one, to a truncated power series; a linear system reads it back as N/D, and
 composing verifies it, so a None is a proof.  An inseparable g = g1(Y^p) is
 reduced to g1.
+
+The report types, the argument check of (f, g) and the graded report that
+check_t41 shares with decomp.check_t31 live here too, so decomp builds on
+this module and not the reverse.
 """
 
 from __future__ import annotations
@@ -34,11 +38,11 @@ import functools
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
 from . import limits
-from .decomp import DecompReport, ThresholdCheck, _check_epsilon
 from .errors import SizeLimitError, SpecMismatchError, ValidationError
 from .gf_core import FieldElement, FieldEmbedding, FieldSpec, _same_spec, extend_field, power
 from .upoly import (
@@ -47,12 +51,14 @@ from .upoly import (
     RatFun,
     _distinct_degree_parts,
     _equal_degree_parts,
+    _homogenized,
     _horner_line,
     _root_indices,
     factor,
     poly_gcd,
     poly_invmod,
     require_nonconstant,
+    terms_str,
 )
 
 # Caps of the constructive search: at most FIND_H_MAX_VARS variables and
@@ -290,7 +296,7 @@ class MPoly:
         return MPoly(self.spec, self.n + 1, {k + (0,): c for k, c in self.idx.items()})
 
     def __str__(self) -> str:
-        return terms_str(self, [f"X{i + 1}" for i in range(self.n)])
+        return terms_str(self.spec, self.idx, [f"X{i + 1}" for i in range(self.n)])
 
     def __repr__(self) -> str:
         return f"MPoly({self.spec.descriptor}, {self})"
@@ -301,22 +307,6 @@ def map_coeffs(F: MPoly, emb: FieldEmbedding) -> MPoly:
     if not _same_spec(F.spec, emb.source):
         raise SpecMismatchError("embedding source does not match the polynomial")
     return MPoly(emb.target, F.n, {k: emb.map_index(c) for k, c in F.idx.items()})
-
-
-def terms_str(F: MPoly, names) -> str:
-    """F as a sum of terms in decreasing exponent order, the variables
-    written with the given names."""
-    if not F.idx:
-        return "0"
-    elems, parts = F.spec._elems, []
-    for key in sorted(F.idx, reverse=True):
-        c = F.idx[key]
-        mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, key) if e)
-        if not mono:
-            parts.append(str(elems[c]))
-        else:
-            parts.append(mono if c == 1 else f"{elems[c]}*{mono}")
-    return "+".join(parts)
 
 
 # --------------------------------------------------------------------------
@@ -590,7 +580,96 @@ def count_undefined(f: MRatFun) -> int:
 
 
 # --------------------------------------------------------------------------
-# hypothesis checking
+# hypothesis checking: the reports and argument checks of decomp's criteria
+# and of check_t41
+
+
+@dataclass(frozen=True)
+class ConditionCount:
+    exceptions: int
+    budget: int
+    passed: bool
+
+
+@dataclass(frozen=True)
+class ThresholdCheck:
+    q: int
+    threshold: Fraction
+    passed: bool
+
+
+@dataclass(frozen=True)
+class DecompReport:
+    q: int
+    d: int
+    delta: int
+    condition_i: Optional[bool] = None
+    condition_ii: Optional[ConditionCount] = None
+    condition_iii: Optional[ThresholdCheck] = None
+    pair_count: Optional[int] = None
+    pair_threshold: Optional[Fraction] = None
+    h_found: Optional[RatFun] = None
+    verified: bool = False
+
+    def with_h(self, h: Optional[RatFun]) -> "DecompReport":
+        return replace(self, h_found=h, verified=h is not None)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "q": self.q,
+            "d": self.d,
+            "delta": self.delta,
+            "cond_i": self.condition_i,
+            "cond_ii": None
+            if self.condition_ii is None
+            else {
+                "exceptions": self.condition_ii.exceptions,
+                "budget": self.condition_ii.budget,
+            },
+            "cond_iii": None
+            if self.condition_iii is None
+            else {"threshold": str(self.condition_iii.threshold)},
+            "pair_count": self.pair_count,
+            "pair_threshold": None
+            if self.pair_threshold is None
+            else str(self.pair_threshold),
+            "h": None if self.h_found is None else str(self.h_found),
+            "verified": self.verified,
+        }
+
+
+def _require_pair(f, g: RatFun) -> FieldSpec:
+    """The field of f, a RatFun or an MRatFun, and g, after checking that
+    they share it and that both are nonconstant, in that order."""
+    if not _same_spec(f.spec, g.spec):
+        raise SpecMismatchError("f and g must live over the same field")
+    require_nonconstant(f, "f")
+    require_nonconstant(g, "g")
+    return f.spec
+
+
+def _check_epsilon(eps) -> Fraction:
+    eps = Fraction(eps)
+    if not 0 < eps <= 1:
+        raise ValidationError(f"epsilon {eps} must satisfy 0 < eps <= 1")
+    return eps
+
+
+def _graded_report(
+    f, g: RatFun, pairs: int, n: int, eps: Fraction, threshold: Fraction, q_power: int
+) -> DecompReport:
+    """The report of a graded criterion: the pair count with its bound
+    q^n (floor(delta/2) + eps), and the threshold on q_power, the power of q
+    it bounds (q for check_t31, q^3 for check_t41)."""
+    q, delta = f.spec.order, g.degree
+    return DecompReport(
+        q=q,
+        d=f.degree,
+        delta=delta,
+        condition_iii=ThresholdCheck(q, threshold, q_power >= threshold),
+        pair_count=pairs,
+        pair_threshold=Fraction(q**n) * (delta // 2 + eps),
+    )
 
 
 def t41_threshold_ok(q: int, d: int, delta: int, eps) -> bool:
@@ -608,25 +687,10 @@ def check_t41(f: MRatFun, g: RatFun, eps) -> DecompReport:
     the exact rational lower bound for q^3 (the cube kills the fractional
     exponent), so condition_iii compares q^3 against it.
     """
-    if not _same_spec(f.spec, g.spec):
-        raise SpecMismatchError("f and g must live over the same field")
-    require_nonconstant(f, "f")
-    require_nonconstant(g, "g")
+    q = _require_pair(f, g).order
     eps = _check_epsilon(eps)
-    spec = f.spec
-    q = spec.order
-    d, delta = f.degree, g.degree
-    pairs = count_pairs_mv(f, g)
-    pair_threshold = Fraction(q**f.n) * (delta // 2 + eps)
-    threshold = Fraction(39, 5) ** 3 * (d + delta) ** 13 / eps**6
-    return DecompReport(
-        q=q,
-        d=d,
-        delta=delta,
-        condition_iii=ThresholdCheck(q, threshold, Fraction(q) ** 3 >= threshold),
-        pair_count=pairs,
-        pair_threshold=pair_threshold,
-    )
+    threshold = Fraction(39, 5) ** 3 * (f.degree + g.degree) ** 13 / eps**6
+    return _graded_report(f, g, count_pairs_mv(f, g), f.n, eps, threshold, q**3)
 
 
 # --------------------------------------------------------------------------
@@ -640,19 +704,11 @@ def mrat_compose(g: RatFun, h: MRatFun) -> Optional[MRatFun]:
     the reduced h or make h a common root of P and Q modulo it."""
     if not _same_spec(g.spec, h.spec):
         raise SpecMismatchError("g and h must live over the same field")
-    delta = g.degree
-    upow, vpow = [MPoly.one(h.spec, h.n)], [MPoly.one(h.spec, h.n)]
-    for _ in range(delta):
-        upow.append(upow[-1] * h.num)
-        vpow.append(vpow[-1] * h.den)
-    num_c, den_c = (
-        sum((upow[i] * vpow[delta - i]._scale(c) for i, c in enumerate(p.idx) if c), MPoly.zero(h.spec, h.n))
-        for p in (g.num, g.den)
-    )
-    if den_c.is_zero():
+    num, den = _homogenized(g, h.num, h.den)
+    if den.is_zero():
         return None
-    c = h.spec._inv(den_c.idx[den_c.leading_key()])
-    return MRatFun(num_c._scale(c), den_c._scale(c))
+    c = h.spec._inv(den.idx[den.leading_key()])
+    return MRatFun(num._scale(c), den._scale(c))
 
 
 def verify_h_mv(f: MRatFun, g: RatFun, h: MRatFun) -> bool:
@@ -1139,10 +1195,7 @@ def find_h_mv(f: MRatFun, g: RatFun) -> Optional[MRatFun]:
     is a proof.  The valid root with lexicographically smallest coefficient
     indices wins.
     """
-    if not _same_spec(f.spec, g.spec):
-        raise SpecMismatchError("f and g must live over the same field")
-    require_nonconstant(f, "f")
-    require_nonconstant(g, "g")
+    _require_pair(f, g)
     d, delta = f.degree, g.degree
     if f.n > FIND_H_MAX_VARS:
         raise SizeLimitError(f"search supports at most {FIND_H_MAX_VARS} variables")

@@ -7,7 +7,8 @@ the boundary: `coeffs`, `lc()`, values, roots and the printed form.  An int
 given to arithmetic means n * 1, never an index.  Rational functions are
 kept reduced with a monic denominator, which makes structural equality the
 same as mathematical equality.  Evaluation is over the projective line: a
-rational function takes values in F_q plus a single point at infinity.
+rational function takes values in F_q plus a single point at infinity.  The
+composition sum and the term printer serve mvar's MPoly as well.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class Poly:
         return f"Poly({self})"
 
     def __str__(self) -> str:
-        return _poly_str(self)
+        return terms_str(self.spec, {(e,): c for e, c in enumerate(self.idx) if c}, "X")
 
     def index_key(self) -> tuple[int, ...]:
         """Deterministic sort key: coefficient indices, constant term first."""
@@ -268,15 +269,7 @@ def poly_invmod(a: Poly, m: Poly) -> Poly:
 def poly_powmod(base: Poly, e: int, mod: Poly) -> Poly:
     if mod.is_constant():
         raise ValidationError("powmod modulus must be nonconstant")
-    result = Poly.one(base.spec)
-    acc = base % mod
-    while e:
-        if e & 1:
-            result = result * acc % mod
-        e >>= 1
-        if e:
-            acc = acc * acc % mod
-    return result
+    return power(base % mod, e, Poly.one(base.spec), lambda a, b: a * b % mod)
 
 
 # --------------------------------------------------------------------------
@@ -555,9 +548,6 @@ class RatFun:
     def is_constant(self) -> bool:
         return self.degree <= 0
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_one()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFun):
             return NotImplemented
@@ -596,6 +586,21 @@ class RatFun:
         return a / b
 
 
+def _homogenized(g: RatFun, u, v) -> tuple:
+    """The numerator and denominator sum_i c_i u^i v^(delta-i) of g(u/v),
+    delta = deg g, for u and v both Poly or both MPoly."""
+    delta = g.degree
+    upow, vpow = [u**0], [v**0]
+    for _ in range(delta):
+        upow.append(upow[-1] * u)
+        vpow.append(vpow[-1] * v)
+    zero = upow[0]._scale(0)
+    return tuple(
+        sum((upow[i] * vpow[delta - i]._scale(c) for i, c in enumerate(p.idx) if c), zero)
+        for p in (g.num, g.den)
+    )
+
+
 def rat_compose(g: RatFun, h: RatFun) -> RatFun:
     """g(h(X)) as a reduced rational function.
 
@@ -606,15 +611,7 @@ def rat_compose(g: RatFun, h: RatFun) -> RatFun:
     """
     if not _same_spec(g.spec, h.spec):
         raise SpecMismatchError("composing rational functions over different fields")
-    delta = g.degree
-    n_pows, d_pows = [Poly.one(g.spec)], [Poly.one(g.spec)]
-    for _ in range(delta):
-        n_pows.append(n_pows[-1] * h.num)
-        d_pows.append(d_pows[-1] * h.den)
-    num, den = (
-        sum((n_pows[i] * d_pows[delta - i]._scale(c) for i, c in enumerate(u.idx) if c), Poly.zero(g.spec))
-        for u in (g.num, g.den)
-    )
+    num, den = _homogenized(g, h.num, h.den)
     if den.is_zero():
         raise ValidationError("composition is identically infinite")
     c = g.spec._inv(den.idx[-1])
@@ -647,19 +644,19 @@ def require_nonconstant(f: RatFun, name: str) -> None:
 # plain-text rendering (parsing lives in the cli-facing module)
 
 
-def _poly_str(f: Poly, var: str = "X") -> str:
-    """Terms from the highest power down; a coefficient prints as its
-    FieldElement does (an integer, or a coordinate list in brackets)."""
-    if f.is_zero():
+def terms_str(spec: FieldSpec, idx: dict, names) -> str:
+    """The polynomial {exponent vector: coefficient index} as a sum of terms
+    from the largest exponent vector down, the variables written with the
+    given names; a coefficient prints as its FieldElement does (an integer,
+    or a coordinate list in brackets)."""
+    if not idx:
         return "0"
-    elems, parts = f.spec._elems, []
-    for e in range(f.degree, -1, -1):
-        c = f.idx[e]
-        if not c:
-            continue
-        if e == 0:
+    elems, parts = spec._elems, []
+    for key in sorted(idx, reverse=True):
+        c = idx[key]
+        mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, key) if e)
+        if not mono:
             parts.append(str(elems[c]))
         else:
-            xs = var if e == 1 else f"{var}^{e}"
-            parts.append(xs if c == 1 else f"{elems[c]}*{xs}")
+            parts.append(mono if c == 1 else f"{elems[c]}*{mono}")
     return "+".join(parts)

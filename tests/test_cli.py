@@ -422,6 +422,27 @@ def test_malformed_input_exits_two(capsys):
     capsys.readouterr()
 
 
+_EPS_ERROR = "error: epsilon 2 must satisfy 0 < eps <= 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["check-t31", "--f", "3", "--g", "X^2"], "error: f must be nonconstant\n"),
+        (["check-t41", "--f", "3:(0,0)", "--g", "X^2"], "error: f must be nonconstant\n"),
+        (["check-t31", "--f", "X^4", "--g", "X^2"], _EPS_ERROR),
+        (["check-t41", "--f", "1:(2,2); 1:(0,0)", "--g", "X^2"], _EPS_ERROR),
+    ],
+    ids=["t31-constant-f", "t41-constant-f", "t31-bad-eps", "t41-bad-eps"],
+)
+def test_graded_checks_refuse_a_constant_f_before_a_bad_eps(capsys, argv, err):
+    # the argument check of f and g runs before the check of eps
+    assert run(argv + ["--field", "7", "--eps", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
 @pytest.mark.parametrize(
     "text",
     ["(" * 3000 + "X" + ")" * 3000, "-" * 3000 + "X"],

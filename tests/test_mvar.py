@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ffdecomp import limits, mvar
-from ffdecomp.decomp import check_t1, count_pairs, find_h, small_fiber_diagnostics
+from ffdecomp.decomp import check_t1, count_pairs, find_h, random_ratfun, small_fiber_diagnostics
 from ffdecomp.errors import SizeLimitError, SpecMismatchError, ValidationError
 from ffdecomp.gf_core import build_field
 from ffdecomp.mvar import (
@@ -30,7 +30,15 @@ from ffdecomp.mvar import (
     t41_threshold_ok,
     verify_h_mv,
 )
-from ffdecomp.upoly import Poly, RatFun, _distinct_degree_parts, _equal_degree_parts, poly_gcd, roots
+from ffdecomp.upoly import (
+    Poly,
+    RatFun,
+    _distinct_degree_parts,
+    _equal_degree_parts,
+    poly_gcd,
+    rat_compose,
+    roots,
+)
 
 from oracles import (
     collapse_factor,
@@ -662,6 +670,29 @@ def test_mrat_compose_is_reduced_without_a_gcd(spec):
         assert f == MRatFun.make(f.num, f.den), f"{g} of {h}"
         assert f.degree == g.degree * h.degree
         done += 1
+
+
+@pytest.mark.parametrize(
+    "spec", [F7, build_field(3, 2), build_field(2, 5), build_field(101)], ids=str
+)
+def test_univariate_twins_match_their_one_variable_views(spec):
+    # rat_compose and mrat_compose share one composition sum, and Poly and
+    # MPoly one term printer; each must give what its twin gives for n = 1
+    rng = random.Random(f"twins/{spec.order}")
+    one_var = mvar._from_upoly
+    for _ in range(12):
+        g = random_ratfun(rng, spec, rng.randrange(1, 4))
+        h = random_ratfun(rng, spec, rng.randrange(1, 4))
+        composed = rat_compose(g, h)
+        twin = mrat_compose(g, MRatFun(one_var(h.num), one_var(h.den)))
+        assert (twin.num, twin.den) == (one_var(composed.num), one_var(composed.den)), f"{g} of {h}"
+        for p in (g.num, g.den, h.num, composed.num, composed.den, Poly.zero(spec)):
+            assert str(p) == str(one_var(p)).replace("X1", "X")
+    # h constant at a pole of g: rat_compose raises, mrat_compose answers None
+    g, zero = RatFun.make(Poly.one(spec), Poly.x(spec)), Poly.zero(spec)
+    with pytest.raises(ValidationError):
+        rat_compose(g, RatFun.from_poly(zero))
+    assert mrat_compose(g, MRatFun.from_poly(one_var(zero))) is None
 
 
 def test_find_h_mv_product_plus_one():
