@@ -6,10 +6,12 @@ and projective points exactly, factors it with mvar.mv_factor (Hensel
 lifting at one fiber X = x0), and decides absolute irreducibility from
 the geometry: for an F_q-irreducible curve a simple root on a line proves
 it, and re-factoring over extensions decides the rest; what a point count
-decides is stated in bounds.  Point counts on a line X = x and the search
-for a simple root there are upoly's num_distinct_roots and _has_simple_root,
-which read the line's values at every element over a field of order at most
-upoly.EVAL_ROOTS_MAX_ORDER and take gcd(F(x, Y), Y^q - Y) above it.  The
+decides is stated in bounds.  Over a field of order at most
+upoly.EVAL_ROOTS_MAX_ORDER, count_affine counts the zeros among F's values
+on mvar's grid, one line X = x of q values at a time; above it, each line
+counts as upoly.num_distinct_roots, the degree of gcd(F(x, Y), Y^q - Y).
+The search for a simple root on a line is upoly's _has_simple_root, which
+makes the same choice.  The
 n = 2 views these need are module functions: setting X = x or Y = y to get
 a univariate Poly and the homogeneous parts; swapping the variables is
 mvar.swap, which factoring uses too.  Coefficients move to an extension
@@ -22,8 +24,16 @@ from __future__ import annotations
 from . import limits
 from .errors import SpecMismatchError, ValidationError
 from .gf_core import FieldElement, _same_spec, extend_field, prime_factors
-from .mvar import MPoly, _from_upoly, map_coeffs, mv_factor, swap
-from .upoly import Poly, RatFun, _has_simple_root, num_distinct_roots, require_nonconstant, terms_str
+from .mvar import MPoly, _from_upoly, _lines, map_coeffs, mv_factor, swap
+from .upoly import (
+    EVAL_ROOTS_MAX_ORDER,
+    Poly,
+    RatFun,
+    _has_simple_root,
+    num_distinct_roots,
+    require_nonconstant,
+    terms_str,
+)
 
 # The line scan in is_absolutely_irreducible tries at most this many affine
 # lines X = x.  A curve that is not absolutely irreducible has no nonsingular
@@ -102,6 +112,8 @@ def count_affine(F: MPoly) -> int:
         raise ValidationError("the zero polynomial does not define a curve")
     spec = F.spec
     limits.check_enumerable(spec.order, "affine point count")
+    if spec.order <= EVAL_ROOTS_MAX_ORDER:  # the zeros of F on mvar's grid
+        return sum(line.count(0) for line in _lines(F))
     total = 0
     for x in range(spec.order):
         u = _specialize(F, 0, x)

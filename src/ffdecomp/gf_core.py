@@ -9,10 +9,12 @@ Equal inputs always produce equal outputs, and nothing here depends on
 process state.  The module has no polynomial arithmetic of its own: moduli
 are searched and checked, and large fields invert, with `upoly` over F_p.
 
-FieldSpec's index primitives `_add`, `_neg`, `_mul` and `_inv` are the one
-place that chooses how to compute.  The polynomials of `upoly` and `mvar`
-store their coefficients as indices and call these primitives directly, so
-FieldElement arithmetic serves only callers at the API boundary.
+FieldSpec's index primitives `_add`, `_neg`, `_mul` and `_inv`, and the
+line evaluator `_values(cs)`, the values at x = 0..q-1 of the polynomial
+with coefficient indices cs, are the one place that chooses how to compute.
+The polynomials of `upoly` and `mvar` store their coefficients as indices
+and call these primitives directly, so FieldElement arithmetic serves only
+callers at the API boundary.
 
 - q <= 2^16 (TABLE_MAX_ORDER): log/antilog tables over the primitive
   element of smallest index.  Products, inverses and negatives are table
@@ -23,6 +25,11 @@ FieldElement arithmetic serves only callers at the API boundary.
   `_inv_coeffs`), with sums by XOR when p = 2 and the index itself as the
   one coordinate of a prime field.  It is also the tests' oracle for the
   tables.
+
+`_values` runs Horner's rule at all q points at once.  A prime field, where
+an index is its value, runs it on integers mod p; an extension field with
+tables reads each product a x from the tables inline and adds by XOR or
+Zech's logarithms; a larger extension field loops over `_add` and `_mul`.
 """
 
 from __future__ import annotations
@@ -122,13 +129,14 @@ def _xor_span(rows: list[int]) -> list[int]:
 class FieldSpec:
     """Description of F_{p^k}: characteristic, degree, and modulus.
 
-    `_add`, `_neg`, `_mul` and `_inv` act on element indices; they are set
-    once, here, to the table or the coordinate versions.  `_elems[i]` is
-    the element of index i: the interned one when the field has tables.
+    `_add`, `_neg`, `_mul`, `_inv` and `_values` act on element indices;
+    they are set once, here, to the table or the coordinate versions.
+    `_elems[i]` is the element of index i: the interned one when the field
+    has tables.
     """
 
     __slots__ = ("p", "k", "order", "modulus", "_red", "_elems",
-                 "_add", "_neg", "_mul", "_inv")
+                 "_add", "_neg", "_mul", "_inv", "_values")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
@@ -137,10 +145,10 @@ class FieldSpec:
         self.modulus = modulus
         self._red = modulus[:k]  # X^k = -sum(red[i] X^i) mod m
         if self.order <= TABLE_MAX_ORDER:
-            self._add, self._neg, self._mul, self._inv = self._table_ops()
+            self._add, self._neg, self._mul, self._inv, self._values = self._table_ops()
             self._elems = [FieldElement(self, i) for i in range(self.order)]
         else:
-            self._add, self._neg, self._mul, self._inv = self._coord_ops()
+            self._add, self._neg, self._mul, self._inv, self._values = self._coord_ops()
             self._elems = _Fresh(self)
 
     @property
@@ -268,7 +276,7 @@ class FieldSpec:
                     raise ZeroDivisionError(f"inversion of zero in {self!r}")
                 return pow(a, p - 2, p)
 
-            return add, neg, mul, inv
+            return add, neg, mul, inv, _prime_values(p)
 
         def add(a: int, b: int) -> int:
             return index([(x + y) % p for x, y in zip(coords(a), coords(b))])
@@ -283,8 +291,19 @@ class FieldSpec:
             return index(self._inv_coeffs(coords(a)))
 
         if p == 2:  # coordinate-wise addition mod 2 is XOR of the indices
-            return operator.xor, _identity, mul, inv
-        return add, neg, mul, inv
+            add, neg = operator.xor, _identity
+        xs = range(self.order)
+
+        def values(cs) -> list[int]:
+            line = [cs[-1]] * len(xs)
+            for c in reversed(cs[:-1]):
+                if c:
+                    line = [add(mul(a, x), c) for a, x in zip(line, xs)]
+                else:
+                    line = [mul(a, x) for a, x in zip(line, xs)]
+            return line
+
+        return add, neg, mul, inv, values
 
     # -- log/antilog tables --------------------------------------------------
 
@@ -361,8 +380,18 @@ class FieldSpec:
                 raise ZeroDivisionError(f"inversion of zero in {self!r}")
             return exp[m - log[a]]
 
+        # The line evaluators run Horner's rule at every x at once, with
+        # log[x] beside x; log[0] = 0 is no logarithm, so the value at x = 0
+        # is set to the constant term at the end.
         if p == 2:
-            return operator.xor, _identity, mul, inv
+            def values(cs) -> list[int]:
+                line = [cs[-1]] * (m + 1)
+                for c in reversed(cs[:-1]):
+                    line = [exp[log[a] + lx] ^ c if a else c for a, lx in zip(line, log)]
+                line[0] = cs[0]
+                return line
+
+            return operator.xor, _identity, mul, inv, _prime_values(2) if self.k == 1 else values
 
         half = m // 2  # g^half = -1
 
@@ -373,7 +402,7 @@ class FieldSpec:
             def add(a: int, b: int) -> int:
                 return (a + b) % p
 
-            return add, neg, mul, inv
+            return add, neg, mul, inv, _prime_values(p)
 
         # zech[n] = log(1 + g^n), or -1 where 1 + g^n = 0; 1 + a bumps a's
         # constant coordinate, the lowest base-p digit of its index
@@ -393,11 +422,39 @@ class FieldSpec:
             z = zech[log[b] - la]  # a negative position wraps: mod q-1 for free
             return exp[la + z] if z >= 0 else 0
 
-        return add, neg, mul, inv
+        def values(cs) -> list[int]:
+            line = [cs[-1]] * (m + 1)
+            for c in reversed(cs[:-1]):
+                if not c:
+                    line = [exp[log[a] + lx] if a else 0 for a, lx in zip(line, log)]
+                    continue
+                # a x + c = g^lc (1 + g^(log a + log x - lc))
+                lc = log[c]
+                line = [
+                    (exp[lc + z] if (z := zech[(log[a] + lx - lc) % m]) >= 0 else 0) if a else c
+                    for a, lx in zip(line, log)
+                ]
+            line[0] = cs[0]
+            return line
+
+        return add, neg, mul, inv, values
 
 
 def _identity(a: int) -> int:
     return a
+
+
+def _prime_values(p: int):
+    """The line evaluator of F_p, where an index is its value: integer Horner."""
+    xs = range(p)
+
+    def values(cs) -> list[int]:
+        line = [cs[-1]] * p
+        for c in reversed(cs[:-1]):
+            line = [(a * x + c) % p for a, x in zip(line, xs)]
+        return line
+
+    return values
 
 
 def power(x, e: int, one, mul=operator.mul):

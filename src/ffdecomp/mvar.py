@@ -52,7 +52,6 @@ from .upoly import (
     _distinct_degree_parts,
     _equal_degree_parts,
     _homogenized,
-    _horner_line,
     _root_indices,
     factor,
     poly_gcd,
@@ -520,15 +519,16 @@ _INF, _UNDEF = -1, -2
 
 def _lines(P: MPoly):
     """P's values at the points of F_q^n in grid order, one line of q values
-    along Xn at a time, by Horner's rule from the coefficients of the powers
-    of Xn, themselves evaluated recursively; no q^n list is built."""
+    along Xn at a time, by the field's line evaluator (FieldSpec._values) on
+    the coefficients of the powers of Xn, themselves evaluated recursively;
+    no q^n list is built."""
     if P.n == 1:
-        yield _horner_line(P.spec, _to_upoly(P).idx or (0,))
+        yield P.spec._values(_to_upoly(P).idx or (0,))
         return
     rows = P.last_var_coeffs() or [MPoly.zero(P.spec, P.n - 1)]
     for cols in zip(*map(_lines, rows)):
         for cs in zip(*cols):
-            yield _horner_line(P.spec, cs)
+            yield P.spec._values(cs)
 
 
 def _value_lines(f):
@@ -1115,9 +1115,11 @@ def _lifted_roots(coeffs: list[MPoly], e: int) -> list[MRatFun]:
     root of F(s, Y), which Newton iteration lifts uniquely to a power series
     y in X - s.  To total degree 2e, D is the kernel of [D y]_nu = 0 for
     e < |nu| <= 2e, a line exactly when the root has degree e, and N = D y
-    to degree e.  If F_q^n holds no usable point, the lifting runs at a
-    point of an extension F_Q^n (_over_extension); a root scaled to leading
-    coefficient one is kept when its coefficients lie in F_q.
+    to degree e.  At the origin, the usual point, the shifts to s and back
+    are truncations and are not computed.  If F_q^n holds no usable point,
+    the lifting runs at a point of an extension F_Q^n (_over_extension); a
+    root scaled to leading coefficient one is kept when its coefficients
+    lie in F_q.
     """
     n, down = coeffs[0].n, None
     found = next(_usable_points(coeffs), None)
@@ -1128,9 +1130,11 @@ def _lifted_roots(coeffs: list[MPoly], e: int) -> list[MRatFun]:
     s, phi, dphi = found
     spec = phi.spec
     ring = mons, prods, cut, start = _jet_ring(n, 2 * e)
-    ncols, minus_s = start[e + 1], [spec._neg(x) for x in s]
-    cs = [_shift(c, s, 2 * e).idx for c in coeffs]
-    cs = [[c.get(k, 0) for k in mons] for c in cs]
+    ncols = start[e + 1]
+    if any(s):
+        coeffs = [_shift(c, s, 2 * e) for c in coeffs]
+    # the monomials stop at degree 2e, so reading them truncates
+    cs = [[c.idx.get(k, 0) for k in mons] for c in coeffs]
     out = []
     for y0 in _root_indices(phi):
         y = _newton(spec, ring, cs, y0, spec._inv(dphi._eval(y0)))
@@ -1146,10 +1150,10 @@ def _lifted_roots(coeffs: list[MPoly], e: int) -> list[MRatFun]:
         den = _kernel_line(spec, rows, ncols)
         if den is not None:
             num = _jet_mul(spec, ring, den + [0] * (len(mons) - ncols), y, e + 1)
-            num, den = (
-                _shift(MPoly(spec, n, {k: c for k, c in zip(mons, v) if c}), minus_s, e)
-                for v in (num, den)
-            )
+            num, den = (MPoly(spec, n, {k: c for k, c in zip(mons, v) if c}) for v in (num, den))
+            if any(s):  # both have total degree <= e: shift them back whole
+                minus_s = [spec._neg(x) for x in s]
+                num, den = _shift(num, minus_s, e), _shift(den, minus_s, e)
             c = spec._inv(den.idx[den.leading_key()])
             num, den = num._scale(c), den._scale(c)
             if down is not None:  # back to F_q, if every coefficient lies there

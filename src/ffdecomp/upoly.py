@@ -432,28 +432,15 @@ def roots(f: Poly) -> list[FieldElement]:
 
 
 # Over a field of order at most this, roots and root counts are read from
-# the values at every element (_horner_line); above it they come from
+# the values at every element (FieldSpec._values); above it they come from
 # gcd(f, T^q - T) and equal-degree splitting.  Both routes cost about
 # linearly in deg f, so the cutoff bounds q alone.  Measured per call on
 # f of degree 2 to 16, random or split into linear factors (Python 3.11,
-# one Xeon core): at q = 128 evaluation counted roots 1.0-1.7 times and
-# extracted them 1.6-12 times as fast as the gcd route; at q = 256 it
-# counted them up to 1.7 times, and at q = 512 up to 2.9 times, as slowly.
+# one Xeon core), evaluation against the gcd route: at q = 128 (F_2^7,
+# F_127) it counted roots 1.8-4.3 times and extracted them 2.4-27 times as
+# fast; at q = 256 (F_2^8) it counted them 1.2-1.8 times as fast, and at
+# q = 512 (F_2^9) up to 2 times as slowly.
 EVAL_ROOTS_MAX_ORDER = 128
-
-
-def _horner_line(spec: FieldSpec, cs) -> list[int]:
-    """The values at x = 0..q-1 of the polynomial with coefficient indices
-    cs, nonempty, by Horner's rule on all q points at once."""
-    add, mul = spec._add, spec._mul
-    xs = range(spec.order)
-    line = [cs[-1]] * spec.order
-    for c in reversed(cs[:-1]):
-        if c:
-            line = [add(mul(a, x), c) for a, x in zip(line, xs)]
-        else:
-            line = [mul(a, x) for a, x in zip(line, xs)]
-    return line
 
 
 def _root_indices(f: Poly) -> list[int]:
@@ -463,7 +450,7 @@ def _root_indices(f: Poly) -> list[int]:
     of f's values at every element; above it, the roots of the rational
     part, split into linear factors by equal-degree splitting, sorted."""
     if f.spec.order <= EVAL_ROOTS_MAX_ORDER and not f.is_zero():
-        return [x for x, v in enumerate(_horner_line(f.spec, f.idx)) if not v]
+        return [x for x, v in enumerate(f.spec._values(f.idx)) if not v]
     u = _rational_part(f)
     return sorted(f.spec._neg(g.idx[0]) for g in _equal_degree_parts(u, 1)) if u.degree else []
 

@@ -250,6 +250,24 @@ def test_count_affine_matches_scan():
             assert count_affine(F) == brute_affine(F)
 
 
+def test_count_affine_on_the_grid_matches_the_count_per_line():
+    # at or below EVAL_ROOTS_MAX_ORDER the zeros are read from mvar's grid
+    # of values; each line X = x must count as num_distinct_roots counts it,
+    # a line on which F vanishes as q points
+    rng = random.Random("grid count")
+    for spec in [F4, F11, build_field(3, 4), build_field(2, 7)]:
+        assert spec.order <= EVAL_ROOTS_MAX_ORDER
+        vertical = bp(spec, {(1, 0): 1, (0, 0): -1})  # X - 1
+        for _ in range(4):
+            F = rand_bipoly(rng, spec, 3)
+            for G in (F, F * vertical):
+                if G.is_zero():
+                    continue
+                lines = (specialize(G, 0, x) for x in spec.elements())
+                per_line = sum(spec.order if u.is_zero() else num_distinct_roots(u) for u in lines)
+                assert count_affine(G) == per_line, (spec, G)
+
+
 def test_count_affine_matches_scan_above_the_root_cutoff():
     # above EVAL_ROOTS_MAX_ORDER each line's roots are counted by
     # gcd(F(x, Y), Y^q - Y), not from values

@@ -15,6 +15,7 @@ from ffdecomp.gf_core import (
     is_prime,
     prime_factors,
 )
+from oracles import horner
 
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1), (11, 1), (13, 1)]
 
@@ -302,6 +303,26 @@ def test_coordinate_path_field_axioms(p, k):
         _check_pair(F, a, b)
     with pytest.raises(ZeroDivisionError):
         zero.inverse()
+
+
+@pytest.mark.parametrize(
+    "p,k",
+    [(2, 1), (2, 2), (3, 2), (13, 1), (3, 4), (101, 1), (2, 9), (2, 16), (65537, 1)],
+    ids=lambda v: str(v),
+)
+def test_line_evaluator_matches_horner_at_every_point(p, k):
+    # prime fields run integer Horner (F_65537 has no tables), the others
+    # read the log tables inline, with x = 0 apart; a full line over F_2^17,
+    # whose evaluator loops over _add and _mul, would take seconds
+    F = build_field(p, k)
+    rng = random.Random(f"values/{p}^{k}")
+    cases = [[0], [F.order - 1], [0, 0, 1], [rng.randrange(F.order), 0]]  # a zero top coefficient too
+    for degree in (1, 3) if F.order > 1000 else range(1, 7):
+        cases.append([rng.randrange(F.order) if rng.random() < 0.8 else 0 for _ in range(degree + 1)])
+    for cs in cases:
+        f = upoly.Poly(F, cs)
+        want = [horner(f, x).index for x in F.elements()]
+        assert F._values(cs) == F._values(tuple(cs)) == want, (F, cs)
 
 
 def test_hash_is_the_coordinate_hash():

@@ -133,6 +133,19 @@ def test_index_kernels_match_the_element_oracles(p, k):
         assert mvar._shift(a, [x.index for x in xs], top).terms == term_shift(a, xs, top)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_shift_at_the_origin_is_the_truncation(n):
+    # the lifter reads its jets straight from the coefficients when it lifts
+    # at the origin; the binomial shift must give the same there
+    for spec in (F7, build_field(3, 2)):
+        rng = random.Random(f"shift at 0/{spec.order}/{n}")
+        for _ in range(10):
+            a = rand_mpoly(rng, spec, n, rng.randrange(5))
+            top = rng.randrange(6)
+            cut = {k: c for k, c in a.terms.items() if sum(k) <= top}
+            assert mvar._shift(a, (0,) * n, top).terms == cut == term_shift(a, [spec.zero()] * n, top)
+
+
 def test_ints_are_multiples_of_one_in_several_variables():
     F9 = build_field(3, 2)
     a = F9.from_index(4)  # the element [1,1]; the int 4 is 4 * 1 = 1
@@ -784,6 +797,35 @@ def _mv_search_cases(spec, n):
                 cases.append((f, g, True))
             cases.append((MRatFun.from_poly(_rand_of_degree(rng, spec, n, g.degree * e)), g, False))
     return cases
+
+
+@pytest.mark.parametrize("spec", [F5, F7, build_field(3, 2), build_field(2, 3)], ids=str)
+def test_find_h_and_find_h_mv_match_their_oracles_at_and_away_from_the_origin(spec):
+    # the lifter skips both shifts when its usable point is the origin; on
+    # a planted f = g(h) lifted there and on one lifted elsewhere, find_h
+    # and find_h_mv on f's one-variable view each give the divisor search's
+    # h (their tie-breaking keys differ, so not always the same one)
+    rng = random.Random(f"origin/{spec.order}")
+    one_var = mvar._from_upoly
+    seen = {True: 0, False: 0}
+    for _ in range(200):
+        g = random_ratfun(rng, spec, rng.choice([2, 3]))
+        if rng.random() < 0.5:
+            g = RatFun.from_poly(g.num)
+        f = rat_compose(g, random_ratfun(rng, spec, rng.choice([1, 2])))
+        fm = MRatFun(one_var(f.num), one_var(f.den))
+        points = usable_points(fm, g)
+        if not points:
+            continue
+        at_origin = list(points[0]) == [spec.zero()]
+        got, got_mv = find_h(f, g), find_h_mv(fm, g)
+        assert got is not None and rat_compose(g, got) == f, f"{f} over {g}"
+        assert got_mv is not None and mrat_compose(g, got_mv) == fm, f"{f} over {g}"
+        assert got == divisor_find_h(f, g) and got_mv == divisor_find_h_mv(fm, g), f"{f} over {g}"
+        seen[at_origin] += 1
+        if min(seen.values()) >= 4:
+            break
+    assert min(seen.values()) >= 4, seen
 
 
 def _no_factoring(F):

@@ -52,3 +52,22 @@ def test_only_gf_core_defers_imports_and_only_of_upoly():
         for imported in _package_imports(ast.walk(fn))
     ]
     assert deferred == [("gf_core", "upoly")] * 3
+
+
+def test_only_gf_core_reads_the_field_tables():
+    # FieldSpec is the one place that chooses how to compute: the log/antilog
+    # and Zech tables live in the closures that FieldSpec._table_ops returns,
+    # no other name refers to them, and no module reaches into a closure
+    tables, closure = {"exp", "log", "zech"}, {"closure__", "cell_contents", "getclosurevars"}
+    table_ops = next(
+        fn for fn in ast.walk(MODULES["gf_core"]) if isinstance(fn, ast.FunctionDef) and fn.name == "_table_ops"
+    )
+    inside = {id(node) for node in ast.walk(table_ops)}
+    found = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.lstrip("_") in tables | closure
+        or name == "gf_core" and isinstance(node, ast.Name) and node.id in tables and id(node) not in inside
+    ]
+    assert not found, found
