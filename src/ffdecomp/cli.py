@@ -252,107 +252,149 @@ _HANDLERS = {
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The argparse tree, built once: parse_args keeps no state between calls."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The argparse tree and its option table, built once: parse_args keeps
+    no state between calls.  The table maps each command to its Actions, as
+    add_argument returned them, by option string, and to its Namespace items
+    before any option is read, in argparse's order."""
     parser = argparse.ArgumentParser(
         prog="ffdecomp",
         description="Exact decomposition and point-count experiments over finite fields.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument(
+    max_order = parser.add_argument(
         "--max-order",
         type=int,
         default=None,
         help="override the enumeration size limit for this run",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    table: dict = {}
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--field", required=True, help='field descriptor, e.g. 7 or 2^11')
-        p.add_argument(
+        options, defaults = table[name] = {}, {max_order.dest: max_order.default, sub.dest: name}
+
+        def option(*names, **kwargs) -> None:
+            action = p.add_argument(*names, **kwargs)
+            options.update(dict.fromkeys(action.option_strings, action))
+            defaults[action.dest] = action.default
+
+        option("--field", required=True, help='field descriptor, e.g. 7 or 2^11')
+        option(
             "--format",
             choices=("json", "csv"),
             default="json",
             help="output format (csv applies to verify-bounds only)",
         )
-        return p
+        return option
 
     add("field-info", "describe a field: order, modulus, descriptor")
 
-    p = add("eval", "evaluate a rational function at a point of the projective line")
-    p.add_argument("--f", required=True)
-    p.add_argument("--x", required=True, help="a field element or 'inf'")
+    option = add("eval", "evaluate a rational function at a point of the projective line")
+    option("--f", required=True)
+    option("--x", required=True, help="a field element or 'inf'")
 
-    p = add("compose", "compose two rational functions g(h)")
-    p.add_argument("--g", required=True)
-    p.add_argument("--h", required=True)
+    option = add("compose", "compose two rational functions g(h)")
+    option("--g", required=True)
+    option("--h", required=True)
 
-    p = add("factor-u", "factor a univariate polynomial into irreducibles")
-    p.add_argument("--poly", required=True)
+    option = add("factor-u", "factor a univariate polynomial into irreducibles")
+    option("--poly", required=True)
 
-    p = add("factor-b", "factor a bivariate polynomial (term list c:(i,j); ...)")
-    p.add_argument("--poly", required=True)
+    option = add("factor-b", "factor a bivariate polynomial (term list c:(i,j); ...)")
+    option("--poly", required=True)
 
-    p = add("count-affine", "count affine points of a plane curve")
-    p.add_argument("--poly", required=True)
+    option = add("count-affine", "count affine points of a plane curve")
+    option("--poly", required=True)
 
-    p = add("count-projective", "count projective points of a plane curve")
-    p.add_argument("--poly", required=True)
+    option = add("count-projective", "count projective points of a plane curve")
+    option("--poly", required=True)
 
-    p = add("count-pairs", "count pairs (x, y) with f(x) = g(y)")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
+    option = add("count-pairs", "count pairs (x, y) with f(x) = g(y)")
+    option("--f", required=True)
+    option("--g", required=True)
 
-    p = add("fibers", "fiber of g over a value, or the small-fiber survey")
-    p.add_argument("--g", required=True)
-    p.add_argument("--value", default=None)
+    option = add("fibers", "fiber of g over a value, or the small-fiber survey")
+    option("--g", required=True)
+    option("--value", default=None)
 
-    p = add("check-t1", "fixed-threshold decomposition hypotheses for (f, g)")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
+    option = add("check-t1", "fixed-threshold decomposition hypotheses for (f, g)")
+    option("--f", required=True)
+    option("--g", required=True)
 
-    p = add("check-t31", "graded decomposition hypotheses with a tolerance eps")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--eps", required=True, help="exact rational, e.g. 1/2")
+    option = add("check-t31", "graded decomposition hypotheses with a tolerance eps")
+    option("--f", required=True)
+    option("--g", required=True)
+    option("--eps", required=True, help="exact rational, e.g. 1/2")
 
-    p = add("check-t41", "multivariate hypotheses (f as term list, univariate g)")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--eps", required=True, help="exact rational, e.g. 1/2")
+    option = add("check-t41", "multivariate hypotheses (f as term list, univariate g)")
+    option("--f", required=True)
+    option("--g", required=True)
+    option("--eps", required=True, help="exact rational, e.g. 1/2")
 
-    p = add("find-h", "search for h with f = g(h)")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
+    option = add("find-h", "search for h with f = g(h)")
+    option("--f", required=True)
+    option("--g", required=True)
 
-    p = add("find-h-mv", "search for multivariate h with f = g(h)")
-    p.add_argument("--f", required=True, help="term list, optionally 'num / den'")
-    p.add_argument("--g", required=True)
+    option = add("find-h-mv", "search for multivariate h with f = g(h)")
+    option("--f", required=True, help="term list, optionally 'num / den'")
+    option("--g", required=True)
 
-    p = add("gen-g", "build an example inner function g")
-    p.add_argument(
+    option = add("gen-g", "build an example inner function g")
+    option(
         "--kind",
         required=True,
         choices=("artin_schreier", "subspace", "power", "moebius_pre", "moebius_post"),
     )
-    p.add_argument("--r", type=int, default=None, help="kernel size for artin_schreier")
-    p.add_argument("--basis", default=None, help="semicolon-separated elements")
-    p.add_argument("--d", type=int, default=None, help="exponent for power")
-    p.add_argument("--g", default=None, help="base g for the moebius wrappers")
-    p.add_argument("--phi", default=None, help="degree-1 map for the moebius wrappers")
+    option("--r", type=int, default=None, help="kernel size for artin_schreier")
+    option("--basis", default=None, help="semicolon-separated elements")
+    option("--d", type=int, default=None, help="exponent for power")
+    option("--g", default=None, help="base g for the moebius wrappers")
+    option("--phi", default=None, help="degree-1 map for the moebius wrappers")
 
-    p = add("verify-bounds", "sample curves and check point-count bounds")
-    p.add_argument("--kind", choices=("random", "conic", "norm_form"), default="random")
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--max-degree", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    option = add("verify-bounds", "sample curves and check point-count bounds")
+    option("--kind", choices=("random", "conic", "norm_form"), default="random")
+    option("--count", type=int, default=100)
+    option("--max-degree", type=int, default=4)
+    option("--seed", type=int, default=0)
 
-    return parser
+    return parser, table
+
+
+def _read_canonical(argv, table) -> Optional[argparse.Namespace]:
+    """argparse's Namespace for a line `<command> --option value ...` whose
+    values convert by type into their choices and none starts with `-`
+    (argparse reads that as option-like); None for any other line."""
+    entry = table.get(argv[0]) if argv else None
+    if entry is None or len(argv) % 2 == 0:
+        return None
+    options, defaults = entry
+    given = {}
+    for text, value in zip(argv[1::2], argv[2::2]):
+        action = options.get(text)
+        if action is None or value.startswith("-"):
+            return None
+        try:
+            value = value if action.type is None else action.type(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):  # argparse reports these
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action] = value
+    if any(action.required and action not in given for action in options.values()):
+        return None
+    values = dict(defaults)
+    values.update((action.dest, value) for action, value in given.items())
+    return argparse.Namespace(**values)
 
 
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, table = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_canonical(argv, table)
+    if args is None:
+        args = parser.parse_args(argv)
     saved_limit = limits.MAX_ORDER
     try:
         for name, value in vars(args).items():

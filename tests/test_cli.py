@@ -13,19 +13,21 @@ import itertools
 import json
 import os
 import random
+import shlex
 import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import ffdecomp
 from ffdecomp import __version__, cli, limits, mvar
 from ffdecomp.cli import main, run
-from ffdecomp.gf_core import build_field
+from ffdecomp.gf_core import TABLE_MAX_ORDER, build_field
 from ffdecomp.mvar import MPoly, MRatFun, mrat_compose
 from ffdecomp.upoly import Poly, RatFun
 
@@ -479,9 +481,9 @@ _TERM_LISTS = st.integers(1, 3).flatmap(
 )
 
 
-def _edited(texts):
-    """texts with one character inserted, replaced or deleted."""
-    chars = st.sampled_from(list("X1+-*^()[],/:; \t\u00b2Y") + [""])
+def _edited(texts, alphabet="X1+-*^()[],/:; \t\u00b2Y"):
+    """texts with one character of alphabet inserted, replaced or deleted."""
+    chars = st.sampled_from(list(alphabet) + [""])
     return st.tuples(texts, st.integers(0, 30), chars, st.booleans()).map(
         lambda t: t[0][: t[1]] + t[2] + t[0][t[1] + (not t[3]) :]
     )
@@ -799,3 +801,338 @@ def test_closed_pipe_ends_the_command_without_a_traceback():
     assert len(head) == 150
     assert "Traceback" not in err and err == ""
     assert proc.returncode == -signal.SIGPIPE
+
+
+# --------------------------------------------------------------------------
+# the canonical reader: run reads `<command> --option value ...` from the
+# option table that _build_parser keeps beside the parser, and leaves every
+# other command line to argparse
+
+
+def _plain_value(action):
+    """Value texts that argparse stores for action as they are, converted."""
+    if action.choices is not None:
+        return st.sampled_from(list(action.choices))
+    if action.type is int:
+        return st.integers(0, 300).map(str)
+    return st.sampled_from(["7", "2^3", "X^2+1", "X+1 / X", "1/2", "1:(1,1); 2:(0,0)", "inf", "x y"])
+
+
+def _option_at(draw, argv, options):
+    """A drawn index of an option token of argv, or None when it has none."""
+    found = [i for i, token in enumerate(argv) if token in options]
+    return draw(st.sampled_from(found)) if found else None
+
+
+def _abbreviate(draw, argv, options):
+    i = _option_at(draw, argv, options)
+    if i is not None:
+        argv[i] = argv[i][: draw(st.integers(3, max(3, len(argv[i]) - 1)))]
+
+
+def _join_with_equals(draw, argv, options):
+    i = _option_at(draw, argv, options)
+    if i is not None and i + 1 < len(argv):
+        argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+
+
+def _odd_value(draw, argv, options):
+    i = _option_at(draw, argv, options)
+    if i is not None and i + 1 < len(argv):
+        argv[i + 1] = draw(st.sampled_from(["-1", "-X", "", " 2", "\u0663"]))
+
+
+def _wrong_value(draw, argv, options):
+    # a non-int for --count, --seed, --r or --d, a non-choice for --kind or --format
+    found = [i for i, token in enumerate(argv[:-1]) if token in options
+             and (options[token].type is int or options[token].choices is not None)]
+    if found:
+        i = draw(st.sampled_from(found))
+        argv[i + 1] = draw(st.sampled_from(["x", "1.5", "0x2", "Conic", "JSON", "xml"]))
+
+
+def _repeat_option(draw, argv, options):
+    i = _option_at(draw, argv, options)
+    if i is not None:
+        argv += [argv[i], draw(_plain_value(options[argv[i]]))]
+
+
+def _drop_option(draw, argv, options):
+    i = _option_at(draw, argv, options)
+    if i is not None:
+        del argv[i : i + 2]
+
+
+def _insert_token(draw, argv, options):
+    # -h, --help, a bare --, or a stray token
+    token = draw(st.sampled_from(["-h", "--help", "--", "X", "7", "--nope", "field-info"]))
+    argv.insert(draw(st.integers(1, len(argv))), token)
+
+
+def _max_order(draw, argv, options):
+    # before the command, where argparse reads it, or after it, where it does not
+    argv[draw(st.sampled_from([0, 1])) : 0] = ["--max-order", draw(st.sampled_from(["5", "100"]))]
+
+
+_EDITS = [_abbreviate, _join_with_equals, _odd_value, _wrong_value, _repeat_option,
+          _drop_option, _insert_token, _max_order]
+
+
+@settings(max_examples=500, deadline=2000)
+@given(st.data())
+def test_canonical_reader_agrees_with_argparse(data):
+    # whenever the reader takes a line, argparse takes it too and gives the
+    # same Namespace, key order included; an unedited line is always taken
+    parser, table = cli._build_parser()
+    command = data.draw(st.sampled_from(sorted(table)), label="command")
+    options = table[command][0]
+    actions = list(dict.fromkeys(options.values()))
+    argv = [command]
+    for action in data.draw(st.permutations([a for a in actions if a.required or data.draw(st.booleans())])):
+        argv += [action.option_strings[0], data.draw(_plain_value(action))]
+    edits = data.draw(st.lists(st.sampled_from(_EDITS), max_size=2), label="edits")
+    for edit in edits:
+        edit(data.draw, argv, options)
+    read = cli._read_canonical(argv, table)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            expected = parser.parse_args(argv)
+        except SystemExit:
+            expected = None
+    if not edits:
+        assert read is not None, argv
+    if read is not None:
+        assert expected is not None, argv
+        assert list(vars(read).items()) == list(vars(expected).items()), argv
+
+
+_README = Path(__file__).resolve().parent.parent / "README.md"
+_README_LINES = [
+    shlex.split(line)[1:] for line in _README.read_text().splitlines() if line.startswith("ffdecomp ")
+]
+_ONE_LINE_PER_COMMAND = [
+    ["field-info", "--field", "3^2"],
+    ["field-info", "--field", "7^30"],
+    ["eval", "--field", "7", "--f", "X^2+1 / X", "--x", "3"],
+    ["compose", "--field", "7", "--g", "X^2", "--h", "X+1 / X"],
+    ["factor-u", "--field", "5", "--poly", "X^4+4"],
+    ["factor-b", "--field", "3", "--poly", "1:(2,0); 2:(0,2)"],
+    ["count-affine", "--field", "7", "--poly", "1:(2,0); 6:(0,1)"],
+    ["count-projective", "--field", "7", "--poly", "1:(2,0); 6:(0,1)"],
+    ["count-pairs", "--field", "7", "--f", "X^2", "--g", "X^3"],
+    ["fibers", "--field", "7", "--g", "X^3", "--value", "1"],
+    ["check-t1", "--field", "7", "--f", "(X^2+1)^2", "--g", "X^2"],
+    ["check-t31", "--field", "7", "--f", "X^4", "--g", "X^2", "--eps", "2"],
+    ["check-t41", "--field", "5", "--f", "1:(2,2); 1:(0,0)", "--g", "X^2", "--eps", "1/2"],
+    ["find-h", "--field", "2^3", "--f", "X^4+X", "--g", "X^2"],
+    ["find-h-mv", "--field", "5", "--f", "1:(2,2); 2:(1,1); 1:(0,0)", "--g", "X^2"],
+    ["gen-g", "--kind", "subspace", "--field", "7", "--kind", "power", "--d", "3"],
+    ["verify-bounds", "--field", "5", "--kind", "conic", "--count", "2", "--seed", "3", "--format", "csv"],
+]
+
+
+def _outcome(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_the_lines_below_cover_every_command():
+    assert len(_README_LINES) >= 7
+    assert {argv[0] for argv in _ONE_LINE_PER_COMMAND} == set(cli._build_parser()[1])
+
+
+@pytest.mark.parametrize("argv", _README_LINES + _ONE_LINE_PER_COMMAND, ids=" ".join)
+def test_reader_and_argparse_give_the_same_run(capsys, monkeypatch, argv):
+    # same stdout, stderr and exit code, an answer or a refusal, whichever reads the line
+    assert cli._read_canonical(argv, cli._build_parser()[1]) is not None
+    by_the_table = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_read_canonical", lambda argv, table: None)
+    assert _outcome(capsys, argv) == by_the_table
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count-pairs", "--field", "7", "--f", "X^2", "--g", "X^2"],
+        ["gen-g", "--field", "7", "--kind", "power"],
+        ["--max-order", "5", "count-pairs", "--field", "7", "--f", "X^2", "--g", "X^2"],
+        ["fibers", "--field", "7", "--g=X^2"],
+    ],
+    ids=["table", "table-exit-2", "argparse-exit-3", "argparse"],
+)
+def test_run_without_argv_and_main_read_sys_argv(capsys, monkeypatch, argv):
+    # the installed ffdecomp script is cli:main, which passes no argv
+    lines, read = [], cli._read_canonical
+    monkeypatch.setattr(cli, "_read_canonical", lambda line, table: lines.append(line) or read(line, table))
+    monkeypatch.setattr(sys, "argv", ["ffdecomp", *argv])
+    expected = _outcome(capsys, sys.argv[1:])
+    assert _outcome(capsys, None) == expected
+    saved = signal.getsignal(signal.SIGPIPE) if hasattr(signal, "SIGPIPE") else None
+    try:
+        assert (main(), *capsys.readouterr()) == expected
+    finally:
+        if saved is not None:
+            signal.signal(signal.SIGPIPE, saved)
+    assert lines == [argv] * 3
+
+
+class _Overrun(BaseException):
+    """The time given to a command ran out (a BaseException, so that no
+    `except Exception` in the package catches it)."""
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Interrupt the block with _Overrun after seconds of wall time, on
+    platforms with interval timers."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def overrun(signum, frame):
+        raise _Overrun(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _fuzzed(corpus, alphabet):
+    """Texts for one option: mostly from corpus, and one-character edits and noise."""
+    texts = st.sampled_from(corpus)
+    return st.one_of(texts, texts, _edited(texts, alphabet), st.text(alphabet, max_size=8))
+
+
+_FIELDS = _fuzzed(
+    ["2", "3", "5", "7", "11", "101", "65537", "2^2", "2^3", "3^2", "2^5", "5^2", "3^2/2,2,1",
+     "2^4/1,1,0,0,1"],
+    "0123456789^/, -x\u0663",
+)
+_EPS = _fuzzed(
+    ["1/2", "1", "1/3", "2/3", "0", "2", "-1/2", "1/0", "0.5", "1e-1", " 1/2 ", "\u0661/\u0662"],
+    "0123456789/.-e \u0663",
+)
+_MAX_ORDERS = _fuzzed(
+    ["2", "5", "31", "100", "1000000", "1", "0", "-3", "x", "", " 9", "\u0669", "9" * 30],
+    "0123456789 -x\u0663",
+)
+_FUNCTIONS = st.sampled_from(["X^2", "X^3+X", "(X^2+1)^2", "X+1 / X", "X^4", "[0,1]*X^2", "x"])
+
+
+def _maybe(texts):
+    """texts, or None for an option left out."""
+    return st.none() | texts
+
+
+_FUZZED_COMMANDS = {
+    "field-info": {},
+    "factor-u": {"--poly": st.sampled_from(["X^2+1", "X^4+4", "X^6-1", "[1,1]*X", "0"])},
+    "count-pairs": {"--f": _FUNCTIONS, "--g": _FUNCTIONS},
+    "fibers": {"--g": _FUNCTIONS, "--value": _maybe(st.sampled_from(["0", "1", "inf", "[0,1]", "x"]))},
+    "check-t1": {"--f": _FUNCTIONS, "--g": _FUNCTIONS},
+    "check-t31": {"--f": _FUNCTIONS, "--g": _FUNCTIONS, "--eps": _EPS},
+    "check-t41": {
+        "--f": st.sampled_from(["1:(2,2); 2:(1,1); 1:(0,0)", "1:(2,0); 1:(0,2)", "1:(3,0)",
+                                "1:(1,1) / 1:(0,1); 1:(0,0)"]),
+        "--g": _FUNCTIONS,
+        "--eps": _EPS,
+    },
+    "gen-g": {
+        "--kind": st.sampled_from(["artin_schreier", "subspace", "power", "moebius_pre", "moebius_post"]),
+        "--r": _maybe(st.sampled_from(["1", "2", "3", "4", "8", "9"])),
+        "--d": _maybe(st.sampled_from(["0", "1", "2", "3", "4", "6"])),
+        "--basis": _maybe(st.sampled_from(["1", "1;[0,1]", "[1,1]", ";"])),
+        "--g": _maybe(_FUNCTIONS),
+        "--phi": _maybe(st.sampled_from(["1 / X", "X+1", "X^2", "2*X+1 / X+3"])),
+    },
+}
+
+
+def _fuzzed_line(command):
+    """(--max-order text or None, command, its options in a drawn order)."""
+    options = st.fixed_dictionaries({"--field": _FIELDS, **_FUZZED_COMMANDS[command]}).map(
+        lambda drawn: [(name, text) for name, text in drawn.items() if text is not None]
+    )
+    return st.tuples(_maybe(_MAX_ORDERS), st.just(command), options.flatmap(st.permutations))
+
+
+def _known_to_take_minutes(command, options, max_order):
+    """Whether the size limit lets the line through to work that takes
+    minutes: the pair counts and the fiber survey over q^n > 2^20 points or
+    over an extension field past the log tables, and the subspace product
+    over more than 2^10 points.  The limit caps the field, not the work
+    (ROADMAP items 6 and 11); test_known_slow_lines_take_minutes pins these."""
+    options = dict(options)
+    base, caret, exp = options["--field"].strip().partition("/")[0].partition("^")
+    try:
+        p, k = int(base), int(exp) if caret else 1
+        limit = limits.MAX_ORDER if max_order is None else int(max_order)
+    except ValueError:
+        return False
+    if p < 2 or not 1 <= k < limit.bit_length():
+        return False  # refused before any work
+    q = p**k
+    walks = ("count-pairs", "fibers", "check-t1", "check-t31", "check-t41")
+    if command in walks and "--value" not in options:
+        points = q ** (2 if command == "check-t41" else 1)
+        return q <= limit and (points > 2**20 or k > 1 and q > TABLE_MAX_ORDER)
+    if command == "gen-g" and options.get("--kind") == "subspace" and "--basis" in options:
+        return q <= limit and min(q, p ** len(options["--basis"].split(";"))) > 2**10
+    return False
+
+
+@settings(max_examples=300, deadline=5000)
+@given(st.sampled_from(sorted(_FUZZED_COMMANDS)).flatmap(_fuzzed_line))
+def test_command_fuzz_in_separate_tokens_ends_in_a_known_exit(line):
+    # options as separate tokens, so that canonical lines are read from the
+    # table and the rest by argparse; each ends in a report (exit 0) or in an
+    # exit 2 or 3 with one error line, below argparse's usage lines when
+    # argparse refuses it, and never in a traceback
+    max_order, command, options = line
+    assume(not _known_to_take_minutes(command, options, max_order))
+    head = [] if max_order is None else ["--max-order", max_order]
+    argv = [*head, command, *itertools.chain.from_iterable(options)]
+    out, err = io.StringIO(), io.StringIO()
+    with _time_limit(30), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    event(f"exit {code}")
+    assert code in (0, 2, 3), argv
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        lines = err.getvalue().splitlines()
+        errors = [line for line in lines if "error: " in line]
+        assert lines and errors == lines[-1:], (argv, lines)
+        assert "Traceback" not in err.getvalue() and out.getvalue() == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count-pairs", "--field", "2^17", "--f", "(X^2+[0,1])/(X+[0,0,1])", "--g", "X^3"],
+        ["check-t41", "--field", "8191", "--f", "1:(2,2); 1:(0,0)", "--g", "X^2", "--eps", "1/2"],
+        ["gen-g", "--field", "65537", "--kind", "subspace", "--basis", "1"],
+    ],
+    ids=["extension-past-the-tables", "plane-grid-below-the-limit", "subspace-product"],
+)
+def test_known_slow_lines_take_minutes(capsys, argv):
+    # each is within the size limit and takes minutes (ROADMAP items 6 and
+    # 11), so it is an expected failure; once its work is capped it ends at
+    # once, and then this test fails until the line leaves both lists
+    try:
+        with _time_limit(1):
+            code = run(argv)
+    except _Overrun:
+        code = None  # xfail outside the handler, so that no _Overrun traceback is chained
+    capsys.readouterr()
+    if code is None:
+        pytest.xfail("the size limit caps the field, not the work")
+    pytest.fail(f"ended at once with exit {code}: drop it here and from _known_to_take_minutes")

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -491,6 +492,48 @@ def test_pair_count_lower_bound_for_composites():
             diag = small_fiber_diagnostics(g)
             bound = (g.degree // 2 + 1) * (spec.order - f.degree * len(diag.small_points))
             assert count_pairs(f, g) >= bound
+
+
+def _random_mratfun(rng, spec, n, degree):
+    """A random rational function in n variables of total degree exactly degree."""
+    keys = [k for k in itertools.product(range(degree + 1), repeat=n) if sum(k) <= degree]
+    while True:
+        num, den = (
+            mvar.MPoly.from_terms(spec, n, {k: spec.from_index(rng.randrange(spec.order)) for k in keys})
+            for _ in range(2)
+        )
+        if not (num.is_zero() or den.is_zero()):
+            h = mvar.MRatFun.make(num, den)
+            if h.degree == degree:
+                return h
+
+
+def test_a_found_h_gives_its_pairs_and_too_few_pairs_prove_no_h():
+    # the paper's easy direction: if f = g(h) with h = N/D of degree e, each
+    # x in F_q^n with D(x) != 0 gives the pair (x, h(x)), and D has at most
+    # e*q^(n-1) zeros there, so the pair count is at least q^n - e*q^(n-1)
+    rng = random.Random(7057)
+    proofs = 0
+    cases = [(F5, 1), (F7, 1), (build_field(2, 3), 1), (F9, 1), (build_field(101), 1),
+             (F3, 2), (F5, 2), (F7, 2)]
+    for spec, n in cases:
+        q = spec.order
+        for planted in (True, False) * 3:
+            g, e = random_ratfun(rng, spec, rng.randrange(2, 4)), rng.randrange(1, 3)
+            if n == 1:
+                inner, unplanted = random_ratfun(rng, spec, e), random_ratfun(rng, spec, g.degree * e)
+                f = rat_compose(g, inner) if planted else unplanted
+                h, pairs = find_h(f, g), count_pairs(f, g)
+            else:
+                inner, unplanted = _random_mratfun(rng, spec, n, e), _random_mratfun(rng, spec, n, g.degree * e)
+                f = mvar.mrat_compose(g, inner) if planted else unplanted
+                h, pairs = mvar.find_h_mv(f, g), mvar.count_pairs_mv(f, g)
+            assert h is not None or not planted, (f, g)
+            if h is not None:
+                assert pairs >= q**n - h.degree * q ** (n - 1), (f, g, h)
+            elif n == 1 and pairs < q - e:
+                proofs += 1  # deg f = deg g * deg h, so an h would have degree e
+    assert proofs
 
 
 # --------------------------------------------------------------------------

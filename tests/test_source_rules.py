@@ -1,5 +1,6 @@
 """Rules on the package source, read from its syntax trees: no float
-anywhere, and imports between its modules that form no cycle."""
+anywhere, imports between its modules that form no cycle, and no reach into
+argparse's private members."""
 
 import ast
 import graphlib
@@ -69,5 +70,25 @@ def test_only_gf_core_reads_the_field_tables():
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr.lstrip("_") in tables | closure
         or name == "gf_core" and isinstance(node, ast.Name) and node.id in tables and id(node) not in inside
+    ]
+    assert not found, found
+
+
+def test_no_module_reads_argparse_private_members():
+    # the CLI's option table stands on the public attributes of the Actions
+    # that add_argument returns: option_strings, dest, type, choices, default
+    # and required
+    private = {"_actions", "_option_string_actions", "_name_parser_map", "_get_values",
+               "_get_value", "_check_value"}
+    found = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and (node.attr in private
+             or isinstance(node.value, ast.Name) and node.value.id == "argparse" and node.attr.startswith("_"))
+        or isinstance(node, ast.ImportFrom)
+        and node.module == "argparse"
+        and any(alias.name.startswith("_") for alias in node.names)
     ]
     assert not found, found
