@@ -4,9 +4,12 @@ Field descriptors look like "7", "2^11", or "2^11/1,1,0,0,0,0,0,0,0,0,0,1"
 with the modulus coefficients constant-first.  Univariate polynomials are
 ordinary expressions in X with integer coefficients (prime fields) or
 bracketed coordinate lists (extensions), e.g. "(X^2+1)^2" or
-"[1,1]*X^2+[0,1]".  Rational functions split numerator and denominator at a
-top-level slash.  Bivariate and multivariate polynomials use a term list
-"c:(i,j); c:(i,j); ..." keyed by exponent vectors.
+"[1,1]*X^2+[0,1]".  The printed form, as upoly.terms_str writes it, is read
+by one regex scan; any other text, or one the scan declines, is cut into
+tokens and parsed by recursive descent, to the same result.  Rational
+functions split numerator and denominator at a top-level slash.  Bivariate
+and multivariate polynomials use a term list "c:(i,j); c:(i,j); ..." keyed
+by exponent vectors.
 
 Coefficients are read straight into field indices, the format of Poly and
 MPoly; FieldElements come only from parse_element and parse_point.
@@ -205,8 +208,43 @@ def _parse_atom(tok: _Tokens, spec: FieldSpec, depth: int) -> Poly:
     raise ValidationError(f"unexpected {ch!r} at position {tok.last()} of {tok.text!r}")
 
 
+# The printed form of a Poly (upoly.terms_str): terms n, n*X, n*X^e, X or X^e
+# joined by "+", n a numeral or a bracket list, x for X allowed, whitespace
+# only around the whole text; int() converts any numeral of up to 640 digits.
+_PRINTED = re.compile(r"\s*{t}(?:\+{t})*\s*".format(
+    t=r"(?:(?:{n}|\[{n}(?:,{n})*\])(?:\*[Xx](?:\^{n})?)?|[Xx](?:\^{n})?)".format(n=r"\d{1,640}")))
+# one term of a text that _PRINTED matches: its numeral, coordinates, X, exponent
+_PRINTED_TERM = re.compile(r"(?=[\dXx\[])(\d*)(?:\[([\d,]*)\])?\*?([Xx]?)\^?(\d*)")
+
+
+def _read_printed(spec: FieldSpec, text: str) -> Optional[Poly]:
+    """The Poly of a text in the printed form, or None, also for a text the
+    parser refuses (an exponent above MAX_DEGREE, a bracket list longer than
+    k), so that the parser words the error; repeated exponents add up."""
+    if not _PRINTED.fullmatch(text):
+        return None
+    p, add, idx = spec.p, spec._add, []
+    for num, coords, var, exp in _PRINTED_TERM.findall(text):
+        if coords:
+            cs = coords.split(",")
+            if len(cs) > spec.k:
+                return None
+            c = spec._index([int(x) % p for x in cs])
+        else:
+            c = int(num) % p if num else 1
+        e = int(exp) if exp else 1 if var else 0
+        if e > MAX_DEGREE:
+            return None
+        idx += [0] * (e + 1 - len(idx))
+        idx[e] = add(idx[e], c)
+    return Poly(spec, idx)
+
+
 def parse_poly(spec: FieldSpec, text: str) -> Poly:
-    """A univariate polynomial from expression syntax."""
+    """A univariate polynomial from expression syntax (the printed form by one scan)."""
+    out = _read_printed(spec, text)
+    if out is not None:
+        return out
     tok = _Tokens(text)
     out = _parse_expr(tok, spec)
     if tok.take():
@@ -216,6 +254,9 @@ def parse_poly(spec: FieldSpec, text: str) -> Poly:
 
 def parse_ratfun(spec: FieldSpec, text: str) -> RatFun:
     """A rational function "num / den" (or a bare polynomial)."""
+    whole = _read_printed(spec, text)
+    if whole is not None:
+        return RatFun.from_poly(whole)
     num_text, *den_text = _num_den(text)
     num = parse_poly(spec, num_text)
     if not den_text:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ffdecomp import bounds
+from ffdecomp import bounds, parsing
 from ffdecomp.bipoly import curve_str
 from ffdecomp.errors import SizeLimitError, ValidationError
 from ffdecomp.gf_core import FieldSpec, build_field
@@ -25,7 +25,7 @@ from ffdecomp.parsing import (
     parse_ratfun,
     point_str,
 )
-from ffdecomp.upoly import INFINITY, Poly
+from ffdecomp.upoly import INFINITY, Poly, RatFun
 
 from oracles import (
     charwise_parse_bipoly,
@@ -345,6 +345,108 @@ def outcome(parse, spec, text):
 def test_expression_parser_matches_the_charwise_parser(spec, text):
     assert outcome(parse_poly, spec, text) == outcome(charwise_parse_poly, spec, text)
     assert outcome(parse_ratfun, spec, text) == outcome(charwise_parse_ratfun, spec, text)
+
+
+# Texts as the tool prints them (upoly.terms_str), which parse_poly and
+# parse_ratfun read by one scan, _read_printed, leaving any other text, and
+# any it declines, to the recursive-descent parser: the same outcome either way
+
+PRINTED_FIELDS = DIFF_FIELDS + [build_field(2, 9)]
+_PRINTED_DEGREES = mostly(st.integers(0, 12), st.sampled_from([MAX_DEGREE - 1, MAX_DEGREE, MAX_DEGREE + 1]))
+
+
+def _polys(spec, degrees):
+    """Polys of up to six terms at exponents drawn from degrees, each with
+    any coefficient index, zero included."""
+    terms = st.dictionaries(degrees, st.integers(0, spec.order - 1), max_size=6)
+    return terms.map(lambda d: Poly(spec, [d.get(e, 0) for e in range(max(d, default=-1) + 1)]))
+
+
+@st.composite
+def _printed(draw, spec):
+    """str() of a Poly or a RatFun over spec, with x for X now and then."""
+    num = draw(_polys(spec, _PRINTED_DEGREES))
+    den = draw(_polys(spec, st.integers(0, 6)))
+    text = str(RatFun.make(num, den) if draw(st.booleans()) and den.idx else num)
+    return text.replace("X", "x") if draw(st.integers(0, 3)) == 0 else text
+
+
+PRINTED_TEXTS = st.sampled_from(PRINTED_FIELDS).flatmap(
+    lambda spec: st.tuples(st.just(spec), mutated(_printed(spec), MUTATION_ALPHABET + " "))
+)
+
+
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(PRINTED_TEXTS)
+def test_printed_texts_parse_as_the_charwise_parser_reads_them(case):
+    spec, text = case
+    assert outcome(parse_poly, spec, text) == outcome(charwise_parse_poly, spec, text)
+    assert outcome(parse_ratfun, spec, text) == outcome(charwise_parse_ratfun, spec, text)
+
+
+class _Tokenized(Exception):
+    pass
+
+
+def _refuse_tokens(text):
+    raise _Tokenized(text)
+
+
+# whether the scan reads the text: it declines what the parser refuses,
+# a zero term's exponent and coordinates included
+@pytest.mark.parametrize(
+    "spec,text,scanned",
+    [
+        (F7, f"X^{MAX_DEGREE}", True),
+        (F7, f"X^{MAX_DEGREE + 1}", False),
+        (F7, f"0*X^{MAX_DEGREE + 1}", False),
+        (F7, "X^0", True),
+        (F7, "0", True),
+        (F7, "3*X^2+3*X^2", True),
+        (F7, "0*X^3+X", True),
+        (F7, "1234567890123456789*X^2+1", True),
+        (F7, DIGITS_5000 + "*X", False),
+        (F7, "X^" + DIGITS_5000, False),
+        (F9, "[1,2,3]", False),
+        (F9, "[0,0,0]*X", False),
+        (F9, "[1,2]*X^2+[2]", True),
+        (F7, "\u0663*X^\u0662+\u0661", True),
+        (F7, " X+1\t", True),
+        (F7, "X+1 / 0", True),
+    ],
+)
+def test_printed_form_edge_cases(monkeypatch, spec, text, scanned):
+    assert outcome(parse_poly, spec, text) == outcome(charwise_parse_poly, spec, text)
+    assert outcome(parse_ratfun, spec, text) == outcome(charwise_parse_ratfun, spec, text)
+    monkeypatch.setattr(parsing, "_Tokens", _refuse_tokens)
+    assert (outcome(parse_ratfun, spec, text)[0] is not _Tokenized) == scanned
+
+
+def _random_poly(rng, spec):
+    top = rng.choice([0, 1, 2, 5, 12, MAX_DEGREE])
+    exponents = {top, *rng.sample(range(top + 1), min(top + 1, 4))}
+    return Poly(spec, [rng.randrange(1, spec.order) if e in exponents else 0 for e in range(top + 1)])
+
+
+@pytest.mark.parametrize("spec", PRINTED_FIELDS, ids=lambda spec: spec.descriptor)
+def test_printed_texts_never_reach_the_tokenizer(monkeypatch, spec):
+    # the form every workload sends must stay on the scan
+    monkeypatch.setattr(parsing, "_Tokens", _refuse_tokens)
+    rng = random.Random(spec.order)
+    for _ in range(40):
+        num, den = _random_poly(rng, spec), _random_poly(rng, spec)
+        f = RatFun.make(num, den)
+        assert parse_poly(spec, str(num)) == num
+        assert parse_ratfun(spec, str(num).replace("X", "x")) == RatFun.from_poly(num)
+        assert parse_ratfun(spec, str(f)) == f
+
+
+@pytest.mark.parametrize("text", ["(X+1)", "X-1", "-X", "X +1", "2*X*X", "X*3", "2*3", "3X", "X^2^2", "+X"])
+def test_other_texts_reach_the_tokenizer(monkeypatch, text):
+    monkeypatch.setattr(parsing, "_Tokens", _refuse_tokens)
+    for parse, arg in ((parse_poly, text), (parse_ratfun, text), (parse_ratfun, f"X+1 / {text}")):
+        with pytest.raises(_Tokenized):
+            parse(F7, arg)
 
 
 _COEFFS = mostly(
