@@ -2,11 +2,11 @@
 
 The checkers evaluate decomposition hypotheses exactly: image containment and
 fiber-size exceptions by full scans, thresholds by integer or rational
-comparison.  The constructive search finds h as a rational root in Y of the
-curve A(X)Q(Y) - B(X)P(Y) with the search of mvar.find_h_mv in one variable,
-and symbolic composition verifies every h before anyone sees it.  The
-reports, the argument check of (f, g) and the fiber scans come from mvar,
-which this module builds on.
+comparison.  find_h is mvar.find_h_mv on f's one-variable view: one search
+body, one verification by symbolic composition and one canonical key
+(MRatFun.index_key) serve find-h and find-h-mv alike.  The reports, the
+argument check of (f, g) and the fiber scans come from mvar, which this
+module builds on.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .mvar import (
     ThresholdCheck,
     _INF,
     _check_epsilon,
-    _curve_roots,
     _fibers,
     _from_upoly,
     _graded_report,
@@ -34,6 +33,7 @@ from .mvar import (
     _require_pair,
     _to_upoly,
     _value_lines,
+    find_h_mv,
 )
 from .upoly import (
     INFINITY,
@@ -112,24 +112,10 @@ def check_t31(f: RatFun, g: RatFun, eps) -> DecompReport:
 
 
 def find_h(f: RatFun, g: RatFun) -> Optional[RatFun]:
-    """Some h with f = g(h), in reduced canonical form, or None.
-
-    f = g(h) exactly when Y = h(X), of degree d/delta, is a root of the
-    curve A(X)Q(Y) - B(X)P(Y) = sum_j c_j(X) Y^j.  The search is
-    mvar.find_h_mv's in one variable: every such root (at most delta) is a
-    candidate and each is confirmed by composing, so None is a proof.  The
-    valid root with lexicographically smallest coefficient indices wins,
-    which makes the result deterministic under symmetries like h vs -h.
-    """
-    _require_pair(f, g)
-    d, delta = f.degree, g.degree
-    if d % delta != 0:
-        return None
-    e = d // delta
-    roots = _curve_roots(MRatFun(_from_upoly(f.num), _from_upoly(f.den)), g, e)
-    cands = [RatFun.make(_to_upoly(h.num), _to_upoly(h.den)) for h in roots]
-    found = [h for h in cands if h.degree == e and rat_compose(g, h) == f]
-    return min(found, key=RatFun.index_key, default=None)
+    """Some h with f = g(h), reduced, or None: find_h_mv on f's one-variable
+    view, so one search, proof by composing and key, and no n >= 2 cap."""
+    h = find_h_mv(MRatFun(_from_upoly(f.num), _from_upoly(f.den)), g)
+    return None if h is None else RatFun(_to_upoly(h.num), _to_upoly(h.den))
 
 
 # --------------------------------------------------------------------------
@@ -192,16 +178,22 @@ def artin_schreier_map(spec: FieldSpec, r: int) -> RatFun:
 
 
 def subspace_map(spec: FieldSpec, basis) -> RatFun:
-    """prod_{u in U}(X - u) over the F_p-span U of the given elements."""
-    span = {spec.zero()}
+    """prod_{u in U}(X - u) over the F_p-span U of the given elements.  It is
+    linearized, L = sum_i c_i X^(p^i) (Lidl & Niederreiter, Finite Fields,
+    3.4): from L = X, each b with v = L(b) != 0 sets L <- L^p - v^(p-1) L,
+    the product of L - cv over c in F_p; a b with v = 0 is in the span."""
+    p, zero = spec.p, spec.zero()
+    cs = [spec.one()]
     for b in basis:
-        b = spec.element(b)
-        span = {s + i * b for s in span for i in range(spec.p)}
-    limits.check_enumerable(len(span), "subspace product")
-    prod = Poly.one(spec)
-    for u in sorted(span, key=lambda el: el.index):
-        prod = prod * Poly.from_coeffs(spec, [-u, spec.one()])
-    return RatFun.from_poly(prod)
+        v, b = zero, spec.element(b)
+        for c in cs:  # L(b) = sum_i c_i b^(p^i)
+            v, b = v + c * b, b**p
+        if not v.is_zero():
+            w = v ** (p - 1)
+            cs = [-w * cs[0]] + [c**p - w * c1 for c, c1 in zip(cs, cs[1:] + [zero])]
+    limits.check_enumerable(p ** (len(cs) - 1), "subspace product")
+    at = {p**i: c.index for i, c in enumerate(cs)}
+    return RatFun.from_poly(Poly(spec, [at.get(e, 0) for e in range(p ** (len(cs) - 1) + 1)]))
 
 
 def power_map(spec: FieldSpec, d: int) -> RatFun:

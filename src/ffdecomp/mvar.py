@@ -23,8 +23,9 @@ find_h_mv, and decomp.find_h as its case n = 1, finds h as a root Y = h(X)
 of the curve A(X)Q(Y) - B(X)P(Y): Newton iteration lifts each root at the
 first usable point of F_q^n, or of F_{q^r}^n when F_q is too small to hold
 one, to a truncated power series; a linear system reads it back as N/D, and
-composing verifies it, so a None is a proof.  An inseparable g = g1(Y^p) is
-reduced to g1.
+composing verifies it, so a None is a proof; of the valid roots the least
+MRatFun.index_key wins, for one variable or several.  An inseparable
+g = g1(Y^p) is reduced to g1.
 
 The report types, the argument check of (f, g) and the graded report that
 check_t41 shares with decomp.check_t31 live here too, so decomp builds on
@@ -37,6 +38,7 @@ import bisect
 import functools
 import itertools
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -60,9 +62,9 @@ from .upoly import (
     terms_str,
 )
 
-# Caps of the constructive search: at most FIND_H_MAX_VARS variables and
-# d + delta at most FIND_H_MAX_DEGREE_SUM.  They are the sizes the search is
-# tested at, not bounds derived from the cost of lifting.
+# Caps of the constructive search for n >= 2 (one variable is not capped):
+# at most FIND_H_MAX_VARS variables and d + delta at most FIND_H_MAX_DEGREE_SUM,
+# the sizes the search is tested at, not bounds derived from its cost.
 FIND_H_MAX_VARS = 3
 FIND_H_MAX_DEGREE_SUM = 10
 
@@ -496,7 +498,10 @@ class MRatFun:
         return f"{self.num} / {self.den}"
 
     def index_key(self) -> tuple:
-        return (self.num.index_key(), self.den.index_key())
+        """The canonical key of an h: the indices of N, then D, at each monomial
+        of degree <= deg h in _jet_ring's order, zeros included (constant first)."""
+        mons = _jet_ring(self.n, self.degree)[0]
+        return tuple(P.idx.get(k, 0) for P in (self.num, self.den) for k in mons)
 
     def eval(self, xs):
         """Value at a point: a field element, INFINITY at a pole, or
@@ -650,6 +655,11 @@ def _require_pair(f, g: RatFun) -> FieldSpec:
 
 def _check_epsilon(eps) -> Fraction:
     eps = Fraction(eps)
+    # a report prints eps^-6, so each part of eps keeps to a seventh of the L
+    # digits int() prints: L/7 digits are about 10L/21 bits (no limit: L = 0)
+    bits = getattr(sys, "get_int_max_str_digits", int)() * 10 // 21
+    if 0 < bits < max(abs(eps.numerator), eps.denominator).bit_length():
+        raise SizeLimitError("epsilon has too many digits to print its report")
     if not 0 < eps <= 1:
         raise ValidationError(f"epsilon {eps} must satisfy 0 < eps <= 1")
     return eps
@@ -979,7 +989,7 @@ def _recombine(P: MPoly, cols: list[Poly], points, down) -> list[tuple[MPoly, in
 
 
 # --------------------------------------------------------------------------
-# roots Y = h(X1..Xn) of the curve sum_j c_j(X) Y^j, for find_h_mv and find_h
+# roots Y = h(X1..Xn) of the curve sum_j c_j(X) Y^j, for find_h_mv
 
 
 @functools.lru_cache(maxsize=16)
@@ -1191,19 +1201,19 @@ def _curve_roots(f: MRatFun, g: RatFun, e: int) -> list[MRatFun]:
 
 
 def find_h_mv(f: MRatFun, g: RatFun) -> Optional[MRatFun]:
-    """Some h(X1..Xn) with f = g(h), or None.
+    """Some h(X1..Xn) with f = g(h), or None; decomp.find_h is the case n = 1.
 
     f = g(h) exactly when Y = h(X), of total degree d/delta, is a root of
     the curve A(X)Q(Y) - B(X)P(Y) = sum_j c_j(X) Y^j.  Every such root (at
     most delta) is lifted from one point and confirmed by composing, so None
-    is a proof.  The valid root with lexicographically smallest coefficient
-    indices wins.
+    is a proof.  The valid root with the least MRatFun.index_key wins.  The
+    caps FIND_H_MAX_VARS and FIND_H_MAX_DEGREE_SUM hold for n >= 2.
     """
     _require_pair(f, g)
     d, delta = f.degree, g.degree
     if f.n > FIND_H_MAX_VARS:
         raise SizeLimitError(f"search supports at most {FIND_H_MAX_VARS} variables")
-    if d + delta > FIND_H_MAX_DEGREE_SUM:
+    if f.n > 1 and d + delta > FIND_H_MAX_DEGREE_SUM:
         raise SizeLimitError(
             f"combined degree {d + delta} exceeds the search cap {FIND_H_MAX_DEGREE_SUM}"
         )

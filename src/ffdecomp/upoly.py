@@ -551,9 +551,6 @@ class RatFun:
             return str(self.num)
         return f"{self.num} / {self.den}"
 
-    def index_key(self) -> tuple:
-        return (self.num.index_key(), self.den.index_key())
-
     def eval(self, x: PointOrInf) -> PointOrInf:
         """Value on the projective line; poles map to infinity."""
         if x is INFINITY:

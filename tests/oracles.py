@@ -17,6 +17,7 @@ from ffdecomp.mvar import (
     UNDEFINED,
     MPoly,
     MRatFun,
+    _from_upoly,
     _series_mul,
     map_coeffs,
     mpoly_divexact,
@@ -41,6 +42,12 @@ def _curve_coeffs(f, g):
     return [f.num * qj - f.den * pj for pj, qj in zip(*pad)]
 
 
+def h_key(h):
+    """The key by which find_h breaks ties: MRatFun.index_key of h's
+    one-variable view, the key of find_h_mv."""
+    return MRatFun(_from_upoly(h.num), _from_upoly(h.den)).index_key()
+
+
 def all_ratfuns(spec, degree):
     """Every reduced rational function of exactly the given degree."""
     key = (spec.p, spec.modulus, degree)
@@ -59,10 +66,23 @@ def all_ratfuns(spec, degree):
         for den in dens:
             h = RatFun.make(num, den)
             if h.degree == degree:
-                seen.setdefault(h.index_key(), h)
+                seen.setdefault(h_key(h), h)
     out = [seen[k] for k in sorted(seen)]
     _CANDIDATE_CACHE[key] = out
     return out
+
+
+def subspace_product(spec, basis):
+    """prod_{u in U}(X - u) over the F_p-span U of the basis, one linear
+    factor at a time: about |U|^2 coefficient steps."""
+    span = {spec.zero()}
+    for b in basis:
+        b = spec.element(b)
+        span = {s + i * b for s in span for i in range(spec.p)}
+    prod = Poly.one(spec)
+    for u in sorted(span, key=lambda el: el.index):
+        prod = prod * Poly.from_coeffs(spec, [-u, spec.one()])
+    return RatFun.from_poly(prod)
 
 
 def brute_find_all(f, g):
@@ -166,7 +186,7 @@ def divisor_find_h(f, g):
                 cand = RatFun.make(num0 * t, den0)
                 if rat_compose(g, cand) == f:
                     found.append(cand)
-    return min(found, key=lambda h: h.index_key(), default=None)
+    return min(found, key=h_key, default=None)
 
 
 def collapse_key(F):

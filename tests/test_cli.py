@@ -317,6 +317,31 @@ def test_find_h_mv_example(capsys):
     assert doc["n"] == 2
 
 
+def test_find_h_and_find_h_mv_give_the_same_h(capsys):
+    # 5*X / X+2 and 6*X+4 / X+4 both compose to f; one key, the dense
+    # coefficient indices with the constant term first, picks the first
+    g = "(2*X^2+4*X+3)/(X^2+5*X+3)"
+    doc = run_json(capsys, ["find-h", "--field", "7", "--f", "(6*X^2+6*X+3)/(X^2+5*X+3)", "--g", g])
+    f_mv = "6:(2); 6:(1); 3:(0) / 1:(2); 5:(1); 3:(0)"
+    doc_mv = run_json(capsys, ["find-h-mv", "--field", "7", "--f", f_mv, "--g", g])
+    assert (doc["h"], doc_mv["h"]) == ("5*X / X+2", "5*X1 / X1+2")
+
+
+def test_find_h_mv_tie_in_two_variables_reads_the_constant_term_first(capsys):
+    # X1^2+X2 and X1^2+X2+1 both compose to f under X^2+X over F_2
+    f = "1:(4,0); 1:(0,2); 1:(2,0); 1:(0,1)"
+    doc = run_json(capsys, ["find-h-mv", "--field", "2", "--f", f, "--g", "X^2+X"])
+    assert doc["h"] == "X1^2+X2"
+
+
+def test_find_h_mv_in_one_variable_is_not_capped(capsys):
+    # d + delta = 12 is above the search cap, which holds for n >= 2 only;
+    # find-h answers the same f
+    doc = run_json(capsys, ["find-h-mv", "--field", "7", "--f", "1:(10)", "--g", "X^2"])
+    assert doc["h"] == "X1^5" and doc["verified"] is True
+    assert run_json(capsys, ["find-h", "--field", "7", "--f", "X^10", "--g", "X^2"])["h"] == "X^5"
+
+
 def test_gen_g_power(capsys):
     doc = run_json(capsys, ["gen-g", "--field", "7", "--kind", "power", "--d", "3"])
     assert doc["g"] == "X^3"
@@ -328,6 +353,15 @@ def test_gen_g_subspace(capsys):
         capsys, ["gen-g", "--field", "3^2", "--kind", "subspace", "--basis", "1"]
     )
     assert doc["degree"] == 3
+
+
+def test_gen_g_subspace_over_a_large_prime_answers_quickly(capsys):
+    # the span of 1 is F_p, and the linearized recurrence gives X^p - X at
+    # once; a product of the p linear factors took minutes
+    t0 = time.monotonic()
+    doc = run_json(capsys, ["gen-g", "--field", "65537", "--kind", "subspace", "--basis", "1"])
+    assert doc["g"] == "X^65537+65536*X"
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_gen_g_moebius(capsys):
@@ -443,6 +477,20 @@ def test_graded_checks_refuse_a_constant_f_before_a_bad_eps(capsys, argv, err):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == err
+
+
+@pytest.mark.parametrize("eps", ["1e5000", "1e-800", "1/" + "7" * 700])
+@pytest.mark.parametrize(
+    "argv",
+    [["check-t31", "--f", "X^4", "--g", "X^2"], ["check-t41", "--f", "1:(2,2); 1:(0,0)", "--g", "X^2"]],
+    ids=["t31", "t41"],
+)
+def test_graded_checks_refuse_an_eps_whose_report_could_not_be_printed(capsys, argv, eps):
+    # the report holds eps^-6, and int() prints a limited number of digits;
+    # 1e5000 printed a traceback where the range check quoted it
+    assert run(argv + ["--field", "7", "--eps", eps]) == 3
+    assert capsys.readouterr() == ("", "error: epsilon has too many digits to print its report\n")
+    assert run(argv + ["--field", "7", "--eps", "1e-600"]) == 0
 
 
 @pytest.mark.parametrize(
@@ -1064,9 +1112,9 @@ def _fuzzed_line(command):
 def _known_to_take_minutes(command, options, max_order):
     """Whether the size limit lets the line through to work that takes
     minutes: the pair counts and the fiber survey over q^n > 2^20 points or
-    over an extension field past the log tables, and the subspace product
-    over more than 2^10 points.  The limit caps the field, not the work
-    (ROADMAP items 6 and 11); test_known_slow_lines_take_minutes pins these."""
+    over an extension field past the log tables.  The limit caps the field,
+    not the work (ROADMAP items 6 and 11); test_known_slow_lines_take_minutes
+    pins these."""
     options = dict(options)
     base, caret, exp = options["--field"].strip().partition("/")[0].partition("^")
     try:
@@ -1081,8 +1129,6 @@ def _known_to_take_minutes(command, options, max_order):
     if command in walks and "--value" not in options:
         points = q ** (2 if command == "check-t41" else 1)
         return q <= limit and (points > 2**20 or k > 1 and q > TABLE_MAX_ORDER)
-    if command == "gen-g" and options.get("--kind") == "subspace" and "--basis" in options:
-        return q <= limit and min(q, p ** len(options["--basis"].split(";"))) > 2**10
     return False
 
 
@@ -1119,9 +1165,8 @@ def test_command_fuzz_in_separate_tokens_ends_in_a_known_exit(line):
     [
         ["count-pairs", "--field", "2^17", "--f", "(X^2+[0,1])/(X+[0,0,1])", "--g", "X^3"],
         ["check-t41", "--field", "8191", "--f", "1:(2,2); 1:(0,0)", "--g", "X^2", "--eps", "1/2"],
-        ["gen-g", "--field", "65537", "--kind", "subspace", "--basis", "1"],
     ],
-    ids=["extension-past-the-tables", "plane-grid-below-the-limit", "subspace-product"],
+    ids=["extension-past-the-tables", "plane-grid-below-the-limit"],
 )
 def test_known_slow_lines_take_minutes(capsys, argv):
     # each is within the size limit and takes minutes (ROADMAP items 6 and

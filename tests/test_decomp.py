@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffdecomp import decomp, mvar
+from ffdecomp import mvar
 from ffdecomp.bipoly import build_F, count_affine
 from ffdecomp.decomp import (
     artin_schreier_map,
@@ -26,9 +26,10 @@ from ffdecomp.decomp import (
 )
 from ffdecomp.errors import SpecMismatchError, ValidationError
 from ffdecomp.gf_core import build_field
+from ffdecomp.mvar import mrat_compose
 from ffdecomp.upoly import INFINITY, Poly, RatFun, fiber, rat_compose
 
-from oracles import brute_find_all, brute_pairs, divisor_find_h
+from oracles import brute_find_all, brute_pairs, divisor_find_h, h_key, subspace_product
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -327,7 +328,7 @@ def test_find_h_agrees_with_exhaustive_search():
                 if not every:
                     assert got is None
                 else:
-                    assert got == min(every, key=lambda h: h.index_key())
+                    assert got == min(every, key=h_key)
 
 
 def _search_cases(rng, spec):
@@ -384,7 +385,7 @@ def test_find_h_inseparable_g_is_deflated(monkeypatch, p, k, delta, e):
         f = rat_compose(g, h) if planted else random_ratfun(rng, spec, delta * e)
         every = brute_find_all(f, g)
         got = find_h(f, g)
-        assert got == min(every, key=RatFun.index_key, default=None)
+        assert got == min(every, key=h_key, default=None)
         assert (got is not None) >= planted
 
 
@@ -445,11 +446,12 @@ def test_jet_mul_of_one_variable_is_truncated_poly_product():
         assert not any(got[len(want):])
 
 
-def test_find_h_verifies_through_the_decomp_name(monkeypatch):
-    # the benchmark counts compositions per find_h call by tracing this name
+def test_find_h_verifies_through_the_mvar_name(monkeypatch):
+    # find_h is find_h_mv in one variable, so its compositions are the ones
+    # the benchmark traces as mvar.mrat_compose under mvar.find_h_mv
     calls = []
     monkeypatch.setattr(
-        decomp, "rat_compose", lambda g, h: calls.append(h) or rat_compose(g, h)
+        mvar, "mrat_compose", lambda g, h: calls.append(h) or mrat_compose(g, h)
     )
     g = poly_rf(F13, [0, 0, 1])
     f = rat_compose(g, rf(F13, [1, 2, 3], [4, 0, 1]))
@@ -591,6 +593,20 @@ def test_power_map_values():
 def test_subspace_map_prime_span():
     assert subspace_map(F4, [1]) == poly_rf(F4, [0, 1, 1])
     assert subspace_map(F9, [1]) == poly_rf(F9, [0, 2, 0, 1])  # X^3 - X
+
+
+def test_subspace_map_matches_the_product_of_linear_factors():
+    # the linearized recurrence against the product over the span, with
+    # random bases of up to rank + 1 elements, so some are dependent
+    rng = random.Random(4099)
+    fields = [build_field(2, k) for k in range(1, 7)] + [build_field(3, k) for k in (1, 2, 3)]
+    fields += [F5, build_field(5, 2), F7]
+    for spec in fields:
+        for _ in range(12):
+            basis = [spec.from_index(rng.randrange(spec.order)) for _ in range(rng.randint(0, spec.k + 1))]
+            if rng.random() < 0.3 and basis:
+                basis.append(basis[0] + basis[-1])  # dependent by construction
+            assert subspace_map(spec, basis) == subspace_product(spec, basis), (spec, basis)
 
 
 def test_subspace_map_is_additive():

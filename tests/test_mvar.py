@@ -804,14 +804,19 @@ def test_find_h_and_find_h_mv_match_their_oracles_at_and_away_from_the_origin(sp
     # the lifter skips both shifts when its usable point is the origin; on
     # a planted f = g(h) lifted there and on one lifted elsewhere, find_h
     # and find_h_mv on f's one-variable view each give the divisor search's
-    # h (their tie-breaking keys differ, so not always the same one)
+    # h, and the same h.  Every other g is rich in ties: X^2 over odd q,
+    # where h and -h both compose to f, or X^2+X in characteristic 2, where
+    # h and h+1 do.
     rng = random.Random(f"origin/{spec.order}")
     one_var = mvar._from_upoly
-    seen = {True: 0, False: 0}
-    for _ in range(200):
+    tie_g = poly_rf(spec, [0, 1, 1] if spec.p == 2 else [0, 0, 1])
+    seen, ties = {True: 0, False: 0}, 0
+    for i in range(200):
         g = random_ratfun(rng, spec, rng.choice([2, 3]))
         if rng.random() < 0.5:
             g = RatFun.from_poly(g.num)
+        if i % 2 == 0:
+            g = tie_g
         f = rat_compose(g, random_ratfun(rng, spec, rng.choice([1, 2])))
         fm = MRatFun(one_var(f.num), one_var(f.den))
         points = usable_points(fm, g)
@@ -822,10 +827,12 @@ def test_find_h_and_find_h_mv_match_their_oracles_at_and_away_from_the_origin(sp
         assert got is not None and rat_compose(g, got) == f, f"{f} over {g}"
         assert got_mv is not None and mrat_compose(g, got_mv) == fm, f"{f} over {g}"
         assert got == divisor_find_h(f, g) and got_mv == divisor_find_h_mv(fm, g), f"{f} over {g}"
+        assert got == RatFun(mvar._to_upoly(got_mv.num), mvar._to_upoly(got_mv.den)), f"{f} over {g}"
         seen[at_origin] += 1
-        if min(seen.values()) >= 4:
+        ties += g is tie_g
+        if min(seen.values()) >= 4 and ties >= 4:
             break
-    assert min(seen.values()) >= 4, seen
+    assert min(seen.values()) >= 4 and ties >= 4, (seen, ties)
 
 
 def _no_factoring(F):

@@ -1,6 +1,6 @@
 """Rules on the package source, read from its syntax trees: no float
-anywhere, imports between its modules that form no cycle, and no reach into
-argparse's private members."""
+anywhere, imports between its modules that form no cycle, no reach into
+argparse's private members, and one f = g(h) search body, in mvar."""
 
 import ast
 import graphlib
@@ -90,5 +90,19 @@ def test_no_module_reads_argparse_private_members():
         or isinstance(node, ast.ImportFrom)
         and node.module == "argparse"
         and any(alias.name.startswith("_") for alias in node.names)
+    ]
+    assert not found, found
+
+
+def test_only_mvar_names_the_curve_root_search():
+    # find_h is find_h_mv at n = 1, so the roots of the curve
+    # A(X)Q(Y) - B(X)P(Y) are searched, verified and keyed in mvar alone
+    found = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in MODULES.items()
+        if name != "mvar"
+        for node in ast.walk(tree)
+        if "_curve_roots"
+        in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
     ]
     assert not found, found
