@@ -22,10 +22,11 @@ points along Xn at a time; decomp.count_pairs is the case n = 1.
 find_h_mv, and decomp.find_h as its case n = 1, finds h as a root Y = h(X)
 of the curve A(X)Q(Y) - B(X)P(Y): Newton iteration lifts each root at the
 first usable point of F_q^n, or of F_{q^r}^n when F_q is too small to hold
-one, to a truncated power series; a linear system reads it back as N/D, and
-composing verifies it, so a None is a proof; of the valid roots the least
-MRatFun.index_key wins, for one variable or several.  An inseparable
-g = g1(Y^p) is reduced to g1.
+one, to a truncated power series; a linear system reads it back as N/D.
+The candidates are tried in MRatFun.index_key order, a check at one point
+rejects most without composing, and the first whose composition gives f
+wins, for one variable or several; composing is the only proof, so a None
+is a proof.  An inseparable g = g1(Y^p) is reduced to g1.
 
 The report types, the argument check of (f, g) and the graded report that
 check_t41 shares with decomp.check_t31 live here too, so decomp builds on
@@ -1205,9 +1206,12 @@ def find_h_mv(f: MRatFun, g: RatFun) -> Optional[MRatFun]:
 
     f = g(h) exactly when Y = h(X), of total degree d/delta, is a root of
     the curve A(X)Q(Y) - B(X)P(Y) = sum_j c_j(X) Y^j.  Every such root (at
-    most delta) is lifted from one point and confirmed by composing, so None
-    is a proof.  The valid root with the least MRatFun.index_key wins.  The
-    caps FIND_H_MAX_VARS and FIND_H_MAX_DEGREE_SUM hold for n >= 2.
+    most delta) is lifted from one point, and the candidates are tried in
+    MRatFun.index_key order.  One that has the wrong degree, or for which
+    A Q^(N, D) and B P^(N, D) differ at the point (1..1), cannot compose to
+    f and is passed over; the first whose composition gives f is the answer,
+    the valid root with the least key.  Only composing proves, so None is a
+    proof.  The caps FIND_H_MAX_VARS and FIND_H_MAX_DEGREE_SUM hold for n >= 2.
     """
     _require_pair(f, g)
     d, delta = f.degree, g.degree
@@ -1220,5 +1224,19 @@ def find_h_mv(f: MRatFun, g: RatFun) -> Optional[MRatFun]:
     if d % delta != 0:
         return None
     e = d // delta
-    found = [h for h in _curve_roots(f, g, e) if h.degree == e and mrat_compose(g, h) == f]
-    return min(found, key=MRatFun.index_key, default=None)
+    # f = g(h) makes A Q^(N, D) = B P^(N, D) an identity, P^ and Q^ the parts
+    # of g homogenized as in upoly._homogenized, so a mismatch at one point
+    # rejects h without composing; a match proves nothing
+    add, mul = f.spec._add, f.spec._mul
+    one = [1] * f.n
+    a, b = f.num._eval(one), f.den._eval(one)
+    for h in sorted((h for h in _curve_roots(f, g, e) if h.degree == e), key=MRatFun.index_key):
+        u, v = h.num._eval(one), h.den._eval(one)
+        pv = qv = 0
+        ui = 1  # sum_i c_i u^i v^(delta-i) by Horner in v
+        for pi, qi in itertools.zip_longest(g.num.idx, g.den.idx, fillvalue=0):
+            pv, qv = add(mul(pv, v), mul(pi, ui)), add(mul(qv, v), mul(qi, ui))
+            ui = mul(ui, u)
+        if mul(a, qv) == mul(b, pv) and mrat_compose(g, h) == f:
+            return h
+    return None

@@ -18,6 +18,7 @@ MPoly; FieldElements come only from parse_element and parse_point.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Optional
 
@@ -46,10 +47,25 @@ def parse_field(text: str) -> FieldSpec:
     return build_field(p, k, modulus)
 
 
+_DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
+
+
 def parse_fraction(text: str) -> Fraction:
-    """An exact rational "a/b" (or a bare integer)."""
+    """An exact rational: "a/b", a bare integer or a decimal such as 1.5e-3.
+
+    The decimal exponent is read before Fraction() builds its power of ten,
+    and a power that alone has more digits than int() prints is refused with
+    mvar._check_epsilon's message, the only reader of this value (no check
+    when that limit is 0)."""
+    body = text.strip()
     try:
-        return Fraction(text.strip())
+        m = _DECIMAL_EXPONENT.search(body)
+        if m:
+            Fraction(body[: m.start()] + "e0")  # the rest is a decimal literal
+            limit = getattr(sys, "get_int_max_str_digits", int)()
+            if 0 < limit <= abs(int(m[1])):
+                raise SizeLimitError("epsilon has too many digits to print its report")
+        return Fraction(body)
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"malformed rational {text!r}") from None
 

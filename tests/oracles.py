@@ -17,6 +17,7 @@ from ffdecomp.mvar import (
     UNDEFINED,
     MPoly,
     MRatFun,
+    _curve_roots,
     _from_upoly,
     _series_mul,
     map_coeffs,
@@ -388,6 +389,18 @@ def divisor_find_h_mv(f, g):
                 if mrat_compose(g, cand) == f:
                     found.append(cand)
     return min(found, key=lambda h: h.index_key(), default=None)
+
+
+def find_h_by_composing_all(f, g):
+    """find_h_mv without its screen or its early stop: compose every
+    candidate of mvar._curve_roots of the right degree, then take the least
+    valid one by MRatFun.index_key."""
+    d, delta = f.degree, g.degree
+    if d % delta != 0:
+        return None
+    e = d // delta
+    found = [h for h in _curve_roots(f, g, e) if h.degree == e and mrat_compose(g, h) == f]
+    return min(found, key=MRatFun.index_key, default=None)
 
 
 def brute_pairs(f, g):

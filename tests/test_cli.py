@@ -493,6 +493,16 @@ def test_graded_checks_refuse_an_eps_whose_report_could_not_be_printed(capsys, a
     assert run(argv + ["--field", "7", "--eps", "1e-600"]) == 0
 
 
+@pytest.mark.parametrize("eps", ["1e-9999999", "1e9999999"])
+def test_an_eps_with_a_huge_exponent_is_refused_before_its_power_is_built(capsys, eps):
+    # Fraction() alone spends seconds building 10^9999999
+    t0 = time.perf_counter()
+    assert run(["check-t31", "--field", "7", "--f", "X^4", "--g", "X^2", "--eps", eps]) == 3
+    elapsed = time.perf_counter() - t0
+    assert capsys.readouterr() == ("", "error: epsilon has too many digits to print its report\n")
+    assert elapsed < 1, f"{elapsed:.2f} s"
+
+
 @pytest.mark.parametrize(
     "text",
     ["(" * 3000 + "X" + ")" * 3000, "-" * 3000 + "X"],

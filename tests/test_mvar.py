@@ -44,6 +44,7 @@ from oracles import (
     collapse_factor,
     divisor_find_h,
     divisor_find_h_mv,
+    find_h_by_composing_all,
     hensel_lift_by_recomputing,
     pointwise_count_pairs,
     pointwise_count_pairs_mv,
@@ -61,6 +62,7 @@ F2 = build_field(2)
 F3 = build_field(3)
 F5 = build_field(5)
 F7 = build_field(7)
+F8 = build_field(2, 3)
 
 S1, S2, S3 = sympy.symbols("X1 X2 X3")
 
@@ -833,6 +835,185 @@ def test_find_h_and_find_h_mv_match_their_oracles_at_and_away_from_the_origin(sp
         if min(seen.values()) >= 4 and ties >= 4:
             break
     assert min(seen.values()) >= 4 and ties >= 4, (seen, ties)
+
+
+# --------------------------------------------------------------------------
+# the one-point screen: find_h_mv tries the candidates in key order, passes
+# over one whose A Q^(N, D) and B P^(N, D) differ at (1..1), and stops at the
+# first composition that gives f
+
+
+def _screen_gs(spec):
+    """A g rich in ties (X^2 over odd q, where h and -h compose alike, or
+    X^2+X in characteristic 2, where h and h+1 do), a rational g and, for
+    p <= 3, an inseparable g = (X^p+1)/X^p."""
+    x = Poly.x(spec)
+    gs = [RatFun.from_poly(x * x + x if spec.p == 2 else x * x), RatFun.make(x * x + x + 1, x + 1)]
+    if spec.p <= 3:
+        gs.append(RatFun.make(x**spec.p + 1, x**spec.p))
+    return gs
+
+
+def _screen_cases(spec, n):
+    """Seeded (f, g, planted): for each g of _screen_gs, f = g(h) for h a
+    polynomial and a fraction of degree e, and a random f of degree e deg g,
+    e in {1, 2} within the cap on d + delta."""
+    rng = random.Random(f"screen/{spec.order}/{n}")
+    cases = []
+    for g in _screen_gs(spec):
+        for e in (1, 2):
+            if n > 1 and g.degree * (e + 1) > mvar.FIND_H_MAX_DEGREE_SUM:
+                continue
+            for den_degree in (0, e):
+                h = MRatFun.make(_rand_of_degree(rng, spec, n, e), _rand_of_degree(rng, spec, n, den_degree))
+                f = mrat_compose(g, h)
+                if f is not None and f.degree == g.degree * e:
+                    cases.append((f, g, True))
+            A, B = _rand_of_degree(rng, spec, n, g.degree * e), _rand_of_degree(rng, spec, n, rng.choice([0, e]))
+            f = MRatFun.make(A, B)
+            if f.degree == g.degree * e:
+                cases.append((f, g, False))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "spec, n",
+    [(F7, 1), (build_field(3, 2), 1), (F8, 1), (F3, 2), (F5, 2), (F8, 2), (F3, 3), (build_field(2, 2), 3)],
+    ids=str,
+)
+def test_find_h_mv_equals_composing_every_candidate(spec, n):
+    # the first valid candidate in key order is the least valid one
+    found, missed = 0, 0
+    for f, g, planted in _screen_cases(spec, n):
+        want = find_h_by_composing_all(f, g)
+        assert (want is not None) >= planted, f"{f} over {g}"
+        assert find_h_mv(f, g) == want, f"{f} over {g}"
+        found += want is not None
+        missed += want is None
+    assert found >= 2 * len(_screen_gs(spec)) and missed >= 1, (found, missed)
+
+
+def _screen_passes(f, g, h):
+    """Whether A Q^(N, D) = B P^(N, D) at (1..1), in FieldElements, for f =
+    A/B, g = P/Q of degree delta and h = N/D."""
+    x = [f.spec.one()] * f.n
+    u, v = h.num(x), h.den(x)
+
+    def hat(p):
+        return sum((c * u**i * v ** (g.degree - i) for i, c in enumerate(p.coeffs)), f.spec.zero())
+
+    return f.num(x) * hat(g.den) == f.den(x) * hat(g.num)
+
+
+def _planted_at_the_screen_point(h, g):
+    """f = g(h), and find_h_mv's answer, checked against the oracle."""
+    f = mrat_compose(g, h)
+    got = find_h_mv(f, g)
+    assert got is not None and got == find_h_by_composing_all(f, g) and mrat_compose(g, got) == f
+    return f, got
+
+
+def test_find_h_mv_screen_at_a_zero_of_d():
+    x = [F5.one()] * 2
+    h = MRatFun.make(mp(F5, 2, {(1, 0): 1, (0, 1): 2}), mp(F5, 2, {(1, 0): 1, (0, 1): 1, (0, 0): 3}))
+    f, got = _planted_at_the_screen_point(h, poly_rf(F5, [0, 0, 1]))
+    assert got in (h, MRatFun(-h.num, h.den)) and got.den(x).is_zero() and f.den(x).is_zero()
+
+
+def test_find_h_mv_screen_at_a_zero_of_b():
+    # g has a pole at h(1, 1) = 2, where D does not vanish
+    x = [F5.one()] * 2
+    h = MRatFun.from_poly(mp(F5, 2, {(1, 1): 1, (0, 0): 1}))
+    g = RatFun.make(Poly.from_ints(F5, [1, 1, 1]), Poly.from_ints(F5, [-2, 1]))
+    f, _ = _planted_at_the_screen_point(h, g)
+    assert f.den(x).is_zero() and not h.den(x).is_zero()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_find_h_mv_screen_at_the_lift_point(monkeypatch, n):
+    # over F_2 with g = X^2+X the curve is usable exactly where D does not
+    # vanish, and D = Xn vanishes at every point the scan tries before (1..1)
+    h = MRatFun.make(MPoly.variable(F2, n, 0) + 1, MPoly.variable(F2, n, n - 1))
+    scan, lifted_at = mvar._usable_points, []
+
+    def spy(coeffs):
+        for found in scan(coeffs):
+            lifted_at.append(found[0])
+            yield found
+
+    monkeypatch.setattr(mvar, "_usable_points", spy)
+    _planted_at_the_screen_point(h, poly_rf(F2, [0, 1, 1]))
+    assert lifted_at[0] == (1,) * n
+
+
+@pytest.mark.parametrize("spec, n", [(F7, 1), (F5, 2), (F8, 2), (F3, 3)], ids=str)
+def test_a_screen_mismatch_always_goes_with_a_failed_composition(monkeypatch, spec, n):
+    # find_h_mv runs on drawn candidates: random ones, the planted h, and
+    # polynomials that take h's value at (1..1) but are not h.  Every drawn
+    # candidate it reaches and does not compose must fail to compose to f.
+    rng = random.Random(f"screen-draws/{spec.order}/{n}")
+    compose, composed = mvar.mrat_compose, []
+    monkeypatch.setattr(mvar, "mrat_compose", lambda g, h: composed.append(h) or compose(g, h))
+    g = _screen_gs(spec)[0]
+    screened, passed_but_wrong = 0, 0
+    for _ in range(30):
+        e = rng.choice([1, 2])
+        h = MRatFun.from_poly(_rand_of_degree(rng, spec, n, e))
+        f = compose(g, h)
+        cands = [
+            MRatFun.make(_rand_of_degree(rng, spec, n, e), _rand_of_degree(rng, spec, n, rng.choice([0, e])))
+            for _ in range(4)
+        ]
+        shift = (MPoly.variable(spec, n, 0) - 1) * spec.from_index(rng.randrange(1, spec.order))
+        cands.append(MRatFun.from_poly(h.num + shift))  # h's value at (1..1), not h
+        if rng.random() < 0.5:
+            cands.append(h)
+        rng.shuffle(cands)
+        composed.clear()
+        monkeypatch.setattr(mvar, "_curve_roots", lambda f, g, e: list(cands))
+        got = find_h_mv(f, g)
+        valid = [c for c in cands if c.degree == e and compose(g, c) == f]
+        assert got == min(valid, key=MRatFun.index_key, default=None)
+        for c in cands:
+            if c.degree != e or got is not None and c.index_key() > got.index_key():
+                continue  # not reached
+            if c in composed:
+                passed_but_wrong += c is not got
+            else:
+                assert compose(g, c) != f and not _screen_passes(f, g, c), f"{c} over {g}"
+                screened += 1
+    assert screened >= 20 and passed_but_wrong >= 5, (screened, passed_but_wrong)
+
+
+def test_find_h_mv_composes_once_when_h_and_minus_h_both_compose(monkeypatch):
+    F13 = build_field(13)
+    g = poly_rf(F13, [0, 0, 1])
+    h = MRatFun.make(mp(F13, 2, {(1, 0): 1, (0, 1): 2, (0, 0): 3}), mp(F13, 2, {(0, 1): 1, (0, 0): 1}))
+    f = mrat_compose(g, h)
+    valid = [c for c in mvar._curve_roots(f, g, 1) if mrat_compose(g, c) == f]
+    assert set(valid) == {h, MRatFun.make(-h.num, h.den)}
+    calls = []
+    monkeypatch.setattr(mvar, "mrat_compose", lambda g, h: calls.append(h) or mrat_compose(g, h))
+    assert find_h_mv(f, g) == find_h_by_composing_all(f, g)
+    assert len(calls) == 1
+
+
+def test_find_h_mv_with_no_answer_composes_only_what_passes_the_screen(monkeypatch):
+    F13 = build_field(13)
+    g = poly_rf(F13, [0, 0, 1])
+    rng = random.Random("no-answer/13")
+    calls = []
+    monkeypatch.setattr(mvar, "mrat_compose", lambda g, h: calls.append(h) or mrat_compose(g, h))
+    tried = composed = 0
+    for _ in range(12):
+        f = MRatFun.make(_rand_of_degree(rng, F13, 1, 4), _rand_of_degree(rng, F13, 1, 3))
+        cands = [c for c in mvar._curve_roots(f, g, 2) if c.degree == 2]
+        passes = [c for c in cands if _screen_passes(f, g, c)]
+        calls.clear()
+        assert find_h_mv(f, g) is None
+        assert len(calls) <= len(passes), f
+        tried, composed = tried + len(cands), composed + len(calls)
+    assert tried >= 4 and composed < tried, (composed, tried)
 
 
 def _no_factoring(F):

@@ -244,6 +244,31 @@ def test_parse_fraction():
         parse_fraction("half")
     with pytest.raises(ValidationError):
         parse_fraction("1/0")
+    with pytest.raises(ValidationError):  # an exponent int() cannot read
+        parse_fraction("1e-" + "0" * 5000 + "1")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1.5e-3", " -47E+2 ", "1_0e1_0", ".5e1", "1.e2", "1e4299", "7e-4299", "1e-0",
+     "e5", "1e 5", "1/2e3", "1e5_", "abce99999", "1.5e-3x"],
+)
+def test_parse_fraction_reads_decimals_as_fraction_does(text):
+    # reading the exponent first changes no value and no refusal below the
+    # digit limit of int()
+    try:
+        want = Fraction(text.strip())
+    except ValueError:
+        with pytest.raises(ValidationError, match="malformed rational"):
+            parse_fraction(text)
+    else:
+        assert parse_fraction(text) == want
+
+
+@pytest.mark.parametrize("text", ["1e4300", "1e-4300", "3.25E+9999999", "0e5000"])
+def test_parse_fraction_refuses_an_exponent_past_the_digit_limit(text):
+    with pytest.raises(SizeLimitError, match="epsilon has too many digits"):
+        parse_fraction(text)
 
 
 # --------------------------------------------------------------------------

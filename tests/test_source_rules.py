@@ -1,6 +1,7 @@
 """Rules on the package source, read from its syntax trees: no float
 anywhere, imports between its modules that form no cycle, no reach into
-argparse's private members, and one f = g(h) search body, in mvar."""
+argparse's private members, one f = g(h) search body, in mvar, and
+one proof that f = g(h), composing, called from two places by one name."""
 
 import ast
 import graphlib
@@ -106,3 +107,31 @@ def test_only_mvar_names_the_curve_root_search():
         in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
     ]
     assert not found, found
+
+
+def _names_mrat_compose(node):
+    """A use, attribute, import or alias of the name mrat_compose (not its def)."""
+    name = node.name if isinstance(node, ast.alias) else None
+    return "mrat_compose" in (getattr(node, "id", None), getattr(node, "attr", None), name)
+
+
+def test_only_the_search_and_its_check_compose_and_by_the_traced_name():
+    # composing is the one proof that f = g(h): find_h_mv and verify_h_mv
+    # alone call mrat_compose, by its module-level name, the name under which
+    # the benchmark traces it; an alias, an import or a rebinding would
+    # escape the trace, and a caller elsewhere would be a second proof path
+    allowed = {("mvar", "find_h_mv"), ("mvar", "verify_h_mv")}
+    callers, found = set(), []
+    for name, tree in MODULES.items():
+        parent = {id(child): node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in filter(_names_mrat_compose, ast.walk(tree)):
+            call = owner = parent.get(id(node))
+            while owner is not None and not isinstance(owner, ast.FunctionDef):
+                owner = parent.get(id(owner))
+            if (isinstance(node, ast.Name) and isinstance(call, ast.Call) and call.func is node
+                    and owner is not None and (name, owner.name) in allowed):
+                callers.add((name, owner.name))
+            else:
+                found.append(f"{name}.py:{node.lineno}")
+    assert not found, found
+    assert callers == allowed
