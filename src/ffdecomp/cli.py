@@ -231,32 +231,12 @@ def _cmd_verify_bounds(args, spec) -> Optional[dict]:
     }
 
 
-_HANDLERS = {
-    "field-info": _cmd_field_info,
-    "eval": _cmd_eval,
-    "compose": _cmd_compose,
-    "factor-u": _cmd_factor_u,
-    "factor-b": _cmd_factor_b,
-    "count-affine": _cmd_count_affine,
-    "count-projective": _cmd_count_projective,
-    "count-pairs": _cmd_count_pairs,
-    "fibers": _cmd_fibers,
-    "check-t1": _cmd_check_t1,
-    "check-t31": _cmd_check_t31,
-    "check-t41": _cmd_check_t41,
-    "find-h": _cmd_find_h,
-    "find-h-mv": _cmd_find_h_mv,
-    "gen-g": _cmd_gen_g,
-    "verify-bounds": _cmd_verify_bounds,
-}
-
-
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The argparse tree and its option table, built once: parse_args keeps
     no state between calls.  The table maps each command to its Actions, as
-    add_argument returned them, by option string, and to its Namespace items
-    before any option is read, in argparse's order."""
+    add_argument returned them, by option string, to its Namespace items
+    before any option is read, in argparse's order, and to its handler."""
     parser = argparse.ArgumentParser(
         prog="ffdecomp",
         description="Exact decomposition and point-count experiments over finite fields.",
@@ -271,9 +251,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = parser.add_subparsers(dest="command", required=True)
     table: dict = {}
 
-    def add(name: str, help_text: str):
+    def add(name: str, help_text: str, handler):
         p = sub.add_parser(name, help=help_text)
-        options, defaults = table[name] = {}, {max_order.dest: max_order.default, sub.dest: name}
+        options, defaults = {}, {max_order.dest: max_order.default, sub.dest: name}
+        table[name] = options, defaults, handler
 
         def option(*names, **kwargs) -> None:
             action = p.add_argument(*names, **kwargs)
@@ -289,59 +270,59 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         )
         return option
 
-    add("field-info", "describe a field: order, modulus, descriptor")
+    add("field-info", "describe a field: order, modulus, descriptor", _cmd_field_info)
 
-    option = add("eval", "evaluate a rational function at a point of the projective line")
+    option = add("eval", "evaluate a rational function at a point of the projective line", _cmd_eval)
     option("--f", required=True)
     option("--x", required=True, help="a field element or 'inf'")
 
-    option = add("compose", "compose two rational functions g(h)")
+    option = add("compose", "compose two rational functions g(h)", _cmd_compose)
     option("--g", required=True)
     option("--h", required=True)
 
-    option = add("factor-u", "factor a univariate polynomial into irreducibles")
+    option = add("factor-u", "factor a univariate polynomial into irreducibles", _cmd_factor_u)
     option("--poly", required=True)
 
-    option = add("factor-b", "factor a bivariate polynomial (term list c:(i,j); ...)")
+    option = add("factor-b", "factor a bivariate polynomial (term list c:(i,j); ...)", _cmd_factor_b)
     option("--poly", required=True)
 
-    option = add("count-affine", "count affine points of a plane curve")
+    option = add("count-affine", "count affine points of a plane curve", _cmd_count_affine)
     option("--poly", required=True)
 
-    option = add("count-projective", "count projective points of a plane curve")
+    option = add("count-projective", "count projective points of a plane curve", _cmd_count_projective)
     option("--poly", required=True)
 
-    option = add("count-pairs", "count pairs (x, y) with f(x) = g(y)")
+    option = add("count-pairs", "count pairs (x, y) with f(x) = g(y)", _cmd_count_pairs)
     option("--f", required=True)
     option("--g", required=True)
 
-    option = add("fibers", "fiber of g over a value, or the small-fiber survey")
+    option = add("fibers", "fiber of g over a value, or the small-fiber survey", _cmd_fibers)
     option("--g", required=True)
     option("--value", default=None)
 
-    option = add("check-t1", "fixed-threshold decomposition hypotheses for (f, g)")
+    option = add("check-t1", "fixed-threshold decomposition hypotheses for (f, g)", _cmd_check_t1)
     option("--f", required=True)
     option("--g", required=True)
 
-    option = add("check-t31", "graded decomposition hypotheses with a tolerance eps")
-    option("--f", required=True)
-    option("--g", required=True)
-    option("--eps", required=True, help="exact rational, e.g. 1/2")
-
-    option = add("check-t41", "multivariate hypotheses (f as term list, univariate g)")
+    option = add("check-t31", "graded decomposition hypotheses with a tolerance eps", _cmd_check_t31)
     option("--f", required=True)
     option("--g", required=True)
     option("--eps", required=True, help="exact rational, e.g. 1/2")
 
-    option = add("find-h", "search for h with f = g(h)")
+    option = add("check-t41", "multivariate hypotheses (f as term list, univariate g)", _cmd_check_t41)
+    option("--f", required=True)
+    option("--g", required=True)
+    option("--eps", required=True, help="exact rational, e.g. 1/2")
+
+    option = add("find-h", "search for h with f = g(h)", _cmd_find_h)
     option("--f", required=True)
     option("--g", required=True)
 
-    option = add("find-h-mv", "search for multivariate h with f = g(h)")
+    option = add("find-h-mv", "search for multivariate h with f = g(h)", _cmd_find_h_mv)
     option("--f", required=True, help="term list, optionally 'num / den'")
     option("--g", required=True)
 
-    option = add("gen-g", "build an example inner function g")
+    option = add("gen-g", "build an example inner function g", _cmd_gen_g)
     option(
         "--kind",
         required=True,
@@ -353,7 +334,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     option("--g", default=None, help="base g for the moebius wrappers")
     option("--phi", default=None, help="degree-1 map for the moebius wrappers")
 
-    option = add("verify-bounds", "sample curves and check point-count bounds")
+    option = add("verify-bounds", "sample curves and check point-count bounds", _cmd_verify_bounds)
     option("--kind", choices=("random", "conic", "norm_form"), default="random")
     option("--count", type=int, default=100)
     option("--max-degree", type=int, default=4)
@@ -369,7 +350,7 @@ def _read_canonical(argv, table) -> Optional[argparse.Namespace]:
     entry = table.get(argv[0]) if argv else None
     if entry is None or len(argv) % 2 == 0:
         return None
-    options, defaults = entry
+    options, defaults, _ = entry
     given = {}
     for text, value in zip(argv[1::2], argv[2::2]):
         action = options.get(text)
@@ -409,7 +390,7 @@ def run(argv=None) -> int:
         if args.format == "csv" and args.command != "verify-bounds":
             raise ValidationError("csv output is only available for verify-bounds")
         spec = parse_field(args.field)
-        payload = _HANDLERS[args.command](args, spec)
+        payload = table[args.command][2](args, spec)
         if payload is not None:
             doc = {
                 "version": __version__,

@@ -1,16 +1,17 @@
 """Deciding and constructing decompositions f = g(h) over a finite field.
 
 The checkers evaluate decomposition hypotheses exactly: image containment and
-fiber-size exceptions by full scans, thresholds by integer or rational
-comparison.  find_h is mvar.find_h_mv on f's one-variable view: one search
-body, one verification by symbolic composition and one canonical key
-(MRatFun.index_key) serve find-h and find-h-mv alike.  The reports, the
-argument check of (f, g) and the fiber scans come from mvar, which this
-module builds on.
+fiber-size exceptions by full scans, thresholds by rational comparison in
+one function per criterion (t31_threshold, mvar.t41_threshold).  find_h is
+mvar.find_h_mv on f's one-variable view: one search body, one verification
+by symbolic composition and one canonical key (MRatFun.index_key) serve
+find-h and find-h-mv alike.  The reports, the argument check of (f, g) and
+the fiber scans come from mvar, which this module builds on.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,53 +59,59 @@ def count_pairs(f: RatFun, g: RatFun) -> int:
     return _pair_count(f, g)
 
 
+def _small_points(fibers, delta: int) -> list[int]:
+    """The points a of F_q^+ with 2*|fiber(g, g(a))| <= delta, from
+    _fibers(g): indices of F_q in order, then q for a = infinity."""
+    line, sizes, v_inf = fibers
+    return [x for x, v in enumerate(itertools.chain(line, (v_inf,))) if 2 * sizes[v] <= delta]
+
+
 def check_t1(f: RatFun, g: RatFun) -> DecompReport:
     """Hypotheses of the fixed-threshold decomposition criterion.
 
     (i)  f(F_q) is contained in g(F_q^+);
     (ii) at most 8(d+delta) points a of F_q^+ have 2*|fiber(g, g(a))| <= delta;
-    (iii) q >= (d+delta)^4.
+    (iii) q >= (d+delta)^4, which is t31_threshold at eps = 1.
     """
-    spec = _require_pair(f, g)
-    q = spec.order
+    q = _require_pair(f, g).order
     d, delta = f.degree, g.degree
-    _, buckets, v_inf = _fibers(g)
+    _, sizes, v_inf = fibers = _fibers(g)
 
-    cond_i = {*buckets, v_inf}.issuperset(next(_value_lines(f)))
-
-    # each preimage a with g(a) = v is exceptional when its fiber is small
-    exceptions = sum(size for size in buckets.values() if 2 * size <= delta)
-    if 2 * buckets[v_inf] <= delta:
-        exceptions += 1  # a = infinity
+    cond_i = all(sizes[v] or v == v_inf for v in next(_value_lines(f)))
+    exceptions = len(_small_points(fibers, delta))
     budget = 8 * (d + delta)
 
-    threshold = Fraction((d + delta) ** 4)
     return DecompReport(
         q=q,
         d=d,
         delta=delta,
         condition_i=cond_i,
         condition_ii=ConditionCount(exceptions, budget, exceptions <= budget),
-        condition_iii=ThresholdCheck(q, threshold, q >= threshold),
+        condition_iii=t31_threshold(q, d, delta, 1),
     )
 
 
-def t31_threshold_ok(q: int, d: int, delta: int, eps) -> bool:
+def t31_threshold(q: int, d: int, delta: int, eps: Fraction) -> ThresholdCheck:
     """q >= (d+delta)^4 / eps^2, decided in exact rational arithmetic."""
-    eps = _check_epsilon(eps)
-    return q * eps**2 >= (d + delta) ** 4
+    threshold = Fraction((d + delta) ** 4) / eps**2
+    return ThresholdCheck(q, threshold, q >= threshold)
+
+
+def t31_threshold_ok(q: int, d: int, delta: int, eps) -> bool:
+    """The verdict of t31_threshold, after checking eps."""
+    return t31_threshold(q, d, delta, _check_epsilon(eps)).passed
 
 
 def check_t31(f: RatFun, g: RatFun, eps) -> DecompReport:
     """The epsilon-graded criterion: enough pairs plus a threshold on q.
 
     Pair condition: count_pairs(f, g) >= q(floor(delta/2) + eps);
-    threshold: q >= (d+delta)^4 / eps^2.  Both exact.
+    threshold: t31_threshold.  Both exact.
     """
     q = _require_pair(f, g).order
     eps = _check_epsilon(eps)
-    threshold = Fraction((f.degree + g.degree) ** 4) / eps**2
-    return _graded_report(f, g, count_pairs(f, g), 1, eps, threshold, q)
+    threshold = t31_threshold(q, f.degree, g.degree, eps)
+    return _graded_report(f, g, _pair_count(f, g), 1, eps, threshold)
 
 
 # --------------------------------------------------------------------------
@@ -139,14 +146,12 @@ def small_fiber_diagnostics(g: RatFun) -> FiberDiagnostics:
     small fiber is nonempty and has size at most delta/2).
     """
     require_nonconstant(g, "g")
-    spec = g.spec
-    delta = g.degree
-    line, buckets, v_inf = _fibers(g)
-    small = [x for x, v in enumerate(line) if 2 * buckets[v] <= delta]
-    small_points = {spec.from_index(x) for x in small}
-    small_values = {INFINITY if line[x] == _INF else spec.from_index(line[x]) for x in small}
-    if 2 * buckets[v_inf] <= delta:
-        small_points.add(INFINITY)
+    spec, q, delta = g.spec, g.spec.order, g.degree
+    line, _, _ = fibers = _fibers(g)
+    small = _small_points(fibers, delta)
+    small_points = {spec.from_index(x) if x < q else INFINITY for x in small}
+    codes = {line[x] for x in small if x < q}
+    small_values = {INFINITY if v == _INF else spec.from_index(v) for v in codes}
     finite = len(small_points) - (1 if INFINITY in small_points else 0)
     values = len(small_values)
     if values:

@@ -40,7 +40,6 @@ import functools
 import itertools
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -550,21 +549,25 @@ def _value_lines(f):
         yield [mul(a, inv(b)) if b else _INF if a else _UNDEF for a, b in zip(la, lb)]
 
 
-def _fibers(g: RatFun) -> tuple[list[int], Counter, int]:
+def _fibers(g: RatFun) -> tuple[list[int], list[int], int]:
     """g's value codes at the points of F_q in index order, its fiber sizes
-    keyed by value code, and the code of g(infinity)."""
-    limits.check_enumerable(g.spec.order, "fiber scan")
+    indexed by value code, and the code of g(infinity).  The sizes take
+    q + 2 slots: slot _INF counts g's poles in F_q and slot _UNDEF stays 0."""
+    q = g.spec.order
+    limits.check_enumerable(q, "fiber scan")
     line = next(_value_lines(g))
+    sizes = [0] * (q + 2)
+    for v in line:
+        sizes[v] += 1
     v = g.eval(INFINITY)
-    return line, Counter(line), _INF if v is INFINITY else v.index
+    return line, sizes, _INF if v is INFINITY else v.index
 
 
 def _pair_count(f, g: RatFun) -> int:
     """The sum over the points x of F_q^n of |{y in F_q : g(y) = f(x)}|."""
-    get = _fibers(g)[1].get
-    zeros = itertools.repeat(0)
+    sizes = _fibers(g)[1].__getitem__
     # _UNDEF codes no value of g, so undefined points add nothing
-    return sum(sum(map(get, line, zeros)) for line in _value_lines(f))
+    return sum(sum(map(sizes, line)) for line in _value_lines(f))
 
 
 def count_pairs_mv(f: MRatFun, g: RatFun) -> int:
@@ -667,41 +670,44 @@ def _check_epsilon(eps) -> Fraction:
 
 
 def _graded_report(
-    f, g: RatFun, pairs: int, n: int, eps: Fraction, threshold: Fraction, q_power: int
+    f, g: RatFun, pairs: int, n: int, eps: Fraction, threshold: ThresholdCheck
 ) -> DecompReport:
     """The report of a graded criterion: the pair count with its bound
-    q^n (floor(delta/2) + eps), and the threshold on q_power, the power of q
-    it bounds (q for check_t31, q^3 for check_t41)."""
+    q^n (floor(delta/2) + eps), and the criterion's threshold check."""
     q, delta = f.spec.order, g.degree
     return DecompReport(
         q=q,
         d=f.degree,
         delta=delta,
-        condition_iii=ThresholdCheck(q, threshold, q_power >= threshold),
+        condition_iii=threshold,
         pair_count=pairs,
         pair_threshold=Fraction(q**n) * (delta // 2 + eps),
     )
 
 
+def t41_threshold(q: int, d: int, delta: int, eps: Fraction) -> ThresholdCheck:
+    """q >= 7.8 (d+delta)^{13/3} / eps^2, decided exactly: the threshold is
+    the rational lower bound (39/5)^3 (d+delta)^13 / eps^6 for q^3 (the cube
+    kills the fractional exponent), and the check compares q^3 against it."""
+    threshold = Fraction(39, 5) ** 3 * (d + delta) ** 13 / eps**6
+    return ThresholdCheck(q, threshold, q**3 >= threshold)
+
+
 def t41_threshold_ok(q: int, d: int, delta: int, eps) -> bool:
-    """q >= 7.8 (d+delta)^{13/3} / eps^2, decided exactly by comparing
-    q^3 eps^6 against (39/5)^3 (d+delta)^13."""
-    eps = _check_epsilon(eps)
-    return Fraction(q) ** 3 * eps**6 >= Fraction(39, 5) ** 3 * (d + delta) ** 13
+    """The verdict of t41_threshold, after checking eps."""
+    return t41_threshold(q, d, delta, _check_epsilon(eps)).passed
 
 
 def check_t41(f: MRatFun, g: RatFun, eps) -> DecompReport:
     """The multivariate graded criterion.
 
     Pair condition: count_pairs_mv(f, g) >= q^n (floor(delta/2) + eps);
-    threshold: q >= 7.8 (d+delta)^{13/3} / eps^2.  The reported threshold is
-    the exact rational lower bound for q^3 (the cube kills the fractional
-    exponent), so condition_iii compares q^3 against it.
+    threshold: t41_threshold, on q^3.
     """
     q = _require_pair(f, g).order
     eps = _check_epsilon(eps)
-    threshold = Fraction(39, 5) ** 3 * (f.degree + g.degree) ** 13 / eps**6
-    return _graded_report(f, g, count_pairs_mv(f, g), f.n, eps, threshold, q**3)
+    threshold = t41_threshold(q, f.degree, g.degree, eps)
+    return _graded_report(f, g, count_pairs_mv(f, g), f.n, eps, threshold)
 
 
 # --------------------------------------------------------------------------

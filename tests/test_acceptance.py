@@ -13,10 +13,11 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import all_ratfuns, brute_find_all
+from oracles import _is_absolutely_irreducible_by_extension, all_ratfuns, brute_find_all
 
-from ffdecomp.bipoly import build_F, count_affine
+from ffdecomp.bipoly import build_F, count_affine, kronecker_factor
 from ffdecomp.bounds import (
+    _SAMPLERS,
     SampleConfig,
     composition_slack,
     equal_split_slack,
@@ -123,24 +124,33 @@ def test_criterion_03_projective_band():
 
 
 def test_criterion_04_non_absolutely_irreducible_bound():
+    # each factor of the sampled curves is labelled by re-factoring over
+    # F_{q^r}, not by its point count, so a factor that is not absolutely
+    # irreducible and has more than floor(D^2/4) points fails its row
     t0 = time.monotonic()
     F3 = build_field(3)
     anchor = parse_bipoly(F3, "1:(2,0); 1:(0,2)")
     assert count_affine(anchor) == 1
     assert non_abs_bound(2) == 1
 
+    configs = [
+        SampleConfig(p=p, k=k, kind="norm_form", count=30, seed=0)
+        for p, k in [(2, 1), (3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)]
+    ] + [
+        SampleConfig(p=p, k=k, kind="random", count=40, max_degree=4, seed=1)
+        for p, k in [(2, 1), (3, 1)]
+    ]
     rows = []
-    for p, k in [(2, 1), (3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)]:
-        reports = verify_bounds_on_sample(
-            SampleConfig(p=p, k=k, kind="norm_form", count=30, seed=0)
-        )
-        rows += [r for r in reports if r.classification == "not-absolutely-irreducible"]
-    for p, k in [(2, 1), (3, 1)]:
-        reports = verify_bounds_on_sample(
-            SampleConfig(p=p, k=k, kind="random", count=40, max_degree=4, seed=1)
-        )
-        rows += [r for r in reports if r.classification == "not-absolutely-irreducible"]
-    bad = [r for r in rows if not r.passed]
+    for config in configs:
+        spec = build_field(config.p, config.k)
+        rng = random.Random(config.seed)
+        for idx in range(config.count):
+            F = _SAMPLERS[config.kind](rng, spec, config.max_degree)
+            for fidx, (h, _) in enumerate(kronecker_factor(F)[1]):
+                if not _is_absolutely_irreducible_by_extension(h):
+                    D = h.total_degree()
+                    rows.append((config, f"{idx}/{fidx}", D, count_affine(h), non_abs_bound(D)))
+    bad = [row for row in rows if row[3] > row[4]]
     elapsed = time.monotonic() - t0
     ok = len(rows) >= 100 and not bad and elapsed < 60.0
     verdict(4, ok, f"{len(rows)} instances under floor(D^2/4) in {elapsed:.1f}s")

@@ -325,6 +325,30 @@ def test_line_evaluator_matches_horner_at_every_point(p, k):
         assert F._values(cs) == F._values(tuple(cs)) == want, (F, cs)
 
 
+@pytest.mark.parametrize("p,k", [(2, 5), (3, 3), (5, 2), (7, 2), (2, 9)], ids=lambda v: str(v))
+def test_coordinate_path_matches_the_tables(monkeypatch, p, k):
+    # a field above TABLE_MAX_ORDER, such as F_2^17, computes on coordinates
+    # (`_coord_ops`); small fields are built on that path here, with their
+    # moduli, and checked against their tables and against Horner's rule
+    T = build_field(p, k)
+    q = T.order
+    monkeypatch.setattr(gf_core, "TABLE_MAX_ORDER", q - 1)
+    C = gf_core.FieldSpec(p, k, T.modulus)
+    assert isinstance(C._elems, gf_core._Fresh)
+    rng = random.Random(f"coords/{p}^{k}")
+    pairs = [(0, 0), (0, 1), (q - 1, q - 1)] + [(rng.randrange(q), rng.randrange(q)) for _ in range(400)]
+    for a, b in pairs:
+        assert (C._add(a, b), C._mul(a, b)) == (T._add(a, b), T._mul(a, b)), (a, b)
+    for a in range(q):
+        assert C._neg(a) == T._neg(a) and (not a or C._inv(a) == T._inv(a)), a
+    cases = [[0], [q - 1], [0, 0, 1], [rng.randrange(q), 0]]  # a zero top coefficient too
+    for degree in range(1, 7):
+        cases.append([rng.randrange(q) if rng.random() < 0.8 else 0 for _ in range(degree + 1)])
+    for cs in cases:
+        want = [horner(upoly.Poly(T, cs), x).index for x in T.elements()]
+        assert C._values(cs) == C._values(tuple(cs)) == want, (C, cs)
+
+
 def test_hash_is_the_coordinate_hash():
     for p, k in [(7, 1), (3, 2), (2, 5), (2, 17)]:
         F = build_field(p, k)

@@ -347,6 +347,22 @@ def test_count_pairs_mv_matches_double_loop_with_poles_and_undefined(spec):
     assert seen_undefined and seen_pole
 
 
+@pytest.mark.parametrize("spec", [F5, F8], ids=["F5", "F8"])
+def test_pair_count_slots_count_poles_of_g_and_nothing_where_f_is_undefined(spec):
+    # g has poles at a and b in F_q and a zero at infinity; f = (X1 + c)/X2
+    # is infinite on X2 = 0 away from X1 = -c and undefined at (-c, 0), so
+    # a pole of f meets each pole of g and the undefined point meets nothing
+    x = Poly.x(spec)
+    a, b, c = (spec.from_index(i) for i in (1, 2, 3))
+    g = RatFun.make(x, (x - a) * (x - b))
+    f = MRatFun.make(mp(spec, 2, {(1, 0): 1, (0, 0): c}), MPoly.variable(spec, 2, 1))
+    assert f.eval((-c, spec.zero())) is UNDEFINED and f.eval((spec.one() - c, spec.zero())) is INFINITY
+    _, sizes, v_inf = mvar._fibers(g)
+    assert len(sizes) == spec.order + 2
+    assert (sizes[mvar._INF], sizes[mvar._UNDEF], v_inf) == (2, 0, 0)
+    assert count_pairs_mv(f, g) == pointwise_count_pairs_mv(f, g)
+
+
 def test_count_pairs_mv_single_variable_matches_univariate():
     rng = random.Random(4105)
     for spec in (F3, F5):

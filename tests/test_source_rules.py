@@ -1,7 +1,9 @@
 """Rules on the package source, read from its syntax trees: no float
 anywhere, imports between its modules that form no cycle, no reach into
-argparse's private members, one f = g(h) search body, in mvar, and
-one proof that f = g(h), composing, called from two places by one name."""
+argparse's private members, one f = g(h) search body, in mvar,
+one proof that f = g(h), composing, called from two places by one name,
+one function for each threshold and for the small-fiber test, and one
+place that names each command's handler."""
 
 import ast
 import graphlib
@@ -135,3 +137,69 @@ def test_only_the_search_and_its_check_compose_and_by_the_traced_name():
                 found.append(f"{name}.py:{node.lineno}")
     assert not found, found
     assert callers == allowed
+
+
+def _owners(tree, match):
+    """(node, the name of the innermost function around it, or None at
+    module level) for each node of tree that match accepts."""
+    parent = {id(child): node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in filter(match, ast.walk(tree)):
+        owner = parent.get(id(node))
+        while owner is not None and not isinstance(owner, ast.FunctionDef):
+            owner = parent.get(id(owner))
+        yield node, None if owner is None else owner.name
+
+
+def _t31_bound(node):
+    # (d + delta) ** 4
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and (
+        getattr(node.right, "value", None) == 4
+    )
+
+
+def _t41_constant(node):
+    # Fraction(39, 5)
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Fraction" and [
+        getattr(arg, "value", None) for arg in node.args
+    ] == [39, 5]
+
+
+def _small_fiber_test(node):
+    # 2 * <fiber size> <= delta
+    return (
+        isinstance(node, ast.Compare)
+        and [type(op) for op in node.ops] == [ast.LtE]
+        and getattr(node.comparators[0], "id", None) == "delta"
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.Mult)
+        and getattr(node.left.left, "value", None) == 2
+    )
+
+
+def test_each_threshold_and_the_small_fiber_test_is_written_once():
+    # the (d+delta)^4 bound of T31, the (39/5)^3 (d+delta)^13 bound of T41
+    # and the test 2|fiber| <= delta each live in one function of decomp and
+    # mvar, and the checkers and criterion 8's verdicts read that function
+    rules = [
+        (_t31_bound, "t31_threshold", {("decomp", f) for f in ("check_t1", "check_t31", "t31_threshold_ok")}),
+        (_t41_constant, "t41_threshold", {("mvar", f) for f in ("check_t41", "t41_threshold_ok")}),
+        (_small_fiber_test, "_small_points", {("decomp", f) for f in ("check_t1", "small_fiber_diagnostics")}),
+    ]
+    for match, rule, readers in rules:
+        def calls(node):
+            return isinstance(node, ast.Call) and getattr(node.func, "id", None) == rule
+
+        where = {(name, owner) for name in ("decomp", "mvar") for _, owner in _owners(MODULES[name], match)}
+        assert len(where) == 1 and next(iter(where))[1] == rule, (rule, where)
+        callers = {(name, owner) for name in ("decomp", "mvar") for _, owner in _owners(MODULES[name], calls)}
+        assert callers == readers, (rule, callers)
+
+
+def test_each_command_handler_is_named_once_where_its_command_is_declared():
+    # _build_parser passes each handler to the declaration of its command;
+    # a second table of handlers would be a second list of the commands
+    tree = MODULES["cli"]
+    handlers = [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_")]
+    uses = _owners(tree, lambda node: isinstance(node, ast.Name) and node.id.startswith("_cmd_"))
+    assert len(handlers) == 16
+    assert sorted((node.id, owner) for node, owner in uses) == sorted((h, "_build_parser") for h in handlers)
