@@ -181,18 +181,18 @@ def test_each_threshold_and_the_small_fiber_test_is_written_once():
     # and the test 2|fiber| <= delta each live in one function of decomp and
     # mvar, and the checkers and criterion 8's verdicts read that function
     rules = [
-        (_t31_bound, "t31_threshold", {("decomp", f) for f in ("check_t1", "check_t31", "t31_threshold_ok")}),
-        (_t41_constant, "t41_threshold", {("mvar", f) for f in ("check_t41", "t41_threshold_ok")}),
-        (_small_fiber_test, "_small_points", {("decomp", f) for f in ("check_t1", "small_fiber_diagnostics")}),
+        (_t31_bound, "decomp", "t31_threshold", ("check_t1", "check_t31", "t31_threshold_ok")),
+        (_t41_constant, "mvar", "t41_threshold", ("check_t41", "t41_threshold_ok")),
+        (_small_fiber_test, "decomp", "_small_points", ("check_t1", "small_fiber_diagnostics")),
     ]
-    for match, rule, readers in rules:
+    for match, module, rule, readers in rules:
         def calls(node):
             return isinstance(node, ast.Call) and getattr(node.func, "id", None) == rule
 
         where = {(name, owner) for name in ("decomp", "mvar") for _, owner in _owners(MODULES[name], match)}
-        assert len(where) == 1 and next(iter(where))[1] == rule, (rule, where)
+        assert where == {(module, rule)}, (rule, where)
         callers = {(name, owner) for name in ("decomp", "mvar") for _, owner in _owners(MODULES[name], calls)}
-        assert callers == readers, (rule, callers)
+        assert callers == {(module, reader) for reader in readers}, (rule, callers)
 
 
 def test_each_command_handler_is_named_once_where_its_command_is_declared():
