@@ -22,16 +22,15 @@ upoly.terms_str.
 from __future__ import annotations
 
 from . import limits
-from .errors import SpecMismatchError, ValidationError
-from .gf_core import FieldElement, _same_spec, extend_field, prime_factors
-from .mvar import MPoly, _from_upoly, _lines, map_coeffs, mv_factor, swap
+from .errors import ValidationError
+from .gf_core import FieldElement, extend_field, prime_factors
+from .mvar import MPoly, _from_upoly, _lines, _require_pair, map_coeffs, mv_factor, swap
 from .upoly import (
     EVAL_ROOTS_MAX_ORDER,
     Poly,
     RatFun,
     _has_simple_root,
     num_distinct_roots,
-    require_nonconstant,
     terms_str,
 )
 
@@ -92,10 +91,7 @@ def build_F(f: RatFun, g: RatFun) -> MPoly:
     values on the projective line, because both representations are reduced
     so numerator and denominator never vanish together.
     """
-    if not _same_spec(f.spec, g.spec):
-        raise SpecMismatchError("f and g must live over the same field")
-    require_nonconstant(f, "f")
-    require_nonconstant(g, "g")
+    _require_pair(f, g)
     a, b = _from_upoly(f.num, 2), _from_upoly(f.den, 2)
     p, q = swap(_from_upoly(g.num, 2)), swap(_from_upoly(g.den, 2))
     return a * q - b * p

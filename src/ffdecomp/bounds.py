@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .bipoly import (
@@ -270,14 +270,18 @@ class BoundReport:
     bound: str
     passed: bool
 
+    def as_dict(self) -> dict:
+        """The report by column name, the JSON row of verify-bounds."""
+        return {column: getattr(self, f.name) for column, f in zip(COLUMNS, fields(self))}
+
     def csv_row(self) -> str:
-        return (
-            f"{self.instance},{self.q},{self.degree},{self.classification},"
-            f"{self.observed},{self.bound},{'true' if self.passed else 'false'}"
-        )
+        values = self.as_dict().values()
+        return ",".join(("true" if v else "false") if isinstance(v, bool) else str(v) for v in values)
 
 
-CSV_HEADER = "instance,q,degree,classification,observed,bound,pass"
+# the column of each field of BoundReport, in order: `passed` is the column `pass`
+COLUMNS = tuple("pass" if f.name == "passed" else f.name for f in fields(BoundReport))
+CSV_HEADER = ",".join(COLUMNS)
 
 
 def _random_curve(rng: random.Random, spec: FieldSpec, degree: int) -> MPoly:

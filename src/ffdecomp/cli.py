@@ -216,18 +216,7 @@ def _cmd_verify_bounds(args, spec) -> Optional[dict]:
         "count": args.count,
         "max_degree": args.max_degree,
         "violations": sum(1 for r in reports if not r.passed),
-        "reports": [
-            {
-                "instance": r.instance,
-                "q": r.q,
-                "degree": r.degree,
-                "classification": r.classification,
-                "observed": r.observed,
-                "bound": r.bound,
-                "pass": r.passed,
-            }
-            for r in reports
-        ],
+        "reports": [r.as_dict() for r in reports],
     }
 
 

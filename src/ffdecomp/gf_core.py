@@ -7,29 +7,31 @@ c_0 + c_1 p + ... + c_{k-1} p^{k-1}, the integer whose base-p digits are its
 coordinates over the power basis; `.coeffs` reads the coordinates back.
 Equal inputs always produce equal outputs, and nothing here depends on
 process state.  The module has no polynomial arithmetic of its own: moduli
-are searched and checked, and large fields invert, with `upoly` over F_p.
+are searched and checked, and large extension fields invert, with `upoly`
+over F_p.
 
 FieldSpec's index primitives `_add`, `_neg`, `_mul` and `_inv`, and the
 line evaluator `_values(cs)`, the values at x = 0..q-1 of the polynomial
 with coefficient indices cs, are the one place that chooses how to compute.
 The polynomials of `upoly` and `mvar` store their coefficients as indices
 and call these primitives directly, so FieldElement arithmetic serves only
-callers at the API boundary.
+callers at the API boundary.  Each kind of field has one kernel:
 
-- q <= 2^16 (TABLE_MAX_ORDER): log/antilog tables over the primitive
-  element of smallest index.  Products, inverses and negatives are table
-  lookups; sums are XOR when p = 2, (a + b) mod p when k = 1, and go
-  through Zech's logarithms otherwise.  These fields intern their q
-  elements, so arithmetic allocates nothing.
-- q > 2^16: coordinate arithmetic over the power basis (`_mul_coeffs`,
-  `_inv_coeffs`), with sums by XOR when p = 2 and the index itself as the
-  one coordinate of a prime field.  It is also the tests' oracle for the
-  tables.
+- a prime field F_p, where an index is its value, computes on integers
+  mod p at every order, inverting by a^(p-2) and evaluating a line by
+  integer Horner;
+- an extension field with q <= 2^16 (TABLE_MAX_ORDER) uses log/antilog
+  tables over the primitive element of smallest index.  Products,
+  inverses and negatives are table lookups, sums are XOR when p = 2 and
+  go through Zech's logarithms otherwise, and `_values` reads each
+  product a x from the tables inline;
+- a larger extension field computes on coordinates over the power basis
+  (`_mul_coeffs`, `_inv_coeffs`), with sums by XOR when p = 2, and
+  `_values` loops over `_add` and `_mul`.  It is also the tests' oracle
+  for the tables.
 
-`_values` runs Horner's rule at all q points at once.  A prime field, where
-an index is its value, runs it on integers mod p; an extension field with
-tables reads each product a x from the tables inline and adds by XOR or
-Zech's logarithms; a larger extension field loops over `_add` and `_mul`.
+Every field with q <= TABLE_MAX_ORDER, prime or not, interns its q
+elements, so arithmetic on FieldElements allocates nothing.
 """
 
 from __future__ import annotations
@@ -114,7 +116,8 @@ def _lex_smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 # --------------------------------------------------------------------------
 
-# Fields up to this order get log/antilog tables and interned elements.
+# Extension fields up to this order get log/antilog tables, and every field
+# up to it, prime or not, interns its elements.
 TABLE_MAX_ORDER = 1 << 16
 
 
@@ -130,9 +133,10 @@ class FieldSpec:
     """Description of F_{p^k}: characteristic, degree, and modulus.
 
     `_add`, `_neg`, `_mul`, `_inv` and `_values` act on element indices;
-    they are set once, here, to the table or the coordinate versions.
-    `_elems[i]` is the element of index i: the interned one when the field
-    has tables.
+    they are set once, here, to the one kernel of the field's kind: integers
+    mod p for a prime field, tables for an extension field up to
+    TABLE_MAX_ORDER, coordinates above it.  `_elems[i]` is the element of
+    index i: the interned one when q <= TABLE_MAX_ORDER.
     """
 
     __slots__ = ("p", "k", "order", "modulus", "_red", "_elems",
@@ -144,11 +148,16 @@ class FieldSpec:
         self.order = p**k
         self.modulus = modulus
         self._red = modulus[:k]  # X^k = -sum(red[i] X^i) mod m
+        if k == 1:
+            ops = self._prime_ops()
+        elif self.order <= TABLE_MAX_ORDER:
+            ops = self._table_ops()
+        else:
+            ops = self._coord_ops()
+        self._add, self._neg, self._mul, self._inv, self._values = ops
         if self.order <= TABLE_MAX_ORDER:
-            self._add, self._neg, self._mul, self._inv, self._values = self._table_ops()
             self._elems = [FieldElement(self, i) for i in range(self.order)]
         else:
-            self._add, self._neg, self._mul, self._inv, self._values = self._coord_ops()
             self._elems = _Fresh(self)
 
     @property
@@ -232,8 +241,6 @@ class FieldSpec:
 
     def _mul_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         p, k = self.p, self.k
-        if k == 1:
-            return (a[0] * b[0] % p,)
         conv = [0] * (2 * k - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -258,25 +265,36 @@ class FieldSpec:
         u = upoly.poly_invmod(upoly.Poly.from_ints(fp, a), upoly.Poly.from_ints(fp, self.modulus))
         return u.idx + (0,) * (self.k - len(u.idx))
 
+    def _prime_ops(self):
+        """Index primitives of F_p, where an index is its value: integers mod p."""
+        p = self.p
+        xs = range(p)
+
+        def add(a: int, b: int) -> int:
+            return (a + b) % p
+
+        def neg(a: int) -> int:
+            return -a % p
+
+        def mul(a: int, b: int) -> int:
+            return a * b % p
+
+        def inv(a: int) -> int:
+            if not a:
+                raise ZeroDivisionError(f"inversion of zero in {self!r}")
+            return pow(a, p - 2, p)
+
+        def values(cs) -> list[int]:  # Horner's rule at every x at once
+            line = [cs[-1]] * p
+            for c in reversed(cs[:-1]):
+                line = [(a * x + c) % p for a, x in zip(line, xs)]
+            return line
+
+        return add, neg, mul, inv, values
+
     def _coord_ops(self):
-        """Index primitives through coordinate arithmetic (q > TABLE_MAX_ORDER)."""
+        """Index primitives of an extension field above TABLE_MAX_ORDER, on coordinates."""
         p, coords, index = self.p, self._coords, self._index
-        if self.k == 1:  # the one coordinate is the index
-            def add(a: int, b: int) -> int:
-                return (a + b) % p
-
-            def neg(a: int) -> int:
-                return -a % p
-
-            def mul(a: int, b: int) -> int:
-                return a * b % p
-
-            def inv(a: int) -> int:
-                if not a:
-                    raise ZeroDivisionError(f"inversion of zero in {self!r}")
-                return pow(a, p - 2, p)
-
-            return add, neg, mul, inv, _prime_values(p)
 
         def add(a: int, b: int) -> int:
             return index([(x + y) % p for x, y in zip(coords(a), coords(b))])
@@ -320,12 +338,6 @@ class FieldSpec:
         """
         p, k = self.p, self.k
         powers = [1]
-        if k == 1:
-            a = g
-            while a != 1:
-                powers.append(a)
-                a = a * g % p
-            return powers
         x, images = self._coords(p), [self._coords(g)]
         for _ in range(k - 1):
             images.append(self._mul_coeffs(x, images[-1]))
@@ -351,12 +363,12 @@ class FieldSpec:
         """Indices of g^0, ..., g^(q-2) for the primitive element g of smallest index.
 
         A candidate is rejected when its cycle closes early.  Where a step
-        costs k^2 (p odd, k > 1) the order is tested first by powering.
+        costs k^2 (p odd) the order is tested first by powering.
         """
-        p, k, q = self.p, self.k, self.order
-        # for k > 1 the p constants lie in F_p, where orders divide p - 1
-        for g in range(p if k > 1 else 1, q):
-            if p != 2 and k > 1 and not self._is_primitive(g):
+        p, q = self.p, self.order
+        # the p constants lie in F_p, where orders divide p - 1
+        for g in range(p, q):
+            if p != 2 and not self._is_primitive(g):
                 continue
             powers = self._powers(g)
             if len(powers) == q - 1:
@@ -364,7 +376,7 @@ class FieldSpec:
         raise AssertionError("no primitive element found")  # pragma: no cover
 
     def _table_ops(self):
-        """Index primitives through log/antilog tables (q <= TABLE_MAX_ORDER)."""
+        """Index primitives of an extension field up to TABLE_MAX_ORDER, by log tables."""
         p, m = self.p, self.order - 1
         exp = self._exp_cycle()
         log = [0] * (m + 1)
@@ -391,18 +403,12 @@ class FieldSpec:
                 line[0] = cs[0]
                 return line
 
-            return operator.xor, _identity, mul, inv, _prime_values(2) if self.k == 1 else values
+            return operator.xor, _identity, mul, inv, values
 
         half = m // 2  # g^half = -1
 
         def neg(a: int) -> int:
             return exp[log[a] + half] if a else 0
-
-        if self.k == 1:
-            def add(a: int, b: int) -> int:
-                return (a + b) % p
-
-            return add, neg, mul, inv, _prime_values(p)
 
         # zech[n] = log(1 + g^n), or -1 where 1 + g^n = 0; 1 + a bumps a's
         # constant coordinate, the lowest base-p digit of its index
@@ -442,19 +448,6 @@ class FieldSpec:
 
 def _identity(a: int) -> int:
     return a
-
-
-def _prime_values(p: int):
-    """The line evaluator of F_p, where an index is its value: integer Horner."""
-    xs = range(p)
-
-    def values(cs) -> list[int]:
-        line = [cs[-1]] * p
-        for c in reversed(cs[:-1]):
-            line = [(a * x + c) % p for a, x in zip(line, xs)]
-        return line
-
-    return values
 
 
 def power(x, e: int, one, mul=operator.mul):

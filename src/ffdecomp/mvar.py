@@ -707,7 +707,8 @@ def check_t41(f: MRatFun, g: RatFun, eps) -> DecompReport:
     q = _require_pair(f, g).order
     eps = _check_epsilon(eps)
     threshold = t41_threshold(q, f.degree, g.degree, eps)
-    return _graded_report(f, g, count_pairs_mv(f, g), f.n, eps, threshold)
+    limits.check_enumerable(q, "pair grid", f.n)
+    return _graded_report(f, g, _pair_count(f, g), f.n, eps, threshold)
 
 
 # --------------------------------------------------------------------------

@@ -285,7 +285,8 @@ def test_arithmetic_returns_interned_elements():
 
 @pytest.mark.parametrize("p,k", [(2, 17), (3, 11), (65537, 1)], ids=lambda v: str(v))
 def test_coordinate_path_field_axioms(p, k):
-    # these fields are above the table cutoff, so every operation runs coordinate code
+    # these fields are above the table cutoff: F_2^17 and F_3^11 compute on
+    # coordinates, and F_65537, like every prime field, on integers mod p
     F = build_field(p, k)
     assert F.order > TABLE_MAX_ORDER
     rng = random.Random(f"axioms/{p}^{k}")
@@ -311,9 +312,10 @@ def test_coordinate_path_field_axioms(p, k):
     ids=lambda v: str(v),
 )
 def test_line_evaluator_matches_horner_at_every_point(p, k):
-    # prime fields run integer Horner (F_65537 has no tables), the others
-    # read the log tables inline, with x = 0 apart; a full line over F_2^17,
-    # whose evaluator loops over _add and _mul, would take seconds
+    # prime fields run integer Horner at every order, extension fields up to
+    # TABLE_MAX_ORDER read the log tables inline, with x = 0 apart; a full
+    # line over F_2^17, whose evaluator loops over _add and _mul, would take
+    # seconds
     F = build_field(p, k)
     rng = random.Random(f"values/{p}^{k}")
     cases = [[0], [F.order - 1], [0, 0, 1], [rng.randrange(F.order), 0]]  # a zero top coefficient too
@@ -323,6 +325,43 @@ def test_line_evaluator_matches_horner_at_every_point(p, k):
         f = upoly.Poly(F, cs)
         want = [horner(f, x).index for x in F.elements()]
         assert F._values(cs) == F._values(tuple(cs)) == want, (F, cs)
+
+
+class _TablesBuilt(Exception):
+    pass
+
+
+def _no_tables(self):
+    raise _TablesBuilt(repr(self))
+
+
+@pytest.mark.parametrize("p", [2, 3, 13, 101, 65521, 65537])
+def test_prime_fields_compute_on_integers_mod_p_at_every_order(monkeypatch, p):
+    # a prime field never builds log tables, on either side of TABLE_MAX_ORDER;
+    # the field is built directly, so the build_field cache plays no part
+    monkeypatch.setattr(FieldSpec, "_table_ops", _no_tables)
+    F = gf_core.FieldSpec(p, 1, (0, 1))
+    assert isinstance(F._elems, list) == (p <= TABLE_MAX_ORDER)  # interning is keyed on q alone
+    rng = random.Random(f"prime/{p}")
+    xs = [0, 1, p - 1] + [rng.randrange(p) for _ in range(300)]
+    for a, b in zip(xs, xs[1:] + xs[:1]):
+        assert (F._add(a, b), F._neg(a), F._mul(a, b)) == ((a + b) % p, -a % p, a * b % p), (a, b)
+        assert not b or F._inv(b) == pow(b, -1, p), b
+    with pytest.raises(ZeroDivisionError):
+        F._inv(0)
+    cases = [[0], [p - 1], [0, 0, 1], [rng.randrange(p), 0]]  # a zero top coefficient too
+    for degree in (1, 3) if p > 1000 else range(1, 7):
+        cases.append([rng.randrange(p) if rng.random() < 0.8 else 0 for _ in range(degree + 1)])
+    for cs in cases:
+        want = [horner(upoly.Poly(F, cs), x).index for x in F.elements()]
+        assert F._values(cs) == F._values(tuple(cs)) == want, (F, cs)
+
+
+def test_extension_fields_up_to_the_cutoff_build_tables(monkeypatch):
+    monkeypatch.setattr(FieldSpec, "_table_ops", _no_tables)
+    for p, k in [(3, 2), (2, 9)]:
+        with pytest.raises(_TablesBuilt):
+            gf_core.FieldSpec(p, k, build_field(p, k).modulus)
 
 
 @pytest.mark.parametrize("p,k", [(2, 5), (3, 3), (5, 2), (7, 2), (2, 9)], ids=lambda v: str(v))

@@ -2,8 +2,9 @@
 anywhere, imports between its modules that form no cycle, no reach into
 argparse's private members, one f = g(h) search body, in mvar,
 one proof that f = g(h), composing, called from two places by one name,
-one function for each threshold and for the small-fiber test, and one
-place that names each command's handler."""
+one function for each threshold and for the small-fiber test, one
+place that names each command's handler, and one place that chooses each
+field's kernel."""
 
 import ast
 import graphlib
@@ -203,3 +204,45 @@ def test_each_command_handler_is_named_once_where_its_command_is_declared():
     uses = _owners(tree, lambda node: isinstance(node, ast.Name) and node.id.startswith("_cmd_"))
     assert len(handlers) == 16
     assert sorted((node.id, owner) for node, owner in uses) == sorted((h, "_build_parser") for h in handlers)
+
+
+def _tests_k_against_1(node):
+    # k == 1, self.k > 1, 1 != k, ...
+    sides = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+    return len(sides) == 2 and any(getattr(side, "value", None) == 1 for side in sides) and any(
+        getattr(side, "id", None) == "k" or getattr(side, "attr", None) == "k" for side in sides
+    )
+
+
+def test_each_kind_of_field_has_one_kernel_chosen_in_one_place():
+    # FieldSpec.__init__ alone names the three kernels, once each: integers
+    # mod p for prime fields, tables and coordinates for extension fields;
+    # so the table builder has no prime-field branch
+    kernels = {"_prime_ops", "_table_ops", "_coord_ops"}
+
+    def names_kernel(node):
+        return isinstance(node, (ast.Name, ast.Attribute)) and (
+            getattr(node, "id", None) in kernels or getattr(node, "attr", None) in kernels
+        )
+
+    spec_init = next(
+        fn
+        for cls in MODULES["gf_core"].body
+        if isinstance(cls, ast.ClassDef) and cls.name == "FieldSpec"
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+    )
+    inside = {id(node) for node in ast.walk(spec_init)}
+    uses = [
+        (name, id(node) in inside, getattr(node, "attr", None) or node.id)
+        for name, tree in MODULES.items()
+        for node in filter(names_kernel, ast.walk(tree))
+    ]
+    assert sorted(uses) == [("gf_core", True, kernel) for kernel in sorted(kernels)], uses
+    builders = {"_table_ops", "_powers", "_exp_cycle"}
+    found = [
+        f"gf_core.py:{node.lineno} ({owner})"
+        for node, owner in _owners(MODULES["gf_core"], _tests_k_against_1)
+        if owner in builders
+    ]
+    assert not found, found
