@@ -20,9 +20,10 @@ skips exactly those points.  Pair counts evaluate f on indices, a line of q
 points along Xn at a time; decomp.count_pairs is the case n = 1.
 
 find_h_mv, and decomp.find_h as its case n = 1, finds h as a root Y = h(X)
-of the curve A(X)Q(Y) - B(X)P(Y): Newton iteration lifts each root at the
-first usable point of F_q^n, or of F_{q^r}^n when F_q is too small to hold
-one, to a truncated power series; a linear system reads it back as N/D.
+of the curve A(X)Q(Y) - B(X)P(Y): each root at the first usable point of
+F_q^n, or of F_{q^r}^n when F_q is too small to hold one, is lifted one
+total degree at a time to a truncated power series; a linear system reads
+it back as N/D.
 The candidates are tried in MRatFun.index_key order, a check at one point
 rejects most without composing, and the first whose composition gives f
 wins, for one variable or several; composing is the only proof, so a None
@@ -1006,8 +1007,8 @@ def _jet_ring(n: int, top: int):
     dense lists of field indices over `mons`, the monomials of degree <= top
     in order of degree.  `prods` lists the (i, j, k) with mons[i] + mons[j]
     = mons[k] in order of the degree of k; `cut[t]` and `start[t]` count the
-    products and the monomials of degree below t.  For n = 1 the product
-    index is i + j, and prods and cut are None."""
+    products and the monomials of degree below t.  For n = 1 prods and cut
+    are None, and _degree_prods builds the pairs of each degree."""
     mons = sorted(
         (k for k in itertools.product(range(top + 1), repeat=n) if sum(k) <= top),
         key=lambda k: (sum(k), k),
@@ -1027,51 +1028,59 @@ def _jet_ring(n: int, top: int):
     return tuple(mons), tuple(pr[1:] for pr in prods), tuple(cut), start
 
 
+def _degree_prods(ring, t: int):
+    """The (i, j, k) with mons[i] + mons[j] = mons[k] of total degree t; for
+    one variable the t + 1 pairs are built here, so no table is kept."""
+    prods, cut = ring[1], ring[2]
+    if prods is None:
+        return [(i, t - i, t) for i in range(t + 1)]
+    return prods[cut[t]:cut[t + 1]]
+
+
 def _jet_mul(spec: FieldSpec, ring, a: list[int], b: list[int], prec: int) -> list[int]:
     """a * b below total degree prec; no term of higher degree is formed."""
     add, mul = spec._add, spec._mul
-    mons, prods, cut, _ = ring
-    out = [0] * len(mons)
-    if prods is None:  # one variable: convolve
-        for i, ai in enumerate(a[:prec]):
-            if ai:
-                k = i
-                for bj in b[: prec - i]:
-                    if bj:
-                        out[k] = add(out[k], mul(ai, bj))
-                    k += 1
-        return out
-    for i, j, k in prods[: cut[prec]]:
-        if a[i] and b[j]:
-            out[k] = add(out[k], mul(a[i], b[j]))
+    out = [0] * len(ring[0])
+    for t in range(prec):
+        for i, j, k in _degree_prods(ring, t):
+            if a[i] and b[j]:
+                out[k] = add(out[k], mul(a[i], b[j]))
     return out
 
 
-def _newton(spec: FieldSpec, ring, cs: list[list[int]], y0: int, s0: int) -> list[int]:
-    """The root y of sum_j cs[j] Y^j with y(0) = y0, to the ring's degree,
-    for a simple root y0 with s0 = 1/F_Y(0, y0).  Each step doubles the
-    precision of y and of s = 1/F_Y(y)."""
+def _lift_root(spec: FieldSpec, ring, cs: list[list[int]], y0: int, s0: int) -> list[int]:
+    """The root y of F = sum_j cs[j] Y^j with y(0) = y0, to the ring's degree,
+    for a simple root y0 with s0 = 1/F_Y(0, y0), one total degree t at a
+    time: y_t = -s0 [F(y_{<t})]_t.  The powers y^j are kept to degree t as
+    well; [y_{<t}^j]_t is formed from y_{<t}, and j y0^(j-1) y_t is added
+    once y_t is known, so degree t costs only the products landing in it."""
     add, neg, mul = spec._add, spec._neg, spec._mul
-
-    def sub(a, b):
-        return [add(u, neg(v)) for u, v in zip(a, b)]
-
-    def horner(cs, y, prec):
-        acc = cs[-1]
-        for c in reversed(cs[:-1]):
-            acc = [add(u, v) for u, v in zip(_jet_mul(spec, ring, acc, y, prec), c)]
-        return acc
-
-    dcs = [[mul(j % spec.p, v) for v in c] for j, c in enumerate(cs)][1:]
-    zeros = [0] * (len(ring[0]) - 1)
-    y, s, two = [y0] + zeros, [s0] + zeros, [2 % spec.p] + zeros
-    prec, end = 1, len(ring[3]) - 1
-    while prec < end:
-        prec = min(2 * prec, end)
-        y = sub(y, _jet_mul(spec, ring, horner(cs, y, prec), s, prec))
-        if prec < end:
-            ds = _jet_mul(spec, ring, horner(dcs, y, prec), s, prec)
-            s = _jet_mul(spec, ring, s, sub(two, ds), prec)
+    start = ring[3]
+    y = [y0] + [0] * (len(ring[0]) - 1)
+    pows, slopes, yj = [y], [], y0  # y^1..y^delta; slopes[j - 2] = j y0^(j-1)
+    for j in range(2, len(cs)):
+        slopes.append(mul(j % spec.p, yj))
+        yj = mul(yj, y0)
+        pows.append([yj] + [0] * (len(y) - 1))
+    ns0, top = neg(s0), len(start) - 2
+    for t in range(1, top + 1):
+        part, lo = _degree_prods(ring, t), start[t]
+        for prev, cur in zip(pows, pows[1:]):  # y^j = y * y^(j-1), y_t still 0
+            for i, j, k in part:
+                if y[i] and prev[j]:
+                    cur[k] = add(cur[k], mul(y[i], prev[j]))
+        acc = cs[0][lo:start[t + 1]]
+        for c, pw in zip(cs[1:], pows):
+            for i, j, k in part:
+                if c[i] and pw[j]:
+                    acc[k - lo] = add(acc[k - lo], mul(c[i], pw[j]))
+        y[lo:start[t + 1]] = [mul(ns0, v) if v else 0 for v in acc]
+        if t < top:
+            for d, pw in zip(slopes, pows[1:]):
+                if d:
+                    for k in range(lo, start[t + 1]):
+                        if y[k]:
+                            pw[k] = add(pw[k], mul(d, y[k]))
     return y
 
 
@@ -1130,14 +1139,15 @@ def _lifted_roots(coeffs: list[MPoly], e: int) -> list[MRatFun]:
     squarefree in Y, with coefficients in F_q.
 
     A root N/D has D | c_delta, so its value at a usable point s is a simple
-    root of F(s, Y), which Newton iteration lifts uniquely to a power series
-    y in X - s.  To total degree 2e, D is the kernel of [D y]_nu = 0 for
-    e < |nu| <= 2e, a line exactly when the root has degree e, and N = D y
-    to degree e.  At the origin, the usual point, the shifts to s and back
-    are truncations and are not computed.  If F_q^n holds no usable point,
-    the lifting runs at a point of an extension F_Q^n (_over_extension); a
-    root scaled to leading coefficient one is kept when its coefficients
-    lie in F_q.
+    root of F(s, Y), which lifts uniquely to a power series y in X - s, one
+    total degree at a time (_lift_root).  To total degree 2e, D is the
+    kernel of [D y]_nu = 0 for e < |nu| <= 2e, a line exactly when the root
+    has degree e, and N = D y to degree e; both read the products of each
+    degree from _degree_prods.  At the origin, the usual point, the shifts
+    to s and back are truncations and are not computed.  If F_q^n holds no
+    usable point, the lifting runs at a point of an extension F_Q^n
+    (_over_extension); a root scaled to leading coefficient one is kept
+    when its coefficients lie in F_q.
     """
     n, down = coeffs[0].n, None
     found = next(_usable_points(coeffs), None)
@@ -1147,7 +1157,7 @@ def _lifted_roots(coeffs: list[MPoly], e: int) -> list[MRatFun]:
         assert found is not None, "the discriminant in Y is not zero"
     s, phi, dphi = found
     spec = phi.spec
-    ring = mons, prods, cut, start = _jet_ring(n, 2 * e)
+    ring = mons, _, _, start = _jet_ring(n, 2 * e)
     ncols = start[e + 1]
     if any(s):
         coeffs = [_shift(c, s, 2 * e) for c in coeffs]
@@ -1155,17 +1165,14 @@ def _lifted_roots(coeffs: list[MPoly], e: int) -> list[MRatFun]:
     cs = [[c.idx.get(k, 0) for k in mons] for c in coeffs]
     out = []
     for y0 in _root_indices(phi):
-        y = _newton(spec, ring, cs, y0, spec._inv(dphi._eval(y0)))
-        if prods is None:  # one variable: a Hankel matrix
-            rows = [[y[k - i] for i in range(ncols)] for k in range(e + 1, 2 * e + 1)]
-        else:
-            by_k: dict[int, list[int]] = {}
-            for i, j, k in prods[cut[e + 1]:]:
+        y = _lift_root(spec, ring, cs, y0, spec._inv(dphi._eval(y0)))
+        by_k: dict[int, list[int]] = {}  # [D y]_k for e < |k| <= 2e, a row each
+        for t in range(e + 1, 2 * e + 1):
+            for i, j, k in _degree_prods(ring, t):
                 if i < ncols and y[j]:
                     row = by_k.setdefault(k, [0] * ncols)
                     row[i] = spec._add(row[i], y[j])
-            rows = list(by_k.values())
-        den = _kernel_line(spec, rows, ncols)
+        den = _kernel_line(spec, list(by_k.values()), ncols)
         if den is not None:
             num = _jet_mul(spec, ring, den + [0] * (len(mons) - ncols), y, e + 1)
             num, den = (MPoly(spec, n, {k: c for k, c in zip(mons, v) if c}) for v in (num, den))

@@ -19,6 +19,7 @@ from ffdecomp.mvar import (
     MRatFun,
     _curve_roots,
     _from_upoly,
+    _jet_mul,
     _series_mul,
     map_coeffs,
     mpoly_divexact,
@@ -599,6 +600,34 @@ def hensel_lift_by_recomputing(G, lc, fs, prec):
         for F, f, s in zip(lifted, fs, ss):
             F.append(e * s % f)
     return lifted
+
+
+def newton_lift_by_doubling(spec, ring, cs, y0, s0):
+    """mvar._lift_root by Newton iteration: each step doubles the precision
+    of y and of s = 1/F_Y(y), recomputing F(y) and F_Y(y) whole by Horner's
+    rule on mvar._jet_mul products."""
+    add, neg, mul = spec._add, spec._neg, spec._mul
+
+    def sub(a, b):
+        return [add(u, neg(v)) for u, v in zip(a, b)]
+
+    def horner(cs, y, prec):
+        acc = cs[-1]
+        for c in reversed(cs[:-1]):
+            acc = [add(u, v) for u, v in zip(_jet_mul(spec, ring, acc, y, prec), c)]
+        return acc
+
+    dcs = [[mul(j % spec.p, v) for v in c] for j, c in enumerate(cs)][1:]
+    zeros = [0] * (len(ring[0]) - 1)
+    y, s, two = [y0] + zeros, [s0] + zeros, [2 % spec.p] + zeros
+    prec, end = 1, len(ring[3]) - 1
+    while prec < end:
+        prec = min(2 * prec, end)
+        y = sub(y, _jet_mul(spec, ring, horner(cs, y, prec), s, prec))
+        if prec < end:
+            ds = _jet_mul(spec, ring, horner(dcs, y, prec), s, prec)
+            s = _jet_mul(spec, ring, s, sub(two, ds), prec)
+    return y
 
 
 def schoolbook_divmod(a, b):

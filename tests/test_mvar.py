@@ -46,6 +46,7 @@ from oracles import (
     divisor_find_h_mv,
     find_h_by_composing_all,
     hensel_lift_by_recomputing,
+    newton_lift_by_doubling,
     pointwise_count_pairs,
     pointwise_count_pairs_mv,
     pointwise_count_undefined,
@@ -655,6 +656,75 @@ def test_hensel_lift_matches_the_recomputing_oracle(p, k):
         lifts, factors = lifts + 1, max(factors, len(inputs[2]))
         assert mvar._hensel_lift(*inputs) == hensel_lift_by_recomputing(*inputs), P
     assert factors >= 4
+
+
+def _root_inputs(rng, spec, n, top, delta):
+    """(ring, cs, y0, s0) for mvar._lift_root: random jets c_0..c_delta to
+    total degree top, sparse or dense, with c_0(0) set so that a random y0
+    (often 0) is a simple root of sum_j c_j(0) Y^j."""
+    add, mul, q = spec._add, spec._mul, spec.order
+    ring = mvar._jet_ring(n, top)
+    zero_share = rng.choice([0, 0.5])
+    while True:
+        cs = [
+            [0 if rng.random() < zero_share else rng.randrange(q) for _ in ring[0]]
+            for _ in range(delta + 1)
+        ]
+        y0 = rng.choice([0, rng.randrange(q)])
+        at0 = fy = 0  # sum_{j >= 1} c_j(0) y0^j and sum_j j c_j(0) y0^(j-1)
+        for j, c in enumerate(cs[1:], 1):
+            at0 = add(at0, mul(c[0], spec._pow(y0, j)))
+            fy = add(fy, mul(mul(j % spec.p, c[0]), spec._pow(y0, j - 1)))
+        if fy:
+            cs[0][0] = spec._neg(at0)
+            return ring, cs, y0, spec._inv(fy)
+
+
+def _jet_poly(spec, ring, v):
+    return MPoly(spec, len(ring[0][0]), {k: c for k, c in zip(ring[0], v) if c})
+
+
+@pytest.mark.parametrize(
+    "p, k", [(2, 1), (13, 1), (101, 1), (2, 3), (3, 2), (2, 5), (2, 17)], ids=str
+)
+def test_lift_root_matches_the_doubling_oracle(p, k):
+    # delta runs past p over F_2, F_8, F_9 and F_32, so the slope j y0^(j-1)
+    # of y^j meets j = 0 mod p
+    spec = build_field(p, k)
+    rng = random.Random(f"lift root/{p}^{k}")
+    for n, top in ((1, 1), (1, 2), (1, 5), (1, 6), (2, 2), (2, 4), (3, 3), (3, 4)):
+        for delta in (2, 3, 4, 5):
+            ring, cs, y0, s0 = _root_inputs(rng, spec, n, top, delta)
+            y = mvar._lift_root(spec, ring, cs, y0, s0)
+            assert y == newton_lift_by_doubling(spec, ring, cs, y0, s0)
+            assert y[0] == y0
+            # the definition: sum_j c_j y^j vanishes to total degree top
+            Y = _jet_poly(spec, ring, y)
+            acc = MPoly.zero(spec, n)
+            for c in reversed(cs):
+                acc = acc * Y + _jet_poly(spec, ring, c)
+                acc = MPoly(spec, n, {m: v for m, v in acc.idx.items() if sum(m) <= top})
+            assert acc.is_zero(), (n, top, delta)
+
+
+@pytest.mark.parametrize("n, top, delta", [(1, 6, 2), (2, 4, 3), (3, 4, 2)], ids=str)
+def test_lift_root_takes_fewer_products_than_doubling(monkeypatch, n, top, delta):
+    # a count of field products, not a timing: a return to Newton doubling,
+    # which recomputes F(y) whole at every precision, fails here
+    spec = build_field(101)
+    ring, cs, y0, s0 = _root_inputs(random.Random(f"lift count/{n}/{top}/{delta}"), spec, n, top, delta)
+    count, mul = [0], spec._mul
+
+    def counting(a, b):
+        count[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(spec, "_mul", counting)
+    got = mvar._lift_root(spec, ring, cs, y0, s0)
+    lift, count[0] = count[0], 0
+    want = newton_lift_by_doubling(spec, ring, cs, y0, s0)
+    assert got == want
+    assert 0 < lift < count[0], (lift, count[0])
 
 
 def test_verify_h_mv_examples():
