@@ -4,17 +4,17 @@ A curve is an mvar.MPoly with n = 2, X = X1 and Y = X2.  The module builds
 the curve A(X)Q(Y) - B(X)P(Y) from two rational functions, counts its affine
 and projective points exactly, factors it with mvar.mv_factor (Hensel
 lifting at one fiber X = x0), and decides absolute irreducibility from
-the geometry: for an F_q-irreducible curve a simple root on a line proves
-it, and re-factoring over extensions decides the rest; what a point count
-decides is stated in bounds.  Over a field of order at most
-upoly.EVAL_ROOTS_MAX_ORDER, count_affine counts the zeros among F's values
-on mvar's grid, one line X = x of q values at a time; above it, each line
-counts as upoly.num_distinct_roots, the degree of gcd(F(x, Y), Y^q - Y).
-The search for a simple root on a line is upoly's _has_simple_root, which
-makes the same choice.  The
-n = 2 views these need are module functions: setting X = x or Y = y to get
-a univariate Poly and the homogeneous parts; swapping the variables is
-mvar.swap, which factoring uses too.  Coefficients move to an extension
+the geometry: for an F_q-irreducible curve a simple root on a line X = x,
+Y = y or Z = 0 proves it, and re-factoring over extensions decides the
+rest; what a point count decides is stated in bounds.  Over a field of
+order at most upoly.EVAL_ROOTS_MAX_ORDER, count_affine counts the zeros
+among F's values on mvar's grid, one line X = x of q values at a time;
+above it, each line counts as upoly.num_distinct_roots, the degree of
+gcd(F(x, Y), Y^q - Y).  The search for a simple root on a line is upoly's
+_has_simple_root, which makes the same choice.  The n = 2 views these
+need are module functions: setting X = x or Y = y to get a univariate Poly
+and the homogeneous parts; swapping the variables is mvar.swap, which
+factoring and the line scan use too.  Coefficients move to an extension
 field through mvar.map_coeffs, and curves print with X and Y through
 upoly.terms_str.
 """
@@ -35,11 +35,12 @@ from .upoly import (
 )
 
 # The line scan in is_absolutely_irreducible tries at most this many affine
-# lines X = x.  A curve that is not absolutely irreducible has no nonsingular
-# rational point, so on it the scan always runs to the end before the
-# fallback; over a field of order about 1000 a full scan of a norm form cost
-# 10 times the fallback, while an absolutely irreducible curve almost always
-# meets one of the first few lines in a simple root.
+# lines X = x, then as many lines Y = y.  A curve that is not absolutely
+# irreducible has no nonsingular rational point, so on it the scan always
+# runs to the end before the fallback; over a field of order about 1000 a
+# full scan of a norm form cost 10 times the fallback, while an absolutely
+# irreducible curve almost always meets one of the first few lines in a
+# simple root.
 _SMOOTH_SCAN_LINES = 64
 
 
@@ -181,11 +182,12 @@ def _irreducible_over(F: MPoly, r: int) -> bool:
 
 def _irreducible_is_absolute(F: MPoly) -> bool:
     """Whether F, known to be irreducible over F_q, is absolutely irreducible:
-    a nonsingular F_q-point found by _line_meets_simply proves it, and failing
-    that F is re-factored over F_{q^r} for each prime r dividing its total
-    degree.  is_absolutely_irreducible is this check after factoring over F_q.
+    a nonsingular F_q-point found by _line_meets_simply, on F or on F with X
+    and Y swapped, proves it, and failing that F is re-factored over F_{q^r}
+    for each prime r dividing its total degree.  is_absolutely_irreducible is
+    this check after factoring over F_q.
     """
-    return _line_meets_simply(F) or all(
+    return _line_meets_simply(F) or _line_meets_simply(swap(F)) or all(
         _irreducible_over(F, r) for r in prime_factors(F.total_degree())
     )
 
@@ -200,7 +202,9 @@ def is_absolutely_irreducible(F: MPoly) -> bool:
     and a point on two components is singular.  So one nonsingular F_q-point
     of the projective closure proves an F_q-irreducible F absolutely
     irreducible; the scan finds one as a simple root of F restricted to the
-    line at infinity or to a line X = x, at most _SMOOTH_SCAN_LINES of them.
+    line at infinity or to a line of either pencil, X = x or Y = y, at most
+    _SMOOTH_SCAN_LINES of each.  So the points at infinity (x : 1 : 0) and
+    (1 : y : 0), and the points whose tangent is vertical, are seen too.
     When it finds none (every non-absolutely-irreducible F, and some
     absolutely irreducible ones, mostly over tiny fields) F is re-factored
     over F_{q^r} for each prime r dividing its total degree.

@@ -30,8 +30,8 @@ callers at the API boundary.  Each kind of field has one kernel:
   `_values` loops over `_add` and `_mul`.  It is also the tests' oracle
   for the tables.
 
-Every field with q <= TABLE_MAX_ORDER, prime or not, interns its q
-elements, so arithmetic on FieldElements allocates nothing.
+A field holds no list of its elements: a FieldElement is made when the API
+boundary asks for one, so building F_q costs only what its kernel needs.
 """
 
 from __future__ import annotations
@@ -116,8 +116,8 @@ def _lex_smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 # --------------------------------------------------------------------------
 
-# Extension fields up to this order get log/antilog tables, and every field
-# up to it, prime or not, interns its elements.
+# Extension fields up to this order get log/antilog tables; it chooses the
+# kernel and nothing else.
 TABLE_MAX_ORDER = 1 << 16
 
 
@@ -135,8 +135,8 @@ class FieldSpec:
     `_add`, `_neg`, `_mul`, `_inv` and `_values` act on element indices;
     they are set once, here, to the one kernel of the field's kind: integers
     mod p for a prime field, tables for an extension field up to
-    TABLE_MAX_ORDER, coordinates above it.  `_elems[i]` is the element of
-    index i: the interned one when q <= TABLE_MAX_ORDER.
+    TABLE_MAX_ORDER, coordinates above it.  `_elems[i]` is a new element
+    of index i.
     """
 
     __slots__ = ("p", "k", "order", "modulus", "_red", "_elems",
@@ -155,10 +155,7 @@ class FieldSpec:
         else:
             ops = self._coord_ops()
         self._add, self._neg, self._mul, self._inv, self._values = ops
-        if self.order <= TABLE_MAX_ORDER:
-            self._elems = [FieldElement(self, i) for i in range(self.order)]
-        else:
-            self._elems = _Fresh(self)
+        self._elems = _Fresh(self)
 
     @property
     def descriptor(self) -> str:
@@ -213,8 +210,6 @@ class FieldSpec:
     def elements(self) -> list["FieldElement"]:
         """All field elements in coordinate order (constant coordinate fastest)."""
         limits.check_enumerable(self.order, f"enumerating {self!r}")
-        if self.order <= TABLE_MAX_ORDER:
-            return list(self._elems)  # a copy: arithmetic reads the interned list
         return [FieldElement(self, i) for i in range(self.order)]
 
     # -- indices and coordinates ---------------------------------------------
@@ -331,7 +326,7 @@ class FieldSpec:
         return all(power(x, m // r, one, self._mul_coeffs) != one for r in prime_factors(m))
 
     def _powers(self, g: int) -> list[int]:
-        """Indices of g^0, g^1, ... up to the power before the first 1 after g^0.
+        """Indices of g^0, ..., g^(q-2) for a primitive element g.
 
         The powers are stepped with the F_p-linear map "multiply by g",
         built from the images of X^j * g, so no step runs a field product.
@@ -360,19 +355,11 @@ class FieldSpec:
         return powers
 
     def _exp_cycle(self) -> list[int]:
-        """Indices of g^0, ..., g^(q-2) for the primitive element g of smallest index.
-
-        A candidate is rejected when its cycle closes early.  Where a step
-        costs k^2 (p odd) the order is tested first by powering.
-        """
-        p, q = self.p, self.order
+        """Indices of g^0, ..., g^(q-2) for the primitive element g of smallest index."""
         # the p constants lie in F_p, where orders divide p - 1
-        for g in range(p, q):
-            if p != 2 and not self._is_primitive(g):
-                continue
-            powers = self._powers(g)
-            if len(powers) == q - 1:
-                return powers
+        for g in range(self.p, self.order):
+            if self._is_primitive(g):
+                return self._powers(g)
         raise AssertionError("no primitive element found")  # pragma: no cover
 
     def _table_ops(self):
@@ -462,7 +449,7 @@ def power(x, e: int, one, mul=operator.mul):
 
 
 class _Fresh:
-    """The element "list" of a field without tables: a new element per index."""
+    """The element "list" of a field: a new element per index."""
 
     __slots__ = ("spec",)
 
@@ -616,7 +603,7 @@ def build_field(p: int, k: int = 1, modulus: tuple[int, ...] | None = None) -> F
     return _field(p, k, modulus)
 
 
-# Bounded, because a field with tables holds up to a few MB of them (q = 2^16).
+# Bounded, because an extension field holds up to a few MB of tables (q = 2^16).
 _field = lru_cache(maxsize=64)(FieldSpec)
 
 

@@ -18,7 +18,7 @@ from typing import Union
 
 from . import limits
 from .errors import ConstantInputError, SpecMismatchError, ValidationError
-from .gf_core import FieldElement, FieldSpec, _same_spec, power, prime_factors
+from .gf_core import FieldElement, FieldSpec, _same_spec, power
 
 
 class _Infinity:
@@ -408,22 +408,12 @@ def factor(a: Poly) -> tuple[FieldElement, list[tuple[Poly, int]]]:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin's test: X^(q^n) = X mod f, and X^(q^(n/r)) - X is coprime to f
-    for each prime r dividing n = deg f.  The q-th powers of X are stepped
-    through once, each from the one before."""
-    n = f.degree
-    if n <= 0:
+    """f is squarefree and its distinct-degree factorization is f alone, at
+    degree deg f (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14)."""
+    if f.degree <= 0:
         return False
-    if n == 1:
-        return True
-    x = Poly.x(f.spec) % f
-    checks = {n // r for r in prime_factors(n)}
-    y = x
-    for i in range(1, n + 1):
-        y = poly_powmod(y, f.spec.order, f)
-        if i in checks and poly_gcd(y - x, f).degree != 0:
-            return False
-    return y == x
+    m = f.monic()
+    return poly_gcd(m, m.derivative()).is_one() and _distinct_degree_parts(m) == [(m, m.degree)]
 
 
 def roots(f: Poly) -> list[FieldElement]:

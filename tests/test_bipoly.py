@@ -278,6 +278,9 @@ def test_count_affine_matches_scan_above_the_root_cutoff():
         assert count_affine(F) == brute_affine(F)
     parabola = bp(F131, {(0, 2): 1, (1, 0): -1})  # Y^2 - X
     assert count_affine(parabola) == F131.order
+    # F (X - 1) holds the whole line X = 1, where F(1, Y) is the zero polynomial
+    F = F * bp(F131, {(1, 0): 1, (0, 0): -1})
+    assert count_affine(F) == brute_affine(F)
 
 
 def test_count_affine_rejects_zero():
@@ -1015,6 +1018,23 @@ def test_curve_helpers_refuse_other_variable_counts():
     for check in (count_affine, count_projective, is_absolutely_irreducible):
         with pytest.raises(ValidationError):
             check(F)
+
+
+def test_swapped_scan_decides_the_points_the_scan_of_f_misses(monkeypatch):
+    # X + Y^4 is nonsingular only where its tangent is vertical, and
+    # X^3*Y + X*Y + 1 only at (1 : 0 : 0): lines Y = y, and Z = 0 read with
+    # X and Y swapped, see those points, so no re-factoring runs
+    def refactor(F, r):
+        if r > 1:
+            raise AssertionError("the fallback ran")
+        return original(F, r)
+
+    original = bipoly._irreducible_over
+    monkeypatch.setattr(bipoly, "_irreducible_over", refactor)
+    for terms in ({(1, 0): 1, (0, 4): 1}, {(3, 1): 1, (1, 1): 1, (0, 0): 1}):
+        F = bp(F2, terms)
+        assert not _line_meets_simply(F) and _line_meets_simply(swap(F))
+        assert is_absolutely_irreducible(F)
 
 
 def test_absolutely_irreducible_without_smooth_point_takes_fallback():

@@ -273,14 +273,31 @@ def test_tables_match_coordinates_on_samples(p, k):
         assert a ** F.order == a
 
 
-def test_arithmetic_returns_interned_elements():
+def test_arithmetic_returns_elements_of_the_field():
     F = build_field(3, 4)
     a, b = F.from_index(40), F.from_index(77)
     for result in (a + b, a - b, a * b, -a, a / b, b.inverse(), a**3, F.element([1, 2, 0, 1])):
-        assert result is F.elements()[result.index]
-    product = a * b
-    F.elements().reverse()  # the caller's copy, not the list arithmetic reads
-    assert a * b is product and F.one().index == 1
+        assert result.spec is F and result == F.from_index(result.index)
+    F.elements().reverse()  # a new list per call
+    assert F.elements() == [F.from_index(i) for i in range(F.order)] and F.one().index == 1
+
+
+@pytest.mark.parametrize("p,k", [(13, 1), (65521, 1), (3, 2), (2, 9), (2, 16)], ids=lambda v: str(v))
+def test_building_a_field_makes_no_element(monkeypatch, p, k):
+    # a field holds no list of its elements: each is made when asked for
+    made = []
+    init = gf_core.FieldElement.__init__
+
+    def counting_init(self, spec, index):
+        made.append(index)
+        init(self, spec, index)
+
+    monkeypatch.setattr(gf_core.FieldElement, "__init__", counting_init)
+    F = gf_core.FieldSpec(p, k, _lex_smallest_irreducible(p, k))
+    assert made == []
+    elements = F.elements()
+    assert [e.index for e in elements] == list(range(F.order))
+    assert all(e.spec is F for e in elements) and len(made) == F.order
 
 
 @pytest.mark.parametrize("p,k", [(2, 17), (3, 11), (65537, 1)], ids=lambda v: str(v))
@@ -341,7 +358,6 @@ def test_prime_fields_compute_on_integers_mod_p_at_every_order(monkeypatch, p):
     # the field is built directly, so the build_field cache plays no part
     monkeypatch.setattr(FieldSpec, "_table_ops", _no_tables)
     F = gf_core.FieldSpec(p, 1, (0, 1))
-    assert isinstance(F._elems, list) == (p <= TABLE_MAX_ORDER)  # interning is keyed on q alone
     rng = random.Random(f"prime/{p}")
     xs = [0, 1, p - 1] + [rng.randrange(p) for _ in range(300)]
     for a, b in zip(xs, xs[1:] + xs[:1]):

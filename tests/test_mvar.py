@@ -120,7 +120,7 @@ def test_mpoly_arithmetic_agrees_with_evaluation():
 
 @pytest.mark.parametrize("p, k", [(3, 1), (3, 2), (13, 1), (2, 17)], ids=str)
 def test_index_kernels_match_the_element_oracles(p, k):
-    # F_2^17 has no tables: its elements are made fresh (_Fresh), never interned
+    # F_2^17 has no tables: its index primitives compute on coordinates
     spec = build_field(p, k)
     rng = random.Random(f"mpoly kernels/{p}^{k}")
     for _ in range(12):

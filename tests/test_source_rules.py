@@ -4,7 +4,7 @@ argparse's private members, one f = g(h) search body, in mvar,
 one proof that f = g(h), composing, called from two places by one name,
 one function for each threshold and for the small-fiber test, one
 place that names each command's handler, and one place that chooses each
-field's kernel."""
+field's kernel, which makes no field element."""
 
 import ast
 import graphlib
@@ -244,5 +244,26 @@ def test_each_kind_of_field_has_one_kernel_chosen_in_one_place():
         f"gf_core.py:{node.lineno} ({owner})"
         for node, owner in _owners(MODULES["gf_core"], _tests_k_against_1)
         if owner in builders
+    ]
+    assert not found, found
+
+
+def test_building_a_field_makes_no_element():
+    # a field is built with only what its kernel needs: FieldSpec.__init__
+    # and the kernel builders it calls neither name FieldElement nor ask the
+    # field for an element, so no field keeps a list of its q elements
+    builders = {"__init__", "_prime_ops", "_table_ops", "_coord_ops", "_exp_cycle", "_is_primitive", "_powers"}
+    makers = {"_elems", "element", "elements", "from_index", "zero", "one"}
+    spec = next(
+        cls for cls in MODULES["gf_core"].body if isinstance(cls, ast.ClassDef) and cls.name == "FieldSpec"
+    )
+    fns = [fn for fn in spec.body if isinstance(fn, ast.FunctionDef) and fn.name in builders]
+    assert sorted(fn.name for fn in fns) == sorted(builders)
+    found = [
+        f"gf_core.py:{node.lineno} ({fn.name})"
+        for fn in fns
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id == "FieldElement"
+        or isinstance(node, ast.Attribute) and node.attr in makers and isinstance(node.ctx, ast.Load)
     ]
     assert not found, found

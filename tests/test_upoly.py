@@ -253,26 +253,47 @@ def test_factor_deterministic():
     assert factor(f) == factor(f)
 
 
-def test_is_irreducible_oracle_small():
-    # brute force over F_3, degrees 2..4: irreducible iff no root and no
-    # quadratic factor; compare against trial multiplication
-    def brute(f):
-        d = f.degree
-        for dd in range(1, d):
-            if dd > d - dd:
-                break
-            for c1 in itertools.product(range(3), repeat=dd):
-                g = Poly.from_ints(F3, list(c1) + [1])
-                if (f % g).is_zero():
-                    return False
-        return True
+def _monic_irreducibles(spec, max_deg):
+    """The monic irreducibles of degree 1..max_deg over spec, by trial division."""
+    found = []
+    for d in range(1, max_deg + 1):
+        for tail in itertools.product(range(spec.order), repeat=d):
+            g = Poly(spec, tail + (1,))
+            if all(not (g % h).is_zero() for h in found if 2 * h.degree <= d):
+                found.append(g)
+    return found
 
-    rng = random.Random(3)
-    for _ in range(150):
-        f = rand_poly(rng, F3, rng.randrange(2, 5))
-        if f.degree < 2:
-            continue
-        assert is_irreducible(f) == brute(f.monic())
+
+def test_is_irreducible_oracle_small():
+    # brute force over F_2, F_3, F_4, F_5 and F_9 at degrees 0..6: f of
+    # degree n >= 1 is irreducible iff no monic irreducible of degree at most
+    # n/2 divides it; among the inputs are those that the squarefree gate
+    # decides (f' = 0, squares), constants and linear polynomials
+    for spec in (F2, F3, F4, F5, F9):
+        small = _monic_irreducibles(spec, 3)
+
+        def brute(f):
+            if f.degree < 1 or any((f % g).is_zero() for g in small if 2 * g.degree <= f.degree):
+                return False
+            assert f.degree <= 6  # small holds every candidate factor up to degree 6
+            return True
+
+        rng = random.Random(f"irreducible/{spec!r}")
+        x, p = Poly.x(spec), spec.p
+        consts = [Poly(spec, (a,)) for a in range(spec.order)]
+        cases = [Poly.zero(spec)] + consts + [x * c + d for c in consts[1:] for d in consts]
+        cases += [x**p - c for c in consts]  # f' = 0: the p-th power of a linear factor
+        cases.append((x**2 + consts[1]) ** p)
+        cases += [g**2 for g in small]
+        cases += [g * h for g, h in itertools.combinations(rng.sample(small, min(len(small), 12)), 2)]
+        cases += rng.sample(small, min(len(small), 20))
+        for degree in range(7):
+            cases += [rand_poly(rng, spec, degree) for _ in range(25)]
+        irreducible = 0
+        for f in cases:
+            assert is_irreducible(f) == brute(f), (spec, f)
+            irreducible += brute(f) and f.degree > 3
+        assert irreducible >= 5, spec
 
 
 @pytest.mark.parametrize("spec", [F2, F3, build_field(3, 2), build_field(101)], ids=repr)
