@@ -524,7 +524,7 @@ class FieldElement:
         if b is NotImplemented:
             return NotImplemented
         spec = self.spec
-        return spec._elems[spec._add(self.index, b)]
+        return FieldElement(spec, spec._add(self.index, b))
 
     __radd__ = __add__
 
@@ -533,21 +533,21 @@ class FieldElement:
         if b is NotImplemented:
             return NotImplemented
         spec = self.spec
-        return spec._elems[spec._add(self.index, spec._neg(b))]
+        return FieldElement(spec, spec._add(self.index, spec._neg(b)))
 
     def __rsub__(self, other):
         return self.spec.element(other) - self
 
     def __neg__(self):
         spec = self.spec
-        return spec._elems[spec._neg(self.index)]
+        return FieldElement(spec, spec._neg(self.index))
 
     def __mul__(self, other):
         b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
         spec = self.spec
-        return spec._elems[spec._mul(self.index, b)]
+        return FieldElement(spec, spec._mul(self.index, b))
 
     __rmul__ = __mul__
 
@@ -556,20 +556,20 @@ class FieldElement:
         if b is NotImplemented:
             return NotImplemented
         spec = self.spec
-        return spec._elems[spec._mul(self.index, spec._inv(b))]
+        return FieldElement(spec, spec._mul(self.index, spec._inv(b)))
 
     def __rtruediv__(self, other):
         return self.spec.element(other) / self
 
     def inverse(self) -> "FieldElement":
         spec = self.spec
-        return spec._elems[spec._inv(self.index)]
+        return FieldElement(spec, spec._inv(self.index))
 
     def __pow__(self, e: int) -> "FieldElement":
         if e < 0:
             return self.inverse() ** (-e)
         spec = self.spec
-        return spec._elems[spec._pow(self.index, e)]
+        return FieldElement(spec, spec._pow(self.index, e))
 
     def frobenius(self) -> "FieldElement":
         return self ** self.spec.p

@@ -23,7 +23,8 @@ find_h_mv, and decomp.find_h as its case n = 1, finds h as a root Y = h(X)
 of the curve A(X)Q(Y) - B(X)P(Y): each root at the first usable point of
 F_q^n, or of F_{q^r}^n when F_q is too small to hold one, is lifted one
 total degree at a time to a truncated power series; a linear system reads
-it back as N/D.
+it back as N/D, and is empty when the curve's leading coefficient c_delta
+is a constant, as D divides c_delta.
 The candidates are tried in MRatFun.index_key order, a check at one point
 rejects most without composing, and the first whose composition gives f
 wins, for one variable or several; composing is the only proof, so a None
@@ -1005,10 +1006,12 @@ def _recombine(P: MPoly, cols: list[Poly], points, down) -> list[tuple[MPoly, in
 def _jet_ring(n: int, top: int):
     """Power series in n variables cut above total degree top, stored as
     dense lists of field indices over `mons`, the monomials of degree <= top
-    in order of degree.  `prods` lists the (i, j, k) with mons[i] + mons[j]
-    = mons[k] in order of the degree of k; `cut[t]` and `start[t]` count the
-    products and the monomials of degree below t.  For n = 1 prods and cut
-    are None, and _degree_prods builds the pairs of each degree."""
+    in order of degree; _lifted_roots takes top = e + min(e, deg c_delta),
+    MRatFun.index_key top = deg h.  `prods` lists the (i, j, k) with
+    mons[i] + mons[j] = mons[k] in order of the degree of k; `cut[t]` and
+    `start[t]` count the products and the monomials of degree below t.  For
+    n = 1 prods and cut are None, and _degree_prods builds the pairs of each
+    degree."""
     mons = sorted(
         (k for k in itertools.product(range(top + 1), repeat=n) if sum(k) <= top),
         key=lambda k: (sum(k), k),
@@ -1138,16 +1141,21 @@ def _lifted_roots(coeffs: list[MPoly], e: int) -> list[MRatFun]:
     """A candidate for each root of degree e of F = sum_j coeffs[j](X) Y^j,
     squarefree in Y, with coefficients in F_q.
 
-    A root N/D has D | c_delta, so its value at a usable point s is a simple
-    root of F(s, Y), which lifts uniquely to a power series y in X - s, one
-    total degree at a time (_lift_root).  To total degree 2e, D is the
-    kernel of [D y]_nu = 0 for e < |nu| <= 2e, a line exactly when the root
-    has degree e, and N = D y to degree e; both read the products of each
-    degree from _degree_prods.  At the origin, the usual point, the shifts
-    to s and back are truncations and are not computed.  If F_q^n holds no
-    usable point, the lifting runs at a point of an extension F_Q^n
-    (_over_extension); a root scaled to leading coefficient one is kept
-    when its coefficients lie in F_q.
+    A root N/D has D | c_delta, so deg D <= m = min(e, deg c_delta), and
+    its value at a usable point s is a simple root of F(s, Y), which lifts
+    uniquely to a power series y in X - s, one total degree at a time
+    (_lift_root).  To total degree e + m, D is the kernel of [D y]_nu = 0
+    for e < |nu| <= e + m over the polynomials of degree <= m, and N = D y
+    to degree e; both read the products of each degree from _degree_prods.
+    A D' in that kernel, with N' = D' y to degree e, has D' N = D N' (both
+    sides have degree <= e + m), so D | D': the kernel is the D u with
+    deg u <= min(m - deg D, e - deg N), a line when the root has degree e.
+    When c_delta is a constant, as for polynomial f and g, m = 0: the
+    system is empty, D = 1 and N is y cut at degree e.  At the origin, the
+    usual point, the shifts to s and back are truncations and are not
+    computed.  If F_q^n holds no usable point, the lifting runs at a point
+    of an extension F_Q^n (_over_extension); a root scaled to leading
+    coefficient one is kept when its coefficients lie in F_q.
     """
     n, down = coeffs[0].n, None
     found = next(_usable_points(coeffs), None)
@@ -1157,17 +1165,19 @@ def _lifted_roots(coeffs: list[MPoly], e: int) -> list[MRatFun]:
         assert found is not None, "the discriminant in Y is not zero"
     s, phi, dphi = found
     spec = phi.spec
-    ring = mons, _, _, start = _jet_ring(n, 2 * e)
-    ncols = start[e + 1]
+    m = min(e, coeffs[-1].total_degree())  # deg D <= m, as D | c_delta
+    top = e + m
+    ring = mons, _, _, start = _jet_ring(n, top)
+    ncols = start[m + 1]
     if any(s):
-        coeffs = [_shift(c, s, 2 * e) for c in coeffs]
-    # the monomials stop at degree 2e, so reading them truncates
+        coeffs = [_shift(c, s, top) for c in coeffs]
+    # the monomials stop at degree e + m, so reading them truncates
     cs = [[c.idx.get(k, 0) for k in mons] for c in coeffs]
     out = []
     for y0 in _root_indices(phi):
         y = _lift_root(spec, ring, cs, y0, spec._inv(dphi._eval(y0)))
-        by_k: dict[int, list[int]] = {}  # [D y]_k for e < |k| <= 2e, a row each
-        for t in range(e + 1, 2 * e + 1):
+        by_k: dict[int, list[int]] = {}  # [D y]_k for e < |k| <= e + m, a row each
+        for t in range(e + 1, top + 1):
             for i, j, k in _degree_prods(ring, t):
                 if i < ncols and y[j]:
                     row = by_k.setdefault(k, [0] * ncols)
@@ -1220,7 +1230,9 @@ def find_h_mv(f: MRatFun, g: RatFun) -> Optional[MRatFun]:
 
     f = g(h) exactly when Y = h(X), of total degree d/delta, is a root of
     the curve A(X)Q(Y) - B(X)P(Y) = sum_j c_j(X) Y^j.  Every such root (at
-    most delta) is lifted from one point, and the candidates are tried in
+    most delta) is lifted from one point to total degree e + min(e, deg
+    c_delta), as its denominator divides c_delta, so a polynomial f with a
+    polynomial g needs no linear solve; the candidates are tried in
     MRatFun.index_key order.  One that has the wrong degree, or for which
     A Q^(N, D) and B P^(N, D) differ at the point (1..1), cannot compose to
     f and is passed over; the first whose composition gives f is the answer,

@@ -18,9 +18,16 @@ from ffdecomp.mvar import (
     MPoly,
     MRatFun,
     _curve_roots,
+    _degree_prods,
     _from_upoly,
     _jet_mul,
+    _jet_ring,
+    _kernel_line,
+    _lift_root,
+    _over_extension,
     _series_mul,
+    _shift,
+    _usable_points,
     map_coeffs,
     mpoly_divexact,
     mpoly_gcd,
@@ -28,7 +35,17 @@ from ffdecomp.mvar import (
     mv_factor,
 )
 from ffdecomp.parsing import MAX_DEGREE, MAX_NESTING
-from ffdecomp.upoly import INFINITY, Poly, RatFun, factor, poly_gcd, poly_invmod, rat_compose, roots
+from ffdecomp.upoly import (
+    INFINITY,
+    Poly,
+    RatFun,
+    _root_indices,
+    factor,
+    poly_gcd,
+    poly_invmod,
+    rat_compose,
+    roots,
+)
 
 _CANDIDATE_CACHE: dict = {}
 
@@ -628,6 +645,49 @@ def newton_lift_by_doubling(spec, ring, cs, y0, s0):
             ds = _jet_mul(spec, ring, horner(dcs, y, prec), s, prec)
             s = _jet_mul(spec, ring, s, sub(two, ds), prec)
     return y
+
+
+def lifted_roots_to_2e(coeffs, e):
+    """mvar._lifted_roots with every root lifted to total degree 2e and D
+    sought among all polynomials of degree <= e, whatever c_delta's degree:
+    the kernel of [D y]_nu = 0 for e < |nu| <= 2e."""
+    n, down = coeffs[0].n, None
+    found = next(_usable_points(coeffs), None)
+    if found is None:
+        coeffs, points, down = _over_extension(coeffs)
+        found = next(points)
+    s, phi, dphi = found
+    spec = phi.spec
+    ring = mons, _, _, start = _jet_ring(n, 2 * e)
+    ncols = start[e + 1]
+    if any(s):
+        coeffs = [_shift(c, s, 2 * e) for c in coeffs]
+    cs = [[c.idx.get(k, 0) for k in mons] for c in coeffs]
+    out = []
+    for y0 in _root_indices(phi):
+        y = _lift_root(spec, ring, cs, y0, spec._inv(dphi._eval(y0)))
+        rows = {}
+        for t in range(e + 1, 2 * e + 1):
+            for i, j, k in _degree_prods(ring, t):
+                if i < ncols and y[j]:
+                    row = rows.setdefault(k, [0] * ncols)
+                    row[i] = spec._add(row[i], y[j])
+        den = _kernel_line(spec, list(rows.values()), ncols)
+        if den is None:
+            continue
+        num = _jet_mul(spec, ring, den + [0] * (len(mons) - ncols), y, e + 1)
+        num, den = (MPoly(spec, n, {k: c for k, c in zip(mons, v) if c}) for v in (num, den))
+        if any(s):
+            minus_s = [spec._neg(x) for x in s]
+            num, den = _shift(num, minus_s, e), _shift(den, minus_s, e)
+        c = spec._inv(den.idx[den.leading_key()])
+        num, den = num._scale(c), den._scale(c)
+        if down is not None:
+            num, den = down(num), down(den)
+            if num is None or den is None:
+                continue
+        out.append(MRatFun(num, den))
+    return out
 
 
 def schoolbook_divmod(a, b):

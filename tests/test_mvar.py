@@ -30,6 +30,7 @@ from ffdecomp.mvar import (
     t41_threshold_ok,
     verify_h_mv,
 )
+from ffdecomp.parsing import parse_ratfun
 from ffdecomp.upoly import (
     Poly,
     RatFun,
@@ -46,6 +47,7 @@ from oracles import (
     divisor_find_h_mv,
     find_h_by_composing_all,
     hensel_lift_by_recomputing,
+    lifted_roots_to_2e,
     newton_lift_by_doubling,
     pointwise_count_pairs,
     pointwise_count_pairs_mv,
@@ -1205,6 +1207,116 @@ def test_find_h_mv_without_a_usable_point_in_three_variables_answers_quickly(mon
     elapsed = time.monotonic() - t0
     assert got == divisor_find_h_mv(f, g) == MRatFun.make(-N, D)
     assert elapsed < 1.0
+
+
+# --------------------------------------------------------------------------
+# the lift stops at total degree e + m, m = min(e, deg c_delta): a root N/D
+# has D | c_delta, so deg D <= m
+
+
+def _curve_coeffs(f, g):
+    """c_0..c_delta of A(X)Q(Y) - B(X)P(Y), as mvar._curve_roots builds them."""
+    zeros = (0,) * (g.degree + 1)
+    P, Q = (u.idx + zeros[len(u.idx):] for u in (g.num, g.den))
+    return [f.num._scale(qj) - f.den._scale(pj) for pj, qj in zip(P, Q)]
+
+
+def _composing(f, g, e, cands):
+    return {h for h in cands if h.degree == e and mrat_compose(g, h) == f}
+
+
+def _lift_cases(spec, n):
+    """Seeded planted (f, g, e): g a polynomial, where f = g(N/D) has
+    c_delta = -p_delta D^delta, so m = min(e, delta deg D) is 0 for a
+    polynomial h and lies strictly between 0 and e for delta = 2, deg D = 1
+    and e = 3; or g = (Y^2 + a)/(Y^2 + Y + b), whose c_delta has degree 2e
+    in general, so m = e.  h is translated by a random point, so the first
+    usable point is sometimes the origin and sometimes not."""
+    rng = random.Random(f"lift to e + m/{spec.order}/{n}")
+    x = Poly.x(spec)
+    shapes = [("poly", 2, 0), ("poly", 3, 0), ("poly", 2, 1), ("poly", 3, 2), ("rational", 2, 0), ("rational", 1, 1)]
+    cases = []
+    while len(cases) < 12:
+        kind, e, den_degree = shapes[len(cases) % len(shapes)]
+        if kind == "poly":
+            g = RatFun.from_poly(Poly.from_ints(spec, [rng.randrange(spec.order) for _ in range(2)] + [1]))
+            e = 3 if den_degree == 1 else e
+        else:
+            a, b = (spec.from_index(rng.randrange(spec.order)) for _ in range(2))
+            g = RatFun.make(x * x + a, x * x + x + b)
+        if g.degree < 2 or g.num.derivative().is_zero() and g.den.derivative().is_zero():
+            continue
+        h = MRatFun.make(_rand_of_degree(rng, spec, n, e), _rand_of_degree(rng, spec, n, den_degree))
+        f = mrat_compose(g, h)
+        if f is not None and h.degree == e and f.degree == g.degree * e:
+            cases.append((f, g, e))
+    return cases
+
+
+@pytest.mark.parametrize("spec", [F5, F7, F8], ids=str)
+@pytest.mark.parametrize("n", [1, 2])
+def test_lifted_roots_match_the_2e_oracle(spec, n):
+    # every root that composes to f is found alike by the lift to e + m and
+    # by the lift to 2e, for m = 0, 0 < m < e and m = e, at and away from
+    # the origin, and over an extension when F_q^n holds no usable point
+    seen_m, seen_origin = set(), set()
+    pointless = [(f, g, f.degree // g.degree) for f, g, planted in _pointless_cases(F3, n) if planted]
+    cases = _lift_cases(spec, n) + pointless[:2]
+    for f, g, e in cases:
+        coeffs = _curve_coeffs(f, g)
+        m = min(e, coeffs[-1].total_degree())
+        point = next(mvar._usable_points(coeffs), None)
+        seen_m.add("0" if m == 0 else "e" if m == e else "between")
+        seen_origin.add(None if point is None else not any(point[0]))
+        got = _composing(f, g, e, mvar._lifted_roots(coeffs, e))
+        assert got == _composing(f, g, e, lifted_roots_to_2e(coeffs, e)), f"{f} over {g}"
+        assert got, f"{f} over {g}"
+    assert seen_m == {"0", "between", "e"} and seen_origin == {True, False, None}, (seen_m, seen_origin)
+
+
+@pytest.mark.parametrize(
+    "spec, n, g, h",
+    [
+        (build_field(101), 1, [0, 3, 1], {(3,): 1, (1,): 5, (0,): 7}),
+        (F7, 2, [0, 0, 0, 1], {(2, 0): 1, (1, 1): 3, (0, 1): 2}),
+    ],
+    ids=["F101 n1", "F7 n2"],
+)
+def test_a_polynomial_h_takes_fewer_products_than_the_2e_lift(monkeypatch, spec, n, g, h):
+    # a count of field products, not a timing: for polynomial f and g,
+    # c_delta is a constant, so the lift stops at degree e and no kernel is
+    # solved; a return to the lift to 2e fails here
+    g, h = poly_rf(spec, g), MRatFun.from_poly(mp(spec, n, h))
+    f, e = mrat_compose(g, h), h.degree
+    coeffs = _curve_coeffs(f, g)
+    assert coeffs[-1].is_constant()
+    count, mul = [0], spec._mul
+
+    def counting(a, b):
+        count[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(spec, "_mul", counting)
+    got = mvar._lifted_roots(coeffs, e)
+    lift, count[0] = count[0], 0
+    want = lifted_roots_to_2e(coeffs, e)
+    assert 0 < lift < count[0], (lift, count[0])
+    composing = _composing(f, g, e, got)
+    assert h in composing and composing == _composing(f, g, e, want)
+
+
+def test_a_denominator_as_large_as_c_delta_is_found():
+    # g = Y^3/(Y - 1)^2 over F_7 and h = N/D = (X^2+4)/(X^2+3): N - D = 1, so
+    # f = N^3/D and c_delta = -D, of degree 2 = deg D.  Only D | c_delta
+    # bounds deg D; the bound deg D <= deg c_delta / delta would miss h
+    g = parse_ratfun(F7, "X^3/(X^2+5*X+1)")
+    h = parse_ratfun(F7, "(X^2+4)/(X^2+3)")
+    f = rat_compose(g, h)
+    fm, hm = (MRatFun(mvar._from_upoly(u.num), mvar._from_upoly(u.den)) for u in (f, h))
+    c_delta = _curve_coeffs(fm, g)[-1]
+    assert c_delta.total_degree() == h.den.degree == 2
+    assert find_h(f, g) == h
+    assert find_h_mv(fm, g) == hm
 
 
 def test_find_h_mv_verifies_through_the_mvar_name(monkeypatch):

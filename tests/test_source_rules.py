@@ -3,8 +3,9 @@ anywhere, imports between its modules that form no cycle, no reach into
 argparse's private members, one f = g(h) search body, in mvar,
 one proof that f = g(h), composing, called from two places by one name,
 one function for each threshold and for the small-fiber test, one
-place that names each command's handler, and one place that chooses each
-field's kernel, which makes no field element."""
+place that names each command's handler, one place that chooses each
+field's kernel, which makes no field element, and one degree, written
+once, to which each curve root is lifted."""
 
 import ast
 import graphlib
@@ -204,6 +205,41 @@ def test_each_command_handler_is_named_once_where_its_command_is_declared():
     uses = _owners(tree, lambda node: isinstance(node, ast.Name) and node.id.startswith("_cmd_"))
     assert len(handlers) == 16
     assert sorted((node.id, owner) for node, owner in uses) == sorted((h, "_build_parser") for h in handlers)
+
+
+def _twice_e(node):
+    # 2 * e or e * 2
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and sorted(
+        (ast.unparse(node.left), ast.unparse(node.right))
+    ) == ["2", "e"]
+
+
+def test_the_lift_degree_is_written_once():
+    # a root N/D of the curve has D | c_delta, so _lifted_roots lifts to
+    # e + min(e, deg c_delta), not to 2e: mvar writes no 2 * e, only
+    # _lifted_roots builds a jet ring for the root search (index_key reads
+    # one for the key), and the degree the ring, the shift of the
+    # coefficients and the kernel's rows stop at is one name, assigned once
+    tree = MODULES["mvar"]
+    assert [f"mvar.py:{node.lineno}" for node, _ in _owners(tree, _twice_e)] == []
+
+    def calls(name):
+        return lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+    assert sorted(owner for _, owner in _owners(tree, calls("_jet_ring"))) == ["_lifted_roots", "index_key"]
+    fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_lifted_roots")
+    ring = next(node for node, _ in _owners(fn, calls("_jet_ring")))
+    top = ast.unparse(ring.args[1])
+    written = [
+        node.value for node in ast.walk(fn)
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == [top]
+    ]
+    assert len(written) == 1, (top, len(written))
+    text = ast.unparse(written[0])
+    assert [ast.unparse(node) for node in ast.walk(tree)].count(text) == 1, text
+    shifts = [ast.unparse(node.args[2]) for node, _ in _owners(fn, calls("_shift"))]
+    ranges = [ast.unparse(node.args[-1]) for node, _ in _owners(fn, calls("range"))]
+    assert top in shifts and f"{top} + 1" in ranges, (top, shifts, ranges)
 
 
 def _tests_k_against_1(node):
