@@ -320,10 +320,11 @@ class FieldSpec:
 
     # -- log/antilog tables --------------------------------------------------
 
-    def _is_primitive(self, g: int) -> bool:
-        """g has order q - 1: no g^((q-1)/r) is 1 for a prime r | q - 1."""
-        one, m, x = self._coords(1), self.order - 1, self._coords(g)
-        return all(power(x, m // r, one, self._mul_coeffs) != one for r in prime_factors(m))
+    def _is_primitive(self, g: int, cofactors: list[int]) -> bool:
+        """g has order q - 1: no g^c is 1 for c among the cofactors (q-1)/r,
+        r a prime divisor of q - 1."""
+        one, x = self._coords(1), self._coords(g)
+        return all(power(x, c, one, self._mul_coeffs) != one for c in cofactors)
 
     def _powers(self, g: int) -> list[int]:
         """Indices of g^0, ..., g^(q-2) for a primitive element g.
@@ -357,8 +358,10 @@ class FieldSpec:
     def _exp_cycle(self) -> list[int]:
         """Indices of g^0, ..., g^(q-2) for the primitive element g of smallest index."""
         # the p constants lie in F_p, where orders divide p - 1
+        m = self.order - 1
+        cofactors = [m // r for r in prime_factors(m)]
         for g in range(self.p, self.order):
-            if self._is_primitive(g):
+            if self._is_primitive(g, cofactors):
                 return self._powers(g)
         raise AssertionError("no primitive element found")  # pragma: no cover
 

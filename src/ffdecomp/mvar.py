@@ -942,6 +942,10 @@ def _recombine(P: MPoly, cols: list[Poly], points, down) -> list[tuple[MPoly, in
     at least two, from the usable points of cols, its coefficients in Y,
     over F_q, or over F_Q when `down` (_over_extension) is given.
 
+    A fiber's factors are counted, not split: each distinct-degree part
+    (g, d) holds deg g / d of them, and over a field of order at most
+    upoly.EVAL_ROOTS_MAX_ORDER each root is a part of its own, found with
+    no T^q mod f, so a fiber of degree <= 3 is counted by its roots alone.
     Of the first _FIBERS usable fibers the one with the fewest factors is
     kept, and the scan stops at one with at most two; an irreducible fiber
     proves P irreducible.  While every fiber has more than
@@ -956,7 +960,7 @@ def _recombine(P: MPoly, cols: list[Poly], points, down) -> list[tuple[MPoly, in
     """
     best, usable = None, 0
     for s, fiber, _ in points:
-        parts = _distinct_degree_parts(fiber.monic())
+        parts = list(_distinct_degree_parts(fiber.monic()))
         r = sum(g.degree // d for g, d in parts)
         if best is None or r < best[1]:
             best = s[0], r, parts

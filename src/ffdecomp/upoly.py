@@ -13,6 +13,7 @@ composition sum and the term printer serve mvar's MPoly as well.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Union
 
@@ -309,27 +310,44 @@ def _squarefree_parts(f: Poly) -> list[tuple[Poly, int]]:
     return res
 
 
-def _distinct_degree_parts(f: Poly) -> list[tuple[Poly, int]]:
-    # monic squarefree f; returns (product of irreducibles of degree d, d)
+def _distinct_degree_parts(f: Poly):
+    # Monic f.  Yields its linear part at d = 1, then (product of the
+    # irreducibles of degree d, d) of the cofactor v for d = 2, 3, ...  The
+    # linear part is what the root finder has at no further cost: over a
+    # field of order at most EVAL_ROOTS_MAX_ORDER, T - a for each root a
+    # from _root_indices, one entry each in index_key order as
+    # _equal_degree_parts sorts them; above it, the rational part
+    # gcd(T^q - T, f) in one entry, whose T^q mod f is raised on for d >= 2.
+    # Below the cutoff T^q mod v is computed only once deg v >= 4: a v of
+    # degree <= 3 with no root is irreducible, and the 2d > deg v exit
+    # yields it.  For squarefree f the parts are its irreducible factors
+    # grouped by degree.  f need not be squarefree: a repeated factor g
+    # lies in a part of degree at most deg g <= deg f / 2, so the first
+    # part is (f, deg f) exactly when f is irreducible.
     spec = f.spec
     q = spec.order
     x = Poly.x(spec)
-    res = []
-    v = f
-    h = x
-    d = 0
+    if q <= EVAL_ROOTS_MAX_ORDER:
+        h = None
+        linear = sorted((Poly(spec, (spec._neg(a), 1)) for a in _root_indices(f)), key=Poly.index_key)
+    else:
+        h = _frobenius(f)
+        u = _rational_part(f, h)
+        linear = [u] if u.degree > 0 else []
+    for g in linear:
+        yield g, 1
+    v = f // functools.reduce(Poly.__mul__, linear, Poly.one(spec))
+    d = 1
     while v.degree > 0:
         d += 1
         if 2 * d > v.degree:
-            res.append((v, v.degree))
-            break
-        h = poly_powmod(h, q, v)
+            yield v, v.degree
+            return
+        h = poly_powmod(_frobenius(v) if h is None else h, q, v)
         g = poly_gcd(h - x, v)
         if g.degree > 0:
-            res.append((g, d))
+            yield g, d
             v = v // g
-            h = h % v
-    return res
 
 
 def _factor_seed(f: Poly, d: int) -> str:
@@ -408,12 +426,14 @@ def factor(a: Poly) -> tuple[FieldElement, list[tuple[Poly, int]]]:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """f is squarefree and its distinct-degree factorization is f alone, at
-    degree deg f (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14)."""
+    """The first part of f's distinct-degree factorization is f itself, at
+    degree deg f (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14);
+    a root or a repeated factor comes first as a part of smaller degree, so
+    no squarefree test is needed and the split stops at the first part."""
     if f.degree <= 0:
         return False
     m = f.monic()
-    return poly_gcd(m, m.derivative()).is_one() and _distinct_degree_parts(m) == [(m, m.degree)]
+    return next(_distinct_degree_parts(m)) == (m, m.degree)
 
 
 def roots(f: Poly) -> list[FieldElement]:
@@ -423,7 +443,11 @@ def roots(f: Poly) -> list[FieldElement]:
 
 # Over a field of order at most this, roots and root counts are read from
 # the values at every element (FieldSpec._values); above it they come from
-# gcd(f, T^q - T) and equal-degree splitting.  Both routes cost about
+# gcd(f, T^q - T) and equal-degree splitting.  It also chooses the linear
+# step of _distinct_degree_parts, and so of factor, is_irreducible and
+# mvar's fibers: at or below it the roots are read from the values and no
+# T^q mod f is computed for a cofactor of degree <= 3; above it the step
+# is gcd(f, T^q - T), unsplit.  Both routes cost about
 # linearly in deg f, so the cutoff bounds q alone.  Measured per call on
 # f of degree 2 to 16, random or split into linear factors (Python 3.11,
 # one Xeon core), evaluation against the gcd route: at q = 128 (F_2^7,
@@ -472,15 +496,21 @@ def _has_simple_root(u: Poly) -> bool:
     return rational.degree > poly_gcd(rational, du).degree
 
 
-def _rational_part(f: Poly) -> Poly:
+def _rational_part(f: Poly, xq: Poly | None = None) -> Poly:
     """gcd(f, T^q - T): the monic product of T - a over the distinct roots a
-    of f in the base field, each once."""
+    of f in the base field, each once; xq, when given, is T^q mod f."""
     if f.is_zero():
         raise ValidationError("zero polynomial has every root")
     if f.is_constant():
         return Poly.one(f.spec)
+    return poly_gcd((_frobenius(f) if xq is None else xq) - Poly.x(f.spec), f)
+
+
+def _frobenius(f: Poly) -> Poly:
+    """T^q mod f, for nonzero f: the one power of T to the field order.  For
+    f of degree <= 1 it is T mod f, since a^q = a for every a in F_q."""
     x = Poly.x(f.spec)
-    return poly_gcd(poly_powmod(x, f.spec.order, f) - x, f)
+    return x % f if f.degree <= 1 else poly_powmod(x, f.spec.order, f)
 
 
 # --------------------------------------------------------------------------

@@ -39,10 +39,13 @@ from ffdecomp.upoly import (
     INFINITY,
     Poly,
     RatFun,
+    _equal_degree_parts,
     _root_indices,
+    _squarefree_parts,
     factor,
     poly_gcd,
     poly_invmod,
+    poly_powmod,
     rat_compose,
     roots,
 )
@@ -713,6 +716,41 @@ def horner(f, x):
     for c in reversed(f.coeffs):
         acc = acc * x + c
     return acc
+
+
+def distinct_degree_parts_by_powering(f):
+    """upoly._distinct_degree_parts powering T^q from d = 1, for monic
+    squarefree f: (product of the irreducibles of degree d, d) for each d
+    with any, the linear ones in one product found by gcd(T^q - T, f)."""
+    spec, q = f.spec, f.spec.order
+    x = Poly.x(spec)
+    res, v, h, d = [], f, x, 0
+    while v.degree > 0:
+        d += 1
+        if 2 * d > v.degree:
+            res.append((v, v.degree))
+            break
+        h = poly_powmod(h, q, v)
+        g = poly_gcd(h - x, v)
+        if g.degree > 0:
+            res.append((g, d))
+            v = v // g
+            h = h % v
+    return res
+
+
+def factor_by_powering(a):
+    """upoly.factor with distinct_degree_parts_by_powering as its
+    distinct-degree step."""
+    f = a.monic()
+    found = [
+        (irr, mult)
+        for g, mult in _squarefree_parts(f)
+        for h, d in distinct_degree_parts_by_powering(g)
+        for irr in _equal_degree_parts(h, d)
+    ]
+    found.sort(key=lambda fm: (fm[0].degree, fm[0].index_key()))
+    return a.lc(), found
 
 
 # --------------------------------------------------------------------------

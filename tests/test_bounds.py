@@ -294,6 +294,20 @@ def test_criterion_4_labels_match_the_extension_oracle():
         assert labels == expected, config
 
 
+@pytest.mark.parametrize("kind", ["conic", "norm_form"])
+def test_conics_and_norm_forms_over_small_fields_power_nothing(monkeypatch, kind):
+    # their fibers have degree 2 or 3, and at or below the root cutoff a
+    # fiber of degree <= 3 is split by its roots alone, with no T^q mod f
+    from ffdecomp import upoly
+
+    calls = []
+    real = upoly.poly_powmod
+    monkeypatch.setattr(upoly, "poly_powmod", lambda *a: calls.append(a) or real(*a))
+    for p, k in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1)]:
+        assert verify_bounds_on_sample(SampleConfig(p=p, k=k, kind=kind, count=20, seed=p**k))
+    assert not calls
+
+
 def test_verify_bounds_deterministic():
     cfg = SampleConfig(p=3, kind="random", count=10, max_degree=3, seed=21)
     assert verify_bounds_on_sample(cfg) == verify_bounds_on_sample(cfg)

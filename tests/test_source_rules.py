@@ -4,8 +4,10 @@ argparse's private members, one f = g(h) search body, in mvar,
 one proof that f = g(h), composing, called from two places by one name,
 one function for each threshold and for the small-fiber test, one
 place that names each command's handler, one place that chooses each
-field's kernel, which makes no field element, and one degree, written
-once, to which each curve root is lifted."""
+field's kernel, which makes no field element, one degree, written
+once, to which each curve root is lifted, and one function that raises T
+to the field order, beside a distinct-degree split that takes its roots
+from the root finder."""
 
 import ast
 import graphlib
@@ -303,3 +305,61 @@ def test_building_a_field_makes_no_element():
         or isinstance(node, ast.Attribute) and node.attr in makers and isinstance(node.ctx, ast.Load)
     ]
     assert not found, found
+
+
+def _holds_t(fn):
+    """A test of whether an expression in fn is T: Poly.x(...), or a name
+    that fn binds to it directly or through plain assignments of one name
+    to another, pairwise in tuples too."""
+    names = set()
+
+    def is_t(node):
+        return isinstance(node, ast.Name) and node.id in names or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "x"
+            and getattr(node.func.value, "id", None) == "Poly"
+        )
+
+    pairs = []
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                pairs += zip(target.elts, value.elts)
+            else:
+                pairs.append((target, value))
+    pairs = [(target.id, value) for target, value in pairs if isinstance(target, ast.Name)]
+    while True:
+        new = {name for name, value in pairs if name not in names and is_t(value)}
+        if not new:
+            return is_t
+        names |= new
+
+
+def test_t_is_raised_to_the_field_order_in_one_function():
+    # upoly powers T itself (T^q mod f, the start of gcd(T^q - T, f)) only
+    # in _frobenius; the distinct-degree split takes its roots from
+    # _root_indices, or the rational part whole above the root cutoff, and
+    # never powers T on its own
+    tree = MODULES["upoly"]
+    fns = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    powering_t = []
+    for name, fn in fns.items():
+        is_t = _holds_t(fn)
+        powering_t += [
+            name
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "poly_powmod"
+            and node.args
+            and is_t(node.args[0])
+        ]
+    assert powering_t == ["_frobenius"], powering_t
+    ddf_calls = {
+        node.func.id
+        for node in ast.walk(fns["_distinct_degree_parts"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert {"_root_indices", "_rational_part", "_frobenius"} <= ddf_calls, ddf_calls
+    assert "_equal_degree_parts" not in ddf_calls, ddf_calls

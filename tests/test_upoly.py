@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -10,6 +11,7 @@ from ffdecomp.upoly import (
     INFINITY,
     Poly,
     RatFun,
+    _distinct_degree_parts,
     _equal_degree_parts,
     _has_simple_root,
     _rational_part,
@@ -26,6 +28,8 @@ from ffdecomp.upoly import (
 )
 
 from oracles import (
+    distinct_degree_parts_by_powering,
+    factor_by_powering,
     horner,
     schoolbook_add,
     schoolbook_compose,
@@ -41,8 +45,12 @@ F3 = build_field(3)
 F4 = build_field(2, 2)
 F5 = build_field(5)
 F7 = build_field(7)
+F8 = build_field(2, 3)
 F9 = build_field(3, 2)
+F13 = build_field(13)
+F101 = build_field(101)
 F128 = build_field(2, 7)
+F131 = build_field(131)
 F256 = build_field(2, 8)
 
 
@@ -406,6 +414,115 @@ def test_has_simple_root_matches_scan(spec):
             u = u * linear(spec, rng.randrange(spec.order)) ** rng.randrange(1, 3)
         if not u.is_zero():
             assert _has_simple_root(u) == brute_has_simple_root(u), u
+
+
+
+# -- distinct-degree factorization against its powering twin -----------------
+
+# the evaluation route at or below EVAL_ROOTS_MAX_ORDER (F_2^7 is the cutoff
+# itself), and the gcd route above it
+DDF_FIELDS = [F2, F3, F4, F5, F8, F9, F13, F101, F128, F131, F256]
+
+
+def squarefree_samples(rng, spec):
+    """Seeded monic squarefree (f, kind) of degree 1 to 10, of three kinds:
+    a product of distinct linears, a root-free f, and a root-free f times
+    distinct linears."""
+    q = spec.order
+
+    def linears(count):
+        return functools.reduce(Poly.__mul__, [linear(spec, r) for r in rng.sample(range(q), count)])
+
+    def root_free(degree):
+        while True:
+            f = Poly(spec, [rng.randrange(q) for _ in range(degree)] + [1])
+            if poly_gcd(f, f.derivative()).is_one() and not any(f(a).is_zero() for a in spec.elements()):
+                return f
+
+    for _ in range(2):
+        for n in range(1, 11):
+            if n <= q:
+                yield linears(n), "linear"
+            if n >= 2:
+                yield root_free(n), "root-free"
+            if n >= 3:
+                r = rng.randrange(1, min(n - 2, q) + 1)
+                yield linears(r) * root_free(n - r), "mixed"
+
+
+def split_in_order(parts):
+    """The irreducible factors in the order mvar._recombine lifts them."""
+    return [g for h, d in parts for g in _equal_degree_parts(h, d)]
+
+
+@pytest.mark.parametrize("spec", DDF_FIELDS, ids=repr)
+def test_distinct_degree_parts_match_the_powering_oracle(spec):
+    # the linear entries multiply to the oracle's degree-1 part, the parts
+    # of degree >= 2 are the oracle's, every consumer sees the irreducible
+    # factors in the oracle's order, and factor agrees with the oracle's
+    rng = random.Random(f"ddf/{spec!r}")
+    one = Poly.one(spec)
+    kinds = set()
+    for f, kind in squarefree_samples(rng, spec):
+        kinds.add(kind)
+        parts = list(_distinct_degree_parts(f))
+        oracle = distinct_degree_parts_by_powering(f)
+        linear_parts = [g for g, d in parts if d == 1]
+        assert functools.reduce(Poly.__mul__, linear_parts, one) == next(
+            (g for g, d in oracle if d == 1), one
+        ), f
+        assert [(g, d) for g, d in parts if d > 1] == [(g, d) for g, d in oracle if d > 1], f
+        assert split_in_order(parts) == split_in_order(oracle), f
+        if spec.order <= EVAL_ROOTS_MAX_ORDER:  # the roots themselves, one entry each
+            assert all(g.degree == 1 for g in linear_parts), f
+            assert linear_parts == sorted(linear_parts, key=Poly.index_key), f
+        else:  # the rational part, whole
+            assert len(linear_parts) <= 1, f
+        assert factor(f) == factor_by_powering(f), f
+        repeated = f * linear(spec, rng.randrange(spec.order)) ** 2
+        assert factor(repeated) == factor_by_powering(repeated), repeated
+    assert kinds == {"linear", "root-free", "mixed"}
+
+
+def _count_powmods(monkeypatch):
+    # upoly's own calls, and those of the oracle through its own import
+    import oracles
+    from ffdecomp import upoly
+
+    calls = []
+    for module in (upoly, oracles):
+        real = module.poly_powmod
+        monkeypatch.setattr(module, "poly_powmod", lambda *a, real=real: calls.append(a) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("spec", DDF_FIELDS, ids=repr)
+def test_small_fibers_need_no_powering_and_no_input_more_than_the_oracle(monkeypatch, spec):
+    # at or below the cutoff a squarefree f of degree <= 3 is split by its
+    # roots alone; on every field factor powers no more often than its
+    # twin that powers T^q from d = 1, which above the cutoff means T^q mod
+    # f is raised on, not recomputed for the cofactor
+    calls = _count_powmods(monkeypatch)
+    rng = random.Random(f"ddf-count/{spec!r}")
+    larger = 0
+    for f, _ in squarefree_samples(rng, spec):
+        calls.clear()
+        if f.degree <= 3 and spec.order <= EVAL_ROOTS_MAX_ORDER:
+            list(_distinct_degree_parts(f))
+            factor(f)
+            is_irreducible(f)
+            assert not calls, f
+        elif f.degree >= 4:
+            # a repeated linear factor gives factor a squarefree part of degree 1
+            for g in (f, f * linear(spec, rng.randrange(spec.order)) ** 2):
+                calls.clear()
+                factor_by_powering(g)
+                powered = len(calls)
+                calls.clear()
+                factor(g)
+                assert len(calls) <= powered, g
+            larger += 1
+    assert larger >= 20
 
 
 # -- rational functions ------------------------------------------------------
