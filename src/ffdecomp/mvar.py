@@ -20,8 +20,9 @@ skips exactly those points.  Pair counts evaluate f on indices, a line of q
 points along Xn at a time; decomp.count_pairs is the case n = 1.
 
 find_h_mv, and decomp.find_h as its case n = 1, finds h as a root Y = h(X)
-of the curve A(X)Q(Y) - B(X)P(Y): each root at the first usable point of
-F_q^n, or of F_{q^r}^n when F_q is too small to hold one, is lifted one
+of the curve A(X)Q(Y) - B(X)P(Y): each root at the first point of F_q^n
+where the fiber's roots in F_q are simple (it need not be squarefree), or
+of F_{q^r}^n when F_q is too small to hold one, is lifted one
 total degree at a time to a truncated power series; a linear system reads
 it back as N/D, and is empty when the curve's leading coefficient c_delta
 is a constant, as D divides c_delta.
@@ -443,12 +444,14 @@ class MRatFun:
     """A(X1..Xn) / B(X1..Xn) with gcd(A, B) = 1 and B scaled to leading
     coefficient one."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_degree")
 
     def __init__(self, num: MPoly, den: MPoly):
-        # private: use make()
+        # private: use make(); num and den are never reassigned, so the
+        # degree is computed on its first read and kept
         self.num = num
         self.den = den
+        self._degree = None
 
     @classmethod
     def make(cls, num: MPoly, den: MPoly) -> "MRatFun":
@@ -478,7 +481,9 @@ class MRatFun:
 
     @property
     def degree(self) -> int:
-        return max(self.num.total_degree(), self.den.total_degree())
+        if self._degree is None:
+            self._degree = max(self.num.total_degree(), self.den.total_degree())
+        return self._degree
 
     def is_constant(self) -> bool:
         return self.degree <= 0
@@ -766,7 +771,9 @@ def mv_factor(F: MPoly) -> tuple[FieldElement, list[tuple[MPoly, int]]]:
 
 # --------------------------------------------------------------------------
 # usable points: where a polynomial sum_j c_j(X) Y^j in F_q[X1..Xn][Y] keeps
-# its Y-degree and a squarefree fiber, so the fiber's roots or factors lift
+# its Y-degree and a fiber that its caller can lift: squarefree, so that
+# the fiber's factors lift (_squarefree), or with simple roots in F_q, so
+# that the roots lift (_simple_roots)
 
 
 def _by_largest_index(q: int, n: int):
@@ -784,12 +791,33 @@ def _bad_degree(coeffs: list[MPoly]) -> int:
     return coeffs[-1].total_degree() + (2 * len(coeffs) - 4) * max(c.total_degree() for c in coeffs)
 
 
-def _usable_points(coeffs: list[MPoly]):
-    """(s, F(s, Y), F_Y(s, Y)) for each point s of F_q^n, given by its
+def _squarefree(phi: Poly) -> Optional[Poly]:
+    """phi' when phi is squarefree, else None."""
+    dphi = phi.derivative()
+    return dphi if poly_gcd(phi, dphi).is_one() else None
+
+
+def _simple_roots(phi: Poly) -> Optional[list[tuple[int, int]]]:
+    """(y, 1/phi'(y)) for each root y of phi in F_q, ascending, when every
+    one is simple, else None.  The roots come from _root_indices: at
+    q <= upoly.EVAL_ROOTS_MAX_ORDER one line of phi's values, above it one
+    rational part gcd(phi, T^q - T), split; phi' is evaluated only at
+    them."""
+    spec, dphi = phi.spec, phi.derivative()
+    slopes = [(y, dphi._eval(y)) for y in _root_indices(phi)]
+    if not all(d for _, d in slopes):
+        return None
+    return [(y, spec._inv(d)) for y, d in slopes]
+
+
+def _usable_points(coeffs: list[MPoly], usable):
+    """(s, F(s, Y), usable(F(s, Y))) for each point s of F_q^n, given by its
     coordinate indices, F_q the field of the coefficients, with
-    c_delta(s) != 0 and F(s, Y) squarefree, box by box
-    (_by_largest_index).  The points that fail are zeros of a polynomial
-    of degree at most t = _bad_degree; by Schwartz-Zippel a nonzero one has
+    c_delta(s) != 0 and usable(F(s, Y)) not None, box by box
+    (_by_largest_index).  usable is _squarefree or _simple_roots, and a
+    point that fails either has c_delta(s) = 0 or a repeated factor in
+    F(s, Y), so it is a zero of c_delta times the discriminant in Y, of
+    degree at most t = _bad_degree; by Schwartz-Zippel a nonzero one has
     a non-zero in each box S^n with |S| > t and at most t q^(n-1) zeros in
     F_q^n, so the scan stops after t q^(n-1) failures."""
     spec, n = coeffs[0].spec, coeffs[0].n
@@ -798,20 +826,20 @@ def _usable_points(coeffs: list[MPoly]):
     limits.check_enumerable(min(q**n, bad + 1), "specialization grid")
     for s in _by_largest_index(q, n):
         phi = Poly(spec, [c._eval(s) for c in coeffs])
-        dphi = phi.derivative()
-        if phi.degree == delta and poly_gcd(phi, dphi).is_one():
-            yield s, phi, dphi
+        found = usable(phi) if phi.degree == delta else None
+        if found is not None:
+            yield s, phi, found
         else:
             bad -= 1
             if bad < 0:
                 return
 
 
-def _over_extension(coeffs: list[MPoly]):
+def _over_extension(coeffs: list[MPoly], usable):
     """Coefficients over F_Q, Q = q^r the least power of q above _bad_degree,
     so F_Q^n holds a usable point unless the discriminant in Y is zero; their
-    _usable_points; and `down`, which maps a polynomial over F_Q to F_q when
-    every coefficient lies there, else to None."""
+    _usable_points by the test usable; and `down`, which maps a polynomial
+    over F_Q to F_q when every coefficient lies there, else to None."""
     base, t = coeffs[0].spec, _bad_degree(coeffs)
     _, emb = extend_field(base, next(r for r in itertools.count(2) if base.order**r > t))
     back = {emb.map_index(a): a for a in range(base.order)}
@@ -821,7 +849,7 @@ def _over_extension(coeffs: list[MPoly]):
         return None if None in idx.values() else MPoly(base, F.n, idx)
 
     coeffs = [map_coeffs(c, emb) for c in coeffs]
-    return coeffs, _usable_points(coeffs), down
+    return coeffs, _usable_points(coeffs, usable), down
 
 
 def _pth_root(F: MPoly) -> Optional[MPoly]:
@@ -921,7 +949,7 @@ def _plane_factors(F: MPoly) -> list[tuple[MPoly, int]]:
             return found + [(H, m * p) for H, m in _plane_factors(root)]
         return found + [(swap(H), m) for H, m in _plane_factors(swap(P))]
     coeffs, down = [_from_upoly(c) for c in cols], None
-    points = _usable_points(coeffs)
+    points = _usable_points(coeffs, _squarefree)
     first = next(points, None)
     if first is None:
         G = mpoly_gcd(P, _from_cols([c._scale(j % p) for j, c in enumerate(cols)][1:]))
@@ -932,7 +960,7 @@ def _plane_factors(F: MPoly) -> list[tuple[MPoly, int]]:
                     P, m, quot = quot, m + 1, mpoly_divexact(quot, H)
                 found.append((H, m))
             return found + _plane_factors(P)
-        coeffs, points, down = _over_extension(coeffs)
+        coeffs, points, down = _over_extension(coeffs, _squarefree)
         cols, first = [_to_upoly(c) for c in coeffs], next(points)
     return found + _recombine(P, cols, itertools.chain([first], points), down)
 
@@ -1146,28 +1174,32 @@ def _lifted_roots(coeffs: list[MPoly], e: int) -> list[MRatFun]:
     squarefree in Y, with coefficients in F_q.
 
     A root N/D has D | c_delta, so deg D <= m = min(e, deg c_delta), and
-    its value at a usable point s is a simple root of F(s, Y), which lifts
-    uniquely to a power series y in X - s, one total degree at a time
-    (_lift_root).  To total degree e + m, D is the kernel of [D y]_nu = 0
-    for e < |nu| <= e + m over the polynomials of degree <= m, and N = D y
-    to degree e; both read the products of each degree from _degree_prods.
+    at a point s with c_delta(s) != 0, D(s) != 0 and N/D takes a value in
+    F_q, a root of F(s, Y).  So s is usable when F(s, Y) has full degree
+    and every root it has in F_q is simple (_simple_roots), squarefree or
+    not; the scan hands over those roots, and each lifts uniquely to a
+    power series y in X - s, one total degree at a time (_lift_root).  To
+    total degree e + m, D is the kernel of [D y]_nu = 0 for
+    e < |nu| <= e + m over the polynomials of degree <= m, and N = D y to
+    degree e; both read the products of each degree from _degree_prods.
     A D' in that kernel, with N' = D' y to degree e, has D' N = D N' (both
     sides have degree <= e + m), so D | D': the kernel is the D u with
     deg u <= min(m - deg D, e - deg N), a line when the root has degree e.
     When c_delta is a constant, as for polynomial f and g, m = 0: the
-    system is empty, D = 1 and N is y cut at degree e.  At the origin, the
+    system is empty, D = 1 and N is the lift y itself, which stops at
+    degree e, so nothing is multiplied or scaled.  At the origin, the
     usual point, the shifts to s and back are truncations and are not
     computed.  If F_q^n holds no usable point, the lifting runs at a point
     of an extension F_Q^n (_over_extension); a root scaled to leading
     coefficient one is kept when its coefficients lie in F_q.
     """
     n, down = coeffs[0].n, None
-    found = next(_usable_points(coeffs), None)
+    found = next(_usable_points(coeffs, _simple_roots), None)
     if found is None:
-        coeffs, points, down = _over_extension(coeffs)
+        coeffs, points, down = _over_extension(coeffs, _simple_roots)
         found = next(points, None)
         assert found is not None, "the discriminant in Y is not zero"
-    s, phi, dphi = found
+    s, phi, roots = found
     spec = phi.spec
     m = min(e, coeffs[-1].total_degree())  # deg D <= m, as D | c_delta
     top = e + m
@@ -1178,8 +1210,8 @@ def _lifted_roots(coeffs: list[MPoly], e: int) -> list[MRatFun]:
     # the monomials stop at degree e + m, so reading them truncates
     cs = [[c.idx.get(k, 0) for k in mons] for c in coeffs]
     out = []
-    for y0 in _root_indices(phi):
-        y = _lift_root(spec, ring, cs, y0, spec._inv(dphi._eval(y0)))
+    for y0, s0 in roots:
+        y = _lift_root(spec, ring, cs, y0, s0)
         by_k: dict[int, list[int]] = {}  # [D y]_k for e < |k| <= e + m, a row each
         for t in range(e + 1, top + 1):
             for i, j, k in _degree_prods(ring, t):
@@ -1188,13 +1220,14 @@ def _lifted_roots(coeffs: list[MPoly], e: int) -> list[MRatFun]:
                     row[i] = spec._add(row[i], y[j])
         den = _kernel_line(spec, list(by_k.values()), ncols)
         if den is not None:
-            num = _jet_mul(spec, ring, den + [0] * (len(mons) - ncols), y, e + 1)
+            num = y if m == 0 else _jet_mul(spec, ring, den + [0] * (len(mons) - ncols), y, e + 1)
             num, den = (MPoly(spec, n, {k: c for k, c in zip(mons, v) if c}) for v in (num, den))
             if any(s):  # both have total degree <= e: shift them back whole
                 minus_s = [spec._neg(x) for x in s]
                 num, den = _shift(num, minus_s, e), _shift(den, minus_s, e)
             c = spec._inv(den.idx[den.leading_key()])
-            num, den = num._scale(c), den._scale(c)
+            if c != 1:
+                num, den = num._scale(c), den._scale(c)
             if down is not None:  # back to F_q, if every coefficient lies there
                 num, den = down(num), down(den)
                 if num is None or den is None:
@@ -1234,9 +1267,11 @@ def find_h_mv(f: MRatFun, g: RatFun) -> Optional[MRatFun]:
 
     f = g(h) exactly when Y = h(X), of total degree d/delta, is a root of
     the curve A(X)Q(Y) - B(X)P(Y) = sum_j c_j(X) Y^j.  Every such root (at
-    most delta) is lifted from one point to total degree e + min(e, deg
-    c_delta), as its denominator divides c_delta, so a polynomial f with a
-    polynomial g needs no linear solve; the candidates are tried in
+    most delta) is lifted from the first point s with c_delta(s) != 0 where
+    each root of F(s, Y) in F_q is simple, the fiber read once for the test
+    and the roots alike, to total degree e + min(e, deg c_delta), as its
+    denominator divides c_delta, so a polynomial f with a polynomial g needs
+    no linear solve; the candidates are tried in
     MRatFun.index_key order.  One that has the wrong degree, or for which
     A Q^(N, D) and B P^(N, D) differ at the point (1..1), cannot compose to
     f and is passed over; the first whose composition gives f is the answer,

@@ -447,14 +447,17 @@ def roots(f: Poly) -> list[FieldElement]:
 # step of _distinct_degree_parts, and so of factor, is_irreducible and
 # mvar's fibers: at or below it the roots are read from the values and no
 # T^q mod f is computed for a cofactor of degree <= 3; above it the step
-# is gcd(f, T^q - T), unsplit.  Both routes cost about
-# linearly in deg f, so the cutoff bounds q alone.  Measured per call on
-# f of degree 2 to 16, random or split into linear factors (Python 3.11,
-# one Xeon core), evaluation against the gcd route: at q = 128 (F_2^7,
-# F_127) it counted roots 1.8-4.3 times and extracted them 2.4-27 times as
-# fast; at q = 256 (F_2^8) it counted them 1.2-1.8 times as fast, and at
-# q = 512 (F_2^9) up to 2 times as slowly.
-EVAL_ROOTS_MAX_ORDER = 128
+# is gcd(f, T^q - T), unsplit.  mvar's root search reads its fibers the
+# same way.  Both routes cost about linearly in deg f, so the cutoff bounds
+# q alone.  Time of the gcd route over time of evaluation for
+# _root_indices, on 30 random monic f of each degree 2, 3, 6, 12 and 24,
+# the least of 7 passes (Python 3.11, one Xeon core):
+#   F_2^7, F_127                      2.65-8.80
+#   F_2^8, F_3^5, F_251, F_257        1.47-5.14
+#   F_17^2, F_7^3                     0.99-2.17
+#   F_2^9                             0.77-0.94 from degree 3 on
+# so evaluation wins up to q = 256 and loses at q = 512.
+EVAL_ROOTS_MAX_ORDER = 256
 
 
 def _root_indices(f: Poly) -> list[int]:

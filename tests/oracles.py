@@ -27,6 +27,7 @@ from ffdecomp.mvar import (
     _over_extension,
     _series_mul,
     _shift,
+    _squarefree,
     _usable_points,
     map_coeffs,
     mpoly_divexact,
@@ -439,17 +440,32 @@ def _grid(spec, n):
     return itertools.product(spec.elements(), repeat=n)
 
 
+def pointwise_simple_roots(coeffs, xs):
+    """(y, 1/phi'(y)), as indices, for each root y in F_q of the fiber
+    phi = sum_j c_j(xs) Y^j at a point xs of FieldElements, ascending, when
+    phi keeps its degree and every such root is simple, else None: phi and
+    phi' evaluated at every element."""
+    spec = coeffs[0].spec
+    phi = Poly.from_coeffs(spec, [c(xs) for c in coeffs])
+    if phi.degree != len(coeffs) - 1:
+        return None
+    dphi, out = phi.derivative(), []
+    for y in spec.elements():
+        if phi(y).is_zero():
+            slope = dphi(y)
+            if slope.is_zero():
+                return None
+            out.append((y.index, slope.inverse().index))
+    return out
+
+
 def usable_points(f, g):
     """The points s of F_q^n where the curve of f (an MRatFun) and g has
-    c_delta(s) != 0 and a squarefree fiber sum_j c_j(s) Y^j: the points the
-    root search can lift at, by scanning the whole grid."""
+    c_delta(s) != 0 and a fiber sum_j c_j(s) Y^j whose roots in F_q are all
+    simple: the points the root search can lift at, by scanning the whole
+    grid (pointwise_simple_roots)."""
     coeffs = _curve_coeffs(f, g)
-    out = []
-    for xs in _grid(f.spec, f.n):
-        phi = Poly.from_coeffs(f.spec, [c(xs) for c in coeffs])
-        if phi.degree == g.degree and poly_gcd(phi, phi.derivative()).is_one():
-            out.append(xs)
-    return out
+    return [xs for xs in _grid(f.spec, f.n) if pointwise_simple_roots(coeffs, xs) is not None]
 
 
 def pointwise_fiber_sizes(g):
@@ -653,11 +669,13 @@ def newton_lift_by_doubling(spec, ring, cs, y0, s0):
 def lifted_roots_to_2e(coeffs, e):
     """mvar._lifted_roots with every root lifted to total degree 2e and D
     sought among all polynomials of degree <= e, whatever c_delta's degree:
-    the kernel of [D y]_nu = 0 for e < |nu| <= 2e."""
+    the kernel of [D y]_nu = 0 for e < |nu| <= 2e.  It lifts at the first
+    point with a squarefree fiber, which the root search's weaker test
+    (mvar._simple_roots) may pass over for an earlier one."""
     n, down = coeffs[0].n, None
-    found = next(_usable_points(coeffs), None)
+    found = next(_usable_points(coeffs, _squarefree), None)
     if found is None:
-        coeffs, points, down = _over_extension(coeffs)
+        coeffs, points, down = _over_extension(coeffs, _squarefree)
         found = next(points)
     s, phi, dphi = found
     spec = phi.spec

@@ -357,7 +357,7 @@ def _by_extension(monkeypatch, f, g):
     of an extension field, the path of fields too small to hold one."""
     scan = mvar._usable_points
     with monkeypatch.context() as m:
-        m.setattr(mvar, "_usable_points", lambda cs: iter(()) if cs[0].spec == f.spec else scan(cs))
+        m.setattr(mvar, "_usable_points", lambda cs, usable: iter(()) if cs[0].spec == f.spec else scan(cs, usable))
         m.setattr(mvar, "mv_factor", _no_factoring)
         return find_h(f, g)
 

@@ -32,6 +32,7 @@ from ffdecomp.mvar import (
 )
 from ffdecomp.parsing import parse_ratfun
 from ffdecomp.upoly import (
+    EVAL_ROOTS_MAX_ORDER,
     Poly,
     RatFun,
     _distinct_degree_parts,
@@ -52,6 +53,7 @@ from oracles import (
     pointwise_count_pairs,
     pointwise_count_pairs_mv,
     pointwise_count_undefined,
+    pointwise_simple_roots,
     pointwise_small_fibers,
     pointwise_t1_scan,
     term_add,
@@ -632,7 +634,7 @@ def _lift_inputs(P):
     fiber X = x0 of the plane curve P, or None without one over F_q."""
     spec = P.spec
     cols = [mvar._to_upoly(c) for c in P.last_var_coeffs()]
-    found = next(mvar._usable_points([mvar._from_upoly(c) for c in cols]), None)
+    found = next(mvar._usable_points([mvar._from_upoly(c) for c in cols], mvar._squarefree), None)
     if found is None:
         return None
     x0 = spec.from_index(found[0][0])
@@ -1024,8 +1026,8 @@ def test_find_h_mv_screen_at_the_lift_point(monkeypatch, n):
     h = MRatFun.make(MPoly.variable(F2, n, 0) + 1, MPoly.variable(F2, n, n - 1))
     scan, lifted_at = mvar._usable_points, []
 
-    def spy(coeffs):
-        for found in scan(coeffs):
+    def spy(coeffs, usable):
+        for found in scan(coeffs, usable):
             lifted_at.append(found[0])
             yield found
 
@@ -1113,7 +1115,7 @@ def _by_extension(monkeypatch, f, g):
     point of an extension field, the path of fields too small to hold one."""
     scan = mvar._usable_points
     with monkeypatch.context() as m:
-        m.setattr(mvar, "_usable_points", lambda cs: iter(()) if cs[0].spec == f.spec else scan(cs))
+        m.setattr(mvar, "_usable_points", lambda cs, usable: iter(()) if cs[0].spec == f.spec else scan(cs, usable))
         m.setattr(mvar, "mv_factor", _no_factoring)
         return find_h_mv(f, g)
 
@@ -1265,7 +1267,7 @@ def test_lifted_roots_match_the_2e_oracle(spec, n):
     for f, g, e in cases:
         coeffs = _curve_coeffs(f, g)
         m = min(e, coeffs[-1].total_degree())
-        point = next(mvar._usable_points(coeffs), None)
+        point = next(mvar._usable_points(coeffs, mvar._simple_roots), None)
         seen_m.add("0" if m == 0 else "e" if m == e else "between")
         seen_origin.add(None if point is None else not any(point[0]))
         got = _composing(f, g, e, mvar._lifted_roots(coeffs, e))
@@ -1317,6 +1319,129 @@ def test_a_denominator_as_large_as_c_delta_is_found():
     assert c_delta.total_degree() == h.den.degree == 2
     assert find_h(f, g) == h
     assert find_h_mv(fm, g) == hm
+
+
+# --------------------------------------------------------------------------
+# the root search's point: c_delta(s) != 0 and every root of F(s, Y) in F_q
+# simple, read from one evaluation of the fiber (mvar._simple_roots)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_fiber_with_only_simple_rational_roots_is_lifted_though_not_squarefree(monkeypatch, n):
+    # g = (Y^2+1)^2 (Y-1) + 2 over F_3 and h(0..0) = 1: the fiber at the
+    # origin is -(Y^2+1)^2 (Y-1), not squarefree, but Y^2+1 has no root in
+    # F_3 and 1 is a simple root, so the root search lifts there
+    x = Poly.x(F3)
+    g = RatFun.from_poly((x * x + 1) ** 2 * (x - 1) + 2)
+    terms = {(2,): 1, (1,): 1, (0,): 1} if n == 1 else {(1, 0): 1, (0, 1): 2, (0, 0): 1}
+    h = MRatFun.from_poly(mp(F3, n, terms))
+    f = mrat_compose(g, h)
+    origin = (0,) * n
+    fiber = Poly(F3, [c._eval(origin) for c in _curve_coeffs(f, g)])
+    assert fiber.degree == 5 and mvar._squarefree(fiber) is None
+    assert [y for y, _ in mvar._simple_roots(fiber)] == [1]
+    scan, lifted_at = mvar._usable_points, []
+
+    def spy(coeffs, usable):
+        for found in scan(coeffs, usable):
+            lifted_at.append(found[0])
+            yield found
+
+    monkeypatch.setattr(mvar, "_usable_points", spy)
+    got = find_h_mv(f, g)
+    assert lifted_at[0] == origin
+    assert got is not None and mrat_compose(g, got) == f
+    assert got == find_h_by_composing_all(f, g) == divisor_find_h_mv(f, g)
+
+
+@pytest.mark.parametrize(
+    "spec", [F7, build_field(101), build_field(2, 8), build_field(257), build_field(2, 9)], ids=repr
+)
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_root_search_reads_each_tried_fiber_once(monkeypatch, spec, n):
+    # g = Y^2 (Y - 1) has a double root at 0, and h = N/D has D = 0 at the
+    # first point of the box order and N = 0 at a later one, so the search
+    # passes over a fiber of low degree and one with a repeated root before
+    # it lifts.  At q <= EVAL_ROOTS_MAX_ORDER each tried fiber of full
+    # degree is read from one line of values and no gcd is taken; above it
+    # each takes one rational part
+    x = Poly.x(spec)
+    g = RatFun.from_poly(x**3 - x * x)
+    a0, a1, a2 = (spec.from_index(i) for i in range(3))
+    if n == 1:
+        e, N, D = 2, x - a2, (x - a0) * (x - a1)
+        h = MRatFun.make(mvar._from_upoly(N), mvar._from_upoly(D))
+    else:  # (X1 + X2 - 1) / X1
+        e = 1
+        h = MRatFun.make(mp(spec, 2, {(1, 0): 1, (0, 1): 1, (0, 0): -1}), mp(spec, 2, {(1, 0): 1}))
+    f = mrat_compose(g, h)
+    coeffs = _curve_coeffs(f, g)
+    from ffdecomp import upoly
+
+    tried, calls, by_index = [], [], mvar._by_largest_index
+    monkeypatch.setattr(mvar, "_by_largest_index", lambda q, n: (tried.append((q, s)) or s for s in by_index(q, n)))
+    for owner, name in [(spec, "_values"), (upoly, "_rational_part"), (upoly, "poly_gcd"), (mvar, "poly_gcd")]:
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    got = mvar._lifted_roots(coeffs, e)
+    counts = {name: calls.count(name) for name in ("_values", "_rational_part", "poly_gcd")}
+    assert {q for q, _ in tried} == {spec.order}, "lifted over an extension"
+    full = [s for _, s in tried if Poly(spec, [c._eval(s) for c in coeffs]).degree == 3]
+    assert len(tried) > len(full) >= 2 and tried[0][1] == (0,) * n, tried
+    assert h in _composing(f, g, e, got)
+    if spec.order <= EVAL_ROOTS_MAX_ORDER:
+        assert counts == {"_values": len(full), "_rational_part": 0, "poly_gcd": 0}, counts
+    else:
+        assert counts["_values"] == 0 and counts["_rational_part"] == len(full), counts
+
+
+@pytest.mark.parametrize("spec", [F2, F3, build_field(2, 2), F5, build_field(2, 9)], ids=repr)
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_root_search_scan_matches_a_pointwise_scan(spec, n):
+    # the scan passes over exactly the points where the fiber drops degree or
+    # has a repeated root in F_q, keeps those whose repeated factors have no
+    # root there, and hands over every root y with 1/phi'(y); the points are
+    # read in the scan's box order, up to its Schwartz-Zippel stop
+    rng = random.Random(f"simple-root scan/{spec.order}/{n}")
+    x = Poly.x(spec)
+    g = RatFun.from_poly(x**3 - x * x)  # a double root at 0
+    h = MRatFun.make(mp(spec, n, {(1,) + (0,) * (n - 1): 1, (0,) * n: -1}), mp(spec, n, {(0,) * (n - 1) + (1,): 1}))
+    # r(Y)^2 (Y - 1) + X1 G(X, Y) with r a quadratic with no root in F_q: at
+    # the origin the fiber is not squarefree, and 1 is its one root
+    r = next(
+        r for r in (Poly(spec, [c, b, 1]) for b in range(spec.order) for c in range(spec.order)) if not roots(r)
+    )
+    head = r * r * (x - 1)
+    samples = [_curve_coeffs(mrat_compose(g, h), g)]
+    samples.append([
+        MPoly.constant(spec.from_index(c), n) + MPoly.variable(spec, n, 0) * rand_mpoly(rng, spec, n, 1)
+        for c in head.idx[:-1]
+    ] + [MPoly.one(spec, n)])
+    while len(samples) < 24:
+        delta = rng.choice([2, 3, 4])
+        coeffs = [rand_mpoly(rng, spec, n, rng.choice([1, 2])) for _ in range(delta + 1)]
+        if not coeffs[-1].is_zero() and not coeffs[0].is_zero():
+            samples.append(coeffs)
+    repeated = not_squarefree = 0
+    for coeffs in samples:
+        budget, want = mvar._bad_degree(coeffs) * spec.order ** (n - 1), []
+        for s in mvar._by_largest_index(spec.order, n):
+            xs = [spec.from_index(i) for i in s]
+            roots_at = pointwise_simple_roots(coeffs, xs)
+            phi = Poly(spec, [c._eval(s) for c in coeffs])
+            if roots_at is not None:
+                want.append((s, roots_at))
+                not_squarefree += mvar._squarefree(phi) is None
+                if len(want) == 3:
+                    break
+            else:
+                repeated += phi.degree == len(coeffs) - 1
+                budget -= 1
+                if budget < 0:
+                    break
+        got = [(s, roots_at) for s, _, roots_at in itertools.islice(mvar._usable_points(coeffs, mvar._simple_roots), 3)]
+        assert got == want, coeffs
+    assert repeated >= 1 and not_squarefree >= 1, (repeated, not_squarefree)
 
 
 def test_find_h_mv_verifies_through_the_mvar_name(monkeypatch):

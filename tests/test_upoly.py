@@ -52,6 +52,8 @@ F101 = build_field(101)
 F128 = build_field(2, 7)
 F131 = build_field(131)
 F256 = build_field(2, 8)
+F257 = build_field(257)
+F512 = build_field(2, 9)
 
 
 def rand_poly(rng, spec, max_deg):
@@ -341,12 +343,12 @@ def plant_roots(rng, f, count):
 
 
 def test_roots_match_scan():
-    # F_2^7 is at EVAL_ROOTS_MAX_ORDER, where roots are still read from
-    # values; F_2^8 is above it, where they come from gcd(f, T^q - T).  A
+    # F_2^8 is at EVAL_ROOTS_MAX_ORDER, where roots are still read from
+    # values; F_2^9 is above it, where they come from gcd(f, T^q - T).  A
     # random f over a large field seldom has a root, so roots are planted
-    assert F128.order <= EVAL_ROOTS_MAX_ORDER < F256.order
+    assert F256.order <= EVAL_ROOTS_MAX_ORDER < F512.order
     rng = random.Random(17)
-    for spec in [F3, F4, F7, F128, F256]:
+    for spec in [F3, F4, F7, F128, F256, F512]:
         for _ in range(80):
             f = rand_poly(rng, spec, rng.randrange(1, 7))
             if f.is_zero():
@@ -359,7 +361,7 @@ def test_roots_match_scan():
 
 
 @pytest.mark.parametrize(
-    "spec", [F2, F3, F4, F7, build_field(5, 2), build_field(101), F128], ids=repr
+    "spec", [F2, F3, F4, F7, build_field(5, 2), build_field(101), F128, F256, build_field(3, 5)], ids=repr
 )
 def test_root_evaluation_matches_gcd_route(spec):
     # at or below EVAL_ROOTS_MAX_ORDER, roots and root counts are read from
@@ -377,9 +379,9 @@ def test_root_evaluation_matches_gcd_route(spec):
         assert num_distinct_roots(f) == u.degree == len(by_gcd), f
 
 
-@pytest.mark.parametrize("spec", [F7, F256], ids=repr)
+@pytest.mark.parametrize("spec", [F7, F256, F512], ids=repr)
 def test_roots_of_constants_on_both_paths(spec):
-    # one field on each side of EVAL_ROOTS_MAX_ORDER
+    # fields on each side of EVAL_ROOTS_MAX_ORDER, F_2^8 at it
     for find in (roots, _root_indices, num_distinct_roots):
         with pytest.raises(ValidationError, match="zero polynomial has every root"):
             find(Poly.zero(spec))
@@ -392,9 +394,9 @@ def brute_has_simple_root(u):
     return any(u(a).is_zero() and not du(a).is_zero() for a in u.spec.elements())
 
 
-@pytest.mark.parametrize("spec", [F7, F9, F128, F256], ids=repr)
+@pytest.mark.parametrize("spec", [F7, F9, F128, F256, F512], ids=repr)
 def test_has_simple_root_matches_scan(spec):
-    # F_2^8 lies above EVAL_ROOTS_MAX_ORDER, the others at or below it, so
+    # F_2^9 lies above EVAL_ROOTS_MAX_ORDER, the others at or below it, so
     # both the scan of values and the gcd with u' are checked
     rng = random.Random(f"simple-root/{spec!r}")
     x = spec.from_index(rng.randrange(spec.order))
@@ -419,9 +421,9 @@ def test_has_simple_root_matches_scan(spec):
 
 # -- distinct-degree factorization against its powering twin -----------------
 
-# the evaluation route at or below EVAL_ROOTS_MAX_ORDER (F_2^7 is the cutoff
+# the evaluation route at or below EVAL_ROOTS_MAX_ORDER (F_2^8 is the cutoff
 # itself), and the gcd route above it
-DDF_FIELDS = [F2, F3, F4, F5, F8, F9, F13, F101, F128, F131, F256]
+DDF_FIELDS = [F2, F3, F4, F5, F8, F9, F13, F101, F128, F131, F256, F257, F512]
 
 
 def squarefree_samples(rng, spec):
