@@ -30,8 +30,10 @@ callers at the API boundary.  Each kind of field has one kernel:
   `_values` loops over `_add` and `_mul`.  It is also the tests' oracle
   for the tables.
 
-A field holds no list of its elements: a FieldElement is made when the API
-boundary asks for one, so building F_q costs only what its kernel needs.
+A field holds no list of its elements, so building F_q costs only what its
+kernel needs.  An element's one constructor is FieldElement(spec, i), used
+when the API boundary asks for one, and it hashes as its index.  Fields
+compare with `==`, and an embedding maps indices to indices.
 """
 
 from __future__ import annotations
@@ -135,11 +137,12 @@ class FieldSpec:
     `_add`, `_neg`, `_mul`, `_inv` and `_values` act on element indices;
     they are set once, here, to the one kernel of the field's kind: integers
     mod p for a prime field, tables for an extension field up to
-    TABLE_MAX_ORDER, coordinates above it.  `_elems[i]` is a new element
-    of index i.
+    TABLE_MAX_ORDER, coordinates above it.  Inside the package every element
+    is made as FieldElement(spec, i); `element` and `from_index` are the
+    validated entry points for other callers.  Fields compare with `==`.
     """
 
-    __slots__ = ("p", "k", "order", "modulus", "_red", "_elems",
+    __slots__ = ("p", "k", "order", "modulus", "_red",
                  "_add", "_neg", "_mul", "_inv", "_values")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
@@ -155,7 +158,6 @@ class FieldSpec:
         else:
             ops = self._coord_ops()
         self._add, self._neg, self._mul, self._inv, self._values = ops
-        self._elems = _Fresh(self)
 
     @property
     def descriptor(self) -> str:
@@ -183,29 +185,29 @@ class FieldSpec:
     # -- element constructors ------------------------------------------------
 
     def zero(self) -> "FieldElement":
-        return self._elems[0]
+        return FieldElement(self, 0)
 
     def one(self) -> "FieldElement":
-        return self._elems[1]
+        return FieldElement(self, 1)
 
     def element(self, value: Union[int, Iterable[int], "FieldElement"]) -> "FieldElement":
         if isinstance(value, FieldElement):
-            if not _same_spec(value.spec, self):
+            if value.spec != self:
                 raise SpecMismatchError(f"element of {value.spec!r} used in {self!r}")
             return value
         if isinstance(value, int):
-            return self._elems[value % self.p]
+            return FieldElement(self, value % self.p)
         coeffs = [int(c) % self.p for c in value]
         if len(coeffs) != self.k:
             raise ValidationError(
                 f"expected {self.k} coordinates for {self!r}, got {len(coeffs)}"
             )
-        return self._elems[self._index(coeffs)]
+        return FieldElement(self, self._index(coeffs))
 
     def from_index(self, i: int) -> "FieldElement":
         if not 0 <= i < self.order:
             raise ValidationError(f"index {i} out of range for {self!r}")
-        return self._elems[i]
+        return FieldElement(self, i)
 
     def elements(self) -> list["FieldElement"]:
         """All field elements in coordinate order (constant coordinate fastest)."""
@@ -451,26 +453,10 @@ def power(x, e: int, one, mul=operator.mul):
     return one
 
 
-class _Fresh:
-    """The element "list" of a field: a new element per index."""
-
-    __slots__ = ("spec",)
-
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-
-    def __getitem__(self, i: int) -> "FieldElement":
-        return FieldElement(self.spec, i)
-
-
-def _same_spec(a: FieldSpec, b: FieldSpec) -> bool:
-    return a is b or (a.p == b.p and a.modulus == b.modulus)
-
-
 class FieldElement:
     """An element of F_{p^k}, held as its index in the field's coordinate order."""
 
-    __slots__ = ("spec", "index", "_hash")
+    __slots__ = ("spec", "index")
 
     def __init__(self, spec: FieldSpec, index: int):
         # private: elements come from FieldSpec (element, from_index, ...)
@@ -491,17 +477,14 @@ class FieldElement:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):
-            return self.index == other.index and _same_spec(self.spec, other.spec)
+            return self.index == other.index and self.spec == other.spec
         if isinstance(other, int):
             return self.index == other % self.spec.p
         return NotImplemented
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = h = hash((self.spec.p, self.coeffs))
-            return h
+        # the index, so an element hashes as the int 0..p-1 that it equals
+        return hash(self.index)
 
     def __repr__(self) -> str:
         if self.spec.k == 1:
@@ -513,7 +496,7 @@ class FieldElement:
     def _coerce(self, other):
         """The index of other in this element's field."""
         if isinstance(other, FieldElement):
-            if other.spec is not self.spec and not _same_spec(self.spec, other.spec):
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise SpecMismatchError(
                     f"mixing elements of {self.spec!r} and {other.spec!r}"
                 )
@@ -611,19 +594,21 @@ _field = lru_cache(maxsize=64)(FieldSpec)
 
 
 class FieldEmbedding:
-    """Ring homomorphism F_{p^k} -> F_{p^{k r}} fixing the prime field."""
+    """Ring homomorphism F_{p^k} -> F_{p^{k r}} fixing the prime field.
+    `powers` holds the indices of the images of 1, x, ..., x^{k-1}, so
+    building an embedding or applying `map_index` makes no element."""
 
     __slots__ = ("source", "target", "powers")
 
-    def __init__(self, source: FieldSpec, target: FieldSpec, powers: tuple[FieldElement, ...]):
+    def __init__(self, source: FieldSpec, target: FieldSpec, powers: tuple[int, ...]):
         self.source = source
         self.target = target
-        self.powers = powers  # images of 1, x, ..., x^{k-1}
+        self.powers = powers
 
     def __call__(self, a: FieldElement) -> FieldElement:
-        if not _same_spec(a.spec, self.source):
+        if a.spec != self.source:
             raise SpecMismatchError(f"element of {a.spec!r} fed to embedding of {self.source!r}")
-        return self.target._elems[self.map_index(a.index)]
+        return FieldElement(self.target, self.map_index(a.index))
 
     def map_index(self, i: int) -> int:
         """The index of the image of the source element of index i."""
@@ -631,7 +616,7 @@ class FieldEmbedding:
         acc = 0
         for c, w in zip(self.source._coords(i), self.powers):
             if c:  # the coordinate c lies in F_p, where index and value agree
-                acc = add(acc, mul(w.index, c))
+                acc = add(acc, mul(w, c))
         return acc
 
 
@@ -645,8 +630,7 @@ def extend_field(spec: FieldSpec, r: int) -> tuple[FieldSpec, FieldEmbedding]:
     if not isinstance(r, int) or r < 1:
         raise ValidationError(f"extension exponent {r!r} must be a positive integer")
     if r == 1:
-        powers = tuple(spec.from_index(spec.p**i) for i in range(spec.k))
-        return spec, FieldEmbedding(spec, spec, powers)
+        return spec, FieldEmbedding(spec, spec, tuple(spec.p**i for i in range(spec.k)))
     target = build_field(spec.p, spec.k * r)  # the size guard runs on every call
     return target, _embedding(spec, target)
 
@@ -655,11 +639,9 @@ def extend_field(spec: FieldSpec, r: int) -> tuple[FieldSpec, FieldEmbedding]:
 def _embedding(spec: FieldSpec, target: FieldSpec) -> FieldEmbedding:
     from . import upoly  # deferred: upoly builds on this module
 
-    f = upoly.Poly.from_ints(target, spec.modulus)
-    rs = upoly.roots(f)
+    rs = upoly._root_indices(upoly.Poly.from_ints(target, spec.modulus))
     assert rs, "source modulus must split in the extension"
-    beta = min(rs, key=lambda e: e.index)
-    powers = [target.one()]
+    beta, powers = rs[0], [1]  # the smallest root: the list is ascending
     for _ in range(spec.k - 1):
-        powers.append(powers[-1] * beta)
+        powers.append(target._mul(powers[-1], beta))
     return FieldEmbedding(spec, target, tuple(powers))

@@ -49,7 +49,7 @@ from typing import Optional
 
 from . import limits
 from .errors import SizeLimitError, SpecMismatchError, ValidationError
-from .gf_core import FieldElement, FieldEmbedding, FieldSpec, _same_spec, extend_field, power
+from .gf_core import FieldElement, FieldEmbedding, FieldSpec, extend_field, power
 from .upoly import (
     INFINITY,
     Poly,
@@ -156,8 +156,8 @@ class MPoly:
 
     @property
     def terms(self) -> dict[tuple, FieldElement]:
-        elems = self.spec._elems
-        return {k: elems[c] for k, c in self.idx.items()}
+        spec = self.spec
+        return {k: FieldElement(spec, c) for k, c in self.idx.items()}
 
     def is_zero(self) -> bool:
         return not self.idx
@@ -172,7 +172,7 @@ class MPoly:
         return max((k[i] for k in self.idx), default=-1)
 
     def coeff(self, key: tuple) -> FieldElement:
-        return self.spec._elems[self.idx.get(tuple(key), 0)]
+        return FieldElement(self.spec, self.idx.get(tuple(key), 0))
 
     def leading_key(self) -> tuple:
         """Largest exponent vector in lexicographic order."""
@@ -188,7 +188,7 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         return (
-            _same_spec(self.spec, other.spec)
+            self.spec == other.spec
             and self.n == other.n
             and self.idx == other.idx
         )
@@ -203,7 +203,7 @@ class MPoly:
 
     def _coerce(self, other) -> "MPoly":
         if isinstance(other, MPoly):
-            if not _same_spec(self.spec, other.spec) or self.n != other.n:
+            if self.spec != other.spec or self.n != other.n:
                 raise SpecMismatchError("mixing polynomials over different domains")
             return other
         if isinstance(other, (FieldElement, int)):
@@ -282,7 +282,7 @@ class MPoly:
         xs = [spec.element(x).index for x in xs]
         if len(xs) != self.n:
             raise ValidationError(f"need {self.n} coordinates, got {len(xs)}")
-        return spec._elems[self._eval(xs)]
+        return FieldElement(spec, self._eval(xs))
 
     def last_var_coeffs(self) -> list["MPoly"]:
         """Coefficients c_j(X1..X_{n-1}) with self = sum_j c_j * Xn^j."""
@@ -308,7 +308,7 @@ class MPoly:
 
 def map_coeffs(F: MPoly, emb: FieldEmbedding) -> MPoly:
     """Apply a field embedding to every coefficient."""
-    if not _same_spec(F.spec, emb.source):
+    if F.spec != emb.source:
         raise SpecMismatchError("embedding source does not match the polynomial")
     return MPoly(emb.target, F.n, {k: emb.map_index(c) for k, c in F.idx.items()})
 
@@ -415,7 +415,7 @@ def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
     last variable, recurse on contents, and run pseudo-division on the
     primitive parts.
     """
-    if not isinstance(b, MPoly) or a.n != b.n or not _same_spec(a.spec, b.spec):
+    if not isinstance(b, MPoly) or a.n != b.n or a.spec != b.spec:
         raise SpecMismatchError("gcd of polynomials over different domains")
     if a.is_zero():
         return _canon_monic(b)
@@ -455,7 +455,7 @@ class MRatFun:
 
     @classmethod
     def make(cls, num: MPoly, den: MPoly) -> "MRatFun":
-        if not _same_spec(num.spec, den.spec) or num.n != den.n:
+        if num.spec != den.spec or num.n != den.n:
             raise SpecMismatchError("numerator and denominator over different domains")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
@@ -583,7 +583,7 @@ def count_pairs_mv(f: MRatFun, g: RatFun) -> int:
     Values are compared in F_q plus infinity; undefined points contribute
     nothing.  decomp.count_pairs is the case n = 1.
     """
-    if not _same_spec(f.spec, g.spec):
+    if f.spec != g.spec:
         raise SpecMismatchError("f and g must live over the same field")
     limits.check_enumerable(f.spec.order, "pair grid", f.n)
     return _pair_count(f, g)
@@ -657,7 +657,7 @@ class DecompReport:
 def _require_pair(f, g: RatFun) -> FieldSpec:
     """The field of f, a RatFun or an MRatFun, and g, after checking that
     they share it and that both are nonconstant, in that order."""
-    if not _same_spec(f.spec, g.spec):
+    if f.spec != g.spec:
         raise SpecMismatchError("f and g must live over the same field")
     require_nonconstant(f, "f")
     require_nonconstant(g, "g")
@@ -727,7 +727,7 @@ def mrat_compose(g: RatFun, h: MRatFun) -> Optional[MRatFun]:
     when h is the constant at a pole of g (the composition has no value).
     No gcd is needed: a prime dividing both forms would divide both parts of
     the reduced h or make h a common root of P and Q modulo it."""
-    if not _same_spec(g.spec, h.spec):
+    if g.spec != h.spec:
         raise SpecMismatchError("g and h must live over the same field")
     num, den = _homogenized(g, h.num, h.den)
     if den.is_zero():
@@ -1291,12 +1291,16 @@ def find_h_mv(f: MRatFun, g: RatFun) -> Optional[MRatFun]:
     e = d // delta
     # f = g(h) makes A Q^(N, D) = B P^(N, D) an identity, P^ and Q^ the parts
     # of g homogenized as in upoly._homogenized, so a mismatch at one point
-    # rejects h without composing; a match proves nothing
+    # rejects h without composing; a match proves nothing.  The point is
+    # (1..1), where a polynomial's value is the sum of its coefficients
     add, mul = f.spec._add, f.spec._mul
-    one = [1] * f.n
-    a, b = f.num._eval(one), f.den._eval(one)
+
+    def at_ones(P: MPoly) -> int:
+        return functools.reduce(add, P.idx.values(), 0)
+
+    a, b = at_ones(f.num), at_ones(f.den)
     for h in sorted((h for h in _curve_roots(f, g, e) if h.degree == e), key=MRatFun.index_key):
-        u, v = h.num._eval(one), h.den._eval(one)
+        u, v = at_ones(h.num), at_ones(h.den)
         pv = qv = 0
         ui = 1  # sum_i c_i u^i v^(delta-i) by Horner in v
         for pi, qi in itertools.zip_longest(g.num.idx, g.den.idx, fillvalue=0):

@@ -297,7 +297,7 @@ def _element_index(spec: FieldSpec, text: str) -> int:
 
 
 def parse_element(spec: FieldSpec, text: str) -> FieldElement:
-    return spec._elems[_element_index(spec, text)]
+    return FieldElement(spec, _element_index(spec, text))
 
 
 def _parse_term_list(spec: FieldSpec, text: str, n: Optional[int], pairs: bool) -> MPoly:

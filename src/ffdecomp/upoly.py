@@ -19,7 +19,7 @@ from typing import Union
 
 from . import limits
 from .errors import ConstantInputError, SpecMismatchError, ValidationError
-from .gf_core import FieldElement, FieldSpec, _same_spec, power
+from .gf_core import FieldElement, FieldSpec, power
 
 
 class _Infinity:
@@ -83,8 +83,8 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple[FieldElement, ...]:
-        elems = self.spec._elems
-        return tuple([elems[c] for c in self.idx])
+        spec = self.spec
+        return tuple([FieldElement(spec, c) for c in self.idx])
 
     @property
     def degree(self) -> int:
@@ -104,12 +104,12 @@ class Poly:
     def lc(self) -> FieldElement:
         if not self.idx:
             raise ValidationError("zero polynomial has no leading coefficient")
-        return self.spec._elems[self.idx[-1]]
+        return FieldElement(self.spec, self.idx[-1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return _same_spec(self.spec, other.spec) and self.idx == other.idx
+        return self.spec == other.spec and self.idx == other.idx
 
     def __hash__(self) -> int:
         return hash((self.spec.p, self.idx))
@@ -128,7 +128,7 @@ class Poly:
 
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
-            if not _same_spec(self.spec, other.spec):
+            if self.spec != other.spec:
                 raise SpecMismatchError("mixing polynomials over different fields")
             return other
         if isinstance(other, (FieldElement, int)):
@@ -239,7 +239,7 @@ class Poly:
 
     def __call__(self, x: FieldElement) -> FieldElement:
         spec = self.spec
-        return spec._elems[self._eval(spec.element(x).index)]
+        return FieldElement(spec, self._eval(spec.element(x).index))
 
     def compose(self, other: "Poly") -> "Poly":
         spec = self.spec
@@ -438,7 +438,7 @@ def is_irreducible(f: Poly) -> bool:
 
 def roots(f: Poly) -> list[FieldElement]:
     """Distinct roots of f in the base field, sorted by coordinate index."""
-    return [f.spec._elems[r] for r in _root_indices(f)]
+    return [FieldElement(f.spec, r) for r in _root_indices(f)]
 
 
 # Over a field of order at most this, roots and root counts are read from
@@ -532,7 +532,7 @@ class RatFun:
 
     @classmethod
     def make(cls, num: Poly, den: Poly) -> "RatFun":
-        if not _same_spec(num.spec, den.spec):
+        if num.spec != den.spec:
             raise SpecMismatchError("numerator and denominator over different fields")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
@@ -616,7 +616,7 @@ def rat_compose(g: RatFun, h: RatFun) -> RatFun:
     multiply whenever both inputs are nonconstant.  Raises if the
     composition is the constant infinity (h constant at a pole of g).
     """
-    if not _same_spec(g.spec, h.spec):
+    if g.spec != h.spec:
         raise SpecMismatchError("composing rational functions over different fields")
     num, den = _homogenized(g, h.num, h.den)
     if den.is_zero():
@@ -658,12 +658,12 @@ def terms_str(spec: FieldSpec, idx: dict, names) -> str:
     or a coordinate list in brackets)."""
     if not idx:
         return "0"
-    elems, parts = spec._elems, []
+    parts = []
     for key in sorted(idx, reverse=True):
         c = idx[key]
         mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, key) if e)
         if not mono:
-            parts.append(str(elems[c]))
+            parts.append(str(FieldElement(spec, c)))
         else:
-            parts.append(mono if c == 1 else f"{elems[c]}*{mono}")
+            parts.append(mono if c == 1 else f"{FieldElement(spec, c)}*{mono}")
     return "+".join(parts)

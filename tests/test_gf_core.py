@@ -196,7 +196,10 @@ def test_extend_field_is_memoized_and_still_guarded(monkeypatch):
     E2, e2 = extend_field(F4, 3)
     assert E2 is E1
     assert e2 is e1 and e2.powers == e1.powers
-    assert isinstance(e1.powers, tuple)
+    # powers are the indices of the images of 1, x, ..., x^(k-1)
+    for emb in (e1, extend_field(F4, 1)[1]):
+        assert isinstance(emb.powers, tuple) and all(type(w) is int for w in emb.powers)
+        assert emb.powers == tuple(emb(F4.from_index(2**i)).index for i in range(F4.k))
     monkeypatch.setattr(limits, "MAX_ORDER", 63)
     with pytest.raises(SizeLimitError):
         extend_field(F4, 3)
@@ -389,7 +392,6 @@ def test_coordinate_path_matches_the_tables(monkeypatch, p, k):
     q = T.order
     monkeypatch.setattr(gf_core, "TABLE_MAX_ORDER", q - 1)
     C = gf_core.FieldSpec(p, k, T.modulus)
-    assert isinstance(C._elems, gf_core._Fresh)
     rng = random.Random(f"coords/{p}^{k}")
     pairs = [(0, 0), (0, 1), (q - 1, q - 1)] + [(rng.randrange(q), rng.randrange(q)) for _ in range(400)]
     for a, b in pairs:
@@ -404,12 +406,20 @@ def test_coordinate_path_matches_the_tables(monkeypatch, p, k):
         assert C._values(cs) == C._values(tuple(cs)) == want, (C, cs)
 
 
-def test_hash_is_the_coordinate_hash():
+def test_equal_elements_hash_alike():
+    # equal elements hash alike: an element, its from_index twin, the same
+    # index in a pickled copy and in a fresh build of its field, and the
+    # int 0..p-1 that it equals are one key in a set or a dict
     for p, k in [(7, 1), (3, 2), (2, 5), (2, 17)]:
         F = build_field(p, k)
+        copies = [pickle.loads(pickle.dumps(F)), gf_core.FieldSpec(p, k, F.modulus)]
         for i in (0, 1, F.order // 3, F.order - 1):
             a = F.from_index(i)
-            assert hash(a) == hash((p, a.coeffs))
+            twins = [F.from_index(i)] + [G.from_index(i) for G in copies]
+            assert all(b == a and hash(b) == hash(a) for b in twins), (F, i)
+            assert len({a, *twins}) == 1 and {a: i}[twins[-1]] == i
+            if i < p:
+                assert a == i and hash(a) == hash(i) and i in {a} and {a: 1}.get(i) == 1
             assert a.coeffs == tuple(i // p**j % p for j in range(k))
 
 

@@ -4,7 +4,9 @@ argparse's private members, one f = g(h) search body, in mvar,
 one proof that f = g(h), composing, called from two places by one name,
 one function for each threshold and for the small-fiber test, one
 place that names each command's handler, one place that chooses each
-field's kernel, which makes no field element, one degree, written
+field's kernel, which makes no field element, one constructor of an
+element and one comparison of fields, embeddings built and applied on
+indices, one degree, written
 once, to which each curve root is lifted, and one function that raises T
 to the field order, beside a distinct-degree split that takes its roots
 from the root finder."""
@@ -303,6 +305,40 @@ def test_building_a_field_makes_no_element():
         for node in ast.walk(fn)
         if isinstance(node, ast.Name) and node.id == "FieldElement"
         or isinstance(node, ast.Attribute) and node.attr in makers and isinstance(node.ctx, ast.Load)
+    ]
+    assert not found, found
+
+
+def test_elements_have_one_constructor_and_fields_one_comparison():
+    # every element is made as FieldElement(spec, i), with no stand-in
+    # element list beside it, and fields compare only by FieldSpec.__eq__
+    gone = {"_elems", "_Fresh", "_same_spec"}
+    found = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)} & gone
+    ]
+    assert not found, found
+
+
+def test_embeddings_are_built_and_applied_on_indices():
+    # an embedding keeps the indices of the images of 1, x, ..., x^(k-1) and
+    # maps indices to indices: building or applying one makes no element
+    wanted = {"_embedding", "map_index", "extend_field"}
+    makers = {"element", "from_index", "zero", "one", "roots"}
+    fns = [
+        fn
+        for fn in ast.walk(MODULES["gf_core"])
+        if isinstance(fn, ast.FunctionDef) and fn.name in wanted
+    ]
+    assert sorted(fn.name for fn in fns) == sorted(wanted)
+    found = [
+        f"gf_core.py:{node.lineno} ({fn.name})"
+        for fn in fns
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id == "FieldElement"
+        or isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) in makers
     ]
     assert not found, found
 
